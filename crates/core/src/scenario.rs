@@ -342,6 +342,15 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_a_parse_error() {
+        // Unbounded recursion here used to overflow the stack and abort.
+        let json = format!(r#"{{"x":{}"#, "[".repeat(200_000));
+        let err = Scenario::from_json(&json).unwrap_err();
+        assert!(matches!(err, ScenarioError::Parse(_)));
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
     fn invalid_deployment_is_a_plan_error() {
         let mut s = sample();
         s.deployment = Deployment::new(

@@ -29,13 +29,11 @@
 //! platform never sees individual batched requests); `RequestSpan.invocation`
 //! joins the two views.
 
-use serde::{Deserialize, Serialize};
 use slsb_sim::{SimDuration, SimTime};
 use std::fmt;
 
 /// Which simulated component emitted a platform-side event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Component {
     /// A FaaS-style serverless platform (Lambda / Cloud Functions model).
     Serverless,
@@ -65,8 +63,7 @@ impl fmt::Display for Component {
 }
 
 /// Why an instance was spawned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpawnCause {
     /// Spawned because queued demand required it.
     Demand,
@@ -78,8 +75,7 @@ pub enum SpawnCause {
 
 /// Terminal outcome of a request span, mirroring the executor's
 /// success/failure classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanOutcome {
     /// The response arrived within the client timeout.
     Success,
@@ -120,8 +116,7 @@ impl fmt::Display for SpanOutcome {
 
 /// The class of an injected fault, distinguishing the mechanisms a
 /// `FaultPlan` can schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     /// An instance died during cold start and will be replaced.
     BootCrash,
@@ -157,10 +152,9 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One observable fact about a run. Internally tagged as `"event"` on the
-/// wire so a JSONL trace stays self-describing and greppable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "event", rename_all = "snake_case")]
+/// One observable fact about a run. Tagged as `"event"` on the wire (see
+/// [`crate::wire`]) so a JSONL trace stays self-describing and greppable.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// An invocation reached the platform's front door.
     RequestArrival {
@@ -315,30 +309,14 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable short name of the variant (matches the wire tag).
+    /// Stable short name of the variant: its wire tag (see [`crate::wire`]).
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::RequestArrival { .. } => "request_arrival",
-            EventKind::RequestQueued { .. } => "request_queued",
-            EventKind::RequestRejected { .. } => "request_rejected",
-            EventKind::RequestDropped { .. } => "request_dropped",
-            EventKind::ExecStart { .. } => "exec_start",
-            EventKind::InstanceSpawn { .. } => "instance_spawn",
-            EventKind::InstanceReady { .. } => "instance_ready",
-            EventKind::InstanceWarm { .. } => "instance_warm",
-            EventKind::InstanceCrash { .. } => "instance_crash",
-            EventKind::InstanceReclaim { .. } => "instance_reclaim",
-            EventKind::BillingTick { .. } => "billing_tick",
-            EventKind::Fault { .. } => "fault",
-            EventKind::RequestSpan { .. } => "request_span",
-            EventKind::AppClosed { .. } => "app_closed",
-            EventKind::RunClosed { .. } => "run_closed",
-        }
+        crate::wire::tag(self)
     }
 }
 
 /// A trace event: what happened, and when in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Virtual timestamp (microseconds since run start on the wire).
     pub at: SimTime,
@@ -349,71 +327,12 @@ pub struct TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{parse_event, write_event};
 
-    #[test]
-    fn events_roundtrip_through_json() {
-        let events = [
-            TraceEvent {
-                at: SimTime::ZERO + SimDuration::from_millis(5),
-                kind: EventKind::RequestArrival {
-                    component: Component::Serverless,
-                    request: 3,
-                },
-            },
-            TraceEvent {
-                at: SimTime::ZERO,
-                kind: EventKind::InstanceReady {
-                    component: Component::ManagedMl,
-                    instance: 7,
-                    boot: SimDuration::from_millis(250),
-                    import: SimDuration::from_secs(2),
-                    download: SimDuration::from_millis(900),
-                    load: SimDuration::from_millis(400),
-                },
-            },
-            TraceEvent {
-                at: SimTime::ZERO + SimDuration::from_secs(9),
-                kind: EventKind::RequestSpan {
-                    request: 41,
-                    client: 2,
-                    invocation: 40,
-                    arrival: SimTime::ZERO + SimDuration::from_secs(8),
-                    batch: SimDuration::from_millis(10),
-                    net_in: SimDuration::from_millis(20),
-                    queued: SimDuration::from_millis(30),
-                    exec: SimDuration::from_millis(40),
-                    net_out: SimDuration::from_millis(50),
-                    cold: true,
-                    outcome: SpanOutcome::Success,
-                },
-            },
-            TraceEvent {
-                at: SimTime::ZERO + SimDuration::from_secs(10),
-                kind: EventKind::RunClosed {
-                    engine_events: 123,
-                    requests: 42,
-                },
-            },
-            TraceEvent {
-                at: SimTime::ZERO + SimDuration::from_secs(3),
-                kind: EventKind::Fault {
-                    component: Some(Component::Serverless),
-                    kind: FaultKind::StorageStall,
-                },
-            },
-            TraceEvent {
-                at: SimTime::ZERO + SimDuration::from_secs(4),
-                kind: EventKind::Fault {
-                    component: None,
-                    kind: FaultKind::PacketLoss,
-                },
-            },
-        ];
-        for ev in events {
-            let json = serde_json::to_string(&ev).unwrap();
-            let back: TraceEvent = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, ev, "mismatch for {json}");
-        }
+    fn line(ev: &TraceEvent) -> String {
+        let mut out = Vec::new();
+        write_event(ev, &mut out);
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
@@ -425,30 +344,24 @@ mod tests {
                 request: 9,
             },
         };
-        let json = serde_json::to_string(&ev).unwrap();
+        let json = line(&ev);
         assert!(json.contains("\"event\":\"request_queued\""), "{json}");
         assert!(json.contains("\"component\":\"vm\""), "{json}");
         assert!(json.contains("\"at\":17"), "{json}");
-    }
-
-    #[test]
-    fn names_match_wire_tags() {
-        let kind = EventKind::InstanceWarm {
-            component: Component::Serverless,
-            instance: 0,
-        };
-        let json = serde_json::to_string(&kind).unwrap();
-        assert!(json.contains(kind.name()), "{json}");
+        assert_eq!(parse_event(json.as_bytes()), Ok(ev));
     }
 
     #[test]
     fn fault_events_are_greppable_by_kind() {
-        let kind = EventKind::Fault {
-            component: Some(Component::ManagedMl),
-            kind: FaultKind::Throttled,
+        let ev = TraceEvent {
+            at: SimTime::ZERO,
+            kind: EventKind::Fault {
+                component: Some(Component::ManagedMl),
+                kind: FaultKind::Throttled,
+            },
         };
-        assert_eq!(kind.name(), "fault");
-        let json = serde_json::to_string(&kind).unwrap();
+        assert_eq!(ev.kind.name(), "fault");
+        let json = line(&ev);
         assert!(json.contains("\"event\":\"fault\""), "{json}");
         assert!(json.contains("\"kind\":\"throttled\""), "{json}");
         for fk in [

@@ -9,6 +9,8 @@
 //! - [`recorder`]: the [`Recorder`] trait plus [`NoopRecorder`] (disabled,
 //!   zero work beyond one branch), [`JsonlRecorder`] (streams JSON Lines),
 //!   and [`MemoryRecorder`] (tests);
+//! - [`wire`]: the JSON Lines trace format, written and parsed directly
+//!   (no serde);
 //! - [`metrics`]: streaming log-linear histograms, counters, and gauges
 //!   in a [`MetricsRegistry`] that merges deterministically across the
 //!   parallel runner's workers.
@@ -33,6 +35,7 @@ pub mod metrics;
 pub mod profile;
 pub mod recorder;
 pub mod trace_view;
+pub mod wire;
 
 pub use event::{Component, EventKind, FaultKind, SpanOutcome, SpawnCause, TraceEvent};
 pub use log::{log_enabled, log_level, set_log_level, LogLevel};

@@ -8,6 +8,7 @@
 //! disabled path a single branch.
 
 use crate::event::TraceEvent;
+use crate::wire;
 use slsb_sim::ProfGuard;
 use std::io;
 use std::io::Write as _;
@@ -80,7 +81,7 @@ pub struct JsonlRecorder<W: io::Write> {
     out: io::BufWriter<W>,
     /// Scratch line, reused across events so steady-state recording does
     /// not allocate.
-    line: String,
+    line: Vec<u8>,
     written: u64,
     error: Option<io::Error>,
 }
@@ -91,7 +92,7 @@ impl<W: io::Write> JsonlRecorder<W> {
     pub fn new(out: W) -> Self {
         JsonlRecorder {
             out: io::BufWriter::new(out),
-            line: String::new(),
+            line: Vec::new(),
             written: 0,
             error: None,
         }
@@ -120,11 +121,10 @@ impl<W: io::Write> Recorder for JsonlRecorder<W> {
         if self.error.is_some() {
             return;
         }
-        // The event types serialize infallibly (no maps with non-string
-        // keys, no non-finite floats in the schema).
-        serde_json::to_string_into(ev, &mut self.line).expect("trace events are serializable");
-        self.line.push('\n');
-        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
+        self.line.clear();
+        wire::write_event(ev, &mut self.line);
+        self.line.push(b'\n');
+        if let Err(e) = self.out.write_all(&self.line) {
             self.error = Some(e);
             return;
         }
@@ -181,7 +181,7 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
-            let ev: TraceEvent = serde_json::from_str(line).unwrap();
+            let ev = wire::parse_event(line.as_bytes()).unwrap();
             assert!(matches!(ev.kind, EventKind::RequestArrival { .. }));
         }
     }

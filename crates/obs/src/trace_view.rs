@@ -6,19 +6,23 @@
 
 use crate::event::{Component, EventKind, SpanOutcome, TraceEvent};
 use crate::metrics::LogLinearHistogram;
+use crate::wire;
 use slsb_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Parses a JSON-Lines trace (one event per non-empty line).
+/// Parses a JSON-Lines trace (one event per non-empty line; see
+/// [`wire::parse_event`] for what a line may hold).
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
+    // One slot per line, so a large trace is allocated once.
+    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut events = Vec::with_capacity(lines);
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let ev: TraceEvent = serde_json::from_str(line)
+        let ev = wire::parse_event(line.as_bytes())
             .map_err(|e| format!("line {}: invalid trace event: {e}", i + 1))?;
         events.push(ev);
     }
@@ -603,13 +607,20 @@ mod tests {
         ]
     }
 
+    fn to_line(ev: &TraceEvent) -> String {
+        let mut out = Vec::new();
+        wire::write_event(ev, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    fn to_jsonl(events: &[TraceEvent]) -> String {
+        events.iter().map(|e| to_line(e) + "\n").collect()
+    }
+
     #[test]
     fn jsonl_roundtrip() {
         let events = lifecycle_events();
-        let text: String = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
-            .collect();
+        let text = to_jsonl(&events);
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed, events);
         assert!(parse_jsonl("{not json}").is_err());
@@ -627,11 +638,8 @@ mod tests {
         // A writer killed mid-line leaves a complete prefix plus an
         // unterminated fragment: diagnosed as truncation.
         let events = lifecycle_events();
-        let mut text: String = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
-            .collect();
-        let fragment = serde_json::to_string(&events[0]).unwrap();
+        let mut text = to_jsonl(&events);
+        let fragment = to_line(&events[0]);
         text.push_str(&fragment[..fragment.len() / 2]);
         let err = parse_jsonl_strict(&text).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
@@ -643,11 +651,7 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
 
         // A complete trace still parses.
-        let full: String = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
-            .collect();
-        assert_eq!(parse_jsonl_strict(&full).unwrap(), events);
+        assert_eq!(parse_jsonl_strict(&to_jsonl(&events)).unwrap(), events);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use slsbench::core::{analyze, Deployment, Executor, ExecutorConfig, RetryPolicy};
 use slsbench::model::{ModelKind, RuntimeKind};
-use slsbench::obs::{MemoryRecorder, TraceEvent};
+use slsbench::obs::{wire, MemoryRecorder, TraceEvent};
 use slsbench::platform::{
     CloudProvider, FaultPlan, HybridConfig, Platform, PlatformKind, ServerlessConfig,
     SpilloverPolicy, ThrottleSpec, VmServerConfig,
@@ -110,9 +110,11 @@ fn mode_executor(mode: &str) -> Executor {
 /// change to event content, order, or count changes the digest.
 fn fnv64_jsonl(events: &[TraceEvent]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut line = Vec::new();
     for ev in events {
-        let line = serde_json::to_string(ev).expect("serializable trace event");
-        for &b in line.as_bytes() {
+        line.clear();
+        wire::write_event(ev, &mut line);
+        for &b in &line {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x100_0000_01b3);
         }

@@ -17,7 +17,7 @@
 
 use slsbench::core::{replicate_jobs, Deployment, Executor, ExecutorConfig, Jobs, WorkloadSpec};
 use slsbench::model::{ModelKind, RuntimeKind};
-use slsbench::obs::MemoryRecorder;
+use slsbench::obs::{wire, MemoryRecorder};
 use slsbench::platform::PlatformKind;
 use slsbench::sim::{prof, ProfileNode, Seed};
 
@@ -51,12 +51,12 @@ fn recorded_jsonl(shards: usize) -> String {
     let mut rec = MemoryRecorder::new();
     exec.run_recorded(&deployment(), &trace, SEED, &mut rec)
         .unwrap();
-    let mut out = String::new();
+    let mut out = Vec::new();
     for ev in rec.into_events() {
-        out.push_str(&serde_json::to_string(&ev).unwrap());
-        out.push('\n');
+        wire::write_event(&ev, &mut out);
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).unwrap()
 }
 
 /// Runs the replication harness under the profiler and returns the
