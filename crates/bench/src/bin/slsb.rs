@@ -19,10 +19,10 @@
 use slsb_bench::cli::extract_log_level;
 use slsb_bench::perf;
 use slsb_core::{
-    analyze, ascii_chart, explore_jobs, fleet_metrics, fmt_money, fmt_opt_secs, fmt_pct,
-    oracle_bound, replicate_jobs, run_metrics, slo_metrics, slo_samples, trace_oracle, Deployment,
-    Executor, ExplorerGrid, FleetPartition, FleetRunner, FleetScenario, Jobs, RetryPolicy, Scenario,
-    SloSample, SloSpec, Table, WorkloadSpec, FLEET_CELLS,
+    analyze, arrival_allocs, ascii_chart, explore_jobs, fleet_metrics, fmt_money, fmt_opt_secs,
+    fmt_pct, oracle_bound, replicate_jobs, run_metrics, slo_metrics, slo_samples, trace_oracle,
+    Deployment, Executor, ExplorerGrid, FleetPartition, FleetRunner, FleetScenario, Jobs,
+    RetryPolicy, Scenario, SloSample, SloSpec, Table, WorkloadSpec, FLEET_CELLS,
 };
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_obs::{set_log_level, trace_view, JsonlRecorder, Profile};
@@ -622,11 +622,6 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
         slsb_sim::prof::reset();
         slsb_sim::prof::enable(true);
     }
-    // Per-region allocation accounting: the executor-region figure below is
-    // the engine's own arrival-side footprint (per-app setup + streaming
-    // merge), which must stay O(apps) — flat in the request count.
-    slsb_sim::alloc::enable_breakdown(true);
-    slsb_sim::alloc::reset_region_counts();
     let wall_start = std::time::Instant::now();
     let mut trace_events = None;
     let run = match opts.trace_out.as_deref() {
@@ -646,11 +641,10 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
         }
     };
     let wall = wall_start.elapsed().as_secs_f64();
-    let region_allocs = slsb_sim::alloc::region_counts();
-    slsb_sim::alloc::enable_breakdown(false);
-    if profiling {
+    let profile = profiling.then(|| {
         slsb_sim::prof::enable(false);
-    }
+        slsb_sim::prof::take()
+    });
     println!("# {} (fleet)\n", scenario.name);
     println!("apps          : {}", run.apps.len());
     println!("requests      : {}", run.requests);
@@ -660,10 +654,11 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
     println!("cost          : {}", fmt_money(run.platform.cost.total()));
     println!("cold starts   : {}", run.platform.cold_started);
     println!("engine events : {}", run.engine_events);
-    println!(
-        "arrival allocs: {}",
-        region_allocs[slsb_sim::alloc::Region::Executor as usize]
-    );
+    // The engine's own arrival-side footprint (per-app setup + streaming
+    // merge), which must stay O(apps) — flat in the request count.
+    if let Some(roots) = &profile {
+        println!("arrival allocs: {}", arrival_allocs(roots));
+    }
     // The weighted partition's balance, in expected-request units. The
     // verify.sh fleet smoke parses this line and asserts the LPT invariant
     // (max cell <= 2x mean, unless a lone head app is the floor).
@@ -706,8 +701,8 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
         std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("metrics written to {out}");
     }
-    if let Some(out) = &opts.profile_out {
-        let profile = Profile::new(slsb_sim::prof::take(), wall);
+    if let (Some(out), Some(roots)) = (&opts.profile_out, profile) {
+        let profile = Profile::new(roots, wall);
         std::fs::write(out, profile.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!(
             "profile written to {out} ({:.1}% of {:.3}s wall attributed)",

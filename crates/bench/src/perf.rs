@@ -22,16 +22,17 @@
 //! binary installs as its `#[global_allocator]`. When the allocator is
 //! not installed (e.g. library tests), counts read as zero deltas and the
 //! report simply omits that signal. The counter itself lives in
-//! [`slsb_sim::alloc`], at the bottom of the crate graph, which also
-//! provides the per-subsystem region attribution the report's
-//! `alloc_breakdown` is built from.
+//! [`slsb_sim::alloc`], at the bottom of the crate graph; the report's
+//! per-subsystem `alloc_breakdown` is read off the [`slsb_sim::prof`]
+//! tree of one profiled replicate.
 
 use serde::{Deserialize, Serialize};
 use slsb_core::{Deployment, Executor, FleetRunner, FleetScenario, FleetSource, Jobs};
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::PlatformKind;
 use slsb_sim::event::{EventQueue, Kernel};
-use slsb_sim::{Seed, SimTime};
+use slsb_sim::prof::exclusive_allocs_where;
+use slsb_sim::{ProfileNode, Seed, SimTime};
 use slsb_workload::MmppPreset;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -40,7 +41,7 @@ use std::time::Instant;
 /// A pass-through allocator that counts allocations. Install it with
 /// `#[global_allocator]` in a binary to make [`allocation_count`] live;
 /// the counter uses relaxed atomics, so the overhead is one uncontended
-/// fetch-add per allocation (plus one relaxed load for the region gate).
+/// fetch-add per allocation (plus one relaxed load for the profiler gate).
 pub struct CountingAllocator;
 
 // SAFETY: delegates allocation and deallocation directly to `System`;
@@ -134,8 +135,8 @@ pub struct FleetBench {
     pub allocs_per_request: f64,
 }
 
-/// Per-subsystem allocation attribution for one untimed wheel replicate,
-/// measured with [`slsb_sim::alloc`] region guards enabled.
+/// Per-subsystem allocation attribution for one untimed, profiled wheel
+/// replicate (see [`AllocBreakdown::from_profile`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct AllocBreakdown {
     /// Executor setup and request bookkeeping (and anything unclaimed).
@@ -146,6 +147,28 @@ pub struct AllocBreakdown {
     pub platform: u64,
     /// Observability: trace recording and span emission.
     pub obs: u64,
+}
+
+impl AllocBreakdown {
+    /// Buckets the allocations of a profiled run by subsystem, from its
+    /// profile tree and the run's counted total: the `kernel/*` scopes,
+    /// the `platform/*` scopes, the observability scopes (`recorder`,
+    /// `executor/spans`, `executor/merge`), and the rest of `total` to the
+    /// executor. Buckets sum exclusive counts, so a platform scope's kernel
+    /// children land in the kernel bucket and the four fields sum to
+    /// `total`.
+    pub fn from_profile(roots: &[ProfileNode], total: u64) -> AllocBreakdown {
+        let sum = |pred: &dyn Fn(&str) -> bool| exclusive_allocs_where(roots, pred);
+        let kernel = sum(&|l| l.starts_with("kernel/"));
+        let platform = sum(&|l| l.starts_with("platform/"));
+        let obs = sum(&|l| matches!(l, "recorder" | "executor/spans" | "executor/merge"));
+        AllocBreakdown {
+            executor: total.saturating_sub(kernel + platform + obs),
+            kernel,
+            platform,
+            obs,
+        }
+    }
 }
 
 /// One historical data point in the report's `trajectory`: the headline
@@ -199,7 +222,7 @@ pub struct BenchReport {
     /// replicate — the number the zero-alloc request path is graded on.
     pub allocs_per_request: f64,
     /// Where the sequential wheel replicate's allocations come from
-    /// (one untimed rep with region attribution enabled).
+    /// (one untimed, profiled rep).
     pub alloc_breakdown: AllocBreakdown,
     /// Measurement history, oldest first; the current run is last.
     /// `slsb bench` carries forward the trajectory of the report it is
@@ -460,24 +483,20 @@ fn fleet_end_to_end(cfg: &BenchConfig) -> Result<FleetBench, String> {
     })
 }
 
-/// Runs one untimed wheel replicate with region attribution enabled and
-/// returns where its allocations land. Kept off the timed path because
-/// active region guards cost a thread-local swap per scope.
+/// Runs one untimed wheel replicate under the profiler and returns where
+/// its allocations land. Kept off the timed path because open profiler
+/// scopes read the clock on entry and exit.
 fn measure_breakdown(cfg: &BenchConfig) -> Result<AllocBreakdown, String> {
     let trace = cfg.preset().generate(Seed(152).substream("bench-workload"));
     let exec = Executor::default().with_kernel(Kernel::Wheel);
-    slsb_sim::alloc::reset_region_counts();
-    slsb_sim::alloc::enable_breakdown(true);
+    slsb_sim::prof::reset();
+    slsb_sim::prof::enable(true);
+    let a0 = allocation_count();
     let run = exec.run(&bench_deployment(), &trace, Seed(1000));
-    slsb_sim::alloc::enable_breakdown(false);
+    let total = allocation_count() - a0;
+    slsb_sim::prof::enable(false);
     run.map_err(|e| e.to_string())?;
-    let counts = slsb_sim::alloc::region_counts();
-    Ok(AllocBreakdown {
-        executor: counts[slsb_sim::alloc::Region::Executor as usize],
-        kernel: counts[slsb_sim::alloc::Region::Kernel as usize],
-        platform: counts[slsb_sim::alloc::Region::Platform as usize],
-        obs: counts[slsb_sim::alloc::Region::Obs as usize],
-    })
+    Ok(AllocBreakdown::from_profile(&slsb_sim::prof::take(), total))
 }
 
 fn throughput(benches: &[&KernelBench]) -> f64 {

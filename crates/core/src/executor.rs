@@ -12,12 +12,11 @@ use crate::plan::{Deployment, PlanError};
 use crate::runner::{parallel_map, Jobs};
 use serde::{Deserialize, Serialize};
 use slsb_model::ModelKind;
-use slsb_obs::{EventKind, FaultKind, MemoryRecorder, Recorder, SpanOutcome, TraceEvent};
+use slsb_obs::{EventKind, FaultKind, MemoryRecorder, Recorder, TraceEvent};
 use slsb_platform::{
     ColdStartBreakdown, FailureReason, FaultInjector, FaultPlan, NetworkProfile, Outcome, Platform,
     PlatformEvent, PlatformReport, PlatformScheduler, RequestId, ServingRequest, ServingResponse,
 };
-use slsb_sim::alloc::{Region, RegionGuard};
 use slsb_sim::{Engine, EventQueue, Kernel, ProfGuard, Seed, SimDuration, SimRng, SimTime, System};
 use slsb_workload::{InputKind, RequestPool, WorkloadTrace};
 use std::cell::RefCell;
@@ -488,7 +487,6 @@ impl ExecSystem<'_> {
         f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
     ) -> R {
         let r = {
-            let _region = RegionGuard::enter(Region::Platform);
             let _p = ProfGuard::enter(self.platform.prof_label());
             let rec = self.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
             let mut sched = PlatformScheduler::with_recorder(queue.now(), self.buffer, rec);
@@ -511,7 +509,6 @@ impl ExecSystem<'_> {
             return;
         }
         {
-            let _region = RegionGuard::enter(Region::Platform);
             let _p = ProfGuard::enter(self.platform.prof_label());
             self.platform.drain_responses_into(self.resp_scratch);
         }
@@ -913,7 +910,6 @@ impl Executor {
                 // the per-cell closing summaries in favour of one merged
                 // RunClosed. Events are time-ordered within a cell, not
                 // globally; `slsb trace` views sort where it matters.
-                let _region = RegionGuard::enter(Region::Obs);
                 let _p = ProfGuard::enter("executor/merge");
                 for (_, cell_rec) in &mut outs {
                     let Some(m) = cell_rec.take() else { continue };
@@ -1161,7 +1157,6 @@ impl Executor {
         {
             let sys = &mut engine.system;
             {
-                let _region = RegionGuard::enter(Region::Platform);
                 let _p = ProfGuard::enter(sys.platform.prof_label());
                 let startup_rec = sys.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
                 let mut sched =
@@ -1300,7 +1295,6 @@ impl Executor {
 
         if let Some(r) = recorder {
             if r.enabled() {
-                let _region = RegionGuard::enter(Region::Obs);
                 let _p = ProfGuard::enter("executor/spans");
                 for (m, rec) in records.iter().enumerate() {
                     let (at, net_in, exec, net_out) = match spans[m] {
@@ -1313,19 +1307,6 @@ impl Executor {
                             SimDuration::ZERO,
                             SimDuration::ZERO,
                         ),
-                    };
-                    let outcome = match rec.outcome {
-                        Outcome::Success => SpanOutcome::Success,
-                        Outcome::Failure(FailureReason::QueueFull) => SpanOutcome::QueueFull,
-                        Outcome::Failure(FailureReason::ClientTimeout) => {
-                            SpanOutcome::ClientTimeout
-                        }
-                        Outcome::Failure(FailureReason::Rejected) => SpanOutcome::Rejected,
-                        Outcome::Failure(FailureReason::Throttled) => SpanOutcome::Throttled,
-                        Outcome::Failure(FailureReason::Crashed) => SpanOutcome::Crashed,
-                        Outcome::Failure(FailureReason::RetriesExhausted) => {
-                            SpanOutcome::RetriesExhausted
-                        }
                     };
                     r.record(&TraceEvent {
                         at,
@@ -1340,7 +1321,7 @@ impl Executor {
                             exec,
                             net_out,
                             cold: rec.cold_start.is_some(),
-                            outcome,
+                            outcome: rec.outcome.into(),
                         },
                     });
                 }

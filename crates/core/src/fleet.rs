@@ -40,17 +40,13 @@ use crate::runner::{parallel_map, Jobs};
 use serde::{Deserialize, Serialize};
 use slsb_platform::PolicySet;
 use slsb_obs::{
-    EventKind, LogLinearHistogram, MemoryRecorder, MetricsRegistry, Recorder, SpanOutcome,
-    TraceEvent,
+    EventKind, LogLinearHistogram, MemoryRecorder, MetricsRegistry, Recorder, TraceEvent,
 };
 use slsb_platform::{
     FailureReason, NetworkProfile, Outcome, Platform, PlatformEvent, PlatformReport,
     PlatformScheduler, RequestId, ServingRequest, ServingResponse,
 };
-use slsb_sim::alloc::{Region, RegionGuard};
-use slsb_sim::{
-    Engine, EventQueue, Kernel, ProfGuard, Seed, SimDuration, SimTime, System,
-};
+use slsb_sim::{Engine, EventQueue, ProfGuard, ProfileNode, Seed, SimDuration, SimTime, System};
 use slsb_workload::{FleetError, FleetSpec, FleetSynthesis, InputKind, RequestPool, TraceSummary};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -563,7 +559,6 @@ impl FleetRunResult {
 pub struct FleetRunner {
     workers: usize,
     network: NetworkProfile,
-    kernel: Kernel,
     pool_size: usize,
 }
 
@@ -572,7 +567,6 @@ impl Default for FleetRunner {
         FleetRunner {
             workers: 1,
             network: NetworkProfile::DEFAULT,
-            kernel: Kernel::default(),
             pool_size: RequestPool::DEFAULT_SIZE,
         }
     }
@@ -584,13 +578,6 @@ impl FleetRunner {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Selects the event-queue kernel.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -697,7 +684,6 @@ impl FleetRunner {
             // Replay cell recordings in cell order — a fixed order for a
             // fixed cell count, so the merged trace is byte-identical for
             // any worker budget — and close the run once.
-            let _region = RegionGuard::enter(Region::Obs);
             let _p = ProfGuard::enter("fleet/merge");
             let rec = rec.expect("tracing implies a recorder");
             for out in &cell_outs {
@@ -793,10 +779,7 @@ impl FleetRunner {
         let mut buffer: Vec<(SimDuration, PlatformEvent)> = Vec::new();
         let mut resp_scratch: Vec<ServingResponse> = Vec::new();
         let mut arrival_scratch: Vec<(SimTime, FleetEvent)> = Vec::with_capacity(ARRIVAL_BURST);
-        let queue = EventQueue::with_kernel_and_capacity(
-            self.kernel,
-            (globals.len() * 4 + ARRIVAL_BURST).max(64),
-        );
+        let queue = EventQueue::with_capacity((globals.len() * 4 + ARRIVAL_BURST).max(64));
         let mut engine = Engine::with_queue(
             FleetSystem {
                 apps,
@@ -822,7 +805,6 @@ impl FleetRunner {
         for slot in 0..engine.system.apps.len() {
             let sys = &mut engine.system;
             {
-                let _region = RegionGuard::enter(Region::Platform);
                 let _p = ProfGuard::enter(sys.apps[slot].platform.prof_label());
                 let rec = sys.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
                 let mut sched = PlatformScheduler::with_recorder(SimTime::ZERO, sys.buffer, rec);
@@ -851,7 +833,6 @@ impl FleetRunner {
         let mut out_apps = Vec::with_capacity(sys.apps.len());
         for slot in 0..sys.apps.len() {
             {
-                let _region = RegionGuard::enter(Region::Platform);
                 let _p = ProfGuard::enter(sys.apps[slot].platform.prof_label());
                 sys.apps[slot].platform.finalize(teardown);
                 sys.apps[slot]
@@ -1002,7 +983,6 @@ impl FleetSystem<'_> {
         f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
     ) -> R {
         let r = {
-            let _region = RegionGuard::enter(Region::Platform);
             let _p = ProfGuard::enter(self.apps[slot].platform.prof_label());
             let rec = self.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
             let mut sched = PlatformScheduler::with_recorder(queue.now(), self.buffer, rec);
@@ -1027,7 +1007,6 @@ impl FleetSystem<'_> {
             return;
         }
         {
-            let _region = RegionGuard::enter(Region::Platform);
             let _p = ProfGuard::enter(self.apps[slot].platform.prof_label());
             self.apps[slot]
                 .platform
@@ -1074,7 +1053,6 @@ impl FleetSystem<'_> {
         }
         if let Some(r) = self.rec.as_deref_mut() {
             if r.enabled() {
-                let _region = RegionGuard::enter(Region::Obs);
                 let delivered = arrival + a.net_in;
                 let exec = resp
                     .completed_at
@@ -1092,19 +1070,7 @@ impl FleetSystem<'_> {
                         exec,
                         net_out: self.response_net,
                         cold: resp.cold_start.is_some(),
-                        outcome: match outcome {
-                            Outcome::Success => SpanOutcome::Success,
-                            Outcome::Failure(FailureReason::QueueFull) => SpanOutcome::QueueFull,
-                            Outcome::Failure(FailureReason::ClientTimeout) => {
-                                SpanOutcome::ClientTimeout
-                            }
-                            Outcome::Failure(FailureReason::Rejected) => SpanOutcome::Rejected,
-                            Outcome::Failure(FailureReason::Throttled) => SpanOutcome::Throttled,
-                            Outcome::Failure(FailureReason::Crashed) => SpanOutcome::Crashed,
-                            Outcome::Failure(FailureReason::RetriesExhausted) => {
-                                SpanOutcome::RetriesExhausted
-                            }
-                        },
+                        outcome: outcome.into(),
                     },
                 });
             }
@@ -1149,6 +1115,18 @@ impl System for FleetSystem<'_> {
             }
         }
     }
+}
+
+/// Arrival-side allocations of a profiled fleet run, read off its profile
+/// tree: the exclusive allocations of the engine's own `fleet/*` scopes
+/// (per-app setup, the streaming arrival merge, the event loop and
+/// teardown), leaving out their platform and kernel children and the
+/// trace replay in `fleet/merge`. The lazy merge keeps this O(apps): flat
+/// in the request count.
+pub fn arrival_allocs(roots: &[ProfileNode]) -> u64 {
+    slsb_sim::prof::exclusive_allocs_where(roots, &|l| {
+        l.starts_with("fleet/") && l != "fleet/merge"
+    })
 }
 
 /// Metrics rollup of a fleet run: fleet-wide counters plus per-app

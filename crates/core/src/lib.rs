@@ -66,8 +66,9 @@ pub use batching::{plan_invocations, BatchPolicy, Invocation};
 pub use executor::{Executor, ExecutorConfig, RequestRecord, RetryPolicy, RunResult};
 pub use experiment::ExperimentId;
 pub use fleet::{
-    fleet_metrics, AppResult, CellBalance, FleetPartition, FleetPlan, FleetRunError, FleetRunResult,
-    FleetRunner, FleetScenario, FleetScenarioError, FleetSource, FleetWarning, FLEET_CELLS,
+    arrival_allocs, fleet_metrics, AppResult, CellBalance, FleetPartition, FleetPlan,
+    FleetRunError, FleetRunResult, FleetRunner, FleetScenario, FleetScenarioError, FleetSource,
+    FleetWarning, FLEET_CELLS,
 };
 pub use explorer::{explore, explore_jobs, Candidate, Exploration, ExplorerGrid};
 pub use oracle::{oracle_bound, trace_oracle, OracleBound, TraceOracle};

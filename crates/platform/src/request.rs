@@ -1,6 +1,7 @@
 //! Requests and responses as the serving platforms see them.
 
 use serde::{Deserialize, Serialize};
+use slsb_obs::SpanOutcome;
 use slsb_sim::{SimDuration, SimTime};
 use std::fmt;
 
@@ -98,6 +99,21 @@ impl Outcome {
     /// True for [`Outcome::Success`].
     pub fn is_success(&self) -> bool {
         matches!(self, Outcome::Success)
+    }
+}
+
+/// The outcome a request span records in a trace.
+impl From<Outcome> for SpanOutcome {
+    fn from(outcome: Outcome) -> SpanOutcome {
+        match outcome {
+            Outcome::Success => SpanOutcome::Success,
+            Outcome::Failure(FailureReason::QueueFull) => SpanOutcome::QueueFull,
+            Outcome::Failure(FailureReason::ClientTimeout) => SpanOutcome::ClientTimeout,
+            Outcome::Failure(FailureReason::Rejected) => SpanOutcome::Rejected,
+            Outcome::Failure(FailureReason::Throttled) => SpanOutcome::Throttled,
+            Outcome::Failure(FailureReason::Crashed) => SpanOutcome::Crashed,
+            Outcome::Failure(FailureReason::RetriesExhausted) => SpanOutcome::RetriesExhausted,
+        }
     }
 }
 

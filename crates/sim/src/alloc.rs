@@ -5,65 +5,22 @@
 //! graph, so any layer can read it and the bench crate does not need to be a
 //! dependency of the code it measures.
 //!
-//! Two levels of detail:
-//!
-//! - [`allocation_count`] — a single process-wide relaxed counter, always
-//!   on. One `fetch_add` per allocation.
-//! - **Region attribution** — when enabled with [`enable_breakdown`], each
-//!   allocation is also charged to the [`Region`] the current thread is in
-//!   ([`RegionGuard`]). Disabled (the default), a guard costs one relaxed
-//!   load and the allocator hook one relaxed load, so instrumented hot paths
-//!   stay honest when nobody is looking at the breakdown.
-//!
-//! Regions nest: entering a region remembers the previous one and restores
-//! it on drop, so e.g. platform code calling back into the kernel is charged
-//! to the kernel while the call lasts.
+//! [`allocation_count`] is a single process-wide relaxed counter, always
+//! on: one `fetch_add` per allocation. Per-subsystem attribution is the
+//! profiler's job: while [`crate::prof`] is enabled, each allocation is
+//! also charged to the innermost open [`crate::prof::ProfGuard`] scope on
+//! the allocating thread, and the profile tree's per-node `allocs` are the
+//! only breakdown there is.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Coarse subsystem buckets for the allocation breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Region {
-    /// Executor setup, request bookkeeping, everything unclaimed.
-    Executor = 0,
-    /// Event-queue schedule/pop (both kernels).
-    Kernel = 1,
-    /// Platform models: submit/handle/drain, scaling, billing.
-    Platform = 2,
-    /// Observability: trace recording, span emission.
-    Obs = 3,
-}
-
-/// Number of [`Region`] variants.
-pub const REGIONS: usize = 4;
-
-/// Stable lowercase names, index-aligned with [`Region`] discriminants.
-pub const REGION_NAMES: [&str; REGIONS] = ["executor", "kernel", "platform", "obs"];
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static COUNT: AtomicU64 = AtomicU64::new(0);
-static BREAKDOWN: AtomicBool = AtomicBool::new(false);
-static REGION_COUNTS: [AtomicU64; REGIONS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-thread_local! {
-    static CURRENT: Cell<u8> = const { Cell::new(Region::Executor as u8) };
-}
 
 /// Records one allocation. Called by the counting global allocator; must not
 /// allocate (it runs inside `GlobalAlloc::alloc`).
 #[inline]
 pub fn note_alloc() {
     COUNT.fetch_add(1, Ordering::Relaxed);
-    if BREAKDOWN.load(Ordering::Relaxed) {
-        let r = CURRENT.with(|c| c.get());
-        REGION_COUNTS[r as usize & (REGIONS - 1)].fetch_add(1, Ordering::Relaxed);
-    }
     if crate::prof::enabled() {
         crate::prof::note_thread_alloc();
     }
@@ -74,97 +31,4 @@ pub fn note_alloc() {
 #[inline]
 pub fn allocation_count() -> u64 {
     COUNT.load(Ordering::Relaxed)
-}
-
-/// Turns per-region attribution on or off. Off by default; benchmarks flip
-/// it on only for the measured section they want broken down.
-pub fn enable_breakdown(on: bool) {
-    BREAKDOWN.store(on, Ordering::Relaxed);
-}
-
-/// Per-region allocation totals, index-aligned with [`REGION_NAMES`]. Only
-/// grows while breakdown is enabled.
-pub fn region_counts() -> [u64; REGIONS] {
-    let mut out = [0; REGIONS];
-    for (slot, c) in out.iter_mut().zip(REGION_COUNTS.iter()) {
-        *slot = c.load(Ordering::Relaxed);
-    }
-    out
-}
-
-/// Resets the per-region totals (the grand total keeps counting).
-pub fn reset_region_counts() {
-    for c in REGION_COUNTS.iter() {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Charges this thread's allocations to `region` until dropped, then
-/// restores the previous region. Near-free while breakdown is disabled.
-pub struct RegionGuard {
-    prev: u8,
-    active: bool,
-}
-
-impl RegionGuard {
-    #[inline]
-    pub fn enter(region: Region) -> Self {
-        if !BREAKDOWN.load(Ordering::Relaxed) {
-            return RegionGuard {
-                prev: 0,
-                active: false,
-            };
-        }
-        let prev = CURRENT.with(|c| c.replace(region as u8));
-        RegionGuard { prev, active: true }
-    }
-}
-
-impl Drop for RegionGuard {
-    #[inline]
-    fn drop(&mut self) {
-        if self.active {
-            let prev = self.prev;
-            CURRENT.with(|c| c.set(prev));
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // One test, not several: breakdown state is process-global and the
-    // harness runs tests concurrently.
-    #[test]
-    fn regions_nest_restore_and_gate() {
-        // Disabled: guards are inert and nothing is attributed.
-        enable_breakdown(false);
-        reset_region_counts();
-        let _g = RegionGuard::enter(Region::Platform);
-        drop(_g);
-        note_alloc();
-        assert_eq!(region_counts(), [0; REGIONS]);
-        assert!(allocation_count() >= 1);
-
-        // Enabled: charges follow the innermost guard and restore on drop.
-        enable_breakdown(true);
-        let before = region_counts();
-        {
-            let _p = RegionGuard::enter(Region::Platform);
-            note_alloc();
-            {
-                let _k = RegionGuard::enter(Region::Kernel);
-                note_alloc();
-                note_alloc();
-            }
-            note_alloc();
-        }
-        note_alloc(); // back to Executor
-        let after = region_counts();
-        enable_breakdown(false);
-        assert_eq!(after[Region::Platform as usize] - before[Region::Platform as usize], 2);
-        assert_eq!(after[Region::Kernel as usize] - before[Region::Kernel as usize], 2);
-        assert_eq!(after[Region::Executor as usize] - before[Region::Executor as usize], 1);
-    }
 }

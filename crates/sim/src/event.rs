@@ -13,7 +13,6 @@
 //! Both deliver the exact same `(time, sequence)` order, so switching
 //! kernels never changes a simulation's results, only its speed.
 
-use crate::alloc::{Region, RegionGuard};
 use crate::prof::ProfGuard;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
@@ -160,7 +159,6 @@ impl<E> EventQueue<E> {
             "causality violation: scheduling at {at} but now is {now}",
             now = self.now
         );
-        let _r = RegionGuard::enter(Region::Kernel);
         let _p = ProfGuard::enter("kernel/schedule");
         let s = Scheduled {
             at,
@@ -190,7 +188,6 @@ impl<E> EventQueue<E> {
     where
         I: IntoIterator<Item = (SimTime, E)>,
     {
-        let _r = RegionGuard::enter(Region::Kernel);
         let _p = ProfGuard::enter("kernel/schedule");
         let now = self.now;
         match &mut self.store {
@@ -245,7 +242,6 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let _r = RegionGuard::enter(Region::Kernel);
         let _p = ProfGuard::enter("kernel/pop");
         let s = match &mut self.store {
             Store::Wheel(w) => w.pop()?,
@@ -262,7 +258,6 @@ impl<E> EventQueue<E> {
     /// One kernel operation per delivered event — this is the hot path of
     /// [`Engine::run_until`].
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let _r = RegionGuard::enter(Region::Kernel);
         let _p = ProfGuard::enter("kernel/pop");
         let s = match &mut self.store {
             Store::Wheel(w) => w.pop_at_or_before(horizon)?,

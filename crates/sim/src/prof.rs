@@ -1,9 +1,11 @@
 //! Hierarchical self-profiler shared by the whole workspace.
 //!
-//! Generalizes the [`crate::alloc`] region-guard idiom from four flat
-//! allocation buckets into a *tree* of named scopes that accumulate
-//! inclusive wall time, entry counts, and heap allocations. The same
-//! discipline applies:
+//! A *tree* of named scopes that accumulate inclusive wall time, entry
+//! counts, and heap allocations. It is the workspace's only attribution
+//! mechanism: per-subsystem allocation breakdowns (`slsb bench`'s
+//! `alloc_breakdown`, the fleet's `arrival allocs`) are read off the
+//! tree's nodes, next to [`crate::alloc`]'s process-wide total. Guards
+//! are cheap enough to leave on every hot path:
 //!
 //! - **Disabled (the default)** a [`ProfGuard`] costs one relaxed atomic
 //!   load and the allocator hook one relaxed load — instrumented hot
@@ -257,6 +259,25 @@ impl ProfileNode {
     }
 }
 
+/// Sums the exclusive allocations (inclusive minus the children's
+/// inclusive) of every node in the `roots` forest whose label satisfies
+/// `pred`. An allocation is charged to the innermost open scope only, so
+/// sums over disjoint label sets never count one twice.
+pub fn exclusive_allocs_where(roots: &[ProfileNode], pred: &dyn Fn(&str) -> bool) -> u64 {
+    roots
+        .iter()
+        .map(|n| {
+            let own = if pred(&n.label) {
+                n.allocs
+                    .saturating_sub(n.children.iter().map(|c| c.allocs).sum())
+            } else {
+                0
+            };
+            own + exclusive_allocs_where(&n.children, pred)
+        })
+        .sum()
+}
+
 // ---------------------------------------------------------------------------
 // The guard.
 
@@ -350,6 +371,23 @@ impl Drop for ProfGuard {
 mod tests {
     use super::*;
 
+    /// Every label this test opens, nested ones included, so a scope
+    /// that wrongly surfaces as a root still fails the checks below.
+    const OWN: [&str; 10] = [
+        "a", "a/b", "b", "root2", "w", "x", "outer", "detached", "cell", "kernel",
+    ];
+
+    /// The roots this test created. The enabled flag and merged tree are
+    /// process-global, so while profiling is on, the event-queue tests
+    /// running concurrently flush their own `kernel/*` roots into the
+    /// same tree; only the labels opened here are asserted on.
+    fn own(roots: Vec<ProfileNode>) -> Vec<ProfileNode> {
+        roots
+            .into_iter()
+            .filter(|r| OWN.contains(&r.label.as_str()))
+            .collect()
+    }
+
     // One test, not several: the enabled flag and merged tree are
     // process-global and the harness runs tests concurrently. (The
     // repo-level `tests/profiler.rs` suite exercises the executor
@@ -363,7 +401,7 @@ mod tests {
             let _a = ProfGuard::enter("a");
             let _b = ProfGuard::enter("a/b");
         }
-        assert!(take().is_empty());
+        assert!(own(take()).is_empty());
 
         // Enabled: nesting shapes the tree, counts accumulate.
         enable(true);
@@ -381,7 +419,7 @@ mod tests {
             let _r = ProfGuard::enter_root("root2");
         }
         enable(false);
-        let roots = take();
+        let roots = own(take());
         assert_eq!(roots.len(), 2, "{roots:?}");
         let a = roots.iter().find(|r| r.label == "a").expect("root a");
         assert_eq!(a.calls, 3);
@@ -399,10 +437,11 @@ mod tests {
             let _b = ProfGuard::enter("x");
         };
         work();
-        let s1: Vec<ProfileNode> = take().iter().map(ProfileNode::shape).collect();
+        let s1: Vec<ProfileNode> = own(take()).iter().map(ProfileNode::shape).collect();
         work();
-        let s2: Vec<ProfileNode> = take().iter().map(ProfileNode::shape).collect();
+        let s2: Vec<ProfileNode> = own(take()).iter().map(ProfileNode::shape).collect();
         enable(false);
+        assert_eq!(s1.len(), 1, "{s1:?}");
         assert_eq!(s1, s2);
 
         // enter_root detaches from the active scope.
@@ -413,7 +452,7 @@ mod tests {
             let _detached = ProfGuard::enter_root("detached");
         }
         enable(false);
-        let roots = take();
+        let roots = own(take());
         assert_eq!(roots.len(), 2, "{roots:?}");
         assert!(roots.iter().all(|r| r.children.is_empty()), "{roots:?}");
 
@@ -433,7 +472,8 @@ mod tests {
             h.join().unwrap();
         }
         enable(false);
-        let roots = take();
+        let roots = own(take());
+        assert_eq!(roots.len(), 1, "{roots:?}");
         let cell = roots.iter().find(|r| r.label == "cell").expect("cell root");
         assert_eq!(cell.calls, 4);
         assert_eq!(cell.children[0].calls, 4);

@@ -15,9 +15,9 @@
 //! The ziggurat samplers (Marsaglia & Tsang, 256 layers) accept ~98–99 %
 //! of draws with one `u64`, two table loads, a multiply, and a compare —
 //! no `ln`/`sqrt`/`cos` — which is what lifts fleet throughput past the
-//! libm-bound Box–Muller/inverse-transform path. The legacy samplers are
-//! kept as `*_reference` differential oracles (the `Kernel::Heap`
-//! precedent): statistical tests pin the fast path against them. Note the
+//! libm-bound Box–Muller/inverse-transform path. The legacy samplers
+//! survive only in test builds, as `*_reference` differential oracles:
+//! moment and KS tests pin the fast path against them. Note the
 //! ziggurat consumes a *variable* number of raw draws per sample
 //! (rejection), so the stream position now depends on the values drawn;
 //! determinism is unaffected because every draw remains a pure function
@@ -193,7 +193,8 @@ impl SimRng {
 
     /// Standard exponential draw (mean 1) via the 256-layer ziggurat:
     /// ~98 % of draws cost one `u64`, two table loads, and one compare.
-    /// Pinned statistically against [`Self::standard_exp_reference`].
+    /// Pinned statistically against the inverse-transform reference in
+    /// this module's tests.
     pub fn standard_exp(&mut self) -> f64 {
         let t = zig_exp_table();
         loop {
@@ -220,8 +221,9 @@ impl SimRng {
     }
 
     /// Standard exponential draw via the legacy inverse transform
-    /// (`-ln(1-U)`): one `ln` per draw. Kept as the differential oracle
-    /// for [`Self::standard_exp`].
+    /// (`-ln(1-U)`): one `ln` per draw. The differential oracle for
+    /// [`Self::standard_exp`]; test builds only.
+    #[cfg(test)]
     pub fn standard_exp_reference(&mut self) -> f64 {
         -self.nonzero_uniform().ln()
     }
@@ -249,8 +251,8 @@ impl SimRng {
 
     /// Standard normal draw via the symmetric 256-layer ziggurat: ~99 %
     /// of draws cost one `u64`, two table loads, and one compare — no
-    /// `ln`/`sqrt`/`cos`. Pinned statistically against
-    /// [`Self::standard_normal_reference`].
+    /// `ln`/`sqrt`/`cos`. Pinned statistically against the Box–Muller
+    /// reference in this module's tests.
     pub fn standard_normal(&mut self) -> f64 {
         let t = zig_norm_table();
         loop {
@@ -285,8 +287,9 @@ impl SimRng {
 
     /// Standard normal draw via the legacy Box–Muller transform (the
     /// second variate is discarded so each call consumes exactly two
-    /// uniforms). Kept as the differential oracle for
-    /// [`Self::standard_normal`].
+    /// uniforms). The differential oracle for [`Self::standard_normal`];
+    /// test builds only.
+    #[cfg(test)]
     pub fn standard_normal_reference(&mut self) -> f64 {
         let u1 = loop {
             let u = self.uniform();

@@ -4,7 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 cargo clippy --all-targets -- -D warnings
 
 # Trace round-trip smoke: a recorded run must emit a JSONL trace the
@@ -160,9 +160,12 @@ echo "verify.sh: diff regression gate ok (doctored snapshot exits 2)"
 # 500+-app fleet, and (b) hold arrival-side allocations at O(apps) — the
 # lazy k-way merge pulls one arrival per cell at a time, so doubling the
 # run duration (and with it the request count) must not grow the
-# arrival-side allocation count.
-fleet_small_out="$(./target/release/slsb run scenarios/fleet_zipf.json --scale 0.5 --jobs 4)"
-fleet_big_out="$(./target/release/slsb run scenarios/fleet_zipf.json --jobs 4)"
+# arrival-side allocation count. The count is read off the profile tree,
+# so both runs are profiled.
+fleet_small_out="$(./target/release/slsb run scenarios/fleet_zipf.json --scale 0.5 --jobs 4 \
+    --profile "$profilefile")"
+fleet_big_out="$(./target/release/slsb run scenarios/fleet_zipf.json --jobs 4 \
+    --profile "$profilefile")"
 small_requests="$(sed -n 's/^requests      : //p' <<<"$fleet_small_out")"
 small_allocs="$(sed -n 's/^arrival allocs: //p' <<<"$fleet_small_out")"
 big_requests="$(sed -n 's/^requests      : //p' <<<"$fleet_big_out")"
