@@ -176,8 +176,12 @@ impl AllocBreakdown {
 /// `slsb bench` appends to this list instead of discarding history.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrajectoryEntry {
-    /// Short git revision the measurement was taken at (`unknown` when
-    /// git is unavailable).
+    /// The tree the measurement was taken on, as `git describe --always
+    /// --dirty --abbrev=7` names it: the HEAD commit's short hash (tag-based
+    /// once the repository has tags), with a `-dirty` suffix when the tree
+    /// had uncommitted changes — so a run made just before a commit is
+    /// labelled with its parent's hash plus `-dirty`, never passed off as
+    /// the parent's own numbers. `unknown` when git is unavailable.
     pub rev: String,
     /// UTC date of the measurement, `YYYY-MM-DD`.
     pub date: String,
@@ -574,11 +578,11 @@ fn today_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// The short git revision of the working tree, or `unknown` when git (or
-/// a repository) is unavailable.
+/// The working tree's revision label (see [`TrajectoryEntry::rev`]), or
+/// `unknown` when git (or a repository) is unavailable.
 fn git_short_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
         .output()
         .ok()
         .filter(|o| o.status.success())

@@ -6,16 +6,24 @@
 //! client draws its payload from the shared request pool, and a per-request
 //! HTTP timeout converts slow responses into failures — the mechanism
 //! behind every success-ratio number in the evaluation.
+//!
+//! Requests go to clients round-robin and a run replays as
+//! [cells](crate::cell): unsharded, one cell holds every client on the run
+//! seed and one platform; sharded ([`ExecutorConfig::shards`] ≥ 1), each
+//! client is a cell of its own on the seed's `("shard", client)`
+//! substream with its own platform. Both modes run the same cell replay,
+//! fan-out and reassembly. On top of the shared cell layer the executor
+//! adds its client layer: batching, retries and client-path faults.
 
 use crate::batching::{plan_invocations_into, BatchPolicy, InvocationPlan};
+use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd};
 use crate::plan::{Deployment, PlanError};
-use crate::runner::{parallel_map, Jobs};
 use serde::{Deserialize, Serialize};
 use slsb_model::ModelKind;
-use slsb_obs::{EventKind, FaultKind, MemoryRecorder, Recorder, TraceEvent};
+use slsb_obs::{EventKind, FaultKind, Recorder, TraceEvent};
 use slsb_platform::{
     ColdStartBreakdown, FailureReason, FaultInjector, FaultPlan, NetworkProfile, Outcome, Platform,
-    PlatformEvent, PlatformReport, PlatformScheduler, RequestId, ServingRequest, ServingResponse,
+    PlatformEvent, PlatformReport, RequestId, ServingRequest, ServingResponse,
 };
 use slsb_sim::{Engine, EventQueue, Kernel, ProfGuard, Seed, SimDuration, SimRng, SimTime, System};
 use slsb_workload::{InputKind, RequestPool, WorkloadTrace};
@@ -83,10 +91,6 @@ fn default_retry_budget() -> u64 {
     u64::MAX
 }
 
-fn default_retry() -> RetryPolicy {
-    RetryPolicy::disabled()
-}
-
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::disabled()
@@ -143,11 +147,21 @@ impl RetryPolicy {
                     .parse()
                     .map_err(|_| format!("retry spec '{key}' has a malformed value '{value}'"))
             }
+            fn secs(key: &str, value: &str) -> Result<SimDuration, String> {
+                // A year bounds every backoff and timeout far below where
+                // instant arithmetic could overflow.
+                const MAX_SECS: f64 = 365.0 * 86_400.0;
+                let s: f64 = num(key, value)?;
+                (0.0..=MAX_SECS)
+                    .contains(&s)
+                    .then(|| SimDuration::from_secs_f64(s))
+                    .ok_or_else(|| format!("retry spec '{key}' must be in [0, {MAX_SECS}] s"))
+            }
             match key {
                 "attempts" => p.max_attempts = num(key, value)?,
-                "timeout" => p.attempt_timeout = SimDuration::from_secs_f64(num(key, value)?),
-                "base" => p.base_backoff = SimDuration::from_secs_f64(num(key, value)?),
-                "max" => p.max_backoff = SimDuration::from_secs_f64(num(key, value)?),
+                "timeout" => p.attempt_timeout = secs(key, value)?,
+                "base" => p.base_backoff = secs(key, value)?,
+                "max" => p.max_backoff = secs(key, value)?,
                 "jitter" => p.jitter = num(key, value)?,
                 "budget" => p.budget = num(key, value)?,
                 other => return Err(format!("unknown retry spec key '{other}'")),
@@ -179,22 +193,19 @@ pub struct ExecutorConfig {
     /// batching extension).
     pub batch_override: Option<BatchPolicy>,
     /// Client retry policy (disabled by default).
-    #[serde(default = "default_retry")]
+    #[serde(default)]
     pub retry: RetryPolicy,
-    /// Intra-run sharding worker budget. `0` (the default) keeps the
-    /// legacy single-sequence replay. Any value ≥ 1 switches to sharded
-    /// mode: the run splits into one cell per client (events never cross
+    /// Intra-run sharding worker budget. `0` (the default) = one cell of
+    /// all clients on the run seed, sharing one platform. Any value ≥ 1
+    /// switches to sharded mode: the run splits into one cell per client
+    /// on the seed's `("shard", client)` substream (events never cross
     /// cells), cells execute on up to this many workers, and the merged
     /// result is byte-identical for *every* budget — `shards = 1` and
     /// `shards = 64` differ only in thread count. Sharded results differ
-    /// from the legacy mode's by design (each cell owns a platform and
+    /// from the one-cell run's by design (each cell owns a platform and
     /// draws its own RNG substreams).
-    #[serde(default = "default_no_shards")]
+    #[serde(default)]
     pub shards: usize,
-}
-
-fn default_no_shards() -> usize {
-    0
 }
 
 impl Default for ExecutorConfig {
@@ -416,31 +427,21 @@ fn pooled(memo: &mut Option<PoolMemo>, kind: InputKind, size: usize, samples: u3
     &memo.as_ref().expect("memo just filled").pool
 }
 
-/// Which requests one [`Executor::run_cell`] replay carries.
-enum CellRequests<'a> {
-    /// The whole trace, assigned to clients round-robin (the legacy,
-    /// unsharded path — byte-identical to the pre-sharding executor).
-    RoundRobin {
-        /// Sorted trace arrivals; record index = position.
-        arrivals: &'a [SimTime],
-    },
-    /// One shard cell: a single client's requests, each tagged with its
-    /// global trace index.
-    Client {
-        /// The owning client id.
-        client: u32,
-        /// `(global trace index, arrival)`, sorted by arrival.
-        arrivals: &'a [(usize, SimTime)],
-    },
-}
-
-/// What one cell (or the whole legacy run) produces, before merging.
-struct CellOutput {
-    records: Vec<RequestRecord>,
-    report: PlatformReport,
-    engine_events: u64,
-    client_faults: u64,
-    retries: u64,
+/// A request the client has not yet heard back about: it times out
+/// unless a response resolves it.
+fn unresolved(index: usize, client: u32, arrival: SimTime, payload_bytes: u64) -> RequestRecord {
+    RequestRecord {
+        index,
+        client,
+        arrival,
+        sent_at: arrival,
+        payload_bytes,
+        outcome: Outcome::Failure(FailureReason::ClientTimeout),
+        latency: None,
+        cold_start: None,
+        predict: SimDuration::ZERO,
+        queued: SimDuration::ZERO,
+    }
 }
 
 struct ExecSystem<'r> {
@@ -452,12 +453,8 @@ struct ExecSystem<'r> {
     /// Response log: invocation idx (attempt-encoded in retry mode) →
     /// platform response.
     responses: &'r mut Vec<(usize, ServingResponse)>,
-    /// Drain scratch, reused every drain so collecting responses does not
-    /// allocate.
-    resp_scratch: &'r mut Vec<ServingResponse>,
-    buffer: &'r mut Vec<(SimDuration, PlatformEvent)>,
-    /// Trace sink threaded into every platform scheduler, if recording.
-    rec: Option<&'r mut dyn Recorder>,
+    /// Platform scheduling buffer, drain scratch and trace sink.
+    io: PlatformIo<'r>,
     /// Client-path fault injector (packet loss, request-path jitter).
     client_faults: FaultInjector,
     /// Retry machinery; everything below is inert when it is disabled.
@@ -481,57 +478,18 @@ struct ExecSystem<'r> {
 }
 
 impl ExecSystem<'_> {
-    fn with_platform<R>(
-        &mut self,
-        queue: &mut EventQueue<ExecEvent>,
-        f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
-    ) -> R {
-        let r = {
-            let _p = ProfGuard::enter(self.platform.prof_label());
-            let rec = self.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-            let mut sched = PlatformScheduler::with_recorder(queue.now(), self.buffer, rec);
-            f(&mut self.platform, &mut sched)
-        };
-        if !self.buffer.is_empty() {
-            queue.schedule_many_after(
-                self.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, ExecEvent::Platform(e))),
-            );
-        }
-        r
-    }
-
     fn drain(&mut self, queue: &mut EventQueue<ExecEvent>) {
-        // Most events complete nothing; probe before paying for scope
-        // guards and the buffer hand-off.
-        if !self.platform.has_responses() {
-            return;
-        }
-        {
-            let _p = ProfGuard::enter(self.platform.prof_label());
-            self.platform.drain_responses_into(self.resp_scratch);
-        }
-        if self.resp_scratch.is_empty() {
+        if !self.io.drain(&mut self.platform) {
             return;
         }
         let retrying = self.retry.enabled();
-        for resp in self.resp_scratch.drain(..) {
+        for resp in self.io.resp_scratch.drain(..) {
             let receive_at = resp.completed_at + self.response_net;
             let idx = self.responses.len();
             self.responses.push((resp.id.0 as usize, resp));
             if retrying {
                 queue.schedule_at(receive_at, ExecEvent::ClientRecv(idx));
             }
-        }
-    }
-
-    /// Post-run drain: collects responses without arming client events
-    /// (the engine has stopped; late receipts can no longer matter).
-    fn drain_final(&mut self) {
-        self.platform.drain_responses_into(self.resp_scratch);
-        for resp in self.resp_scratch.drain(..) {
-            self.responses.push((resp.id.0 as usize, resp));
         }
     }
 
@@ -548,7 +506,7 @@ impl ExecSystem<'_> {
     }
 
     fn emit_fault(&mut self, at: SimTime, kind: FaultKind) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.io.rec.as_deref_mut() {
             if r.enabled() {
                 r.record(&TraceEvent {
                     at,
@@ -636,10 +594,16 @@ impl System for ExecSystem<'_> {
                     payload_bytes: sys.payload_per_invocation[inv],
                     inferences: sys.inferences_per_invocation[inv],
                 };
-                sys.with_platform(queue, |p, s| p.submit(s, req));
+                sys.io
+                    .drive(&mut sys.platform, queue, ExecEvent::Platform, |p, s| {
+                        p.submit(s, req)
+                    });
             }
             ExecEvent::Platform(e) => {
-                sys.with_platform(queue, |p, s| p.handle(s, e));
+                sys.io
+                    .drive(&mut sys.platform, queue, ExecEvent::Platform, |p, s| {
+                        p.handle(s, e)
+                    });
             }
             ExecEvent::ClientRecv(idx) => {
                 let (id, resp) = sys.responses[idx];
@@ -749,11 +713,7 @@ impl Executor {
         trace: &WorkloadTrace,
         seed: Seed,
     ) -> Result<RunResult, PlanError> {
-        if self.shards().is_some() {
-            return self.run_sharded(deployment, trace, seed, None);
-        }
-        let platform = deployment.build(seed)?;
-        Ok(self.run_built(deployment, platform, trace, seed))
+        self.replay(deployment, None, trace, seed, None)
     }
 
     /// Like [`Executor::run`] but streams every trace event — platform
@@ -770,20 +730,16 @@ impl Executor {
         seed: Seed,
         rec: &mut dyn Recorder,
     ) -> Result<RunResult, PlanError> {
-        if self.shards().is_some() {
-            return self.run_sharded(deployment, trace, seed, Some(rec));
-        }
-        let platform = deployment.build(seed)?;
-        Ok(self.run_built_recorded(deployment, platform, trace, seed, Some(rec)))
+        self.replay(deployment, None, trace, seed, Some(rec))
     }
 
     /// Replays `trace` against an already-built platform. This is the
     /// ablation entry point: callers may hand-construct a platform whose
     /// knobs the [`Deployment`] surface does not expose (e.g. a custom
     /// over-provisioning factor); `deployment` is then only descriptive
-    /// metadata for the records. Always the legacy single-sequence path:
-    /// a single pre-built platform cannot be split into shard cells, so
-    /// [`ExecutorConfig::shards`] is ignored here.
+    /// metadata for the records. Always one cell of every client on
+    /// `seed`: a single pre-built platform cannot be split into per-client
+    /// cells, so [`ExecutorConfig::shards`] is ignored here.
     pub fn run_built(
         &self,
         deployment: &Deployment,
@@ -795,10 +751,6 @@ impl Executor {
     }
 
     /// [`Executor::run_built`] with an optional trace recorder attached.
-    // The `as_deref_mut` below is not needless: `&mut dyn Recorder` is
-    // invariant, so the trait object must be re-created via a reborrow for
-    // its lifetime to shrink to the closure-local arena borrow.
-    #[allow(clippy::needless_option_as_deref)]
     pub fn run_built_recorded(
         &self,
         deployment: &Deployment,
@@ -807,183 +759,152 @@ impl Executor {
         seed: Seed,
         rec: Option<&mut dyn Recorder>,
     ) -> RunResult {
-        let mut rec = rec;
-        let out = ARENA.with(|arena| {
-            self.run_cell(
-                deployment,
-                platform,
-                trace.duration(),
-                CellRequests::RoundRobin {
-                    arrivals: trace.arrivals(),
-                },
-                seed,
-                rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
-                &mut arena.borrow_mut(),
-            )
-        });
-        RunResult {
-            deployment: *deployment,
-            workload: trace.shared_name(),
-            duration: trace.duration(),
-            records: out.records,
-            platform: out.report,
-            engine_events: out.engine_events,
-            client_faults: out.client_faults,
-            retries: out.retries,
-        }
+        self.replay(deployment, Some(platform), trace, seed, rec)
+            .expect("a pre-built platform needs no validation")
     }
 
-    /// Sharded replay: the run splits into one cell per client — no event,
-    /// RNG draw, or platform state crosses a cell boundary — and the cells
-    /// execute on up to [`ExecutorConfig::shards`] workers. Each cell owns
-    /// a platform built from `seed`'s `("shard", client)` substream and
-    /// replays exactly one client's requests; outputs merge in canonical
-    /// cell order, so the result is byte-identical for every worker
-    /// budget.
-    fn run_sharded(
+    /// Replays `trace` as cells and reassembles one result. On a pre-built
+    /// `platform`, or unsharded, the run is one cell of every client on
+    /// `seed`: it runs inline, streams straight into `rec`, and its records
+    /// move through uncopied. Sharded, each client is its own cell on the
+    /// seed's `("shard", client)` substream with its own platform; cells
+    /// run on up to [`ExecutorConfig::shards`] workers into per-cell trace
+    /// buffers and their records are placed back by global trace index.
+    /// The decomposition depends only on the client count, never on the
+    /// worker budget.
+    fn replay(
         &self,
         deployment: &Deployment,
+        platform: Option<Platform>,
         trace: &WorkloadTrace,
         seed: Seed,
-        rec: Option<&mut dyn Recorder>,
+        mut rec: Option<&mut dyn Recorder>,
     ) -> Result<RunResult, PlanError> {
-        let workers = self.cfg.shards.max(1);
-        let clients = self.cfg.clients.max(1);
+        let n_clients = self.cfg.clients.max(1);
+        let clients = 0..n_clients as u32;
+        let cells: Vec<Cell> = if platform.is_some() || self.cfg.shards == 0 {
+            vec![Cell::new(seed, clients.collect())]
+        } else {
+            let shard = |c: u32| seed.substream_indexed("shard", u64::from(c));
+            clients.map(|c| Cell::new(shard(c), vec![c])).collect()
+        };
+        if platform.is_none() {
+            // Validate once up front so every cell can assume its platform
+            // builds (building is deterministic in the seed).
+            deployment.validate()?;
+        }
         let tracing = rec.as_deref().is_some_and(|r| r.enabled());
-        // Validate the deployment once up front so every cell below can
-        // assume it builds (build is deterministic in its seed).
-        deployment.build(seed.substream_indexed("shard", 0))?;
-
-        // Canonical cells: requests go to clients round-robin exactly as in
-        // the legacy splitter, and each client becomes one cell. The
-        // decomposition depends only on the trace and the client count,
-        // never on the worker budget.
-        let n = trace.arrivals().len();
-        let mut cells: Vec<Vec<(usize, SimTime)>> = vec![Vec::new(); clients];
-        for (i, &arrival) in trace.arrivals().iter().enumerate() {
-            cells[i % clients].push((i, arrival));
-        }
-
-        let ids: Vec<u32> = (0..clients as u32).collect();
-        let mut outs: Vec<(CellOutput, Option<MemoryRecorder>)> =
-            parallel_map(Jobs::new(workers), &ids, |_, &c| {
-                let cell_seed = seed.substream_indexed("shard", u64::from(c));
-                let platform = deployment
-                    .build(cell_seed)
-                    .expect("deployment validated above");
-                let mut cell_rec = if tracing {
-                    Some(MemoryRecorder::new())
-                } else {
-                    None
-                };
-                let out = ARENA.with(|arena| {
-                    self.run_cell(
-                        deployment,
-                        platform,
-                        trace.duration(),
-                        CellRequests::Client {
-                            client: c,
-                            arrivals: &cells[c as usize],
-                        },
-                        cell_seed,
-                        cell_rec.as_mut().map(|r| r as &mut dyn Recorder),
-                        &mut arena.borrow_mut(),
-                    )
-                });
-                (out, cell_rec)
+        let (run, buffers) = if let [cell] = cells.as_slice() {
+            let cell_rec = rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
+            let run = self.run_cell(deployment, platform, trace, cell, cell_rec);
+            (run, Vec::new())
+        } else {
+            let (outs, buffers) = fan_out(self.cfg.shards, &cells, tracing, |cell, cell_rec| {
+                self.run_cell(deployment, None, trace, cell, cell_rec)
             });
-
-        // Merge in canonical cell order. Cell c's k-th record is global
-        // request c + k·clients, so records interleave back by index.
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(n);
-        for i in 0..n {
-            records.push(outs[i % clients].0.records[i / clients]);
-        }
-        let reports: Vec<PlatformReport> = outs.iter().map(|(o, _)| o.report.clone()).collect();
-        let engine_events: u64 = outs.iter().map(|(o, _)| o.engine_events).sum();
-        let client_faults: u64 = outs.iter().map(|(o, _)| o.client_faults).sum();
-        let retries: u64 = outs.iter().map(|(o, _)| o.retries).sum();
-
-        if let Some(r) = rec {
-            if r.enabled() {
-                // Replay each cell's buffered trace in cell order, dropping
-                // the per-cell closing summaries in favour of one merged
-                // RunClosed. Events are time-ordered within a cell, not
-                // globally; `slsb trace` views sort where it matters.
-                let _p = ProfGuard::enter("executor/merge");
-                for (_, cell_rec) in &mut outs {
-                    let Some(m) = cell_rec.take() else { continue };
-                    for ev in m.into_events() {
-                        if matches!(ev.kind, EventKind::RunClosed { .. }) {
-                            continue;
-                        }
-                        r.record(&ev);
-                    }
+            // Request i belongs to client i % n_clients and each cell's
+            // records ascend by global index, so one pass over the trace
+            // with a cursor per cell puts every record back in place.
+            let mut cell_of = vec![0; n_clients];
+            for (k, cell) in cells.iter().enumerate() {
+                for &c in &cell.clients {
+                    cell_of[c as usize] = k;
                 }
-                let horizon = SimTime::ZERO
-                    + trace.duration()
-                    + self.cfg.timeout
-                    + SimDuration::from_secs(30);
-                r.record(&TraceEvent {
-                    at: horizon,
-                    kind: EventKind::RunClosed {
-                        engine_events,
-                        requests: n as u64,
-                    },
-                });
             }
+            let mut next = vec![0; cells.len()];
+            let records = (0..trace.arrivals().len())
+                .map(|i| {
+                    let k = cell_of[i % n_clients];
+                    next[k] += 1;
+                    outs[k].records[next[k] - 1]
+                })
+                .collect();
+            let reports: Vec<PlatformReport> = outs.iter().map(|o| o.platform.clone()).collect();
+            let run = RunResult {
+                deployment: *deployment,
+                workload: trace.shared_name(),
+                duration: trace.duration(),
+                records,
+                platform: PlatformReport::merge_shards(&reports),
+                engine_events: outs.iter().map(|o| o.engine_events).sum(),
+                client_faults: outs.iter().map(|o| o.client_faults).sum(),
+                retries: outs.iter().map(|o| o.retries).sum(),
+            };
+            (run, buffers)
+        };
+        if let Some(r) = rec.filter(|_| tracing) {
+            let end = RunEnd::new(trace.duration(), self.cfg.timeout);
+            let (events, requests) = (run.engine_events, run.records.len() as u64);
+            close_trace(r, "executor/merge", &buffers, end, events, requests);
         }
+        Ok(run)
+    }
 
-        Ok(RunResult {
-            deployment: *deployment,
-            workload: trace.shared_name(),
-            duration: trace.duration(),
-            records,
-            platform: PlatformReport::merge_shards(&reports),
-            engine_events,
-            client_faults,
-            retries,
+    /// Replays one cell on this thread's run arena, on `platform` or, when
+    /// none is given, on one built from the cell seed.
+    fn run_cell(
+        &self,
+        deployment: &Deployment,
+        platform: Option<Platform>,
+        trace: &WorkloadTrace,
+        cell: &Cell,
+        rec: Option<&mut dyn Recorder>,
+    ) -> RunResult {
+        let platform = platform.unwrap_or_else(|| {
+            deployment
+                .build(cell.seed)
+                .expect("deployment validated before the replay")
+        });
+        ARENA.with(|arena| {
+            let (mut arena, rec) = (arena.borrow_mut(), rec.map(|r| r as &mut dyn Recorder));
+            self.run_cell_in(deployment, platform, trace, cell, rec, &mut arena)
         })
     }
 
-    /// Replays one request set against one platform: the whole trace in
-    /// legacy mode, or a single client's shard cell. All run-lifetime
-    /// state lives in `arena`, recycled across calls on the same thread.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn run_cell<'a>(
+    /// Replays one cell against its platform: the cell's clients' requests
+    /// (round-robin over all clients, the paper's splitter) in ascending
+    /// global trace index form its local record table, which plan members
+    /// index. Each client draws from its own `("client", id)` stream of
+    /// the cell seed. All run-lifetime state lives in `arena`.
+    #[allow(clippy::too_many_lines)]
+    fn run_cell_in<'a>(
         &self,
         deployment: &Deployment,
-        platform: Platform,
-        duration: SimDuration,
-        requests: CellRequests<'_>,
-        seed: Seed,
+        mut platform: Platform,
+        trace: &WorkloadTrace,
+        cell: &Cell,
         rec: Option<&'a mut dyn Recorder>,
         arena: &'a mut RunArena,
-    ) -> CellOutput {
+    ) -> RunResult {
         // Root-attached on purpose: a cell runs inline under `--jobs 1`
         // but on a pool worker otherwise, and the profile tree must not
         // depend on which thread hosts it.
         let _cell = ProfGuard::enter_root("executor/cell");
         let tracing = rec.as_deref().is_some_and(|r| r.enabled());
         let retrying = self.cfg.retry.enabled();
-        let mut platform = platform;
+        let seed = cell.seed;
+        let end = RunEnd::new(trace.duration(), self.cfg.timeout);
+        let all_clients = self.cfg.clients.max(1);
+        let arrivals = trace.arrivals();
+        let slots = cell.clients.len();
+        // Request i belongs to client i % all_clients: full rounds give
+        // every slot one request, the last partial round only the clients
+        // below the remainder.
+        let n = arrivals.len() / all_clients * slots
+            + cell
+                .clients
+                .iter()
+                .filter(|&&c| (c as usize) < arrivals.len() % all_clients)
+                .count();
         // An empty plan installs an injector that never draws, so this is
         // unconditional without costing byte-identity.
         platform.set_faults(&self.faults, seed);
-        let n = match &requests {
-            CellRequests::RoundRobin { arrivals } => arrivals.len(),
-            CellRequests::Client { arrivals, .. } => arrivals.len(),
-        };
         platform.reserve(n);
-        let clients = match &requests {
-            CellRequests::RoundRobin { .. } => self.cfg.clients.max(1),
-            CellRequests::Client { .. } => 1,
-        };
 
         let arrivals_guard = ProfGuard::enter("executor/arrivals");
         arena.begin();
-        if arena.per_client.len() < clients {
-            arena.per_client.resize_with(clients, Vec::new);
+        if arena.per_client.len() < slots {
+            arena.per_client.resize_with(slots, Vec::new);
         }
         let RunArena {
             client_rngs,
@@ -1016,50 +937,25 @@ impl Executor {
             deployment.samples_per_request,
         );
 
-        // Assign requests to clients round-robin (the paper's splitter) and
-        // draw payloads from the pool. A shard cell has exactly one client
-        // slot; its RNG stream is still keyed by the client's id.
-        match &requests {
-            CellRequests::RoundRobin { .. } => client_rngs.extend(
-                (0..clients).map(|c| seed.substream_indexed("client", c as u64).rng()),
-            ),
-            CellRequests::Client { client, .. } => {
-                client_rngs.push(seed.substream_indexed("client", u64::from(*client)).rng());
-            }
-        }
+        // Build the local record table and draw each request's payload from
+        // its client's stream; per-client lists hold local indices.
+        client_rngs.extend(
+            cell.clients
+                .iter()
+                .map(|&c| seed.substream_indexed("client", u64::from(c)).rng()),
+        );
         let mut records: Vec<RequestRecord> = Vec::with_capacity(n);
-        let blank = |index: usize, client: u32, arrival: SimTime, payload_bytes: u64| {
-            RequestRecord {
-                index,
-                client,
-                arrival,
-                sent_at: arrival,
-                payload_bytes,
-                outcome: Outcome::Failure(FailureReason::ClientTimeout),
-                latency: None,
-                cold_start: None,
-                predict: SimDuration::ZERO,
-                queued: SimDuration::ZERO,
-            }
-        };
         {
             let _rng = ProfGuard::enter("rng");
-            match &requests {
-                CellRequests::RoundRobin { arrivals } => {
-                    for (i, &arrival) in arrivals.iter().enumerate() {
-                        let slot = i % clients;
-                        let payload = pool.pick(&mut client_rngs[slot]);
-                        records.push(blank(i, slot as u32, arrival, payload.size_bytes));
-                        per_client[slot].push((i, arrival));
-                    }
-                }
-                CellRequests::Client { client, arrivals } => {
-                    for (local, &(global, arrival)) in arrivals.iter().enumerate() {
-                        let payload = pool.pick(&mut client_rngs[0]);
-                        records.push(blank(global, *client, arrival, payload.size_bytes));
-                        // Plan members index the *local* record table.
-                        per_client[0].push((local, arrival));
-                    }
+            for (round, row) in arrivals.chunks(all_clients).enumerate() {
+                for (slot, &c) in cell.clients.iter().enumerate() {
+                    let Some(&arrival) = row.get(c as usize) else {
+                        break;
+                    };
+                    let payload = pool.pick(&mut client_rngs[slot]);
+                    per_client[slot].push((records.len(), arrival));
+                    let global = round * all_clients + c as usize;
+                    records.push(unresolved(global, c, arrival, payload.size_bytes));
                 }
             }
         }
@@ -1073,8 +969,8 @@ impl Executor {
             } else {
                 BatchPolicy::None
             });
-        for arrivals in per_client.iter().take(clients) {
-            plan_invocations_into(arrivals, policy, plan);
+        for requests in per_client.iter().take(slots) {
+            plan_invocations_into(requests, policy, plan);
         }
         let n_inv = plan.len();
         // Record when each request's invocation fired, and (when tracing)
@@ -1134,9 +1030,11 @@ impl Executor {
                 payload_per_invocation: payload_per_invocation.as_slice(),
                 inferences_per_invocation: inferences_per_invocation.as_slice(),
                 responses,
-                resp_scratch,
-                buffer,
-                rec,
+                io: PlatformIo {
+                    buffer,
+                    resp_scratch,
+                    rec,
+                },
                 client_faults,
                 retry: self.cfg.retry,
                 n_inv,
@@ -1151,24 +1049,16 @@ impl Executor {
             queue,
         );
 
-        let horizon = SimTime::ZERO + duration + self.cfg.timeout + SimDuration::from_secs(30);
-
         // Platform startup at t = 0.
-        {
-            let sys = &mut engine.system;
-            {
-                let _p = ProfGuard::enter(sys.platform.prof_label());
-                let startup_rec = sys.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-                let mut sched =
-                    PlatformScheduler::with_recorder(SimTime::ZERO, sys.buffer, startup_rec);
-                sys.platform.start(&mut sched, SimTime::ZERO + duration);
-            }
-            engine.queue.schedule_many_after(
-                sys.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, ExecEvent::Platform(e))),
-            );
-        }
+        let sys = &mut engine.system;
+        sys.io.drive(
+            &mut sys.platform,
+            &mut engine.queue,
+            ExecEvent::Platform,
+            |p, s| {
+                p.start(s, end.workload_end);
+            },
+        );
 
         // Invocation deliveries: network transfer happens on the way in.
         // In retry mode each first attempt also arms its attempt timeout.
@@ -1195,15 +1085,14 @@ impl Executor {
             );
         }
 
-        engine.run_until(horizon);
-        engine.queue.advance_to(horizon);
-        // Rented capacity is torn down shortly after the workload ends (the
-        // paper estimates hourly-billed systems "based on the actual
-        // execution time"); the extra drain window exists only so late
-        // responses can reach the clients.
-        let teardown = SimTime::ZERO + duration + SimDuration::from_secs(30);
-        engine.system.platform.finalize(teardown.min(horizon));
-        engine.system.drain_final();
+        engine.run_until(end.horizon);
+        engine.queue.advance_to(end.horizon);
+        // Late responses are logged without arming client events: the
+        // engine has stopped, so late receipts can no longer matter.
+        let sys = &mut engine.system;
+        sys.io.finish(&mut sys.platform, end.teardown);
+        let late = sys.io.resp_scratch.drain(..);
+        sys.responses.extend(late.map(|r| (r.id.0 as usize, r)));
         drop(engine_guard);
         let _resolve = ProfGuard::enter("executor/resolve");
 
@@ -1211,85 +1100,65 @@ impl Executor {
         let engine_events = engine.events_processed();
         let response_net = self.cfg.network.response_time();
         let mut sys = engine.system;
-        let recorder = sys.rec.take();
+        let recorder = sys.io.rec.take();
         // Per-record span data, populated while resolving; only sized when
         // a recorder wants it.
         if tracing {
             spans.resize(n, None);
         }
-        if retrying {
-            // Retry mode resolved invocations online, at client-receive
-            // time; apply each invocation's fixed fate to its members.
-            // Invocations with no resolution (still waiting at the horizon)
-            // keep the default client-timeout outcome.
-            for inv_idx in 0..n_inv {
-                let Some(res) = sys.resolution[inv_idx] else {
-                    continue;
+        // Apply an invocation's fate, and the exec time its spans report,
+        // to its members.
+        let mut resolve = |inv_idx: usize, res: Resolution, exec: SimDuration| {
+            for &m in sys.plan.members(inv_idx) {
+                let rec = &mut records[m as usize];
+                rec.predict = res.predict;
+                rec.queued = res.queued;
+                rec.cold_start = res.cold_start;
+                let e2e = res.received_at.saturating_duration_since(rec.arrival);
+                rec.outcome = match res.outcome {
+                    Outcome::Success if e2e > self.cfg.timeout => {
+                        Outcome::Failure(FailureReason::ClientTimeout)
+                    }
+                    Outcome::Success => {
+                        rec.latency = Some(e2e);
+                        Outcome::Success
+                    }
+                    failure => failure,
                 };
-                for &m in sys.plan.members(inv_idx) {
-                    let rec = &mut records[m as usize];
-                    rec.predict = res.predict;
-                    rec.queued = res.queued;
-                    rec.cold_start = res.cold_start;
-                    match res.outcome {
-                        Outcome::Failure(reason) => {
-                            rec.outcome = Outcome::Failure(reason);
-                        }
-                        Outcome::Success => {
-                            let e2e = res.received_at.saturating_duration_since(rec.arrival);
-                            if e2e > self.cfg.timeout {
-                                rec.outcome = Outcome::Failure(FailureReason::ClientTimeout);
-                            } else {
-                                rec.outcome = Outcome::Success;
-                                rec.latency = Some(e2e);
-                            }
-                        }
-                    }
-                    if tracing {
-                        // The winning attempt's exec time is approximated by
-                        // its predict time (the retransmission history makes
-                        // the phase algebra of the single-shot path moot).
-                        spans[m as usize] = Some((
-                            res.received_at,
-                            sys.net_in[inv_idx],
-                            res.predict,
-                            response_net,
-                        ));
-                    }
+                if tracing {
+                    let net_in = sys.net_in[inv_idx];
+                    spans[m as usize] = Some((res.received_at, net_in, exec, response_net));
+                }
+            }
+        };
+        if retrying {
+            // Fates were fixed online; invocations with none (still
+            // waiting at the horizon) keep the default client timeout. The
+            // winning attempt's exec time is approximated by its predict
+            // time: the retransmission history makes the phase algebra of
+            // the single-shot path moot.
+            for (inv_idx, res) in sys.resolution.iter().enumerate() {
+                if let Some(res) = *res {
+                    resolve(inv_idx, res, res.predict);
                 }
             }
         } else {
-            for (inv_idx, resp) in sys.responses.iter() {
-                let receive = resp.completed_at + response_net;
-                let net_in = sys.net_in[*inv_idx];
-                let delivered = sys.plan.send_at(*inv_idx) + net_in;
-                for &m in sys.plan.members(*inv_idx) {
-                    let rec = &mut records[m as usize];
-                    let e2e = receive.saturating_duration_since(rec.arrival);
-                    rec.predict = resp.predict;
-                    rec.queued = resp.queued;
-                    rec.cold_start = resp.cold_start;
-                    match resp.outcome {
-                        Outcome::Failure(reason) => {
-                            rec.outcome = Outcome::Failure(reason);
-                        }
-                        Outcome::Success if e2e > self.cfg.timeout => {
-                            rec.outcome = Outcome::Failure(FailureReason::ClientTimeout);
-                        }
-                        Outcome::Success => {
-                            rec.outcome = Outcome::Success;
-                            rec.latency = Some(e2e);
-                        }
-                    }
-                    if tracing {
-                        // Exec time is what remains of the platform's span after
-                        // its own queueing; exact for successes.
-                        let exec = resp
-                            .completed_at
-                            .saturating_duration_since(delivered + resp.queued);
-                        spans[m as usize] = Some((receive, net_in, exec, response_net));
-                    }
-                }
+            // A single attempt's fate is its response, if one came back.
+            // Exec time is what remains of the platform's span after its
+            // own queueing; exact for successes.
+            for &(inv_idx, resp) in sys.responses.iter() {
+                let delivered = sys.plan.send_at(inv_idx) + sys.net_in[inv_idx];
+                let res = Resolution {
+                    outcome: resp.outcome,
+                    received_at: resp.completed_at + response_net,
+                    predict: resp.predict,
+                    queued: resp.queued,
+                    cold_start: resp.cold_start,
+                };
+                let exec = resp
+                    .completed_at
+                    .saturating_duration_since(delivered + resp.queued);
+                resolve(inv_idx, res, exec);
             }
         }
 
@@ -1302,7 +1171,7 @@ impl Executor {
                         // The platform never answered: the client's timeout
                         // is the whole story, no server-side phases.
                         None => (
-                            horizon,
+                            end.horizon,
                             SimDuration::ZERO,
                             SimDuration::ZERO,
                             SimDuration::ZERO,
@@ -1325,19 +1194,15 @@ impl Executor {
                         },
                     });
                 }
-                r.record(&TraceEvent {
-                    at: horizon,
-                    kind: EventKind::RunClosed {
-                        engine_events,
-                        requests: n as u64,
-                    },
-                });
             }
         }
 
-        CellOutput {
+        RunResult {
+            deployment: *deployment,
+            workload: trace.shared_name(),
+            duration: trace.duration(),
             records,
-            report: sys.platform.report(),
+            platform: sys.platform.report(),
             engine_events,
             client_faults: sys.client_faults.injected(),
             retries: sys.retries_used,

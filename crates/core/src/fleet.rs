@@ -30,21 +30,21 @@
 //!   slowest cell from "head app + 1/8 of the tail" (the old
 //!   `app % cells` rule) to ~1/cells of total weight.
 //!
+//! Each partition cell is a [cell](crate::cell) of the shared layer whose
+//! clients are its apps, all on the run seed: platform driving, the run's
+//! end, the fan-out over workers and the trace close are the executor's.
 //! Unlike the single-app executor there is no client batching and no retry
 //! layer: each trace arrival is one invocation, delivered after its
 //! payload's network transfer, and resolved against the client timeout when
 //! its response (plus response-path network) comes back.
 
+use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd};
 use crate::plan::{Deployment, PlanError};
-use crate::runner::{parallel_map, Jobs};
 use serde::{Deserialize, Serialize};
-use slsb_platform::PolicySet;
-use slsb_obs::{
-    EventKind, LogLinearHistogram, MemoryRecorder, MetricsRegistry, Recorder, TraceEvent,
-};
+use slsb_obs::{EventKind, LogLinearHistogram, MetricsRegistry, Recorder, TraceEvent};
 use slsb_platform::{
-    FailureReason, NetworkProfile, Outcome, Platform, PlatformEvent, PlatformReport,
-    PlatformScheduler, RequestId, ServingRequest, ServingResponse,
+    FailureReason, NetworkProfile, Outcome, Platform, PlatformEvent, PlatformReport, PolicySet,
+    RequestId, ServingRequest, ServingResponse,
 };
 use slsb_sim::{Engine, EventQueue, ProfGuard, ProfileNode, Seed, SimDuration, SimTime, System};
 use slsb_workload::{FleetError, FleetSpec, FleetSynthesis, InputKind, RequestPool, TraceSummary};
@@ -481,7 +481,7 @@ impl FleetScenario {
 }
 
 /// Per-app outcome rollup of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct AppResult {
     /// Global app index.
     pub app: u32,
@@ -618,86 +618,52 @@ impl FleetRunner {
         if n_apps == 0 {
             return Err(FleetRunError::EmptyFleet);
         }
-        let cells = FLEET_CELLS.min(n_apps);
-        let part = FleetPartition::compute(plan, cells);
-        let tracing = rec.as_ref().map(|r| r.enabled()).unwrap_or(false);
-        let cell_ids: Vec<usize> = (0..cells).collect();
-        let outs = parallel_map(Jobs::new(self.workers), &cell_ids, |_, &cell| {
-            self.run_cell(plan, seed, &part.cells[cell], tracing)
+        // Every cell runs on the run seed: per-app substreams are keyed by
+        // global app index, so no draw depends on the cell an app lands in.
+        let cells: Vec<Cell> = FleetPartition::compute(plan, FLEET_CELLS.min(n_apps))
+            .cells
+            .into_iter()
+            .map(|clients| Cell::new(seed, clients))
+            .collect();
+        let tracing = rec.as_deref().is_some_and(|r| r.enabled());
+        let (outs, buffers) = fan_out(self.workers, &cells, tracing, |cell, cell_rec| {
+            self.run_cell(plan, cell, cell_rec)
         });
 
-        let mut cell_outs = Vec::with_capacity(cells);
-        for out in outs {
-            cell_outs.push(out?);
-        }
+        let cell_outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-        // Stitch per-app results back into global order via the
-        // partition's member lists (each cell's slots are its members in
-        // ascending global order).
-        let mut apps: Vec<Option<AppCellResult>> = (0..n_apps).map(|_| None).collect();
+        // Stitch per-app results back into global app order.
+        let mut apps: Vec<Option<AppOut>> = (0..n_apps).map(|_| None).collect();
         let mut engine_events = 0u64;
-        for (c, out) in cell_outs.iter_mut().enumerate() {
-            engine_events += out.engine_events;
-            for (slot, app) in out.apps.drain(..).enumerate() {
-                let g = part.cells[c][slot] as usize;
+        for (cell_apps, cell_events) in cell_outs {
+            engine_events += cell_events;
+            for app in cell_apps {
+                let g = app.0.app as usize;
                 if apps[g].replace(app).is_some() {
                     return Err(FleetRunError::UnassignedApp { app: g as u32 });
                 }
             }
         }
-        let apps: Vec<AppCellResult> = apps
-            .into_iter()
-            .enumerate()
-            .map(|(g, a)| a.ok_or(FleetRunError::UnassignedApp { app: g as u32 }))
-            .collect::<Result<_, _>>()?;
-
-        let reports: Vec<PlatformReport> = apps.iter().map(|a| a.report.clone()).collect();
-        let platform = PlatformReport::merge_shards(&reports);
-        let mut latency = LogLinearHistogram::default();
         let mut results = Vec::with_capacity(n_apps);
+        let mut reports = Vec::with_capacity(n_apps);
+        let mut latency = LogLinearHistogram::default();
         let mut requests = 0u64;
-        for (i, a) in apps.iter().enumerate() {
-            requests += a.submitted;
-            latency.merge(&a.latency);
-            let spec = &plan.spec.apps[i];
-            results.push(AppResult {
-                app: i as u32,
-                name: spec.name.clone(),
-                profile: spec.profile.clone(),
-                requests: a.submitted,
-                ok: a.ok,
-                queue_full: a.queue_full,
-                timeout: a.timeout,
-                rejected: a.rejected,
-                throttled: a.throttled,
-                crashed: a.crashed,
-                cold_starts: a.report.cold_started,
-                p50_s: a.latency.quantile(50.0),
-                p99_s: a.latency.quantile(99.0),
-                cost_dollars: a.report.cost.total().as_dollars(),
-            });
+        for (g, app) in apps.into_iter().enumerate() {
+            let (mut result, app_latency, report) =
+                app.ok_or(FleetRunError::UnassignedApp { app: g as u32 })?;
+            let spec = &plan.spec.apps[g];
+            result.name = spec.name.clone();
+            result.profile = spec.profile.clone();
+            requests += result.requests;
+            latency.merge(&app_latency);
+            results.push(result);
+            reports.push(report);
         }
+        let platform = PlatformReport::merge_shards(&reports);
 
-        let horizon =
-            SimTime::ZERO + plan.spec.duration + plan.timeout + SimDuration::from_secs(30);
-        if tracing {
-            // Replay cell recordings in cell order — a fixed order for a
-            // fixed cell count, so the merged trace is byte-identical for
-            // any worker budget — and close the run once.
-            let _p = ProfGuard::enter("fleet/merge");
-            let rec = rec.expect("tracing implies a recorder");
-            for out in &cell_outs {
-                for ev in &out.records {
-                    rec.record(ev);
-                }
-            }
-            rec.record(&TraceEvent {
-                at: horizon,
-                kind: EventKind::RunClosed {
-                    engine_events,
-                    requests,
-                },
-            });
+        if let Some(r) = rec.filter(|_| tracing) {
+            let end = RunEnd::new(plan.spec.duration, plan.timeout);
+            close_trace(r, "fleet/merge", &buffers, end, engine_events, requests);
         }
 
         Ok(FleetRunResult {
@@ -713,16 +679,18 @@ impl FleetRunner {
 
     /// Runs one cell: the partition's member apps, each on its own
     /// platform, fed by the lazy merge of exactly those apps' arrival
-    /// substreams.
+    /// substreams. Returns one output per app in slot order (= ascending
+    /// global index) and the cell's engine-event count.
     fn run_cell(
         &self,
         plan: &FleetPlan,
-        seed: Seed,
-        globals: &[u32],
-        tracing: bool,
-    ) -> Result<FleetCellOut, PlanError> {
+        cell: &Cell,
+        rec: Option<&mut dyn Recorder>,
+    ) -> Result<(Vec<AppOut>, u64), PlanError> {
         let _cell = ProfGuard::enter_root("fleet/cell");
+        let (seed, globals) = (cell.seed, cell.clients.as_slice());
         let duration = plan.spec.duration;
+        let end = RunEnd::new(duration, plan.timeout);
 
         // Global app index → cell slot, for mapping merged arrivals onto
         // this cell's apps without a search. Only this cell's members are
@@ -754,19 +722,15 @@ impl FleetRunner {
             let payload = pool.pick(&mut seed.substream_indexed("app-payload", u64::from(g)).rng());
             apps.push(AppState {
                 platform,
-                global: g,
                 payload_bytes: payload.size_bytes,
                 inferences: dep.inference_repeats.max(1),
                 net_in: self.network.transfer_time(payload.size_bytes),
-                submitted: 0,
                 resolved: 0,
-                ok: 0,
-                queue_full: 0,
-                timeout: 0,
-                rejected: 0,
-                throttled: 0,
-                crashed: 0,
                 latency: LogLinearHistogram::default(),
+                result: AppResult {
+                    app: g,
+                    ..AppResult::default()
+                },
             });
         }
         let stream = plan
@@ -775,7 +739,6 @@ impl FleetRunner {
         drop(setup);
 
         let engine_guard = ProfGuard::enter("fleet/engine");
-        let mut records = tracing.then(MemoryRecorder::new);
         let mut buffer: Vec<(SimDuration, PlatformEvent)> = Vec::new();
         let mut resp_scratch: Vec<ServingResponse> = Vec::new();
         let mut arrival_scratch: Vec<(SimTime, FleetEvent)> = Vec::with_capacity(ARRIVAL_BURST);
@@ -786,135 +749,90 @@ impl FleetRunner {
                 stream,
                 slot_of,
                 outstanding_arrivals: 0,
-                buffer: &mut buffer,
-                resp_scratch: &mut resp_scratch,
+                io: PlatformIo {
+                    buffer: &mut buffer,
+                    resp_scratch: &mut resp_scratch,
+                    rec: rec.map(|r| r as &mut dyn Recorder),
+                },
                 arrival_scratch: &mut arrival_scratch,
-                rec: records.as_mut().map(|r| r as &mut dyn Recorder),
                 timeout: plan.timeout,
                 response_net: self.network.response_time(),
             },
             queue,
         );
 
-        let horizon = SimTime::ZERO + duration + plan.timeout + SimDuration::from_secs(30);
-
         // Platform startups at t = 0, then the first arrival burst. Every
         // later burst is pulled when the previous one's last arrival
         // fires: the queue holds at most ARRIVAL_BURST pending arrivals
         // per cell at any instant.
-        for slot in 0..engine.system.apps.len() {
-            let sys = &mut engine.system;
-            {
-                let _p = ProfGuard::enter(sys.apps[slot].platform.prof_label());
-                let rec = sys.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-                let mut sched = PlatformScheduler::with_recorder(SimTime::ZERO, sys.buffer, rec);
-                sys.apps[slot].platform.start(&mut sched, SimTime::ZERO + duration);
-            }
+        let sys = &mut engine.system;
+        for (slot, app) in sys.apps.iter_mut().enumerate() {
             let s = slot as u32;
-            engine.queue.schedule_many_after(
-                sys.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, FleetEvent::Platform(s, e))),
-            );
+            let wrap = |e| FleetEvent::Platform(s, e);
+            sys.io
+                .drive(&mut app.platform, &mut engine.queue, wrap, |p, sched| {
+                    p.start(sched, end.workload_end);
+                });
         }
-        engine.system.refill_arrivals(&mut engine.queue);
+        sys.refill_arrivals(&mut engine.queue);
 
-        engine.run_until(horizon);
-        engine.queue.advance_to(horizon);
+        engine.run_until(end.horizon);
+        engine.queue.advance_to(end.horizon);
         let engine_events = engine.events_processed();
         drop(engine_guard);
 
-        // Teardown mirrors the single-app executor: rented capacity is
-        // released shortly after the workload ends; anything still
+        // Teardown mirrors the single-app executor; anything still
         // unresolved at the horizon counts as a client timeout.
         let _resolve = ProfGuard::enter("fleet/resolve");
-        let teardown = (SimTime::ZERO + duration + SimDuration::from_secs(30)).min(horizon);
         let sys = &mut engine.system;
         let mut out_apps = Vec::with_capacity(sys.apps.len());
         for slot in 0..sys.apps.len() {
-            {
-                let _p = ProfGuard::enter(sys.apps[slot].platform.prof_label());
-                sys.apps[slot].platform.finalize(teardown);
-                sys.apps[slot]
-                    .platform
-                    .drain_responses_into(sys.resp_scratch);
-            }
-            let mut pending = std::mem::take(sys.resp_scratch);
+            sys.io.finish(&mut sys.apps[slot].platform, end.teardown);
+            let mut pending = std::mem::take(sys.io.resp_scratch);
             for resp in pending.drain(..) {
                 sys.resolve(slot, resp);
             }
-            *sys.resp_scratch = pending;
+            *sys.io.resp_scratch = pending;
             let a = &mut sys.apps[slot];
-            a.timeout += a.submitted - a.resolved;
             let report = a.platform.report();
-            if let Some(r) = sys.rec.as_deref_mut() {
-                r.record(&TraceEvent {
-                    at: horizon,
+            let r = &mut a.result;
+            r.timeout += r.requests - a.resolved;
+            r.cold_starts = report.cold_started;
+            r.p50_s = a.latency.quantile(50.0);
+            r.p99_s = a.latency.quantile(99.0);
+            r.cost_dollars = report.cost.total().as_dollars();
+            if let Some(rec) = sys.io.rec.as_deref_mut() {
+                rec.record(&TraceEvent {
+                    at: end.horizon,
                     kind: EventKind::AppClosed {
-                        app: a.global,
-                        requests: a.submitted,
+                        app: r.app,
+                        requests: r.requests,
                         cost_micro_dollars: report.cost.total().as_micro_dollars(),
                     },
                 });
             }
-            out_apps.push(AppCellResult {
-                submitted: a.submitted,
-                ok: a.ok,
-                queue_full: a.queue_full,
-                timeout: a.timeout,
-                rejected: a.rejected,
-                throttled: a.throttled,
-                crashed: a.crashed,
-                latency: std::mem::take(&mut a.latency),
-                report,
-            });
+            out_apps.push((std::mem::take(r), std::mem::take(&mut a.latency), report));
         }
 
-        Ok(FleetCellOut {
-            apps: out_apps,
-            engine_events,
-            records: records.map(|r| r.into_events()).unwrap_or_default(),
-        })
+        Ok((out_apps, engine_events))
     }
 }
 
-/// Per-app rollup produced inside a cell (global naming happens later).
-struct AppCellResult {
-    submitted: u64,
-    ok: u64,
-    queue_full: u64,
-    timeout: u64,
-    rejected: u64,
-    throttled: u64,
-    crashed: u64,
-    latency: LogLinearHistogram,
-    report: PlatformReport,
-}
-
-struct FleetCellOut {
-    /// One entry per cell slot, slot order (= ascending global index).
-    apps: Vec<AppCellResult>,
-    engine_events: u64,
-    records: Vec<TraceEvent>,
-}
+/// What a cell hands back per app: its rollup (name and profile are
+/// filled in at stitching), latency histogram and platform report.
+type AppOut = (AppResult, LogLinearHistogram, PlatformReport);
 
 /// Live state of one app inside a cell.
 struct AppState {
     platform: Platform,
-    global: u32,
     payload_bytes: u64,
     inferences: u32,
     /// Request-path network time for this app's fixed payload.
     net_in: SimDuration,
-    submitted: u64,
     resolved: u64,
-    ok: u64,
-    queue_full: u64,
-    timeout: u64,
-    rejected: u64,
-    throttled: u64,
-    crashed: u64,
     latency: LogLinearHistogram,
+    /// The app's counters, keyed by its global index.
+    result: AppResult,
 }
 
 /// Events of the fleet engine.
@@ -940,15 +858,11 @@ struct FleetSystem<'r> {
     /// Arrive events scheduled from the current burst and not yet fired;
     /// when it hits zero the next burst is pulled from the merge.
     outstanding_arrivals: u32,
-    /// Platform scheduling buffer, reused across calls.
-    buffer: &'r mut Vec<(SimDuration, PlatformEvent)>,
-    /// Response drain scratch, reused across calls.
-    resp_scratch: &'r mut Vec<ServingResponse>,
+    /// Platform scheduling buffer, drain scratch and trace sink.
+    io: PlatformIo<'r>,
     /// Arrival-burst scratch, reused across refills (arena-style: grows
     /// once to ARRIVAL_BURST and is drained in place every refill).
     arrival_scratch: &'r mut Vec<(SimTime, FleetEvent)>,
-    /// Trace sink threaded into platform schedulers, if recording.
-    rec: Option<&'r mut dyn Recorder>,
     /// Per-request client timeout.
     timeout: SimDuration,
     /// Response-path network time.
@@ -976,52 +890,17 @@ impl FleetSystem<'_> {
             queue.schedule_many(self.arrival_scratch.drain(..));
         }
     }
-    fn with_platform<R>(
-        &mut self,
-        queue: &mut EventQueue<FleetEvent>,
-        slot: usize,
-        f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
-    ) -> R {
-        let r = {
-            let _p = ProfGuard::enter(self.apps[slot].platform.prof_label());
-            let rec = self.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-            let mut sched = PlatformScheduler::with_recorder(queue.now(), self.buffer, rec);
-            f(&mut self.apps[slot].platform, &mut sched)
-        };
-        if !self.buffer.is_empty() {
-            let s = slot as u32;
-            queue.schedule_many_after(
-                self.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, FleetEvent::Platform(s, e))),
-            );
-        }
-        r
-    }
-
     fn drain(&mut self, slot: usize) {
-        // Most events complete nothing (arrivals, deliveries, reclaim
-        // checks), so probe before paying for scope guards and the
-        // buffer hand-off.
-        if !self.apps[slot].platform.has_responses() {
-            return;
-        }
-        {
-            let _p = ProfGuard::enter(self.apps[slot].platform.prof_label());
-            self.apps[slot]
-                .platform
-                .drain_responses_into(self.resp_scratch);
-        }
-        if self.resp_scratch.is_empty() {
+        if !self.io.drain(&mut self.apps[slot].platform) {
             return;
         }
         // Swap the scratch out so `resolve` can borrow `self` freely;
         // capacity is preserved across calls either way.
-        let mut pending = std::mem::take(self.resp_scratch);
+        let mut pending = std::mem::take(self.io.resp_scratch);
         for resp in pending.drain(..) {
             self.resolve(slot, resp);
         }
-        *self.resp_scratch = pending;
+        *self.io.resp_scratch = pending;
     }
 
     /// Resolves one response against the client timeout and folds it into
@@ -1041,17 +920,17 @@ impl FleetSystem<'_> {
         };
         match outcome {
             Outcome::Success => {
-                a.ok += 1;
+                a.result.ok += 1;
                 a.latency.record(e2e.as_secs_f64());
             }
-            Outcome::Failure(FailureReason::QueueFull) => a.queue_full += 1,
-            Outcome::Failure(FailureReason::ClientTimeout) => a.timeout += 1,
-            Outcome::Failure(FailureReason::Rejected) => a.rejected += 1,
-            Outcome::Failure(FailureReason::Throttled) => a.throttled += 1,
-            Outcome::Failure(FailureReason::Crashed) => a.crashed += 1,
-            Outcome::Failure(FailureReason::RetriesExhausted) => a.timeout += 1,
+            Outcome::Failure(FailureReason::QueueFull) => a.result.queue_full += 1,
+            Outcome::Failure(FailureReason::ClientTimeout) => a.result.timeout += 1,
+            Outcome::Failure(FailureReason::Rejected) => a.result.rejected += 1,
+            Outcome::Failure(FailureReason::Throttled) => a.result.throttled += 1,
+            Outcome::Failure(FailureReason::Crashed) => a.result.crashed += 1,
+            Outcome::Failure(FailureReason::RetriesExhausted) => a.result.timeout += 1,
         }
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.io.rec.as_deref_mut() {
             if r.enabled() {
                 let delivered = arrival + a.net_in;
                 let exec = resp
@@ -1061,7 +940,7 @@ impl FleetSystem<'_> {
                     at: receive,
                     kind: EventKind::RequestSpan {
                         request: resp.id.0,
-                        client: a.global,
+                        client: a.result.app,
                         invocation: resp.id.0,
                         arrival,
                         batch: SimDuration::ZERO,
@@ -1085,7 +964,7 @@ impl System for FleetSystem<'_> {
         match ev {
             FleetEvent::Arrive(slot) => {
                 let s = slot as usize;
-                self.apps[s].submitted += 1;
+                self.apps[s].result.requests += 1;
                 queue.schedule_at(at + self.apps[s].net_in, FleetEvent::Deliver(slot));
                 // When the burst drains, pull the next one: arrival-side
                 // memory stays O(apps + burst), independent of the
@@ -1105,12 +984,18 @@ impl System for FleetSystem<'_> {
                     payload_bytes: self.apps[s].payload_bytes,
                     inferences: self.apps[s].inferences,
                 };
-                self.with_platform(queue, s, |p, sched| p.submit(sched, req));
+                let wrap = |e| FleetEvent::Platform(slot, e);
+                let platform = &mut self.apps[s].platform;
+                self.io
+                    .drive(platform, queue, wrap, |p, sched| p.submit(sched, req));
                 self.drain(s);
             }
             FleetEvent::Platform(slot, e) => {
                 let s = slot as usize;
-                self.with_platform(queue, s, |p, sched| p.handle(sched, e));
+                let wrap = |e| FleetEvent::Platform(slot, e);
+                let platform = &mut self.apps[s].platform;
+                self.io
+                    .drive(platform, queue, wrap, |p, sched| p.handle(sched, e));
                 self.drain(s);
             }
         }
@@ -1156,6 +1041,7 @@ pub fn fleet_metrics(run: &FleetRunResult) -> MetricsRegistry {
 mod tests {
     use super::*;
     use slsb_model::{ModelKind, RuntimeKind};
+    use slsb_obs::MemoryRecorder;
     use slsb_platform::PlatformKind;
 
     fn profile() -> Deployment {

@@ -46,6 +46,7 @@
 
 pub mod analyzer;
 pub mod batching;
+mod cell;
 pub mod executor;
 pub mod experiment;
 pub mod fleet;

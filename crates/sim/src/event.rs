@@ -305,10 +305,6 @@ pub trait System {
     fn handle(&mut self, queue: &mut EventQueue<Self::Ev>, at: SimTime, ev: Self::Ev);
 }
 
-/// A read-only tap called with every event just before delivery; see
-/// [`Engine::set_observer`].
-pub type Observer<Ev> = Box<dyn FnMut(SimTime, &Ev)>;
-
 /// Drives a [`System`] by repeatedly delivering the earliest pending event.
 pub struct Engine<S: System> {
     /// The pending-event queue and clock. Public so callers can seed the
@@ -317,7 +313,6 @@ pub struct Engine<S: System> {
     /// The domain state under simulation.
     pub system: S,
     events_processed: u64,
-    observer: Option<Observer<S::Ev>>,
 }
 
 impl<S: System> Engine<S> {
@@ -333,21 +328,7 @@ impl<S: System> Engine<S> {
             queue,
             system,
             events_processed: 0,
-            observer: None,
         }
-    }
-
-    /// Installs an observer called with every event just before it is
-    /// delivered to the system. Observers are read-only taps for tracing
-    /// and debugging: they cannot schedule, mutate the system, or otherwise
-    /// change the run, so installing one never alters simulation results.
-    pub fn set_observer(&mut self, obs: Observer<S::Ev>) {
-        self.observer = Some(obs);
-    }
-
-    /// Removes the observer installed by [`Engine::set_observer`], if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
     }
 
     /// Current virtual time.
@@ -372,19 +353,11 @@ impl<S: System> Engine<S> {
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let mut delivered = 0;
         while let Some((at, ev)) = self.queue.pop_at_or_before(horizon) {
-            if let Some(obs) = self.observer.as_mut() {
-                obs(at, &ev);
-            }
             self.system.handle(&mut self.queue, at, ev);
             delivered += 1;
             self.events_processed += 1;
         }
         delivered
-    }
-
-    /// Consumes the engine, returning the system for inspection.
-    pub fn into_system(self) -> S {
-        self.system
     }
 }
 
@@ -508,47 +481,6 @@ mod tests {
             eng.run_to_completion();
             assert_eq!(eng.system.seen, vec![0, 1, 99], "{}", kernel.name());
         }
-    }
-
-    #[test]
-    fn observer_sees_every_event_without_changing_the_run() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let mut plain = Engine::new(recorder());
-        plain.queue.schedule_at(SimTime::from_secs_f64(1.0), 1);
-        plain.queue.schedule_at(SimTime::from_secs_f64(2.0), 2);
-        plain.run_to_completion();
-
-        let taps: Rc<RefCell<Vec<(SimTime, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&taps);
-        let mut observed = Engine::new(recorder());
-        observed.set_observer(Box::new(move |at, &ev| sink.borrow_mut().push((at, ev))));
-        observed.queue.schedule_at(SimTime::from_secs_f64(1.0), 1);
-        observed.queue.schedule_at(SimTime::from_secs_f64(2.0), 2);
-        observed.run_to_completion();
-
-        assert_eq!(observed.system.seen, plain.system.seen);
-        assert_eq!(*taps.borrow(), plain.system.seen);
-        assert_eq!(observed.events_processed(), plain.events_processed());
-    }
-
-    #[test]
-    fn clear_observer_stops_the_tap() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let taps: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&taps);
-        let mut eng = Engine::new(recorder());
-        eng.set_observer(Box::new(move |_, &ev| sink.borrow_mut().push(ev)));
-        eng.queue.schedule_at(SimTime::from_secs_f64(1.0), 1);
-        eng.run_to_completion();
-        eng.clear_observer();
-        eng.queue.schedule_at(SimTime::from_secs_f64(2.0), 2);
-        eng.run_to_completion();
-        assert_eq!(*taps.borrow(), vec![1]);
-        assert_eq!(eng.system.seen.len(), 2);
     }
 
     #[test]

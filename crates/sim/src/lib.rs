@@ -43,7 +43,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{Engine, EventQueue, Kernel, Observer, System};
+pub use event::{Engine, EventQueue, Kernel, System};
 pub use prof::{ProfGuard, ProfileNode};
 pub use rng::{Seed, SimRng};
 pub use stats::{Accumulator, GaugeSeries, Histogram, SampleSet, TimeSeries};

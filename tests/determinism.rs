@@ -393,6 +393,42 @@ fn sharded_runs_are_identical_for_any_worker_budget() {
 }
 
 #[test]
+fn unsharded_run_is_the_one_cell_case() {
+    // Both executor modes run the same cell model: with one client, the
+    // sharded run is a single cell on the seed's ("shard", 0) substream,
+    // which is exactly an unsharded run handed that substream as its seed.
+    // Records, analysis and recorded JSONL must all agree, with retries
+    // and a fault plan active.
+    let seed = Seed(2718);
+    let tr = trace(seed);
+    let mut plan = FaultPlan::none();
+    plan.crash_mid_exec = 0.05;
+    plan.packet_loss = 0.05;
+    let cfg = ExecutorConfig {
+        clients: 1,
+        retry: RetryPolicy::standard(),
+        ..ExecutorConfig::default()
+    };
+    let exec = Executor::new(cfg).with_faults(plan);
+    for platform in [PlatformKind::AwsServerless, PlatformKind::AwsCpu] {
+        let dep = Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
+        let dump = |exec: &Executor, seed: Seed| {
+            let mut buf = Vec::new();
+            let mut rec = JsonlRecorder::new(&mut buf);
+            let run = exec.run_recorded(&dep, &tr, seed, &mut rec).unwrap();
+            rec.finish().unwrap();
+            (run.records.clone(), serde_json_digest(&analyze(&run)), buf)
+        };
+        let unsharded = dump(&exec, seed.substream_indexed("shard", 0));
+        let sharded = dump(&exec.clone().with_shards(1), seed);
+        assert!(!unsharded.0.is_empty());
+        assert_eq!(unsharded.0, sharded.0, "{platform:?}: records must match");
+        assert_eq!(unsharded.1, sharded.1, "{platform:?}: analysis must match");
+        assert_eq!(unsharded.2, sharded.2, "{platform:?}: trace must match");
+    }
+}
+
+#[test]
 fn run_arena_recycling_is_invisible() {
     // The executor recycles run-lifetime buffers in a thread-local arena.
     // A run's bytes must not depend on what ran before it on the same

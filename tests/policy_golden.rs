@@ -10,8 +10,8 @@
 //! `BLESS=1 cargo test --test policy_golden`.
 //!
 //! The hybrid family has no [`Deployment`] surface, so it cannot go
-//! through the shard splitter (`run_built` is documented as the legacy
-//! single-sequence path); its sharded cell is covered by the three
+//! through the shard splitter (`run_built` always replays one cell of
+//! every client); its sharded cell is covered by the three
 //! deployment-backed families, which exercise the same executor split.
 
 use slsbench::core::{analyze, Deployment, Executor, ExecutorConfig, RetryPolicy};

@@ -7,6 +7,12 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --all-targets -- -D warnings
 
+# The benchmark package is a workspace of its own, so the two lines above
+# never build it, yet it drives the slsb_core API: test it and run its
+# smoke pass (every workload at smoke size, outputs checked).
+cargo test --release --offline -q --manifest-path slsb-benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- --smoke
+
 # Trace round-trip smoke: a recorded run must emit a JSONL trace the
 # explorer can parse, with event counts that cross-check exactly.
 # (A bare `cargo build --release` only builds the root package, so make
