@@ -19,12 +19,12 @@ pub struct MatrixEntry {
     pub analysis: Analysis,
 }
 
-/// Runs the full 8 × 3 × 3 comparison matrix.
+/// Runs the full 8 × 3 × 3 comparison matrix (`fig5` prints all of it).
 ///
-/// `fig5` and `table1` each run their own matrix; at the same seed the runs
-/// are identical, so `repro all` pays the simulation twice. That is a
-/// deliberate simplicity trade-off — each experiment stays independently
-/// reproducible — at ~50 s of extra wall time for the full regeneration.
+/// `table1` runs only the 48 cells it prints: the four rented-box rows bill
+/// wall-clock time and read MobileNet alone. Every run depends only on its
+/// deployment, preset and the seed, so a cell `table1` shares with `fig5`
+/// reads the same in both.
 pub fn matrix(cfg: &ReproConfig) -> Vec<MatrixEntry> {
     let mut out = Vec::with_capacity(8 * 3 * 3);
     for platform in PlatformKind::ALL {
@@ -129,7 +129,6 @@ pub fn fig5(cfg: &ReproConfig) -> Output {
 
 /// Regenerates Table 1: costs for all evaluated systems.
 pub fn table1(cfg: &ReproConfig) -> Output {
-    let m = matrix(cfg);
     let mut t = Table::new(
         "Table 1: costs for evaluated model serving systems (TF1.15)",
         &[
@@ -140,32 +139,32 @@ pub fn table1(cfg: &ReproConfig) -> Output {
             "workload-200",
         ],
     );
-    let cost = |p: PlatformKind, mo: ModelKind, w: MmppPreset| {
-        m.iter()
-            .find(|e| e.platform == p && e.model == mo && e.preset == w)
-            .map(|e| fmt_money(e.analysis.cost.total()))
-            .expect("matrix is complete")
+    let costs = |platform: PlatformKind, model: ModelKind| {
+        let dep = Deployment::new(platform, model, RuntimeKind::Tf115);
+        MmppPreset::ALL.map(|preset| fmt_money(cfg.run(&dep, preset).cost.total()))
     };
     for platform in PlatformKind::ALL {
         if platform.is_serverless() || platform.is_managed_ml() {
             for model in ModelKind::ALL {
+                let [w40, w120, w200] = costs(platform, model);
                 t.push_row(vec![
                     platform.label().to_string(),
                     model.to_string(),
-                    cost(platform, model, MmppPreset::W40),
-                    cost(platform, model, MmppPreset::W120),
-                    cost(platform, model, MmppPreset::W200),
+                    w40,
+                    w120,
+                    w200,
                 ]);
             }
         } else {
             // Rented boxes bill wall-clock time; the paper reports a single
             // model-independent row per system.
+            let [w40, w120, w200] = costs(platform, ModelKind::MobileNet);
             t.push_row(vec![
                 platform.label().to_string(),
                 "(any)".into(),
-                cost(platform, ModelKind::MobileNet, MmppPreset::W40),
-                cost(platform, ModelKind::MobileNet, MmppPreset::W120),
-                cost(platform, ModelKind::MobileNet, MmppPreset::W200),
+                w40,
+                w120,
+                w200,
             ]);
         }
     }
@@ -199,5 +198,41 @@ mod tests {
         let (tables, _) = table1(&ReproConfig::scaled(0.01));
         // 4 serverless/managed systems × 3 models + 4 rented boxes.
         assert_eq!(tables[0].len(), 4 * 3 + 4);
+    }
+
+    #[test]
+    fn table1_cells_equal_the_matrix_costs() {
+        let cfg = ReproConfig::scaled(0.02);
+        let m = matrix(&cfg);
+        let (tables, _) = table1(&cfg);
+        let csv = tables[0].to_csv();
+        let mut cells = 0;
+        for line in csv.lines().skip(1) {
+            let row: Vec<&str> = line.split(',').collect();
+            let platform = PlatformKind::ALL
+                .into_iter()
+                .find(|p| p.label() == row[0])
+                .expect("row names a system");
+            let model = match row[1] {
+                "(any)" => ModelKind::MobileNet,
+                name => ModelKind::ALL
+                    .into_iter()
+                    .find(|mo| mo.to_string() == name)
+                    .expect("row names a model"),
+            };
+            for (preset, cell) in MmppPreset::ALL.into_iter().zip(&row[2..]) {
+                let e = m
+                    .iter()
+                    .find(|e| e.platform == platform && e.model == model && e.preset == preset)
+                    .expect("matrix is complete");
+                assert_eq!(
+                    *cell,
+                    fmt_money(e.analysis.cost.total()),
+                    "{platform:?}/{model}/{preset:?}"
+                );
+                cells += 1;
+            }
+        }
+        assert_eq!(cells, 48);
     }
 }

@@ -2,7 +2,7 @@
 //! three metrics — response latency, request success ratio, and cost —
 //! plus the time series and cold-start breakdowns its figures plot.
 
-use crate::executor::{RequestRecord, RunResult};
+use crate::executor::RunResult;
 use crate::slo::{SloReport, SloSample};
 use serde::{Deserialize, Serialize};
 use slsb_obs::MetricsRegistry;
@@ -143,14 +143,7 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
     let mut failed_crashed = 0;
     let mut failed_retries = 0;
 
-    let mut cold_e2e = SampleSet::new();
-    let mut warm_e2e = SampleSet::new();
-    let mut boot = SampleSet::new();
-    let mut import = SampleSet::new();
-    let mut download = SampleSet::new();
-    let mut load = SampleSet::new();
-    let mut predict_cold = SampleSet::new();
-    let mut predict_warm = SampleSet::new();
+    let mut cold = ColdMeans::default();
 
     for r in &run.records {
         match r.outcome {
@@ -162,18 +155,20 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
                 latencies.push(lat);
                 lat_series.add(r.arrival, lat);
                 ok_series.add(r.arrival, 1.0);
-                record_breakdown(
-                    r,
-                    lat,
-                    &mut cold_e2e,
-                    &mut warm_e2e,
-                    &mut boot,
-                    &mut import,
-                    &mut download,
-                    &mut load,
-                    &mut predict_cold,
-                    &mut predict_warm,
-                );
+                match r.cold_start {
+                    Some(bd) => {
+                        cold.e2e_cold.push(lat);
+                        cold.boot.push_duration(bd.boot);
+                        cold.import.push_duration(bd.import);
+                        cold.download.push_duration(bd.download);
+                        cold.load.push_duration(bd.load);
+                        cold.predict_cold.push_duration(r.predict);
+                    }
+                    None => {
+                        cold.e2e_warm.push(lat);
+                        cold.predict_warm.push_duration(r.predict);
+                    }
+                }
             }
             Outcome::Failure(reason) => {
                 ok_series.add(r.arrival, 0.0);
@@ -191,15 +186,7 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
 
     let total = run.records.len() as u64;
     let succeeded = latencies.len() as u64;
-    let latency = (succeeded > 0).then(|| LatencyStats {
-        count: succeeded,
-        mean: latencies.mean().expect("non-empty"),
-        std_dev: latencies.std_dev().expect("non-empty"),
-        p50: latencies.percentile(50.0).expect("non-empty"),
-        p95: latencies.percentile(95.0).expect("non-empty"),
-        p99: latencies.percentile(99.0).expect("non-empty"),
-        max: latencies.percentile(100.0).expect("non-empty"),
-    });
+    let latency = latency_stats(&mut latencies);
 
     // Iterate over the SR series: it covers every record, while the latency
     // series only has buckets up to the last *successful* request (zipping
@@ -246,15 +233,15 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
         latency,
         series,
         cold: ColdStartStats {
-            cold_requests: cold_e2e.len() as u64,
-            e2e_cold: cold_e2e.mean(),
-            e2e_warm: warm_e2e.mean(),
-            boot: boot.mean(),
-            import: import.mean(),
-            download: download.mean(),
-            load: load.mean(),
-            predict_cold: predict_cold.mean(),
-            predict_warm: predict_warm.mean(),
+            cold_requests: cold.e2e_cold.count,
+            e2e_cold: cold.e2e_cold.mean(),
+            e2e_warm: cold.e2e_warm.mean(),
+            boot: cold.boot.mean(),
+            import: cold.import.mean(),
+            download: cold.download.mean(),
+            load: cold.load.mean(),
+            predict_cold: cold.predict_cold.mean(),
+            predict_warm: cold.predict_warm.mean(),
         },
         cost: run.platform.cost,
         cold_started: run.platform.cold_started,
@@ -338,33 +325,56 @@ pub fn slo_metrics(m: &mut MetricsRegistry, report: &SloReport) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn record_breakdown(
-    r: &RequestRecord,
-    lat: f64,
-    cold_e2e: &mut SampleSet,
-    warm_e2e: &mut SampleSet,
-    boot: &mut SampleSet,
-    import: &mut SampleSet,
-    download: &mut SampleSet,
-    load: &mut SampleSet,
-    predict_cold: &mut SampleSet,
-    predict_warm: &mut SampleSet,
-) {
-    match r.cold_start {
-        Some(bd) => {
-            cold_e2e.push(lat);
-            boot.push_duration(bd.boot);
-            import.push_duration(bd.import);
-            download.push_duration(bd.download);
-            load.push_duration(bd.load);
-            predict_cold.push_duration(r.predict);
-        }
-        None => {
-            warm_e2e.push(lat);
-            predict_warm.push_duration(r.predict);
-        }
+/// Latency aggregates over the successes, `None` when nothing succeeded.
+/// The mean and deviation are read before the percentile queries reorder
+/// the samples, so they sum in arrival order.
+fn latency_stats(latencies: &mut SampleSet) -> Option<LatencyStats> {
+    Some(LatencyStats {
+        count: latencies.len() as u64,
+        mean: latencies.mean()?,
+        std_dev: latencies.std_dev()?,
+        p50: latencies.percentile(50.0)?,
+        p95: latencies.percentile(95.0)?,
+        p99: latencies.percentile(99.0)?,
+        max: latencies.percentile(100.0)?,
+    })
+}
+
+/// A running mean that adds in arrival order, as `Iterator::sum` does, so
+/// over durations (never `-0.0`) it reads bit for bit what
+/// [`SampleSet::mean`] reads over the same pushes, without retaining them.
+#[derive(Default)]
+struct Mean {
+    sum: f64,
+    count: u64,
+}
+
+impl Mean {
+    fn push(&mut self, x: f64) {
+        self.sum += x;
+        self.count += 1;
     }
+
+    fn push_duration(&mut self, d: SimDuration) {
+        self.push(d.as_secs_f64());
+    }
+
+    fn mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
+}
+
+/// The running means behind [`ColdStartStats`].
+#[derive(Default)]
+struct ColdMeans {
+    e2e_cold: Mean,
+    e2e_warm: Mean,
+    boot: Mean,
+    import: Mean,
+    download: Mean,
+    load: Mean,
+    predict_cold: Mean,
+    predict_warm: Mean,
 }
 
 impl Analysis {
@@ -382,11 +392,11 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Executor, ExecutorConfig};
+    use crate::executor::{Executor, ExecutorConfig, RequestRecord};
     use crate::plan::Deployment;
     use slsb_model::{ModelKind, RuntimeKind};
-    use slsb_platform::PlatformKind;
-    use slsb_sim::Seed;
+    use slsb_platform::{ColdStartBreakdown, PlatformKind};
+    use slsb_sim::{Seed, SimRng, SimTime};
     use slsb_workload::MmppSpec;
 
     fn run_small(platform: PlatformKind, rate: f64) -> RunResult {
@@ -529,6 +539,153 @@ mod tests {
         assert_eq!(m.counter("slo_objectives_total"), 2);
         assert_eq!(m.counter("slo_objectives_attained"), 2);
         assert_eq!(m.histogram("slo_budget_consumed").unwrap().count(), 2);
+    }
+
+    /// The stats a retained, stably sorted sample set reports: the
+    /// reference the selection percentiles and running means must match.
+    fn reference_stats(run: &RunResult) -> (Option<LatencyStats>, ColdStartStats) {
+        fn mean(xs: &[f64]) -> Option<f64> {
+            (!xs.is_empty()).then(|| xs.iter().sum::<f64>() / xs.len() as f64)
+        }
+        fn rank(sorted: &[f64], q: f64) -> f64 {
+            let n = sorted.len();
+            let idx = if q == 0.0 {
+                0
+            } else {
+                ((q / 100.0 * n as f64).ceil() as usize).max(1) - 1
+            };
+            sorted[idx.min(n - 1)]
+        }
+        let secs = |d: SimDuration| d.as_secs_f64();
+        let ok: Vec<_> = run.successes().collect();
+        let lat: Vec<f64> = ok.iter().map(|r| secs(r.latency.unwrap())).collect();
+        let latency = mean(&lat).map(|m| {
+            let var = lat.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / lat.len() as f64;
+            let mut sorted = lat.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            LatencyStats {
+                count: lat.len() as u64,
+                mean: m,
+                std_dev: var.sqrt(),
+                p50: rank(&sorted, 50.0),
+                p95: rank(&sorted, 95.0),
+                p99: rank(&sorted, 99.0),
+                max: rank(&sorted, 100.0),
+            }
+        });
+        let (cold, warm): (Vec<&RequestRecord>, Vec<_>) =
+            ok.iter().partition(|r| r.cold_start.is_some());
+        let stage = |f: fn(&ColdStartBreakdown) -> SimDuration| {
+            let xs: Vec<f64> = cold
+                .iter()
+                .map(|r| secs(f(&r.cold_start.unwrap())))
+                .collect();
+            mean(&xs)
+        };
+        let cold_lat: Vec<f64> = cold.iter().map(|r| secs(r.latency.unwrap())).collect();
+        let warm_lat: Vec<f64> = warm.iter().map(|r| secs(r.latency.unwrap())).collect();
+        let cold_pred: Vec<f64> = cold.iter().map(|r| secs(r.predict)).collect();
+        let warm_pred: Vec<f64> = warm.iter().map(|r| secs(r.predict)).collect();
+        let stats = ColdStartStats {
+            cold_requests: cold.len() as u64,
+            e2e_cold: mean(&cold_lat),
+            e2e_warm: mean(&warm_lat),
+            boot: stage(|b| b.boot),
+            import: stage(|b| b.import),
+            download: stage(|b| b.download),
+            load: stage(|b| b.load),
+            predict_cold: mean(&cold_pred),
+            predict_warm: mean(&warm_pred),
+        };
+        (latency, stats)
+    }
+
+    fn latency_bits(l: &Option<LatencyStats>) -> Option<(u64, [u64; 6])> {
+        l.map(|l| {
+            let f = [l.mean, l.std_dev, l.p50, l.p95, l.p99, l.max];
+            (l.count, f.map(f64::to_bits))
+        })
+    }
+
+    fn cold_bits(c: &ColdStartStats) -> (u64, [Option<u64>; 8]) {
+        let f = [
+            c.e2e_cold,
+            c.e2e_warm,
+            c.boot,
+            c.import,
+            c.download,
+            c.load,
+            c.predict_cold,
+            c.predict_warm,
+        ];
+        (c.cold_requests, f.map(|x| x.map(f64::to_bits)))
+    }
+
+    /// A run of `n` synthetic records: `value` draws each duration in
+    /// microseconds; a few records fail and about a third ride a cold start.
+    fn synthetic_run(
+        template: &RunResult,
+        n: usize,
+        seed: u64,
+        value: &dyn Fn(&mut SimRng) -> u64,
+    ) -> RunResult {
+        let mut rng = Seed(seed).rng();
+        let base = template.records[0].clone();
+        let d = |rng: &mut SimRng| SimDuration::from_micros(value(rng));
+        let records = (0..n)
+            .map(|i| {
+                let failed = i % 7 == 3;
+                RequestRecord {
+                    index: i,
+                    arrival: SimTime::from_micros(i as u64 * 20_000),
+                    outcome: if failed {
+                        Outcome::Failure(FailureReason::ClientTimeout)
+                    } else {
+                        Outcome::Success
+                    },
+                    latency: (!failed).then(|| d(&mut rng)),
+                    cold_start: rng.chance(0.3).then(|| ColdStartBreakdown {
+                        boot: d(&mut rng),
+                        import: d(&mut rng),
+                        download: d(&mut rng),
+                        load: d(&mut rng),
+                    }),
+                    predict: d(&mut rng),
+                    ..base.clone()
+                }
+            })
+            .collect();
+        RunResult {
+            records,
+            ..template.clone()
+        }
+    }
+
+    #[test]
+    fn selection_and_running_means_match_a_sorted_reference_bit_for_bit() {
+        let template = run_small(PlatformKind::AwsServerless, 20.0);
+        let wide = |rng: &mut SimRng| 1 + (rng.uniform() * 5e6) as u64;
+        let ties = |rng: &mut SimRng| [12_345, 67_890, 250_001][rng.index(3)];
+        let equal = |_: &mut SimRng| 98_765;
+        let draws: [(&str, &dyn Fn(&mut SimRng) -> u64); 3] =
+            [("wide", &wide), ("ties", &ties), ("equal", &equal)];
+        for n in [1, 2, 3, 100, 10_001] {
+            for (name, value) in draws {
+                let mut run = synthetic_run(&template, n, n as u64, value);
+                let mut rng = Seed(n as u64).substream("shuffle").rng();
+                for pass in 0..3 {
+                    let a = analyze(&run);
+                    let (latency, cold) = reference_stats(&run);
+                    let case = format!("n={n} {name} pass={pass}");
+                    assert_eq!(latency_bits(&a.latency), latency_bits(&latency), "{case}");
+                    assert_eq!(cold_bits(&a.cold), cold_bits(&cold), "{case}");
+                    // Fisher–Yates: same multiset, another arrival order.
+                    for i in (1..run.records.len()).rev() {
+                        run.records.swap(i, rng.index(i + 1));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -105,27 +105,22 @@ impl Accumulator {
 /// Exact percentile computation over a retained sample set.
 ///
 /// Retention is fine at benchmark scale (≤ ~10⁵ requests per run); the
-/// analyzer needs exact tail latencies, not sketches.
+/// analyzer needs exact tail latencies, not sketches. Percentiles are read
+/// by selection, so a query reorders the retained samples.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SampleSet {
     samples: Vec<f64>,
-    #[serde(skip)]
-    sorted: bool,
 }
 
 impl SampleSet {
     /// An empty sample set.
     pub fn new() -> Self {
-        SampleSet {
-            samples: Vec::new(),
-            sorted: true,
-        }
+        SampleSet::default()
     }
 
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.samples.push(x);
-        self.sorted = false;
     }
 
     /// Adds a duration observation in seconds.
@@ -157,25 +152,29 @@ impl SampleSet {
     /// report real latencies instead of fabricated midpoints. `None` when
     /// empty.
     ///
+    /// The rank is found by selection (O(n), no scratch buffer), which
+    /// leaves the samples partially reordered. The result equals the rank's
+    /// entry in a sorted copy; samples that compare equal are
+    /// interchangeable, except that `-0.0` and `0.0` may stand in for each
+    /// other.
+    ///
     /// # Panics
     /// Panics if `q` is outside `[0, 100]`.
     pub fn percentile(&mut self, q: f64) -> Option<f64> {
         assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
-        if self.samples.is_empty() {
+        let n = self.samples.len();
+        if n == 0 {
             return None;
         }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let n = self.samples.len();
         let idx = if q == 0.0 {
             0
         } else {
             ((q / 100.0 * n as f64).ceil() as usize).max(1) - 1
         };
-        Some(self.samples[idx.min(n - 1)])
+        let (_, x, _) = self
+            .samples
+            .select_nth_unstable_by(idx.min(n - 1), |a, b| a.partial_cmp(b).expect("NaN sample"));
+        Some(*x)
     }
 
     /// Median (p50), or `None` when empty.
@@ -195,7 +194,8 @@ impl SampleSet {
         Some(var.sqrt())
     }
 
-    /// Immutable view of the raw samples (unsorted order not guaranteed).
+    /// Immutable view of the raw samples: insertion order until the first
+    /// percentile query, an unspecified order after it.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }

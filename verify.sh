@@ -36,6 +36,14 @@ if [[ -z "$engine" || "$engine" != "$explorer_engine" ]]; then
 fi
 echo "verify.sh: trace round-trip ok ($lines trace events, $engine engine events)"
 
+# Paper report gate: the full-scale regeneration at the default seed must
+# reproduce the committed report byte for byte (a few seconds on 2 cores).
+if ! cmp -s <(./target/release/repro all --no-out --jobs 2) results/full_report.md; then
+    echo "verify.sh: repro all differs from results/full_report.md" >&2
+    exit 1
+fi
+echo "verify.sh: paper report ok (repro all == results/full_report.md)"
+
 # Fault-matrix smoke: run the fault scenario with retries on two seeds and
 # cross-check the recorded fault events against the analyzer's totals
 # (platform faults + client-path faults == "fault" lines in the trace).
