@@ -14,7 +14,9 @@
 //! every client); its sharded cell is covered by the three
 //! deployment-backed families, which exercise the same executor split.
 
-use slsbench::core::{analyze, Deployment, Executor, ExecutorConfig, RetryPolicy};
+use slsbench::core::{
+    analyze, oracle_bound, run_metrics, Deployment, Executor, ExecutorConfig, RetryPolicy,
+};
 use slsbench::model::{ModelKind, RuntimeKind};
 use slsbench::obs::{wire, MemoryRecorder, TraceEvent};
 use slsbench::platform::{
@@ -220,3 +222,45 @@ fn default_policy_reproduces_pre_refactor_traces() {
     }
 }
 
+/// FNV-64 over a byte string.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Post-run outputs of every matrix cell, bit for bit: a digest of the
+/// serialized [`run_metrics`] registry and the four [`oracle_bound`]
+/// fields, each `f64` as its `to_bits` hex. These passes read the run's
+/// records, not its trace, so the trace pins above do not cover them.
+#[test]
+fn post_run_outputs_match_golden() {
+    let tr = trace();
+    let mut rendered = String::new();
+    for family in FAMILIES {
+        for mode in MODES {
+            if family == "hybrid" && mode == "sharded" {
+                continue; // no Deployment surface; see module docs
+            }
+            let exec = mode_executor(mode);
+            let dep = family_deployment(family);
+            let run = if family == "hybrid" {
+                exec.run_built_recorded(&dep, hybrid_platform(), &tr, SEED, None)
+            } else {
+                exec.run(&dep, &tr, SEED).expect("valid deployment")
+            };
+            let metrics = serde_json::to_string(&run_metrics(&run)).expect("serializable");
+            let b = oracle_bound(&run);
+            rendered.push_str(&format!(
+                "{family} {mode} metrics_fnv=0x{:016x} cold_starts={} cost_dollars=0x{:016x} \
+                 peak_concurrency={} warm_ratio=0x{:016x}\n",
+                fnv64(metrics.as_bytes()),
+                b.cold_starts,
+                b.cost_dollars.to_bits(),
+                b.peak_concurrency,
+                b.warm_ratio.to_bits(),
+            ));
+        }
+    }
+    check_golden("post_run", &rendered);
+}
