@@ -5,7 +5,7 @@
 use crate::executor::RunResult;
 use crate::slo::{SloReport, SloSample};
 use serde::{Deserialize, Serialize};
-use slsb_obs::MetricsRegistry;
+use slsb_obs::{LogLinearHistogram, MetricsRegistry};
 use slsb_platform::{CostBreakdown, FailureReason, Outcome};
 use slsb_sim::{ProfGuard, SampleSet, SimDuration, TimeSeries};
 
@@ -259,32 +259,58 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
 /// per-worker observations without retaining every sample.
 pub fn run_metrics(run: &RunResult) -> MetricsRegistry {
     let _p = ProfGuard::enter("analyzer/metrics");
-    let mut m = MetricsRegistry::new();
-    m.inc("requests_total", run.records.len() as u64);
+    // Records feed local counters and histograms, which move into the
+    // registry once at the end, so no record pays a key lookup. Each key
+    // is created exactly when a per-record `inc`/`observe` would have
+    // created it: an outcome counter once it counts, a histogram once it
+    // is observed.
+    let (mut ok, mut cold) = (0u64, 0u64);
+    let mut failed = [0u64; FAILURE_REASONS.len()];
+    let mut latency = LogLinearHistogram::default();
+    let mut latency_cold = LogLinearHistogram::default();
+    let mut latency_warm = LogLinearHistogram::default();
+    let mut queued = LogLinearHistogram::default();
+    let mut predict = LogLinearHistogram::default();
     for r in &run.records {
         match r.outcome {
             Outcome::Success => {
-                m.inc("requests_ok", 1);
+                ok += 1;
                 let lat = r
                     .latency
-                    .expect("success without latency: unresolved record");
-                m.observe("latency_seconds", lat.as_secs_f64());
+                    .expect("success without latency: unresolved record")
+                    .as_secs_f64();
+                latency.record(lat);
                 if r.cold_start.is_some() {
-                    m.observe("latency_cold_seconds", lat.as_secs_f64());
+                    cold += 1;
+                    latency_cold.record(lat);
                 } else {
-                    m.observe("latency_warm_seconds", lat.as_secs_f64());
+                    latency_warm.record(lat);
                 }
-                m.observe("queued_seconds", r.queued.as_secs_f64());
-                m.observe("predict_seconds", r.predict.as_secs_f64());
+                queued.record(r.queued.as_secs_f64());
+                predict.record(r.predict.as_secs_f64());
             }
-            Outcome::Failure(FailureReason::QueueFull) => m.inc("requests_queue_full", 1),
-            Outcome::Failure(FailureReason::ClientTimeout) => m.inc("requests_timeout", 1),
-            Outcome::Failure(FailureReason::Rejected) => m.inc("requests_rejected", 1),
-            Outcome::Failure(FailureReason::Throttled) => m.inc("requests_throttled", 1),
-            Outcome::Failure(FailureReason::Crashed) => m.inc("requests_crashed", 1),
-            Outcome::Failure(FailureReason::RetriesExhausted) => {
-                m.inc("requests_retries_exhausted", 1)
-            }
+            Outcome::Failure(reason) => failed[reason as usize] += 1,
+        }
+    }
+    let mut m = MetricsRegistry::new();
+    m.inc("requests_total", run.records.len() as u64);
+    if ok > 0 {
+        m.inc("requests_ok", ok);
+    }
+    for reason in FAILURE_REASONS {
+        if failed[reason as usize] > 0 {
+            m.inc(failure_counter(reason), failed[reason as usize]);
+        }
+    }
+    for (name, h, observed) in [
+        ("latency_seconds", latency, ok),
+        ("latency_cold_seconds", latency_cold, cold),
+        ("latency_warm_seconds", latency_warm, ok - cold),
+        ("queued_seconds", queued, ok),
+        ("predict_seconds", predict, ok),
+    ] {
+        if observed > 0 {
+            m.insert_histogram(name, h);
         }
     }
     m.inc("cold_starts", run.platform.cold_started);
@@ -295,6 +321,29 @@ pub fn run_metrics(run: &RunResult) -> MetricsRegistry {
     m.inc("retries_total", run.retries);
     m.gauge_max("peak_instances", run.platform.instances.peak());
     m
+}
+
+/// Every failure reason; `run_metrics` counts them in an array indexed
+/// by `reason as usize`.
+const FAILURE_REASONS: [FailureReason; 6] = [
+    FailureReason::QueueFull,
+    FailureReason::ClientTimeout,
+    FailureReason::Rejected,
+    FailureReason::Throttled,
+    FailureReason::Crashed,
+    FailureReason::RetriesExhausted,
+];
+
+/// The `run_metrics` counter that counts one failure reason.
+fn failure_counter(reason: FailureReason) -> &'static str {
+    match reason {
+        FailureReason::QueueFull => "requests_queue_full",
+        FailureReason::ClientTimeout => "requests_timeout",
+        FailureReason::Rejected => "requests_rejected",
+        FailureReason::Throttled => "requests_throttled",
+        FailureReason::Crashed => "requests_crashed",
+        FailureReason::RetriesExhausted => "requests_retries_exhausted",
+    }
 }
 
 /// Per-request SLO samples for [`crate::slo::SloSpec::evaluate`]: one

@@ -190,24 +190,44 @@ pub fn trace_oracle(events: &[TraceEvent]) -> Option<TraceOracle> {
 }
 
 /// Sweep-line maximum point-overlap of half-open intervals `[start, end)`.
-/// Ends sort before starts at equal instants, so back-to-back reuse of one
+/// Starts and ends are sorted apart as order-preserving integer keys and
+/// merged with ends first at equal instants, so back-to-back reuse of one
 /// instance does not inflate the peak.
 fn peak_overlap(intervals: impl Iterator<Item = (f64, f64)>) -> u64 {
-    let mut edges: Vec<(f64, i64)> = Vec::new();
+    let cap = intervals.size_hint().1.unwrap_or(0);
+    let mut starts = Vec::with_capacity(cap);
+    let mut ends = Vec::with_capacity(cap);
     for (start, end) in intervals {
         if end > start {
-            edges.push((start, 1));
-            edges.push((end, -1));
+            starts.push(total_order_key(start));
+            ends.push(total_order_key(end));
         }
     }
-    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut live = 0i64;
-    let mut peak = 0i64;
-    for (_, delta) in edges {
-        live += delta;
+    starts.sort_unstable();
+    ends.sort_unstable();
+    // Every interval ends after it starts, so `live` never goes negative
+    // and the peak is reached by the time the last start is swept.
+    let (mut live, mut peak, mut e) = (0u64, 0u64, 0);
+    for s in starts {
+        while ends[e] <= s {
+            live -= 1;
+            e += 1;
+        }
+        live += 1;
         peak = peak.max(live);
     }
-    peak.max(0) as u64
+    peak
+}
+
+/// Maps an `f64` to a `u64` whose unsigned order is [`f64::total_cmp`]'s:
+/// negatives flip every bit, everything else sets the sign bit.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 #[cfg(test)]
@@ -224,6 +244,82 @@ mod tests {
         let trace = MmppPreset::W40.generate(Seed(5));
         let dep = Deployment::new(platform, ModelKind::MobileNet, runtime);
         Executor::default().run(&dep, &trace, Seed(5)).unwrap()
+    }
+
+    /// The stable-sort sweep `peak_overlap` replaced: one `(instant,
+    /// delta)` edge list ordered by `total_cmp`, ends (-1) before starts
+    /// (+1) at equal instants.
+    fn peak_overlap_reference(intervals: impl Iterator<Item = (f64, f64)>) -> u64 {
+        let mut edges: Vec<(f64, i64)> = Vec::new();
+        for (start, end) in intervals {
+            if end > start {
+                edges.push((start, 1));
+                edges.push((end, -1));
+            }
+        }
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut live = 0i64;
+        let mut peak = 0i64;
+        for (_, delta) in edges {
+            live += delta;
+            peak = peak.max(live);
+        }
+        peak.max(0) as u64
+    }
+
+    #[test]
+    fn two_array_sweep_matches_the_edge_sort_reference() {
+        // A small pool of instants makes ties at equal instants,
+        // zero-length and inverted intervals common; the specials cover
+        // the signed zeros, infinities and NaN.
+        const SPECIAL: [f64; 6] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = Seed(17).rng();
+        let draw = |rng: &mut slsb_sim::SimRng| match rng.index(8) {
+            0 => SPECIAL[rng.index(SPECIAL.len())],
+            1 => rng.uniform() * 1e3 - 500.0,
+            _ => rng.index(12) as f64 - 4.0,
+        };
+        for case in 0..120_000 {
+            let n = rng.index(if case % 100 == 0 { 400 } else { 24 });
+            let iv: Vec<(f64, f64)> = (0..n).map(|_| (draw(&mut rng), draw(&mut rng))).collect();
+            assert_eq!(
+                peak_overlap(iv.iter().copied()),
+                peak_overlap_reference(iv.iter().copied()),
+                "case {case}: {iv:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn total_order_key_sorts_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in xs.iter().chain([-f64::NAN].iter()) {
+            for b in &xs {
+                assert_eq!(
+                    total_order_key(*a).cmp(&total_order_key(*b)),
+                    a.total_cmp(b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

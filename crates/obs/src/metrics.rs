@@ -265,6 +265,23 @@ impl MetricsRegistry {
         }
     }
 
+    /// Adds a whole histogram under `name`: stored as given when the name
+    /// is new, merged bucketwise into the existing histogram otherwise.
+    /// Recording samples into a local histogram and inserting it once
+    /// reads the same as observing each sample under a new name, without
+    /// a key lookup per sample.
+    ///
+    /// # Panics
+    /// Panics when merging histograms with different bucket layouts.
+    pub fn insert_histogram(&mut self, name: &str, h: LogLinearHistogram) {
+        match self.histograms.get_mut(name) {
+            Some(existing) => existing.merge(&h),
+            None => {
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
+    }
+
     /// Looks a histogram up.
     pub fn histogram(&self, name: &str) -> Option<&LogLinearHistogram> {
         self.histograms.get(name)
@@ -486,6 +503,27 @@ mod tests {
             assert_eq!(fh.quantile(q), bh.quantile(q), "q={q}");
         }
         assert!((fh.sum() - bh.sum()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn inserting_a_histogram_reads_like_observing_its_samples() {
+        let xs: Vec<f64> = (1..=500).map(|i| f64::from(i) * 0.0137).collect();
+        let mut observed = MetricsRegistry::new();
+        let mut local = LogLinearHistogram::default();
+        for &x in &xs {
+            observed.observe("latency_seconds", x);
+            local.record(x);
+        }
+        let mut inserted = MetricsRegistry::new();
+        inserted.insert_histogram("latency_seconds", local.clone());
+        assert_eq!(inserted, observed);
+        assert_eq!(
+            serde_json::to_string(&inserted).unwrap(),
+            serde_json::to_string(&observed).unwrap()
+        );
+        // A second insert under the same name merges rather than replaces.
+        inserted.insert_histogram("latency_seconds", local);
+        assert_eq!(inserted.histogram("latency_seconds").unwrap().count(), 1000);
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //!   headers) so the randomly-indexed bucket metadata stays cache-resident;
 //!   bucket width never affects delivery order, which is always the full
 //!   `(time, sequence)` sort within a drained bucket.
-//! - **Far overflow**: events beyond the current block land in a
-//!   `BTreeMap` keyed by block index; whole blocks are pulled forward and
-//!   scattered into the ring when the cursor reaches them.
+//! - **Far tier**: events beyond the current block land in a deque of
+//!   per-block `Vec`s indexed by distance from the cursor's block, grown
+//!   lazily to the furthest block scheduled, so scheduling is an index
+//!   computation plus a `Vec::push` here too. Blocks [`FAR_SPAN`] or more
+//!   ahead (2^16 blocks, ≈ 76 h) go to a sparse `BTreeMap` instead, so a
+//!   lone far-off event never grows the deque. Whole blocks are pulled
+//!   from both and scattered into the ring when the cursor reaches them.
 //! - **Ready spill**: the next non-empty bucket is drained into a single
 //!   sorted buffer (`ready`, newest-first so popping from the back is
 //!   oldest-first). Events scheduled behind the cursor — `schedule_now`
@@ -31,7 +35,7 @@
 use crate::event::Scheduled;
 use crate::time::SimTime;
 use std::cmp;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::mem;
 
 /// log2 of the bucket width in microseconds (4.096 ms per bucket).
@@ -42,6 +46,9 @@ const BLOCK_BITS: u32 = 10;
 pub(crate) const BUCKETS: usize = 1 << BLOCK_BITS;
 const SLOT_MASK: u64 = (BUCKETS as u64) - 1;
 const WORDS: usize = BUCKETS / 64;
+/// Blocks ahead of the cursor's block that the far deque indexes; blocks
+/// at least this far ahead (≈ 76 h) go to the sparse map.
+const FAR_SPAN: u64 = 1 << 16;
 
 pub(crate) struct TimerWheel<E> {
     /// Drained-but-undelivered events, sorted descending by `(at, seq)` so
@@ -52,12 +59,18 @@ pub(crate) struct TimerWheel<E> {
     /// Occupancy bitmap over `ring` (one bit per bucket).
     occ: [u64; WORDS],
     /// Absolute index of the next bucket the drain cursor will visit.
-    /// Invariant: every far block key is strictly greater than
+    /// Invariant: every far and sparse block is strictly after
     /// `cur >> BLOCK_BITS`, and every ring bucket holds only events of the
     /// cursor's block at slots `>= cur & mask`.
     cur: u64,
-    /// Far-future events, grouped by block index, each group unsorted.
-    far: BTreeMap<u64, Vec<Scheduled<E>>>,
+    /// Far-future events, one unsorted `Vec` per block: `far[i]` holds
+    /// block `(cur >> BLOCK_BITS) + 1 + i`. Blocks between occupied ones
+    /// are empty `Vec`s that own no memory.
+    far: VecDeque<Vec<Scheduled<E>>>,
+    /// Far-future events of blocks [`FAR_SPAN`] or more ahead of the
+    /// cursor's block when they were scheduled, keyed by block, each group
+    /// unsorted. A block can hold events here and in `far` at once.
+    sparse: BTreeMap<u64, Vec<Scheduled<E>>>,
     /// Recycled block vectors (capacity retained across reuse).
     spare: Vec<Vec<Scheduled<E>>>,
     len: usize,
@@ -73,7 +86,8 @@ impl<E> TimerWheel<E> {
             ring: (0..BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; WORDS],
             cur: 0,
-            far: BTreeMap::new(),
+            far: VecDeque::new(),
+            sparse: BTreeMap::new(),
             spare: Vec::new(),
             len: 0,
         }
@@ -103,13 +117,24 @@ impl<E> TimerWheel<E> {
             self.occ[slot >> 6] |= 1 << (slot & 63);
         } else {
             let blk = b >> BLOCK_BITS;
-            match self.far.get_mut(&blk) {
-                Some(v) => v.push(s),
-                None => {
-                    let mut v = self.spare.pop().unwrap_or_default();
-                    v.push(s);
-                    self.far.insert(blk, v);
+            let ahead = blk - (self.cur >> BLOCK_BITS) - 1;
+            if ahead < FAR_SPAN {
+                let i = ahead as usize;
+                if i >= self.far.len() {
+                    self.far.resize_with(i + 1, Vec::new);
                 }
+                let v = &mut self.far[i];
+                if v.capacity() == 0 {
+                    if let Some(spare) = self.spare.pop() {
+                        *v = spare;
+                    }
+                }
+                v.push(s);
+            } else {
+                self.sparse
+                    .entry(blk)
+                    .or_insert_with(|| self.spare.pop().unwrap_or_default())
+                    .push(s);
             }
         }
     }
@@ -156,8 +181,14 @@ impl<E> TimerWheel<E> {
         if let Some(slot) = self.next_occupied(start) {
             return self.ring[slot].iter().map(|s| s.at).min();
         }
-        let (_, v) = self.far.first_key_value().expect("pending events exist");
-        v.iter().map(|s| s.at).min()
+        // The earliest far event sits in the first occupied block of the
+        // deque or in the first sparse block, whichever comes first.
+        let near = self.far.iter().find(|v| !v.is_empty());
+        near.into_iter()
+            .chain(self.sparse.values().next())
+            .flatten()
+            .map(|s| s.at)
+            .min()
     }
 
     /// Moves the next non-empty bucket (or far block) toward `ready`.
@@ -171,26 +202,47 @@ impl<E> TimerWheel<E> {
             mem::swap(&mut self.ring[slot], &mut self.ready);
             self.ready
                 .sort_unstable_by_key(|s| cmp::Reverse((s.at, s.seq)));
-            self.cur = (self.cur & !SLOT_MASK) | slot as u64;
-            self.cur += 1;
-            if self.cur & SLOT_MASK == 0 {
+            let next = ((self.cur & !SLOT_MASK) | slot as u64) + 1;
+            if next & SLOT_MASK == 0 {
                 // Crossed into the next block: its far events (if any) are
                 // now near-future and must be reachable through the ring.
-                self.pull_far_if_current();
+                self.enter_block(next >> BLOCK_BITS);
+            } else {
+                self.cur = next;
             }
         } else {
             // Block exhausted with nothing in the ring: jump the cursor to
             // the earliest far block.
-            let (blk, v) = self.far.pop_first().expect("len > 0 but nothing pending");
-            self.cur = blk << BLOCK_BITS;
-            self.scatter(v);
+            let cur_blk = self.cur >> BLOCK_BITS;
+            let near = self
+                .far
+                .iter()
+                .position(|v| !v.is_empty())
+                .map(|i| cur_blk + 1 + i as u64);
+            let blk = near
+                .into_iter()
+                .chain(self.sparse.keys().next().copied())
+                .min()
+                .expect("len > 0 but nothing pending");
+            self.enter_block(blk);
         }
     }
 
-    fn pull_far_if_current(&mut self) {
-        let blk = self.cur >> BLOCK_BITS;
-        if self.far.first_key_value().is_some_and(|(&k, _)| k == blk) {
-            let v = self.far.pop_first().expect("first key checked").1;
+    /// Moves the cursor to the start of block `blk` and scatters that
+    /// block's far events into the ring. Every block between the cursor's
+    /// and `blk` must be empty.
+    fn enter_block(&mut self, blk: u64) {
+        let ahead = blk - (self.cur >> BLOCK_BITS) - 1;
+        self.cur = blk << BLOCK_BITS;
+        if ahead < self.far.len() as u64 {
+            self.far.drain(..ahead as usize);
+            let v = self.far.pop_front().expect("index checked");
+            self.scatter(v);
+        } else {
+            self.far.clear();
+        }
+        if self.sparse.keys().next() == Some(&blk) {
+            let v = self.sparse.pop_first().expect("first key checked").1;
             self.scatter(v);
         }
     }
@@ -206,7 +258,9 @@ impl<E> TimerWheel<E> {
             self.ring[slot].push(s);
             self.occ[slot >> 6] |= 1 << (slot & 63);
         }
-        self.spare.push(v);
+        if v.capacity() > 0 {
+            self.spare.push(v);
+        }
     }
 
     fn next_occupied(&self, start: usize) -> Option<usize> {
@@ -222,5 +276,34 @@ impl<E> TimerWheel<E> {
             }
             word = self.occ[w];
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn event(at: SimTime, seq: u64) -> Scheduled<()> {
+        Scheduled { at, seq, ev: () }
+    }
+
+    #[test]
+    fn a_far_off_event_takes_constant_memory() {
+        let mut w = TimerWheel::with_capacity(0);
+        // 10^9 s is ~2.4e8 blocks ahead: one sparse entry, no deque slots.
+        let far_off = SimTime::from_micros(1_000_000_000 * 1_000_000);
+        w.insert(event(far_off, 0));
+        assert_eq!(w.far.capacity(), 0);
+        assert_eq!(w.sparse.len(), 1);
+        // The last block inside the span is indexed; the next one is not.
+        let block_us = 1u64 << (BUCKET_SHIFT + BLOCK_BITS);
+        let last_indexed = SimTime::from_micros(FAR_SPAN * block_us);
+        w.insert(event(last_indexed, 1));
+        assert_eq!(w.far.len(), FAR_SPAN as usize);
+        w.insert(event(SimTime::from_micros((FAR_SPAN + 1) * block_us), 2));
+        assert_eq!((w.far.len(), w.sparse.len()), (FAR_SPAN as usize, 2));
+        let order: Vec<u64> = std::iter::from_fn(|| w.pop().map(|s| s.seq)).collect();
+        assert_eq!(order, [1, 2, 0]);
+        assert_eq!(w.len(), 0);
     }
 }

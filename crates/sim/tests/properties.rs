@@ -60,6 +60,66 @@ fn shape_delay(raw: u64) -> u64 {
     }
 }
 
+/// Wheel geometry the far-tier tests aim at: one block spans 2^22 µs
+/// (≈ 4.19 s), and blocks 2^16 or more ahead of the cursor's block go to
+/// the sparse map instead of the indexed deque.
+const BLOCK_US: u64 = 1 << 22;
+const FAR_SPAN_BLOCKS: u64 = 1 << 16;
+
+/// One step of a kernel differential script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Schedule the next event this many µs after the current time.
+    After(u64),
+    /// Pop this many events.
+    Pop(usize),
+}
+
+/// Runs `steps` on a wheel and a heap queue side by side, then drains
+/// both; panics at the first pop on which they differ.
+fn assert_kernels_agree(steps: &[Step]) {
+    let mut wheel = EventQueue::new();
+    let mut heap = EventQueue::with_kernel(Kernel::Heap);
+    assert_eq!(wheel.kernel(), Kernel::Wheel);
+    let mut id = 0u64;
+    for (i, &step) in steps.iter().enumerate() {
+        match step {
+            Step::After(delay) => {
+                let at = wheel.now() + SimDuration::from_micros(delay);
+                wheel.schedule_at(at, id);
+                heap.schedule_at(at, id);
+                id += 1;
+            }
+            Step::Pop(n) => {
+                for _ in 0..n {
+                    assert_eq!(wheel.pop(), heap.pop(), "step {i} of {steps:?}");
+                }
+            }
+        }
+        assert_eq!(wheel.len(), heap.len(), "step {i}");
+        assert_eq!(wheel.peek_time(), heap.peek_time(), "step {i}");
+    }
+    loop {
+        let (a, b) = (wheel.pop(), heap.pop());
+        assert_eq!(a, b, "drain of {steps:?}");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+/// Shapes a raw value into a delay for the far-tier tests: near the
+/// cursor, a run of empty deque blocks away, straddling the deque/sparse
+/// boundary, or anywhere up to 2^50 µs.
+fn shape_far_delay(raw: u64) -> u64 {
+    match raw % 4 {
+        0 => raw % BLOCK_US,
+        1 => raw % (1_000 * BLOCK_US),
+        2 => (FAR_SPAN_BLOCKS - 8) * BLOCK_US + raw % (16 * BLOCK_US),
+        _ => raw % (1 << 50),
+    }
+}
+
 proptest! {
     /// The clock never goes backwards, regardless of scheduling order.
     #[test]
@@ -264,4 +324,108 @@ proptest! {
             prop_assert_eq!(wheel.len(), heap.len());
         }
     }
+
+    /// The retry executor's schedule: for every request, at t = 0, a
+    /// delivery at its arrival and an attempt timeout 10 s later. The two
+    /// nondecreasing streams interleave over ≥ 6000 s (≈ 1400 blocks),
+    /// and the drain adds short follow-ups the way retries do.
+    #[test]
+    fn kernels_agree_on_deliver_and_timeout_streams(
+        gaps in prop::collection::vec(0u64..8_000_000, 1_500..2_500),
+        hops in prop::collection::vec(0u64..3_000_000, 1..64),
+    ) {
+        let mut arrival = 0u64;
+        let mut arrivals = Vec::with_capacity(gaps.len() + 1);
+        for &g in &gaps {
+            arrival += match g % 3 {
+                0 => 0,
+                1 => g % 8 * 1_000_000,
+                _ => g,
+            };
+            arrivals.push(arrival);
+        }
+        arrivals.push(arrival.max(6_000_000_000));
+        let mut steps = Vec::new();
+        for &a in &arrivals {
+            steps.push(Step::After(a));
+            steps.push(Step::After(a + 10_000_000));
+        }
+        for i in 0..2 * arrivals.len() {
+            steps.push(Step::Pop(1));
+            if i % 3 == 0 {
+                steps.push(Step::After(hops[i % hops.len()]));
+            }
+        }
+        assert_kernels_agree(&steps);
+    }
+
+    /// Inserts that land nearer than the current far front: each new
+    /// event precedes every far event scheduled before it, then the drain
+    /// keeps scheduling into the blocks just ahead of the cursor.
+    #[test]
+    fn kernels_agree_on_inserts_before_the_far_front(
+        front in 2u64..3_000,
+        raws in prop::collection::vec(0u64..u64::MAX, 1..200),
+    ) {
+        let mut steps = vec![Step::After(front * BLOCK_US)];
+        let mut delay = front * BLOCK_US;
+        for &raw in &raws {
+            delay -= raw % (delay / 8).max(1);
+            steps.push(Step::After(delay.max(BLOCK_US)));
+        }
+        for &raw in &raws {
+            steps.push(Step::Pop(1));
+            steps.push(Step::After(BLOCK_US + raw % (40 * BLOCK_US)));
+        }
+        assert_kernels_agree(&steps);
+    }
+
+    /// Far schedules across runs of empty blocks, over the deque/sparse
+    /// boundary and into the sparse map, with pops interleaved so later
+    /// inserts land in blocks that already hold events in either tier.
+    #[test]
+    fn kernels_agree_across_empty_blocks_and_the_sparse_tier(
+        raws in prop::collection::vec(0u64..u64::MAX, 1..150),
+        pops in prop::collection::vec(0usize..4, 1..150),
+    ) {
+        let mut steps = Vec::new();
+        for (i, &raw) in raws.iter().enumerate() {
+            steps.push(Step::After(shape_far_delay(raw)));
+            steps.push(Step::Pop(pops[i % pops.len()]));
+        }
+        assert_kernels_agree(&steps);
+    }
+
+    /// Instants at and beyond 2^40 µs (≈ 12.7 days) schedule and pop
+    /// exactly as near zero.
+    #[test]
+    fn kernels_agree_beyond_2_pow_40_us(
+        start in (1u64 << 40)..(1u64 << 52),
+        raws in prop::collection::vec(0u64..16_777_216, 1..200),
+        pops in prop::collection::vec(0usize..4, 1..200),
+    ) {
+        let mut steps = vec![Step::After(start), Step::Pop(1)];
+        for (i, &raw) in raws.iter().enumerate() {
+            steps.push(Step::After(shape_delay(raw)));
+            steps.push(Step::Pop(pops[i % pops.len()]));
+        }
+        assert_kernels_agree(&steps);
+    }
+}
+
+/// One block holding events in both far tiers: the first event goes to
+/// the sparse map, the cursor then moves a few blocks, and the second
+/// event for the same block lands in the indexed deque.
+#[test]
+fn kernels_agree_on_a_block_split_across_far_tiers() {
+    let target = (FAR_SPAN_BLOCKS + 3) * BLOCK_US;
+    let hop = 5 * BLOCK_US;
+    assert_kernels_agree(&[
+        Step::After(target + 77),
+        Step::After(hop),
+        Step::Pop(1),
+        Step::After(target - hop + 11),
+        Step::After(target - hop + 77),
+        Step::After(FAR_SPAN_BLOCKS * BLOCK_US),
+    ]);
 }

@@ -13,6 +13,17 @@ cargo clippy --all-targets -- -D warnings
 cargo test --release --offline -q --manifest-path slsb-benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- --smoke
 
+# Full-size digest check on the retry and fault path: at its default seed
+# a faulted_retry run must reproduce the committed digests, which pin the
+# run_metrics bytes of its four deployments (--smoke checks no digests).
+faulted_line="$(cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- \
+    --workload faulted_retry --seconds 1 --trace 0 | tail -n 1)"
+if [[ "$faulted_line" != *'"correct":true'* ]]; then
+    echo "verify.sh: faulted_retry at its default seed is not correct: $faulted_line" >&2
+    exit 1
+fi
+echo "verify.sh: faulted_retry digests ok"
+
 # Trace round-trip smoke: a recorded run must emit a JSONL trace the
 # explorer can parse, with event counts that cross-check exactly.
 # (A bare `cargo build --release` only builds the root package, so make
