@@ -281,21 +281,21 @@ pub fn hybrid(cfg: &ReproConfig) -> Output {
         ]);
     };
 
-    let gpu = exec
-        .run(
-            &Deployment::new(
-                PlatformKind::AwsGpu,
-                ModelKind::MobileNet,
-                RuntimeKind::Tf115,
-            ),
-            &trace,
-            cfg.seed(),
-        )
-        .expect("valid");
-    push("Pure GPU server", &gpu);
-
-    let sls = exec.run(&dep, &trace, cfg.seed()).expect("valid");
-    push("Pure serverless", &sls);
+    // Each run is tabulated and dropped as it finishes, so no more than
+    // one run's records are alive at a time.
+    let gpu = Deployment::new(
+        PlatformKind::AwsGpu,
+        ModelKind::MobileNet,
+        RuntimeKind::Tf115,
+    );
+    push(
+        "Pure GPU server",
+        &exec.run(&gpu, &trace, cfg.seed()).expect("valid"),
+    );
+    push(
+        "Pure serverless",
+        &exec.run(&dep, &trace, cfg.seed()).expect("valid"),
+    );
 
     for depth in [4usize, 16, 64] {
         let hybrid_cfg = HybridConfig {

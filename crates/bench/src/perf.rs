@@ -38,27 +38,30 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// A pass-through allocator that counts allocations. Install it with
-/// `#[global_allocator]` in a binary to make [`allocation_count`] live;
-/// the counter uses relaxed atomics, so the overhead is one uncontended
-/// fetch-add per allocation (plus one relaxed load for the profiler gate).
+/// A pass-through allocator that counts allocations and follows live heap
+/// bytes. Install it with `#[global_allocator]` in a binary to make
+/// [`allocation_count`] and the [`slsb_sim::alloc`] byte counters live;
+/// the counters use relaxed atomics, so the overhead is a few uncontended
+/// atomic updates per allocation (plus one relaxed load for the profiler
+/// gate).
 pub struct CountingAllocator;
 
 // SAFETY: delegates allocation and deallocation directly to `System`;
-// the counter has no effect on the returned memory, and `note_alloc`
-// never allocates.
+// the counters have no effect on the returned memory, and the `note_*`
+// hooks never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        slsb_sim::alloc::note_alloc();
+        slsb_sim::alloc::note_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        slsb_sim::alloc::note_dealloc(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        slsb_sim::alloc::note_alloc();
+        slsb_sim::alloc::note_realloc(layout.size(), new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -670,16 +670,14 @@ mod tests {
         (c.cold_requests, f.map(|x| x.map(f64::to_bits)))
     }
 
+    /// Draws one synthetic duration in microseconds.
+    type Draw<'a> = &'a dyn Fn(&mut SimRng) -> u64;
+
     /// A run of `n` synthetic records: `value` draws each duration in
     /// microseconds; a few records fail and about a third ride a cold start.
-    fn synthetic_run(
-        template: &RunResult,
-        n: usize,
-        seed: u64,
-        value: &dyn Fn(&mut SimRng) -> u64,
-    ) -> RunResult {
+    fn synthetic_run(template: &RunResult, n: usize, seed: u64, value: Draw<'_>) -> RunResult {
         let mut rng = Seed(seed).rng();
-        let base = template.records[0].clone();
+        let base = template.records[0];
         let d = |rng: &mut SimRng| SimDuration::from_micros(value(rng));
         let records = (0..n)
             .map(|i| {
@@ -700,7 +698,7 @@ mod tests {
                         load: d(&mut rng),
                     }),
                     predict: d(&mut rng),
-                    ..base.clone()
+                    ..base
                 }
             })
             .collect();
@@ -716,8 +714,7 @@ mod tests {
         let wide = |rng: &mut SimRng| 1 + (rng.uniform() * 5e6) as u64;
         let ties = |rng: &mut SimRng| [12_345, 67_890, 250_001][rng.index(3)];
         let equal = |_: &mut SimRng| 98_765;
-        let draws: [(&str, &dyn Fn(&mut SimRng) -> u64); 3] =
-            [("wide", &wide), ("ties", &ties), ("equal", &equal)];
+        let draws: [(&str, Draw<'_>); 3] = [("wide", &wide), ("ties", &ties), ("equal", &equal)];
         for n in [1, 2, 3, 100, 10_001] {
             for (name, value) in draws {
                 let mut run = synthetic_run(&template, n, n as u64, value);

@@ -336,6 +336,19 @@ struct Resolution {
     cold_start: Option<ColdStartBreakdown>,
 }
 
+impl Resolution {
+    /// The fate `resp` fixes when its client receives it at `at`.
+    fn received(resp: ServingResponse, at: SimTime) -> Resolution {
+        Resolution {
+            outcome: resp.outcome,
+            received_at: at,
+            predict: resp.predict,
+            queued: resp.queued,
+            cold_start: resp.cold_start,
+        }
+    }
+}
+
 /// Per-request span scratch: `(receive, net_in, exec, net_out)`.
 type SpanParts = (SimTime, SimDuration, SimDuration, SimDuration);
 
@@ -352,12 +365,14 @@ struct PoolMemo {
 /// Run-lifetime buffers, recycled across runs on the same thread.
 ///
 /// Everything the executor used to allocate per run — per-client arrival
-/// lists, the invocation plan, the per-invocation tables, retry state,
-/// the response log, span scratch — lives here. Buffers are `clear()`ed
-/// (keeping capacity) instead of dropped, so on a thread replaying many
-/// traces (replication, benches) the steady-state request path performs
-/// no per-request heap allocation. One arena per thread via [`ARENA`];
-/// worker threads in a sharded or replicated run each get their own.
+/// lists, the invocation plan, the per-invocation tables, retry state and
+/// its response log (responses settle as they drain, as in the fleet, so
+/// only retries log them), span scratch — lives here. Buffers are
+/// `clear()`ed (keeping capacity) instead of dropped, so on a thread
+/// replaying many traces (replication, benches) the steady-state request
+/// path performs no per-request heap allocation. One arena per thread via
+/// [`ARENA`]; worker threads in a sharded or replicated run each get their
+/// own.
 #[derive(Default)]
 struct RunArena {
     client_rngs: Vec<SimRng>,
@@ -446,12 +461,16 @@ fn unresolved(index: usize, client: u32, arrival: SimTime, payload_bytes: u64) -
 
 struct ExecSystem<'r> {
     platform: Platform,
+    /// The cell's local record table, settled as responses drain.
+    records: Vec<RequestRecord>,
+    /// Per-record span scratch; sized only when a recorder wants spans.
+    spans: &'r mut [Option<SpanParts>],
     /// The run's invocations (send instants + member record indices).
     plan: &'r InvocationPlan,
     payload_per_invocation: &'r [u64],
     inferences_per_invocation: &'r [u32],
-    /// Response log: invocation idx (attempt-encoded in retry mode) →
-    /// platform response.
+    /// Retry mode's response log (attempt-encoded invocation id →
+    /// response), indexed by [`ExecEvent::ClientRecv`].
     responses: &'r mut Vec<(usize, ServingResponse)>,
     /// Platform scheduling buffer, drain scratch and trace sink.
     io: PlatformIo<'r>,
@@ -465,6 +484,8 @@ struct ExecSystem<'r> {
     net_in: &'r [SimDuration],
     /// Response-path network time.
     response_net: SimDuration,
+    /// Client HTTP timeout: a success received later counts as failed.
+    timeout: SimDuration,
     /// Per-invocation overall client deadline (`send_at + timeout`).
     deadline: &'r [SimTime],
     /// Current attempt per invocation, 1-based (retry mode only).
@@ -479,16 +500,59 @@ struct ExecSystem<'r> {
 
 impl ExecSystem<'_> {
     fn drain(&mut self, queue: &mut EventQueue<ExecEvent>) {
-        if !self.io.drain(&mut self.platform) {
-            return;
+        if self.io.drain(&mut self.platform) {
+            self.settle_drained(Some(queue));
         }
-        let retrying = self.retry.enabled();
-        for resp in self.io.resp_scratch.drain(..) {
-            let receive_at = resp.completed_at + self.response_net;
-            let idx = self.responses.len();
-            self.responses.push((resp.id.0 as usize, resp));
-            if retrying {
-                queue.schedule_at(receive_at, ExecEvent::ClientRecv(idx));
+    }
+
+    /// Handles drained responses. A single attempt's fate is its response,
+    /// settled at once; its exec time is what remains of the platform's
+    /// span after its own queueing. Under retries a response is logged for
+    /// its client's receipt, or dropped once the engine has stopped
+    /// (`queue` is `None`).
+    fn settle_drained(&mut self, mut queue: Option<&mut EventQueue<ExecEvent>>) {
+        // Swap the scratch out so settling can borrow `self` freely;
+        // capacity is preserved across calls either way.
+        let mut pending = std::mem::take(self.io.resp_scratch);
+        for resp in pending.drain(..) {
+            let received_at = resp.completed_at + self.response_net;
+            let inv = resp.id.0 as usize;
+            if !self.retry.enabled() {
+                let delivered = self.plan.send_at(inv) + self.net_in[inv];
+                let exec = resp
+                    .completed_at
+                    .saturating_duration_since(delivered + resp.queued);
+                self.settle(inv, Resolution::received(resp, received_at), exec);
+            } else if let Some(queue) = queue.as_deref_mut() {
+                let idx = self.responses.len();
+                self.responses.push((inv, resp));
+                queue.schedule_at(received_at, ExecEvent::ClientRecv(idx));
+            }
+        }
+        *self.io.resp_scratch = pending;
+    }
+
+    /// Applies an invocation's fate, and the exec time its spans report,
+    /// to its member records.
+    fn settle(&mut self, inv: usize, res: Resolution, exec: SimDuration) {
+        for &m in self.plan.members(inv) {
+            let rec = &mut self.records[m as usize];
+            rec.predict = res.predict;
+            rec.queued = res.queued;
+            rec.cold_start = res.cold_start;
+            let e2e = res.received_at.saturating_duration_since(rec.arrival);
+            rec.outcome = match res.outcome {
+                Outcome::Success if e2e > self.timeout => {
+                    Outcome::Failure(FailureReason::ClientTimeout)
+                }
+                Outcome::Success => {
+                    rec.latency = Some(e2e);
+                    Outcome::Success
+                }
+                failure => failure,
+            };
+            if let Some(span) = self.spans.get_mut(m as usize) {
+                *span = Some((res.received_at, self.net_in[inv], exec, self.response_net));
             }
         }
     }
@@ -613,13 +677,7 @@ impl System for ExecSystem<'_> {
                 }
                 match resp.outcome {
                     Outcome::Success => {
-                        sys.resolution[inv] = Some(Resolution {
-                            outcome: Outcome::Success,
-                            received_at: queue.now(),
-                            predict: resp.predict,
-                            queued: resp.queued,
-                            cold_start: resp.cold_start,
-                        });
+                        sys.resolution[inv] = Some(Resolution::received(resp, queue.now()));
                     }
                     Outcome::Failure(reason) => {
                         sys.attempt_failed(queue, inv, reason);
@@ -1022,10 +1080,17 @@ impl Executor {
         let engine_guard = ProfGuard::enter("executor/engine");
         let queue_cap = if retrying { 2 * n + 64 } else { n + 64 };
         let queue = EventQueue::with_kernel_and_capacity(self.kernel, queue_cap);
-        responses.reserve(n_inv);
+        if retrying {
+            responses.reserve(n_inv);
+        }
+        if tracing {
+            spans.resize(n, None);
+        }
         let mut engine = Engine::with_queue(
             ExecSystem {
                 platform,
+                records,
+                spans: spans.as_mut_slice(),
                 plan: &*plan,
                 payload_per_invocation: payload_per_invocation.as_slice(),
                 inferences_per_invocation: inferences_per_invocation.as_slice(),
@@ -1040,6 +1105,7 @@ impl Executor {
                 n_inv,
                 net_in: net_in.as_slice(),
                 response_net: self.cfg.network.response_time(),
+                timeout: self.cfg.timeout,
                 deadline: deadline.as_slice(),
                 attempt: attempt.as_mut_slice(),
                 resolution: resolution.as_mut_slice(),
@@ -1087,86 +1153,35 @@ impl Executor {
 
         engine.run_until(end.horizon);
         engine.queue.advance_to(end.horizon);
-        // Late responses are logged without arming client events: the
-        // engine has stopped, so late receipts can no longer matter.
+        // Responses drained at teardown settle like any other; under
+        // retries no client can receive them any more.
         let sys = &mut engine.system;
         sys.io.finish(&mut sys.platform, end.teardown);
-        let late = sys.io.resp_scratch.drain(..);
-        sys.responses.extend(late.map(|r| (r.id.0 as usize, r)));
+        sys.settle_drained(None);
         drop(engine_guard);
         let _resolve = ProfGuard::enter("executor/resolve");
 
-        // Resolve records from responses.
         let engine_events = engine.events_processed();
-        let response_net = self.cfg.network.response_time();
         let mut sys = engine.system;
         let recorder = sys.io.rec.take();
-        // Per-record span data, populated while resolving; only sized when
-        // a recorder wants it.
-        if tracing {
-            spans.resize(n, None);
-        }
-        // Apply an invocation's fate, and the exec time its spans report,
-        // to its members.
-        let mut resolve = |inv_idx: usize, res: Resolution, exec: SimDuration| {
-            for &m in sys.plan.members(inv_idx) {
-                let rec = &mut records[m as usize];
-                rec.predict = res.predict;
-                rec.queued = res.queued;
-                rec.cold_start = res.cold_start;
-                let e2e = res.received_at.saturating_duration_since(rec.arrival);
-                rec.outcome = match res.outcome {
-                    Outcome::Success if e2e > self.cfg.timeout => {
-                        Outcome::Failure(FailureReason::ClientTimeout)
-                    }
-                    Outcome::Success => {
-                        rec.latency = Some(e2e);
-                        Outcome::Success
-                    }
-                    failure => failure,
-                };
-                if tracing {
-                    let net_in = sys.net_in[inv_idx];
-                    spans[m as usize] = Some((res.received_at, net_in, exec, response_net));
-                }
-            }
-        };
         if retrying {
             // Fates were fixed online; invocations with none (still
             // waiting at the horizon) keep the default client timeout. The
             // winning attempt's exec time is approximated by its predict
             // time: the retransmission history makes the phase algebra of
             // the single-shot path moot.
-            for (inv_idx, res) in sys.resolution.iter().enumerate() {
-                if let Some(res) = *res {
-                    resolve(inv_idx, res, res.predict);
+            for inv_idx in 0..n_inv {
+                if let Some(res) = sys.resolution[inv_idx] {
+                    sys.settle(inv_idx, res, res.predict);
                 }
-            }
-        } else {
-            // A single attempt's fate is its response, if one came back.
-            // Exec time is what remains of the platform's span after its
-            // own queueing; exact for successes.
-            for &(inv_idx, resp) in sys.responses.iter() {
-                let delivered = sys.plan.send_at(inv_idx) + sys.net_in[inv_idx];
-                let res = Resolution {
-                    outcome: resp.outcome,
-                    received_at: resp.completed_at + response_net,
-                    predict: resp.predict,
-                    queued: resp.queued,
-                    cold_start: resp.cold_start,
-                };
-                let exec = resp
-                    .completed_at
-                    .saturating_duration_since(delivered + resp.queued);
-                resolve(inv_idx, res, exec);
             }
         }
 
         if let Some(r) = recorder {
             if r.enabled() {
                 let _p = ProfGuard::enter("executor/spans");
-                for (m, rec) in records.iter().enumerate() {
-                    let (at, net_in, exec, net_out) = match spans[m] {
+                for (m, rec) in sys.records.iter().enumerate() {
+                    let (at, net_in, exec, net_out) = match sys.spans[m] {
                         Some(s) => s,
                         // The platform never answered: the client's timeout
                         // is the whole story, no server-side phases.
@@ -1201,7 +1216,7 @@ impl Executor {
             deployment: *deployment,
             workload: trace.shared_name(),
             duration: trace.duration(),
-            records,
+            records: sys.records,
             platform: sys.platform.report(),
             engine_events,
             client_faults: sys.client_faults.injected(),

@@ -219,10 +219,12 @@ impl Platform {
         }
     }
 
-    /// Pre-sizes response buffers, request queues, and instance slabs for a
-    /// run expected to carry about `requests` invocations. Purely a
-    /// capacity hint: reserving never changes behaviour, only removes
-    /// reallocation from the serving hot path.
+    /// Pre-sizes request queues, instance slabs and idle pools for a run
+    /// expected to carry about `requests` invocations, each capped at what
+    /// can be in flight. Responses are drained as they complete, so no
+    /// per-request buffer is reserved. Purely a capacity hint: reserving
+    /// never changes behaviour, only removes reallocation from the serving
+    /// hot path.
     pub fn reserve(&mut self, requests: usize) {
         match self {
             Platform::Serverless(p) => p.reserve(requests),
@@ -272,21 +274,10 @@ impl Platform {
         }
     }
 
-    /// Responses completed since the last drain.
-    pub fn drain_responses(&mut self) -> Vec<ServingResponse> {
-        match self {
-            Platform::Serverless(p) => p.drain_responses(),
-            Platform::ManagedMl(p) => p.drain_responses(),
-            Platform::Vm(p) => p.drain_responses(),
-            Platform::Hybrid(p) => p.drain_responses(),
-        }
-    }
-
     /// Moves responses completed since the last drain onto the back of
-    /// `out`. Unlike [`Platform::drain_responses`] this transfers into a
-    /// caller-owned buffer and leaves the platform's internal buffer with
-    /// its capacity intact, so the per-event drain in the executor's hot
-    /// loop allocates nothing in steady state.
+    /// `out`, a caller-owned buffer, and leaves the platform's internal
+    /// buffer with its capacity intact, so the per-event drain in the
+    /// engines' hot loops allocates nothing in steady state.
     pub fn drain_responses_into(&mut self, out: &mut Vec<ServingResponse>) {
         match self {
             Platform::Serverless(p) => p.drain_responses_into(out),
@@ -361,7 +352,7 @@ pub mod test_harness {
             for (d, e) in self.buffer.drain(..) {
                 queue.schedule_after(d, HarnessEvent::Platform(e));
             }
-            self.responses.extend(self.platform.drain_responses());
+            self.platform.drain_responses_into(&mut self.responses);
             r
         }
     }

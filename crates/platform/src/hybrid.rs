@@ -155,16 +155,8 @@ impl HybridPlatform {
         self.with_child(sched, |_, sls, s| sls.handle(s, ev));
     }
 
-    /// Responses from both children since the last drain.
-    pub fn drain_responses(&mut self) -> Vec<ServingResponse> {
-        let mut out = self.vm.drain_responses();
-        out.extend(self.serverless.drain_responses());
-        out
-    }
-
-    /// Moves completed responses from both children onto `out` (VM first,
-    /// matching [`HybridPlatform::drain_responses`]), keeping each child's
-    /// buffer capacity.
+    /// Moves completed responses from both children onto `out` (VM first),
+    /// keeping each child's buffer capacity.
     pub fn drain_responses_into(&mut self, out: &mut Vec<ServingResponse>) {
         self.vm.drain_responses_into(out);
         self.serverless.drain_responses_into(out);

@@ -237,10 +237,10 @@ impl ManagedMlPlatform {
         }
     }
 
-    /// Pre-sizes the response buffer, request queue, and instance slabs
-    /// for a run expected to carry about `requests` invocations.
+    /// Pre-sizes the request queue and instance slabs for a run expected
+    /// to carry about `requests` invocations, capped at what can be in
+    /// flight; responses are drained as they complete and need none.
     pub fn reserve(&mut self, requests: usize) {
-        self.responses.reserve(requests);
         let concurrent = requests.min(4096);
         self.queue.reserve(concurrent);
         self.ready.reserve(concurrent.min(256));
@@ -516,11 +516,6 @@ impl ManagedMlPlatform {
                 );
             }
         }
-    }
-
-    /// Responses completed since the last drain.
-    pub fn drain_responses(&mut self) -> Vec<ServingResponse> {
-        std::mem::take(&mut self.responses)
     }
 
     /// Moves completed responses onto `out`, keeping this platform's buffer

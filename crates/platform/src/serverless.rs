@@ -364,12 +364,11 @@ impl ServerlessPlatform {
         &self.cfg
     }
 
-    /// Pre-sizes the response buffer, pending queue, and instance slab for
-    /// a run expected to carry about `requests` invocations. The queues and
-    /// the fleet track concurrency rather than total volume, so those
-    /// reservations are capped.
+    /// Pre-sizes the pending queue, instance slab and idle pool for a run
+    /// expected to carry about `requests` invocations. All three track
+    /// concurrency rather than total volume, so the reservations are
+    /// capped; responses are drained as they complete and need none.
     pub fn reserve(&mut self, requests: usize) {
-        self.responses.reserve(requests);
         let concurrent = requests.min(4096);
         self.pending.reserve(concurrent);
         self.instances.reserve(concurrent);
@@ -493,11 +492,6 @@ impl ServerlessPlatform {
             ServerlessEvent::HandlerDone(id) => self.on_done(sched, id),
             ServerlessEvent::ReclaimCheck(id) => self.on_reclaim_check(sched, id),
         }
-    }
-
-    /// Responses completed since the last drain.
-    pub fn drain_responses(&mut self) -> Vec<ServingResponse> {
-        std::mem::take(&mut self.responses)
     }
 
     /// Moves completed responses onto `out`, keeping this platform's buffer

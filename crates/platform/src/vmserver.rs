@@ -172,10 +172,10 @@ impl VmServer {
         }
     }
 
-    /// Pre-sizes the response buffer and request queue for a run expected
-    /// to carry about `requests` invocations.
+    /// Pre-sizes the request queue for a run expected to carry about
+    /// `requests` invocations, capped at what can be in flight; responses
+    /// are drained as they complete and need none.
     pub fn reserve(&mut self, requests: usize) {
-        self.responses.reserve(requests);
         self.queue.reserve(requests.min(4096));
     }
 
@@ -342,11 +342,6 @@ impl VmServer {
                 PlatformEvent::Vm(VmEvent::HandlerDone(worker as u32)),
             );
         }
-    }
-
-    /// Responses completed since the last drain.
-    pub fn drain_responses(&mut self) -> Vec<ServingResponse> {
-        std::mem::take(&mut self.responses)
     }
 
     /// Moves completed responses onto `out`, keeping this platform's buffer

@@ -342,27 +342,37 @@ impl ProfGuard {
             node,
         }
     }
+
+    /// Closes an enabled scope: charges its time and allocations to its
+    /// node and pops it off this thread's stack.
+    #[cold]
+    #[inline(never)]
+    fn exit(&self, start: Instant) {
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let allocs = thread_allocs().wrapping_sub(self.start_allocs);
+        let node = self.node;
+        TREE.with(|t| {
+            let mut t = t.borrow_mut();
+            let popped = t.stack.pop();
+            debug_assert_eq!(popped, Some(node), "ProfGuard dropped out of order");
+            let n = &mut t.nodes[node as usize];
+            n.calls += 1;
+            n.nanos += nanos;
+            n.allocs += allocs;
+            if t.stack.is_empty() {
+                flush_local(&mut t);
+            }
+        });
+    }
 }
 
 impl Drop for ProfGuard {
+    /// One inlined branch while profiling is disabled; the bookkeeping
+    /// stays out of line.
     #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let allocs = thread_allocs().wrapping_sub(self.start_allocs);
-            let node = self.node;
-            TREE.with(|t| {
-                let mut t = t.borrow_mut();
-                let popped = t.stack.pop();
-                debug_assert_eq!(popped, Some(node), "ProfGuard dropped out of order");
-                let n = &mut t.nodes[node as usize];
-                n.calls += 1;
-                n.nanos += nanos;
-                n.allocs += allocs;
-                if t.stack.is_empty() {
-                    flush_local(&mut t);
-                }
-            });
+            self.exit(start);
         }
     }
 }

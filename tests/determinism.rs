@@ -428,44 +428,81 @@ fn unsharded_run_is_the_one_cell_case() {
     }
 }
 
+/// Runs `f` on a brand-new thread, whose run arena has never been used.
+fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().unwrap())
+}
+
 #[test]
 fn run_arena_recycling_is_invisible() {
     // The executor recycles run-lifetime buffers in a thread-local arena.
     // A run's bytes must not depend on what ran before it on the same
-    // thread: a run on a dirty arena (after runs of different shapes and
-    // platforms) must match the same run on a brand-new thread whose arena
-    // has never been used.
+    // thread: runs on a dirty arena (after runs of different shapes,
+    // platforms and modes: sharded, retrying, recorded) must match the
+    // same runs each on a brand-new thread whose arena has never been
+    // used — records, analysis and recorded trace bytes alike.
     let seed = Seed(4242);
     let dep = |p: PlatformKind| Deployment::new(p, ModelKind::MobileNet, RuntimeKind::Tf115);
-    let fresh = std::thread::spawn(move || {
-        let tr = trace(seed);
-        let run = Executor::default()
-            .run(&dep(PlatformKind::AwsServerless), &tr, seed)
-            .unwrap();
-        serde_json_digest(&analyze(&run))
+    let serverless = dep(PlatformKind::AwsServerless);
+    let mut faults = FaultPlan::none();
+    faults.packet_loss = 0.1;
+    let retrying = Executor::new(ExecutorConfig {
+        retry: RetryPolicy::standard(),
+        ..ExecutorConfig::default()
     })
-    .join()
-    .unwrap();
-
-    let exec = Executor::default();
+    .with_faults(faults.clone());
+    let plain = Executor::default();
+    // Lost packets leave requests the platform never answers, whose spans
+    // a stale arena would fill in.
+    let lossy = Executor::default().with_faults(faults);
     let tr = trace(seed);
-    // Dirty the arena: different trace sizes, platforms, and a sharded run.
+    let recorded = |exec: &Executor| -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut rec = JsonlRecorder::new(&mut buf);
+        exec.run_recorded(&serverless, &tr, seed, &mut rec).unwrap();
+        rec.finish().unwrap();
+        buf
+    };
+    let records = |exec: &Executor| {
+        let run = exec.run(&serverless, &tr, seed).unwrap();
+        let digest = serde_json_digest(&analyze(&run));
+        (run.records, digest)
+    };
+    let fresh_plain = on_fresh_thread(|| records(&plain));
+    let fresh_retrying = on_fresh_thread(|| records(&retrying));
+    let fresh_trace = on_fresh_thread(|| recorded(&lossy));
+    assert!(!fresh_trace.is_empty());
+
+    // Dirty the arena: different trace sizes, platforms, a sharded run, a
+    // retrying run (response log, attempt and resolution tables) and a
+    // recorded run (span scratch and invocation map).
     let other = trace(Seed(777));
-    exec.run(&dep(PlatformKind::AwsCpu), &other, Seed(777))
+    plain
+        .run(&dep(PlatformKind::AwsCpu), &other, Seed(777))
         .unwrap();
-    exec.run(&dep(PlatformKind::AwsManagedMl), &tr, Seed(9))
+    plain
+        .run(&dep(PlatformKind::AwsManagedMl), &tr, Seed(9))
         .unwrap();
-    exec.clone()
+    plain
+        .clone()
         .with_shards(2)
-        .run(&dep(PlatformKind::AwsServerless), &tr, seed)
+        .run(&serverless, &tr, seed)
         .unwrap();
-    let reused = exec
-        .run(&dep(PlatformKind::AwsServerless), &tr, seed)
+    retrying
+        .run(&dep(PlatformKind::AwsGpu), &other, Seed(778))
         .unwrap();
-    assert_eq!(
-        fresh,
-        serde_json_digest(&analyze(&reused)),
-        "a recycled arena must not leak state between runs"
+    recorded(&retrying);
+    assert!(
+        records(&plain) == fresh_plain,
+        "a recycled arena must not leak state into a plain run"
+    );
+    assert!(
+        recorded(&lossy) == fresh_trace,
+        "a recycled arena must not leak state into a recorded run's trace"
+    );
+    assert!(
+        records(&retrying) == fresh_retrying,
+        "a recycled arena must not leak state into a retrying run"
     );
 }
 

@@ -5,7 +5,7 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test --workspace -q
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark package is a workspace of its own, so the two lines above
 # never build it, yet it drives the slsb_core API: test it and run its
