@@ -801,20 +801,15 @@ fn cmd_bench(args: &BenchArgs) -> Result<(), String> {
     }
     let mode = if args.quick { "quick" } else { "full" };
     println!("Measuring kernel throughput (wheel vs heap, {mode} matrix)...\n");
-    let mut report = perf::run_benchmarks(&perf::BenchConfig {
+    let report = perf::run_benchmarks(&perf::BenchConfig {
         quick: args.quick,
         fleet_full: false,
     })?;
-    // Carry the measurement history of the report being replaced forward
-    // and stamp this run onto it, so the file tracks a trajectory instead
-    // of only the latest point.
-    let prior = std::fs::read_to_string(&args.out).ok();
-    perf::append_trajectory(&mut report, prior.as_deref());
     println!("{}", perf::summary(&report));
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(&args.out, json + "\n")
         .map_err(|e| format!("cannot write {}: {e}", args.out))?;
-    println!("\nreport written to {} ({} trajectory entries)", args.out, report.trajectory.len());
+    println!("\nreport written to {}", args.out);
     Ok(())
 }
 

@@ -56,7 +56,7 @@ impl Default for ReproConfig {
 }
 
 impl ReproConfig {
-    /// A scaled-down configuration for Criterion benches.
+    /// A configuration with every workload's duration scaled by `scale`.
     pub fn scaled(scale: f64) -> Self {
         ReproConfig {
             scale,

@@ -1,8 +1,8 @@
 //! # slsb-bench — the reproduction harness
 //!
 //! One regeneration function per table and figure of the paper (plus the
-//! extension studies), shared by the `repro` binary and the Criterion
-//! benches. See [`experiments`] for the index.
+//! extension studies), shared by the `repro` binary and `slsb-benchmark`.
+//! See [`experiments`] for the index.
 
 pub mod cli;
 pub mod diff;

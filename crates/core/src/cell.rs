@@ -11,7 +11,7 @@
 use crate::runner::{parallel_map, Jobs};
 use slsb_obs::{EventKind, MemoryRecorder, Recorder, TraceEvent};
 use slsb_platform::{Platform, PlatformEvent, PlatformScheduler, ServingResponse};
-use slsb_sim::{EventQueue, ProfGuard, Seed, SimDuration, SimTime};
+use slsb_sim::{EventQueue, ProfGuard, Seed, SimDuration, SimTime, StoreKind};
 
 /// One unit of a run: a seed plus the clients it replays.
 #[derive(Debug)]
@@ -75,10 +75,10 @@ impl PlatformIo<'_> {
     /// scheduler at the queue's current instant, then hands whatever the
     /// platform scheduled to `queue`, each event wrapped by `wrap`.
     #[inline]
-    pub fn drive<E, R>(
+    pub fn drive<E, K: StoreKind, R>(
         &mut self,
         platform: &mut Platform,
-        queue: &mut EventQueue<E>,
+        queue: &mut EventQueue<E, K>,
         wrap: impl FnMut(PlatformEvent) -> E,
         f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
     ) -> R {

@@ -25,7 +25,9 @@ use slsb_platform::{
     ColdStartBreakdown, FailureReason, FaultInjector, FaultPlan, NetworkProfile, Outcome, Platform,
     PlatformEvent, PlatformReport, RequestId, ServingRequest, ServingResponse,
 };
-use slsb_sim::{Engine, EventQueue, Kernel, ProfGuard, Seed, SimDuration, SimRng, SimTime, System};
+use slsb_sim::{
+    Engine, EventQueue, ProfGuard, Seed, SimDuration, SimRng, SimTime, StoreKind, System, Wheel,
+};
 use slsb_workload::{InputKind, RequestPool, WorkloadTrace};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -307,7 +309,6 @@ impl RunResult {
 pub struct Executor {
     cfg: ExecutorConfig,
     faults: FaultPlan,
-    kernel: Kernel,
 }
 
 enum ExecEvent {
@@ -499,7 +500,7 @@ struct ExecSystem<'r> {
 }
 
 impl ExecSystem<'_> {
-    fn drain(&mut self, queue: &mut EventQueue<ExecEvent>) {
+    fn drain<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
         if self.io.drain(&mut self.platform) {
             self.settle_drained(Some(queue));
         }
@@ -510,7 +511,7 @@ impl ExecSystem<'_> {
     /// span after its own queueing. Under retries a response is logged for
     /// its client's receipt, or dropped once the engine has stopped
     /// (`queue` is `None`).
-    fn settle_drained(&mut self, mut queue: Option<&mut EventQueue<ExecEvent>>) {
+    fn settle_drained<K: StoreKind>(&mut self, mut queue: Option<&mut EventQueue<ExecEvent, K>>) {
         // Swap the scratch out so settling can borrow `self` freely;
         // capacity is preserved across calls either way.
         let mut pending = std::mem::take(self.io.resp_scratch);
@@ -586,9 +587,9 @@ impl ExecSystem<'_> {
     /// One attempt failed (platform failure or per-attempt timeout):
     /// schedule the next attempt if policy, budget, and the overall
     /// deadline allow, otherwise fix the invocation's failure.
-    fn attempt_failed(
+    fn attempt_failed<K: StoreKind>(
         &mut self,
-        queue: &mut EventQueue<ExecEvent>,
+        queue: &mut EventQueue<ExecEvent, K>,
         inv: usize,
         reason: FailureReason,
     ) {
@@ -637,7 +638,12 @@ impl ExecSystem<'_> {
 
 impl System for ExecSystem<'_> {
     type Ev = ExecEvent;
-    fn handle(&mut self, queue: &mut EventQueue<ExecEvent>, _at: SimTime, ev: ExecEvent) {
+    fn handle<K: StoreKind>(
+        &mut self,
+        queue: &mut EventQueue<ExecEvent, K>,
+        _at: SimTime,
+        ev: ExecEvent,
+    ) {
         let sys = self;
         match ev {
             ExecEvent::Deliver(id) => {
@@ -702,18 +708,7 @@ impl Executor {
         Executor {
             cfg,
             faults: FaultPlan::none(),
-            kernel: Kernel::default(),
         }
-    }
-
-    /// Selects the event-queue kernel for every run this executor performs.
-    /// Both kernels deliver identical results; the non-default [`Kernel::Heap`]
-    /// exists so `slsb bench` can measure the timer wheel against the
-    /// original binary-heap scheduler on the same code path.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// The configuration.
@@ -771,7 +766,7 @@ impl Executor {
         trace: &WorkloadTrace,
         seed: Seed,
     ) -> Result<RunResult, PlanError> {
-        self.replay(deployment, None, trace, seed, None)
+        self.run_on::<Wheel>(deployment, trace, seed, None)
     }
 
     /// Like [`Executor::run`] but streams every trace event — platform
@@ -788,7 +783,26 @@ impl Executor {
         seed: Seed,
         rec: &mut dyn Recorder,
     ) -> Result<RunResult, PlanError> {
-        self.replay(deployment, None, trace, seed, Some(rec))
+        self.run_on::<Wheel>(deployment, trace, seed, Some(rec))
+    }
+
+    /// [`Executor::run`] or [`Executor::run_recorded`] with every event
+    /// queue on the pending store `K` instead of the timer wheel. Every
+    /// store delivers the same `(time, sequence)` order, so the result and
+    /// the trace are byte-identical; this exists so the differential tests
+    /// and `slsb bench` can race the reference heap against the wheel on
+    /// the real request path.
+    ///
+    /// # Errors
+    /// Fails when the deployment is invalid.
+    pub fn run_on<K: StoreKind>(
+        &self,
+        deployment: &Deployment,
+        trace: &WorkloadTrace,
+        seed: Seed,
+        rec: Option<&mut dyn Recorder>,
+    ) -> Result<RunResult, PlanError> {
+        self.replay::<K>(deployment, None, trace, seed, rec)
     }
 
     /// Replays `trace` against an already-built platform. This is the
@@ -817,7 +831,7 @@ impl Executor {
         seed: Seed,
         rec: Option<&mut dyn Recorder>,
     ) -> RunResult {
-        self.replay(deployment, Some(platform), trace, seed, rec)
+        self.replay::<Wheel>(deployment, Some(platform), trace, seed, rec)
             .expect("a pre-built platform needs no validation")
     }
 
@@ -830,7 +844,7 @@ impl Executor {
     /// buffers and their records are placed back by global trace index.
     /// The decomposition depends only on the client count, never on the
     /// worker budget.
-    fn replay(
+    fn replay<K: StoreKind>(
         &self,
         deployment: &Deployment,
         platform: Option<Platform>,
@@ -854,11 +868,11 @@ impl Executor {
         let tracing = rec.as_deref().is_some_and(|r| r.enabled());
         let (run, buffers) = if let [cell] = cells.as_slice() {
             let cell_rec = rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-            let run = self.run_cell(deployment, platform, trace, cell, cell_rec);
+            let run = self.run_cell::<K>(deployment, platform, trace, cell, cell_rec);
             (run, Vec::new())
         } else {
             let (outs, buffers) = fan_out(self.cfg.shards, &cells, tracing, |cell, cell_rec| {
-                self.run_cell(deployment, None, trace, cell, cell_rec)
+                self.run_cell::<K>(deployment, None, trace, cell, cell_rec)
             });
             // Request i belongs to client i % n_clients and each cell's
             // records ascend by global index, so one pass over the trace
@@ -900,7 +914,7 @@ impl Executor {
 
     /// Replays one cell on this thread's run arena, on `platform` or, when
     /// none is given, on one built from the cell seed.
-    fn run_cell(
+    fn run_cell<K: StoreKind>(
         &self,
         deployment: &Deployment,
         platform: Option<Platform>,
@@ -915,7 +929,7 @@ impl Executor {
         });
         ARENA.with(|arena| {
             let (mut arena, rec) = (arena.borrow_mut(), rec.map(|r| r as &mut dyn Recorder));
-            self.run_cell_in(deployment, platform, trace, cell, rec, &mut arena)
+            self.run_cell_in::<K>(deployment, platform, trace, cell, rec, &mut arena)
         })
     }
 
@@ -925,7 +939,7 @@ impl Executor {
     /// index. Each client draws from its own `("client", id)` stream of
     /// the cell seed. All run-lifetime state lives in `arena`.
     #[allow(clippy::too_many_lines)]
-    fn run_cell_in<'a>(
+    fn run_cell_in<'a, K: StoreKind>(
         &self,
         deployment: &Deployment,
         mut platform: Platform,
@@ -1079,7 +1093,7 @@ impl Executor {
         drop(arrivals_guard);
         let engine_guard = ProfGuard::enter("executor/engine");
         let queue_cap = if retrying { 2 * n + 64 } else { n + 64 };
-        let queue = EventQueue::with_kernel_and_capacity(self.kernel, queue_cap);
+        let queue = EventQueue::<ExecEvent, K>::with_store_capacity(queue_cap);
         if retrying {
             responses.reserve(n_inv);
         }
@@ -1157,7 +1171,7 @@ impl Executor {
         // retries no client can receive them any more.
         let sys = &mut engine.system;
         sys.io.finish(&mut sys.platform, end.teardown);
-        sys.settle_drained(None);
+        sys.settle_drained::<K>(None);
         drop(engine_guard);
         let _resolve = ProfGuard::enter("executor/resolve");
 

@@ -1,7 +1,7 @@
 //! Experiment registry: one entry per table/figure of the paper, plus the
 //! extension studies. The entries carry identity and provenance; the
-//! regeneration logic lives in `slsb-bench` (the `repro` binary and the
-//! Criterion benches both call into it).
+//! regeneration logic lives in `slsb-bench` (the `repro` binary and
+//! `slsb-benchmark` both call into it).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -46,7 +46,9 @@ use slsb_platform::{
     FailureReason, NetworkProfile, Outcome, Platform, PlatformEvent, PlatformReport, PolicySet,
     RequestId, ServingRequest, ServingResponse,
 };
-use slsb_sim::{Engine, EventQueue, ProfGuard, ProfileNode, Seed, SimDuration, SimTime, System};
+use slsb_sim::{
+    Engine, EventQueue, ProfGuard, ProfileNode, Seed, SimDuration, SimTime, StoreKind, System,
+};
 use slsb_workload::{FleetError, FleetSpec, FleetSynthesis, InputKind, RequestPool, TraceSummary};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -874,7 +876,7 @@ impl FleetSystem<'_> {
     /// buffer and hands them to the kernel in one `schedule_many` call.
     /// The merge yields nondecreasing times, so everything pulled here is
     /// at or after the queue's current instant.
-    fn refill_arrivals(&mut self, queue: &mut EventQueue<FleetEvent>) {
+    fn refill_arrivals<K: StoreKind>(&mut self, queue: &mut EventQueue<FleetEvent, K>) {
         debug_assert!(self.arrival_scratch.is_empty());
         while self.arrival_scratch.len() < ARRIVAL_BURST {
             match self.stream.next() {
@@ -960,7 +962,12 @@ impl FleetSystem<'_> {
 impl System for FleetSystem<'_> {
     type Ev = FleetEvent;
 
-    fn handle(&mut self, queue: &mut EventQueue<FleetEvent>, at: SimTime, ev: FleetEvent) {
+    fn handle<K: StoreKind>(
+        &mut self,
+        queue: &mut EventQueue<FleetEvent, K>,
+        at: SimTime,
+        ev: FleetEvent,
+    ) {
         match ev {
             FleetEvent::Arrive(slot) => {
                 let s = slot as usize;

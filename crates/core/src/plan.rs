@@ -98,6 +98,14 @@ impl Deployment {
             if !(128.0..=10_240.0).contains(&self.memory_mb) {
                 return Err(PlanError::MemoryOutOfRange(self.memory_mb));
             }
+            for (knob, mb) in [
+                ("extra_container_mb", self.extra_container_mb),
+                ("extra_download_mb", self.extra_download_mb),
+            ] {
+                if !(mb.is_finite() && mb >= 0.0) {
+                    return Err(PlanError::ExtraMbInvalid { knob, mb });
+                }
+            }
         } else {
             // Server-side knobs that only exist on FaaS.
             if self.provisioned_concurrency > 0
@@ -194,6 +202,14 @@ pub enum PlanError {
     /// Provisioned concurrency / container / download knobs on a
     /// non-serverless platform.
     ServerlessOnlyKnob(PlatformKind),
+    /// A serverless image or download padding that is negative or not
+    /// finite.
+    ExtraMbInvalid {
+        /// The offending field.
+        knob: &'static str,
+        /// Its value in MB.
+        mb: f64,
+    },
     /// Provisioned concurrency requested where unsupported.
     ProvisionedConcurrencyUnsupported(PlatformKind),
     /// Platform does not support the runtime.
@@ -216,6 +232,9 @@ impl fmt::Display for PlanError {
             }
             PlanError::ServerlessOnlyKnob(p) => {
                 write!(f, "{p} does not accept serverless-only parameters")
+            }
+            PlanError::ExtraMbInvalid { knob, mb } => {
+                write!(f, "{knob} must be finite and >= 0 MB, got {mb}")
             }
             PlanError::ProvisionedConcurrencyUnsupported(p) => {
                 write!(f, "{p} has no provisioned concurrency")

@@ -74,7 +74,80 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
+    /// Checks every field against what its generator accepts: rates
+    /// finite and non-negative (positive for the thinned diurnal and
+    /// flash-crowd background, whose peak must stay finite), a diurnal
+    /// amplitude within `[0, base_rate]`, a spike no slower than its
+    /// background, and times and the preset scale finite and
+    /// non-negative.
+    ///
+    /// # Errors
+    /// Names the first field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let need = |ok: bool, field: &str, rule: &str, value: f64| {
+            if ok {
+                Ok(())
+            } else {
+                Err(format!("{field} must be {rule}, got {value}"))
+            }
+        };
+        let non_negative =
+            |field: &str, v: f64| need(v.is_finite() && v >= 0.0, field, "finite and >= 0", v);
+        let positive =
+            |field: &str, v: f64| need(v.is_finite() && v > 0.0, field, "finite and > 0", v);
+        match *self {
+            WorkloadSpec::Preset { scale, .. } => non_negative("scale", scale),
+            WorkloadSpec::Mmpp {
+                rate_high,
+                rate_low,
+                dwell_high_s,
+                dwell_low_s,
+                duration_s,
+            } => {
+                non_negative("rate_high", rate_high)?;
+                non_negative("rate_low", rate_low)?;
+                non_negative("dwell_high_s", dwell_high_s)?;
+                non_negative("dwell_low_s", dwell_low_s)?;
+                non_negative("duration_s", duration_s)
+            }
+            WorkloadSpec::Diurnal {
+                base_rate,
+                amplitude,
+                period_s,
+                duration_s,
+            } => {
+                positive("base_rate", base_rate)?;
+                let in_range = (0.0..=base_rate).contains(&amplitude);
+                need(in_range, "amplitude", "within [0, base_rate]", amplitude)?;
+                positive("base_rate + amplitude", base_rate + amplitude)?;
+                non_negative("period_s", period_s)?;
+                non_negative("duration_s", duration_s)
+            }
+            WorkloadSpec::FlashCrowd {
+                base_rate,
+                spike_rate,
+                spike_start_s,
+                spike_duration_s,
+                duration_s,
+            } => {
+                positive("base_rate", base_rate)?;
+                let ok = spike_rate.is_finite() && spike_rate >= base_rate;
+                need(ok, "spike_rate", "finite and >= base_rate", spike_rate)?;
+                non_negative("spike_start_s", spike_start_s)?;
+                non_negative("spike_duration_s", spike_duration_s)?;
+                non_negative("duration_s", duration_s)
+            }
+            WorkloadSpec::Poisson { rate, duration_s } => {
+                non_negative("rate", rate)?;
+                non_negative("duration_s", duration_s)
+            }
+        }
+    }
+
     /// Materializes the trace for a seed.
+    ///
+    /// # Panics
+    /// Panics on a spec that [`WorkloadSpec::validate`] rejects.
     pub fn generate(&self, seed: Seed) -> WorkloadTrace {
         let _p = ProfGuard::enter("workload/generate");
         match *self {
@@ -176,6 +249,8 @@ pub enum ScenarioError {
     Faults(FaultPlanError),
     /// The SLO block has a nonsensical target.
     Slo(String),
+    /// The workload block has an out-of-range field.
+    Workload(String),
 }
 
 impl fmt::Display for ScenarioError {
@@ -185,6 +260,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Plan(e) => write!(f, "invalid deployment: {e}"),
             ScenarioError::Faults(e) => write!(f, "invalid fault plan: {e}"),
             ScenarioError::Slo(e) => write!(f, "invalid slo: {e}"),
+            ScenarioError::Workload(e) => write!(f, "invalid workload: {e}"),
         }
     }
 }
@@ -223,11 +299,13 @@ impl Scenario {
     /// Generates the workload and runs the deployment.
     ///
     /// # Errors
-    /// Fails when the deployment is invalid.
+    /// Fails when the fault plan, the SLO block, the workload or the
+    /// deployment is invalid.
     pub fn run(&self) -> Result<(RunResult, Analysis), ScenarioError> {
         let seed = Seed(self.seed);
         self.faults.validate().map_err(ScenarioError::Faults)?;
         self.slo.validate().map_err(ScenarioError::Slo)?;
+        self.workload.validate().map_err(ScenarioError::Workload)?;
         let trace = self.workload.generate(seed.substream("scenario-workload"));
         let run = Executor::new(self.executor)
             .with_faults(self.faults.clone())
@@ -240,7 +318,7 @@ impl Scenario {
     /// returned result and analysis are identical to an unrecorded run's.
     ///
     /// # Errors
-    /// Fails when the deployment is invalid.
+    /// As [`Scenario::run`].
     pub fn run_recorded(
         &self,
         rec: &mut dyn slsb_obs::Recorder,
@@ -248,6 +326,7 @@ impl Scenario {
         let seed = Seed(self.seed);
         self.faults.validate().map_err(ScenarioError::Faults)?;
         self.slo.validate().map_err(ScenarioError::Slo)?;
+        self.workload.validate().map_err(ScenarioError::Workload)?;
         let trace = self.workload.generate(seed.substream("scenario-workload"));
         let run = Executor::new(self.executor)
             .with_faults(self.faults.clone())

@@ -1,7 +1,9 @@
-//! Hostile-input table for the compact `--retry` and `--slo` specs: every
-//! malformed value yields an `Err` naming what is wrong, never a panic.
+//! Hostile-input tables for the compact `--retry` and `--slo` specs and
+//! for scenario files: every malformed value yields an `Err` naming what
+//! is wrong, never a panic.
 
-use slsb_core::{RetryPolicy, SloSpec};
+use slsb_core::{RetryPolicy, Scenario, SloSpec, WorkloadSpec};
+use slsb_obs::NoopRecorder;
 
 /// Numeric values no duration, count or target may take.
 const BAD_NUMBERS: [&str; 4] = ["nan", "inf", "-1", "1e400"];
@@ -59,5 +61,77 @@ fn slo_spec_rejects_hostile_values_without_panicking() {
     ];
     for (spec, ok) in table {
         assert_eq!(SloSpec::parse(spec).is_ok(), ok, "{spec}");
+    }
+}
+
+/// An edit to a parsed scenario.
+type Patch = fn(&mut Scenario);
+
+/// A workload block parsed from scenario JSON.
+fn workload(json: &str) -> WorkloadSpec {
+    serde_json::from_str(json).unwrap()
+}
+
+#[test]
+fn out_of_range_scenario_values_are_errors_not_panics() {
+    // (the field the error must name, its patch to `fault_smoke.json`)
+    let table: [(&str, Patch); 10] = [
+        ("scale", |s| {
+            s.workload = workload(r#"{"kind": "preset", "which": "W40", "scale": -1}"#);
+        }),
+        ("rate", |s| {
+            s.workload = workload(r#"{"kind": "poisson", "rate": -1, "duration_s": 60}"#);
+        }),
+        ("duration_s", |s| {
+            s.workload = workload(r#"{"kind": "poisson", "rate": 5, "duration_s": -60}"#);
+        }),
+        ("rate_high", |s| {
+            s.workload = workload(
+                r#"{"kind": "mmpp", "rate_high": -1, "rate_low": 10, "dwell_high_s": 20,
+                    "dwell_low_s": 40, "duration_s": 120}"#,
+            );
+        }),
+        ("amplitude", |s| {
+            s.workload = workload(
+                r#"{"kind": "diurnal", "base_rate": 5, "amplitude": 50, "period_s": 300,
+                    "duration_s": 900}"#,
+            );
+        }),
+        ("spike_rate", |s| {
+            s.workload = workload(
+                r#"{"kind": "flash_crowd", "base_rate": 8, "spike_rate": -3,
+                    "spike_start_s": 300, "spike_duration_s": 45, "duration_s": 600}"#,
+            );
+        }),
+        ("spike_start_s", |s| {
+            s.workload = workload(
+                r#"{"kind": "flash_crowd", "base_rate": 8, "spike_rate": 250,
+                    "spike_start_s": -10, "spike_duration_s": 45, "duration_s": 600}"#,
+            );
+        }),
+        ("extra_container_mb", |s| {
+            s.deployment.extra_container_mb = -1e9
+        }),
+        ("extra_download_mb", |s| {
+            s.deployment.extra_download_mb = -1.0
+        }),
+        ("extra_download_mb", |s| {
+            s.deployment.extra_download_mb = f64::NAN
+        }),
+    ];
+    let smoke = Scenario::from_json(include_str!("../../../scenarios/fault_smoke.json")).unwrap();
+    for (field, patch) in table {
+        let mut scenario = smoke.clone();
+        patch(&mut scenario);
+        for err in [
+            scenario.run().map(drop).expect_err(field),
+            scenario
+                .run_recorded(&mut NoopRecorder)
+                .map(drop)
+                .expect_err(field),
+        ] {
+            let err = err.to_string();
+            assert!(err.contains(field), "error {err:?} must name {field}");
+        }
     }
 }

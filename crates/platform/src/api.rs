@@ -325,7 +325,7 @@ impl Platform {
 /// analysis).
 pub mod test_harness {
     use super::*;
-    use slsb_sim::{Engine, EventQueue, System};
+    use slsb_sim::{Engine, EventQueue, StoreKind, System};
 
     enum HarnessEvent {
         Start,
@@ -342,9 +342,9 @@ pub mod test_harness {
     }
 
     impl HarnessSystem {
-        fn with_platform<R>(
+        fn with_platform<K: StoreKind, R>(
             &mut self,
-            queue: &mut EventQueue<HarnessEvent>,
+            queue: &mut EventQueue<HarnessEvent, K>,
             f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
         ) -> R {
             let mut sched = PlatformScheduler::new(queue.now(), &mut self.buffer);
@@ -359,7 +359,12 @@ pub mod test_harness {
 
     impl System for HarnessSystem {
         type Ev = HarnessEvent;
-        fn handle(&mut self, queue: &mut EventQueue<HarnessEvent>, _at: SimTime, ev: HarnessEvent) {
+        fn handle<K: StoreKind>(
+            &mut self,
+            queue: &mut EventQueue<HarnessEvent, K>,
+            _at: SimTime,
+            ev: HarnessEvent,
+        ) {
             if !self.started {
                 self.started = true;
                 let horizon = self.horizon;

@@ -6,12 +6,16 @@
 //! back to the system. Ties in time are broken by insertion order (FIFO),
 //! which both matches physical intuition and keeps runs deterministic.
 //!
-//! Two interchangeable kernels implement the queue (see [`Kernel`]): the
-//! default hierarchical timer wheel ([`crate::wheel`]) with O(1) amortized
-//! schedule/pop for near-future events, and the original binary heap, kept
-//! as the reference model for differential tests and the perf baseline.
-//! Both deliver the exact same `(time, sequence)` order, so switching
-//! kernels never changes a simulation's results, only its speed.
+//! [`EventQueue`] holds the clock, the sequence counter and the causality
+//! checks; a [`PendingStore`] holds the events, picked by type through the
+//! queue's [`StoreKind`] parameter. The default, [`Wheel`], is the
+//! hierarchical timer wheel ([`crate::wheel`]) with O(1) amortized
+//! schedule/pop for near-future events. [`ReferenceHeap`] is the original
+//! binary heap, kept as the reference model that the differential tests
+//! and `slsb bench` race the wheel against; only code that names it gets
+//! it. Both deliver the exact same `(time, sequence)` order, so the store
+//! never changes a simulation's results, only its speed, and no queue
+//! operation branches on which one it is.
 
 use crate::prof::ProfGuard;
 use crate::time::{SimDuration, SimTime};
@@ -19,8 +23,9 @@ use crate::wheel::TimerWheel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A pending event: fire `ev` at instant `at`.
-pub(crate) struct Scheduled<E> {
+/// A pending event: fire `ev` at instant `at`. Its fields are private to
+/// this crate; stores outside it can only order and hand back events.
+pub struct Scheduled<E> {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
     pub(crate) ev: E,
@@ -47,87 +52,125 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which scheduler implementation backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Kernel {
-    /// Hierarchical timer wheel: O(1) amortized schedule/pop (the default).
-    #[default]
-    Wheel,
-    /// The original `BinaryHeap`: O(log n) per operation. Retained as the
-    /// reference model for equivalence tests and as the benchmark baseline.
-    Heap,
+/// Where an [`EventQueue`] keeps its pending events. A store only orders
+/// them by `(time, sequence)`; the queue assigns sequence numbers and
+/// enforces causality.
+pub trait PendingStore<E> {
+    /// An empty store pre-sized for roughly `cap` pending events.
+    fn with_capacity(cap: usize) -> Self;
+    /// Number of pending events.
+    fn len(&self) -> usize;
+    /// True when no events are pending.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Adds one event.
+    fn insert(&mut self, s: Scheduled<E>);
+    /// Removes the earliest event.
+    fn pop(&mut self) -> Option<Scheduled<E>>;
+    /// Removes the earliest event only if it fires at or before `horizon`.
+    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>>;
+    /// Timestamp of the earliest event, without removing it.
+    fn peek(&self) -> Option<SimTime>;
 }
 
-impl Kernel {
+/// A family of [`PendingStore`]s, one per event type: the type parameter
+/// that picks an [`EventQueue`]'s store, so code that builds queues of its
+/// own private event types (the executor) can be generic over it.
+pub trait StoreKind {
     /// Stable lowercase name, used in benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Wheel => "wheel",
-            Kernel::Heap => "heap",
+    const NAME: &'static str;
+    /// The store for events of type `E`.
+    type Store<E>: PendingStore<E>;
+}
+
+/// The hierarchical timer wheel: O(1) amortized schedule/pop, the
+/// production store and [`EventQueue`]'s default.
+pub enum Wheel {}
+
+impl StoreKind for Wheel {
+    const NAME: &'static str = "wheel";
+    type Store<E> = TimerWheel<E>;
+}
+
+/// The original `BinaryHeap`: O(log n) per operation. Retained as the
+/// reference model for equivalence tests and as the benchmark baseline.
+pub enum ReferenceHeap {}
+
+impl StoreKind for ReferenceHeap {
+    const NAME: &'static str = "heap";
+    type Store<E> = BinaryHeap<Scheduled<E>>;
+}
+
+impl<E> PendingStore<E> for BinaryHeap<Scheduled<E>> {
+    fn with_capacity(cap: usize) -> Self {
+        BinaryHeap::with_capacity(cap)
+    }
+
+    fn len(&self) -> usize {
+        BinaryHeap::len(self)
+    }
+
+    fn insert(&mut self, s: Scheduled<E>) {
+        self.push(s);
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        BinaryHeap::pop(self)
+    }
+
+    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
+        // The heap keeps the historical peek-then-pop shape.
+        if BinaryHeap::peek(self).is_none_or(|s| s.at > horizon) {
+            return None;
         }
+        BinaryHeap::pop(self)
+    }
+
+    fn peek(&self) -> Option<SimTime> {
+        BinaryHeap::peek(self).map(|s| s.at)
     }
 }
 
-// The wheel is boxed: its inline footprint (ring pointer, occupancy
-// bitmap, cursors) dwarfs the heap variant's, and `EventQueue` lives
-// inside `Engine` values that move around.
-enum Store<E> {
-    Wheel(Box<TimerWheel<E>>),
-    Heap(BinaryHeap<Scheduled<E>>),
-}
-
-/// Priority queue of future events plus the current virtual time.
+/// Priority queue of future events plus the current virtual time, on the
+/// pending store `K` (the timer wheel unless a caller names another).
 ///
 /// Systems receive `&mut EventQueue` while handling an event so they can
 /// schedule follow-ups; scheduling into the past is a causality violation
 /// and panics.
-pub struct EventQueue<E> {
-    store: Store<E>,
+pub struct EventQueue<E, K: StoreKind = Wheel> {
+    store: K::Store<E>,
     seq: u64,
     now: SimTime,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E, K: StoreKind> Default for EventQueue<E, K> {
     fn default() -> Self {
-        Self::new()
+        Self::with_store_capacity(0)
     }
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at the epoch.
+    /// An empty timer-wheel queue with the clock at the epoch.
     pub fn new() -> Self {
-        Self::with_kernel(Kernel::Wheel)
+        Self::default()
     }
 
-    /// An empty queue pre-sized for roughly `cap` concurrently pending
-    /// events (e.g. a scenario's expected request count).
+    /// An empty timer-wheel queue pre-sized for roughly `cap` concurrently
+    /// pending events (e.g. a scenario's expected request count).
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_kernel_and_capacity(Kernel::Wheel, cap)
+        Self::with_store_capacity(cap)
     }
+}
 
-    /// An empty queue backed by the chosen [`Kernel`].
-    pub fn with_kernel(kernel: Kernel) -> Self {
-        Self::with_kernel_and_capacity(kernel, 0)
-    }
-
-    /// [`EventQueue::with_kernel`] with a capacity hint.
-    pub fn with_kernel_and_capacity(kernel: Kernel, cap: usize) -> Self {
-        let store = match kernel {
-            Kernel::Wheel => Store::Wheel(Box::new(TimerWheel::with_capacity(cap))),
-            Kernel::Heap => Store::Heap(BinaryHeap::with_capacity(cap)),
-        };
+impl<E, K: StoreKind> EventQueue<E, K> {
+    /// An empty queue on the store `K`, pre-sized for roughly `cap`
+    /// pending events.
+    pub fn with_store_capacity(cap: usize) -> Self {
         EventQueue {
-            store,
+            store: K::Store::with_capacity(cap),
             seq: 0,
             now: SimTime::ZERO,
-        }
-    }
-
-    /// Which kernel backs this queue.
-    pub fn kernel(&self) -> Kernel {
-        match self.store {
-            Store::Wheel(_) => Kernel::Wheel,
-            Store::Heap(_) => Kernel::Heap,
         }
     }
 
@@ -138,15 +181,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Wheel(w) => w.len(),
-            Store::Heap(h) => h.len(),
-        }
+        self.store.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
     /// Schedules `ev` to fire at absolute instant `at`.
@@ -166,20 +206,17 @@ impl<E> EventQueue<E> {
             ev,
         };
         self.seq += 1;
-        match &mut self.store {
-            Store::Wheel(w) => w.insert(s),
-            Store::Heap(h) => h.push(s),
-        }
+        self.store.insert(s);
     }
 
     /// Schedules a batch of events in iteration order.
     ///
     /// Exactly equivalent to calling [`EventQueue::schedule_at`] once per
     /// item — sequence numbers are assigned in iteration order, so
-    /// same-instant events pop FIFO in batch order — but the kernel dispatch
-    /// and causality check setup are paid once per batch instead of once per
-    /// event. This is the entry point platforms and the executor use for
-    /// bursts: initial deliveries, batch dispatch, retry storms,
+    /// same-instant events pop FIFO in batch order — but the profiler
+    /// scope and causality check setup are paid once per batch instead of
+    /// once per event. This is the entry point platforms and the executor
+    /// use for bursts: initial deliveries, batch dispatch, retry storms,
     /// outage-window re-queues.
     ///
     /// # Panics
@@ -190,31 +227,18 @@ impl<E> EventQueue<E> {
     {
         let _p = ProfGuard::enter("kernel/schedule");
         let now = self.now;
-        match &mut self.store {
-            Store::Wheel(w) => {
-                for (at, ev) in events {
-                    assert!(at >= now, "causality violation: scheduling at {at} but now is {now}");
-                    let s = Scheduled {
-                        at,
-                        seq: self.seq,
-                        ev,
-                    };
-                    self.seq += 1;
-                    w.insert(s);
-                }
-            }
-            Store::Heap(h) => {
-                for (at, ev) in events {
-                    assert!(at >= now, "causality violation: scheduling at {at} but now is {now}");
-                    let s = Scheduled {
-                        at,
-                        seq: self.seq,
-                        ev,
-                    };
-                    self.seq += 1;
-                    h.push(s);
-                }
-            }
+        for (at, ev) in events {
+            assert!(
+                at >= now,
+                "causality violation: scheduling at {at} but now is {now}"
+            );
+            let s = Scheduled {
+                at,
+                seq: self.seq,
+                ev,
+            };
+            self.seq += 1;
+            self.store.insert(s);
         }
     }
 
@@ -243,10 +267,7 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let _p = ProfGuard::enter("kernel/pop");
-        let s = match &mut self.store {
-            Store::Wheel(w) => w.pop()?,
-            Store::Heap(h) => h.pop()?,
-        };
+        let s = self.store.pop()?;
         debug_assert!(s.at >= self.now, "event queue went back in time");
         self.now = s.at;
         Some((s.at, s.ev))
@@ -255,20 +276,11 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event if it fires at or before `horizon`,
     /// advancing the clock to its timestamp; returns `None` (clock
     /// untouched) when the queue is empty or the next event is later.
-    /// One kernel operation per delivered event — this is the hot path of
+    /// One store operation per delivered event — this is the hot path of
     /// [`Engine::run_until`].
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         let _p = ProfGuard::enter("kernel/pop");
-        let s = match &mut self.store {
-            Store::Wheel(w) => w.pop_at_or_before(horizon)?,
-            Store::Heap(h) => {
-                // The heap keeps the historical peek-then-pop shape.
-                if h.peek().is_none_or(|s| s.at > horizon) {
-                    return None;
-                }
-                h.pop().expect("peeked event vanished")
-            }
-        };
+        let s = self.store.pop_at_or_before(horizon)?;
         debug_assert!(s.at >= self.now, "event queue went back in time");
         self.now = s.at;
         Some((s.at, s.ev))
@@ -276,10 +288,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.store {
-            Store::Wheel(w) => w.peek(),
-            Store::Heap(h) => h.peek().map(|s| s.at),
-        }
+        self.store.peek()
     }
 
     /// Advances the clock to `t` without delivering events — used to close
@@ -301,29 +310,37 @@ pub trait System {
     /// The system's event alphabet.
     type Ev;
 
-    /// Handles one event; may schedule follow-up events on `queue`.
-    fn handle(&mut self, queue: &mut EventQueue<Self::Ev>, at: SimTime, ev: Self::Ev);
+    /// Handles one event; may schedule follow-up events on `queue`,
+    /// whichever store backs it.
+    fn handle<K: StoreKind>(
+        &mut self,
+        queue: &mut EventQueue<Self::Ev, K>,
+        at: SimTime,
+        ev: Self::Ev,
+    );
 }
 
 /// Drives a [`System`] by repeatedly delivering the earliest pending event.
-pub struct Engine<S: System> {
+pub struct Engine<S: System, K: StoreKind = Wheel> {
     /// The pending-event queue and clock. Public so callers can seed the
     /// initial events before running.
-    pub queue: EventQueue<S::Ev>,
+    pub queue: EventQueue<S::Ev, K>,
     /// The domain state under simulation.
     pub system: S,
     events_processed: u64,
 }
 
 impl<S: System> Engine<S> {
-    /// Wraps `system` with an empty queue at the epoch.
+    /// Wraps `system` with an empty timer-wheel queue at the epoch.
     pub fn new(system: S) -> Self {
         Self::with_queue(system, EventQueue::new())
     }
+}
 
+impl<S: System, K: StoreKind> Engine<S, K> {
     /// Wraps `system` around a caller-built queue — the way to pick a
-    /// [`Kernel`] or a capacity hint for the run.
-    pub fn with_queue(system: S, queue: EventQueue<S::Ev>) -> Self {
+    /// store or a capacity hint for the run.
+    pub fn with_queue(system: S, queue: EventQueue<S::Ev, K>) -> Self {
         Engine {
             queue,
             system,
@@ -365,8 +382,6 @@ impl<S: System> Engine<S> {
 mod tests {
     use super::*;
 
-    const KERNELS: [Kernel; 2] = [Kernel::Wheel, Kernel::Heap];
-
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
         chain_until: u32,
@@ -374,7 +389,7 @@ mod tests {
 
     impl System for Recorder {
         type Ev = u32;
-        fn handle(&mut self, queue: &mut EventQueue<u32>, at: SimTime, ev: u32) {
+        fn handle<K: StoreKind>(&mut self, queue: &mut EventQueue<u32, K>, at: SimTime, ev: u32) {
             self.seen.push((at, ev));
             if ev < self.chain_until {
                 queue.schedule_after(SimDuration::from_secs(1), ev + 1);
@@ -382,38 +397,43 @@ mod tests {
         }
     }
 
-    fn recorder() -> Recorder {
-        Recorder {
+    fn recorder<K: StoreKind>() -> Engine<Recorder, K> {
+        let system = Recorder {
             seen: Vec::new(),
             chain_until: 0,
-        }
+        };
+        Engine::with_queue(system, EventQueue::default())
     }
 
     #[test]
     fn events_fire_in_time_order() {
-        for kernel in KERNELS {
-            let mut eng = Engine::with_queue(recorder(), EventQueue::with_kernel(kernel));
+        fn check<K: StoreKind>() {
+            let mut eng = recorder::<K>();
             eng.queue.schedule_at(SimTime::from_secs_f64(3.0), 3);
             eng.queue.schedule_at(SimTime::from_secs_f64(1.0), 1);
             eng.queue.schedule_at(SimTime::from_secs_f64(2.0), 2);
             assert_eq!(eng.run_to_completion(), 3);
             let order: Vec<u32> = eng.system.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(order, vec![1, 2, 3], "{}", kernel.name());
+            assert_eq!(order, vec![1, 2, 3], "{}", K::NAME);
         }
+        check::<Wheel>();
+        check::<ReferenceHeap>();
     }
 
     #[test]
     fn ties_pop_fifo() {
-        for kernel in KERNELS {
-            let mut eng = Engine::with_queue(recorder(), EventQueue::with_kernel(kernel));
+        fn check<K: StoreKind>() {
+            let mut eng = recorder::<K>();
             let t = SimTime::from_secs_f64(1.0);
             for i in 0..100 {
                 eng.queue.schedule_at(t, i);
             }
             eng.run_to_completion();
             let order: Vec<u32> = eng.system.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{}", kernel.name());
+            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{}", K::NAME);
         }
+        check::<Wheel>();
+        check::<ReferenceHeap>();
     }
 
     #[test]
@@ -430,15 +450,17 @@ mod tests {
 
     #[test]
     fn run_until_delivers_events_at_horizon_inclusive() {
-        for kernel in KERNELS {
-            let mut eng = Engine::with_queue(recorder(), EventQueue::with_kernel(kernel));
+        fn check<K: StoreKind>() {
+            let mut eng = recorder::<K>();
             eng.queue.schedule_at(SimTime::from_secs_f64(1.0), 1);
             eng.queue.schedule_at(SimTime::from_secs_f64(2.0), 2);
             eng.queue.schedule_at(SimTime::from_secs_f64(3.0), 3);
-            assert_eq!(eng.run_until(SimTime::from_secs_f64(2.0)), 2);
+            assert_eq!(eng.run_until(SimTime::from_secs_f64(2.0)), 2, "{}", K::NAME);
             assert_eq!(eng.queue.len(), 1);
             assert_eq!(eng.now(), SimTime::from_secs_f64(2.0));
         }
+        check::<Wheel>();
+        check::<ReferenceHeap>();
     }
 
     #[test]
@@ -453,7 +475,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "causality violation")]
     fn scheduling_in_the_past_panics_on_heap_kernel() {
-        let mut q: EventQueue<u32> = EventQueue::with_kernel(Kernel::Heap);
+        let mut q: EventQueue<u32, ReferenceHeap> = EventQueue::default();
         q.schedule_at(SimTime::from_secs_f64(5.0), 0);
         q.pop();
         q.schedule_at(SimTime::from_secs_f64(1.0), 1);
@@ -466,21 +488,28 @@ mod tests {
         }
         impl System for Inject {
             type Ev = u32;
-            fn handle(&mut self, queue: &mut EventQueue<u32>, _at: SimTime, ev: u32) {
+            fn handle<K: StoreKind>(
+                &mut self,
+                queue: &mut EventQueue<u32, K>,
+                _at: SimTime,
+                ev: u32,
+            ) {
                 self.seen.push(ev);
                 if ev == 0 {
                     queue.schedule_now(99);
                 }
             }
         }
-        for kernel in KERNELS {
-            let mut eng =
-                Engine::with_queue(Inject { seen: Vec::new() }, EventQueue::with_kernel(kernel));
+        fn check<K: StoreKind>() {
+            let queue = EventQueue::<u32, K>::default();
+            let mut eng = Engine::with_queue(Inject { seen: Vec::new() }, queue);
             eng.queue.schedule_at(SimTime::ZERO, 0);
             eng.queue.schedule_at(SimTime::ZERO, 1);
             eng.run_to_completion();
-            assert_eq!(eng.system.seen, vec![0, 1, 99], "{}", kernel.name());
+            assert_eq!(eng.system.seen, vec![0, 1, 99], "{}", K::NAME);
         }
+        check::<Wheel>();
+        check::<ReferenceHeap>();
     }
 
     #[test]
@@ -489,7 +518,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.kernel(), Kernel::Wheel);
     }
 
     #[test]
@@ -558,13 +586,13 @@ mod tests {
 
     #[test]
     fn pop_at_or_before_respects_the_horizon() {
-        for kernel in KERNELS {
-            let mut q: EventQueue<u32> = EventQueue::with_kernel(kernel);
+        fn check<K: StoreKind>() {
+            let mut q = EventQueue::<u32, K>::default();
             q.schedule_at(SimTime::from_micros(10), 0);
             q.schedule_at(SimTime::from_micros(20), 1);
             let h = SimTime::from_micros(15);
             assert_eq!(q.pop_at_or_before(h), Some((SimTime::from_micros(10), 0)));
-            assert_eq!(q.pop_at_or_before(h), None, "{}", kernel.name());
+            assert_eq!(q.pop_at_or_before(h), None, "{}", K::NAME);
             assert_eq!(q.now(), SimTime::from_micros(10));
             assert_eq!(q.len(), 1);
             // A later horizon releases the held event.
@@ -573,6 +601,8 @@ mod tests {
                 Some((SimTime::from_micros(20), 1))
             );
         }
+        check::<Wheel>();
+        check::<ReferenceHeap>();
     }
 
     #[test]
@@ -596,41 +626,34 @@ mod tests {
     /// with singly-scheduled events before and after the batch.
     #[test]
     fn schedule_many_matches_repeated_schedule() {
-        let t = |us: u64| SimTime::from_micros(us);
-        // Mix of ties (three events at 50), out-of-order times, a
-        // behind-the-batch instant, and far-future outliers.
-        let batch: Vec<(SimTime, u32)> = vec![
-            (t(50), 10),
-            (t(20), 11),
-            (t(50), 12),
-            (t(5_000_000), 13),
-            (t(50), 14),
-            (t(7), 15),
-        ];
-        for kernel in KERNELS {
-            let mut one: EventQueue<u32> = EventQueue::with_kernel(kernel);
-            let mut many: EventQueue<u32> = EventQueue::with_kernel(kernel);
+        fn check<K: StoreKind>() {
+            let t = SimTime::from_micros;
+            // Mix of ties (three events at 50), out-of-order times, a
+            // behind-the-batch instant, and far-future outliers.
+            let batch = [
+                (t(50), 10),
+                (t(20), 11),
+                (t(50), 12),
+                (t(5_000_000), 13),
+                (t(50), 14),
+                (t(7), 15),
+            ];
+            let mut one = EventQueue::<u32, K>::default();
+            let mut many = EventQueue::<u32, K>::default();
             for q in [&mut one, &mut many] {
                 q.schedule_at(t(50), 0); // pre-existing tie at the batch instant
                 q.schedule_at(t(3), 1);
             }
-            for &(at, ev) in &batch {
+            for (at, ev) in batch {
                 one.schedule_at(at, ev);
             }
-            many.schedule_many(batch.iter().copied());
+            many.schedule_many(batch);
             for q in [&mut one, &mut many] {
                 q.schedule_at(t(50), 2); // post-batch tie must pop after the batch's
             }
-            let drain = |q: &mut EventQueue<u32>| {
-                let mut out = Vec::new();
-                while let Some(p) = q.pop() {
-                    out.push(p);
-                }
-                out
-            };
-            let a = drain(&mut one);
-            let b = drain(&mut many);
-            assert_eq!(a, b, "{}", kernel.name());
+            let a: Vec<_> = std::iter::from_fn(|| one.pop()).collect();
+            let b: Vec<_> = std::iter::from_fn(|| many.pop()).collect();
+            assert_eq!(a, b, "{}", K::NAME);
             // And the tie order itself is pinned: batch order 10, 12, 14
             // between the pre- and post-batch events at t=50.
             let ties: Vec<u32> = b
@@ -638,8 +661,10 @@ mod tests {
                 .filter(|&&(at, _)| at == t(50))
                 .map(|&(_, e)| e)
                 .collect();
-            assert_eq!(ties, vec![0, 10, 12, 14, 2], "{}", kernel.name());
+            assert_eq!(ties, vec![0, 10, 12, 14, 2], "{}", K::NAME);
         }
+        check::<Wheel>();
+        check::<ReferenceHeap>();
     }
 
     /// `schedule_many_after` offsets every delay from the same `now`.
@@ -662,7 +687,7 @@ mod tests {
     #[test]
     fn wheel_matches_heap_on_scrambled_schedules() {
         let mut wheel: EventQueue<u32> = EventQueue::new();
-        let mut heap: EventQueue<u32> = EventQueue::with_kernel(Kernel::Heap);
+        let mut heap: EventQueue<u32, ReferenceHeap> = EventQueue::default();
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut pending = 0u32;
         for i in 0..5_000u32 {

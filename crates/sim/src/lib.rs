@@ -14,13 +14,13 @@
 //! tie-breaking in the event queue, and substream-isolated randomness.
 //!
 //! ```
-//! use slsb_sim::{Engine, EventQueue, SimDuration, SimTime, System};
+//! use slsb_sim::{Engine, EventQueue, SimDuration, SimTime, StoreKind, System};
 //!
 //! // A system that counts down: each event schedules the next one later.
 //! struct Countdown(Vec<u32>);
 //! impl System for Countdown {
 //!     type Ev = u32;
-//!     fn handle(&mut self, q: &mut EventQueue<u32>, _at: SimTime, n: u32) {
+//!     fn handle<K: StoreKind>(&mut self, q: &mut EventQueue<u32, K>, _at: SimTime, n: u32) {
 //!         self.0.push(n);
 //!         if n > 0 {
 //!             q.schedule_after(SimDuration::from_secs(1), n - 1);
@@ -43,7 +43,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{Engine, EventQueue, Kernel, System};
+pub use event::{Engine, EventQueue, StoreKind, System, Wheel};
 pub use prof::{ProfGuard, ProfileNode};
 pub use rng::{Seed, SimRng};
 pub use stats::{Accumulator, GaugeSeries, Histogram, SampleSet, TimeSeries};

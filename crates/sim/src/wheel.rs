@@ -1,5 +1,5 @@
-//! Hierarchical timer wheel (calendar queue) — the default kernel behind
-//! [`EventQueue`](crate::event::EventQueue).
+//! Hierarchical timer wheel (calendar queue) — the pending store behind
+//! every production [`EventQueue`](crate::event::EventQueue).
 //!
 //! Serving simulations schedule almost everything into the near future
 //! (service completions, network hops, scaler ticks), with a thin tail of
@@ -32,7 +32,7 @@
 //! with the (empty) ready buffer, and far blocks return to a spare pool
 //! after scattering, so steady-state operation allocates nothing.
 
-use crate::event::Scheduled;
+use crate::event::{PendingStore, Scheduled};
 use crate::time::SimTime;
 use std::cmp;
 use std::collections::{BTreeMap, VecDeque};
@@ -50,7 +50,8 @@ const WORDS: usize = BUCKETS / 64;
 /// at least this far ahead (≈ 76 h) go to the sparse map.
 const FAR_SPAN: u64 = 1 << 16;
 
-pub(crate) struct TimerWheel<E> {
+/// The [`Wheel`](crate::event::Wheel) store; see the module docs.
+pub struct TimerWheel<E> {
     /// Drained-but-undelivered events, sorted descending by `(at, seq)` so
     /// the earliest is at the back. Also absorbs behind-cursor inserts.
     ready: Vec<Scheduled<E>>,
@@ -76,8 +77,8 @@ pub(crate) struct TimerWheel<E> {
     len: usize,
 }
 
-impl<E> TimerWheel<E> {
-    pub(crate) fn with_capacity(cap: usize) -> Self {
+impl<E> PendingStore<E> for TimerWheel<E> {
+    fn with_capacity(cap: usize) -> Self {
         TimerWheel {
             // `ready` cycles capacity with the ring buckets, so seeding it
             // covers the largest burst bucket; simultaneous occupancy is far
@@ -93,15 +94,11 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    fn bucket(at: SimTime) -> u64 {
-        at.as_micros() >> BUCKET_SHIFT
-    }
-
-    pub(crate) fn insert(&mut self, s: Scheduled<E>) {
+    fn insert(&mut self, s: Scheduled<E>) {
         let b = Self::bucket(s.at);
         self.len += 1;
         if b < self.cur {
@@ -139,7 +136,7 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
+    fn pop(&mut self) -> Option<Scheduled<E>> {
         loop {
             if let Some(s) = self.ready.pop() {
                 self.len -= 1;
@@ -153,7 +150,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Pops the earliest event only if it fires at or before `horizon`.
-    pub(crate) fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
+    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
         loop {
             if let Some(s) = self.ready.last() {
                 if s.at > horizon {
@@ -170,7 +167,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Timestamp of the earliest pending event without disturbing anything.
-    pub(crate) fn peek(&self) -> Option<SimTime> {
+    fn peek(&self) -> Option<SimTime> {
         if let Some(s) = self.ready.last() {
             return Some(s.at);
         }
@@ -189,6 +186,12 @@ impl<E> TimerWheel<E> {
             .flatten()
             .map(|s| s.at)
             .min()
+    }
+}
+
+impl<E> TimerWheel<E> {
+    fn bucket(at: SimTime) -> u64 {
+        at.as_micros() >> BUCKET_SHIFT
     }
 
     /// Moves the next non-empty bucket (or far block) toward `ready`.

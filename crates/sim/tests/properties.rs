@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel's invariants.
 
 use proptest::prelude::*;
-use slsb_sim::event::{Engine, EventQueue, Kernel, System};
+use slsb_sim::event::{Engine, EventQueue, ReferenceHeap, StoreKind, System, Wheel};
 use slsb_sim::stats::{Accumulator, GaugeSeries, SampleSet};
 use slsb_sim::time::{SimDuration, SimTime};
 use slsb_sim::Seed;
@@ -13,7 +13,7 @@ struct Collector {
 
 impl System for Collector {
     type Ev = u64;
-    fn handle(&mut self, _q: &mut EventQueue<u64>, at: SimTime, ev: u64) {
+    fn handle<K: StoreKind>(&mut self, _q: &mut EventQueue<u64, K>, at: SimTime, ev: u64) {
         self.delivered.push((at, ev));
     }
 }
@@ -29,7 +29,7 @@ struct Chainer {
 
 impl System for Chainer {
     type Ev = u64;
-    fn handle(&mut self, q: &mut EventQueue<u64>, at: SimTime, ev: u64) {
+    fn handle<K: StoreKind>(&mut self, q: &mut EventQueue<u64, K>, at: SimTime, ev: u64) {
         self.seen.push((at, ev));
         if self.budget == 0 {
             return;
@@ -79,8 +79,7 @@ enum Step {
 /// both; panics at the first pop on which they differ.
 fn assert_kernels_agree(steps: &[Step]) {
     let mut wheel = EventQueue::new();
-    let mut heap = EventQueue::with_kernel(Kernel::Heap);
-    assert_eq!(wheel.kernel(), Kernel::Wheel);
+    let mut heap = EventQueue::<_, ReferenceHeap>::default();
     let mut id = 0u64;
     for (i, &step) in steps.iter().enumerate() {
         match step {
@@ -253,8 +252,7 @@ proptest! {
         pops in prop::collection::vec(0u64..4, 1..250),
     ) {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::with_kernel(Kernel::Heap);
-        prop_assert_eq!(wheel.kernel(), Kernel::Wheel);
+        let mut heap = EventQueue::<_, ReferenceHeap>::default();
         for (i, &raw) in raws.iter().enumerate() {
             let at = wheel.now() + SimDuration::from_micros(shape_delay(raw));
             wheel.schedule_at(at, i as u64);
@@ -282,18 +280,18 @@ proptest! {
     fn kernels_agree_under_chained_scheduling(
         times in prop::collection::vec(0u64..8_000_000, 1..60),
     ) {
-        let run = |kernel: Kernel| {
+        fn run<K: StoreKind>(times: &[u64]) -> Vec<(SimTime, u64)> {
             let mut eng = Engine::with_queue(
                 Chainer { seen: Vec::new(), budget: 300 },
-                EventQueue::with_kernel(kernel),
+                EventQueue::<_, K>::default(),
             );
             for (i, &t) in times.iter().enumerate() {
                 eng.queue.schedule_at(SimTime::from_micros(t), i as u64);
             }
             eng.run_to_completion();
             eng.system.seen
-        };
-        prop_assert_eq!(run(Kernel::Wheel), run(Kernel::Heap));
+        }
+        prop_assert_eq!(run::<Wheel>(&times), run::<ReferenceHeap>(&times));
     }
 
     /// Horizon-bounded draining agrees across kernels: popping with a
@@ -305,7 +303,7 @@ proptest! {
         h in 1u64..4_194_304,
     ) {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::with_kernel(Kernel::Heap);
+        let mut heap = EventQueue::<_, ReferenceHeap>::default();
         for (i, &raw) in raws.iter().enumerate() {
             let at = SimTime::from_micros(shape_delay(raw));
             wheel.schedule_at(at, i as u64);

@@ -9,7 +9,8 @@ use slsbench::core::{
 use slsbench::model::{ModelKind, RuntimeKind};
 use slsbench::obs::{trace_view, JsonlRecorder, MemoryRecorder, SpanOutcome};
 use slsbench::platform::{FaultPlan, PlatformKind};
-use slsbench::sim::{Kernel, Seed, SimDuration};
+use slsbench::sim::event::ReferenceHeap;
+use slsbench::sim::{Seed, SimDuration, StoreKind, Wheel};
 use slsbench::workload::{MmppPreset, MmppSpec, WorkloadTrace};
 
 fn trace(seed: Seed) -> WorkloadTrace {
@@ -195,34 +196,56 @@ fn recorded_traces_are_byte_identical() {
 fn timer_wheel_and_heap_kernels_are_byte_identical() {
     // The timer-wheel kernel is a pure scheduling optimization: swapping
     // it for the reference binary heap must not move a single byte of the
-    // recorded trace or the analysis, on any platform family.
+    // recorded trace or the analysis, on any platform family, nor under
+    // retries and packet loss, which schedule client receipts and attempt
+    // timeouts.
     let seed = Seed(42);
     let tr = trace(seed);
-    for platform in [
-        PlatformKind::AwsServerless,
-        PlatformKind::AwsManagedMl,
-        PlatformKind::AwsCpu,
-        PlatformKind::GcpGpu,
-    ] {
+    let mut lossy = FaultPlan::none();
+    lossy.packet_loss = 0.1;
+    let retrying = Executor::new(ExecutorConfig {
+        retry: RetryPolicy::standard(),
+        ..ExecutorConfig::default()
+    })
+    .with_faults(lossy);
+    let plain = Executor::default();
+    let cases = [
+        (PlatformKind::AwsServerless, &plain),
+        (PlatformKind::AwsManagedMl, &plain),
+        (PlatformKind::AwsCpu, &plain),
+        (PlatformKind::GcpGpu, &plain),
+        (PlatformKind::AwsServerless, &retrying),
+    ];
+    fn dump<K: StoreKind>(
+        exec: &Executor,
+        dep: &Deployment,
+        tr: &WorkloadTrace,
+        seed: Seed,
+    ) -> (Vec<u8>, String, u64) {
+        let mut buf = Vec::new();
+        let mut rec = JsonlRecorder::new(&mut buf);
+        let run = exec.run_on::<K>(dep, tr, seed, Some(&mut rec)).unwrap();
+        rec.finish().unwrap();
+        (buf, serde_json_digest(&analyze(&run)), run.retries)
+    }
+    for (platform, exec) in cases {
         let dep = Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
-        let dump = |kernel: Kernel| -> (Vec<u8>, String) {
-            let exec = Executor::default().with_kernel(kernel);
-            let mut buf = Vec::new();
-            let mut rec = JsonlRecorder::new(&mut buf);
-            let run = exec.run_recorded(&dep, &tr, seed, &mut rec).unwrap();
-            rec.finish().unwrap();
-            (buf, serde_json_digest(&analyze(&run)))
-        };
-        let (wheel_trace, wheel_analysis) = dump(Kernel::Wheel);
-        let (heap_trace, heap_analysis) = dump(Kernel::Heap);
+        let (wheel_trace, wheel_analysis, retries) = dump::<Wheel>(exec, &dep, &tr, seed);
+        let (heap_trace, heap_analysis, _) = dump::<ReferenceHeap>(exec, &dep, &tr, seed);
         assert!(!wheel_trace.is_empty());
+        let retry_mode = exec.config().retry.enabled();
+        assert_eq!(
+            retries > 0,
+            retry_mode,
+            "{platform:?}: retries fire only in retry mode"
+        );
         assert_eq!(
             wheel_trace, heap_trace,
-            "{platform:?}: kernels must record identical traces"
+            "{platform:?} (retry {retry_mode}): kernels must record identical traces"
         );
         assert_eq!(
             wheel_analysis, heap_analysis,
-            "{platform:?}: kernels must analyze identically"
+            "{platform:?} (retry {retry_mode}): kernels must analyze identically"
         );
     }
 }

@@ -84,14 +84,13 @@ for smoke_seed in 7 99; do
     echo "verify.sh: fault smoke ok (seed $smoke_seed: $fault_lines fault events, $retries retries)"
 done
 
-# Kernel bench smoke + perf regression gate: the benches must compile, and
-# a quick `slsb bench` must produce a parseable v2 report with every
-# expected row present. The *threshold* gates (allocs/request ceiling,
-# per-mode speedup floors, and the third-wave fleet throughput bar of
-# 1.25x the pre-wave committed row) all live in perf::check_against and
-# run through `slsb bench --check`, so verify.sh and the library can
-# never disagree about what counts as a regression.
-cargo bench --no-run -p slsb-bench
+# Kernel bench smoke + perf regression gate: a quick `slsb bench` must
+# produce a parseable v2 report with every expected row present, the
+# timer wheel and the reference heap both raced. The *threshold* gates
+# (allocs/request ceiling, per-mode speedup floors, and the third-wave
+# fleet throughput bar of 1.25x the pre-wave committed row) all live in
+# perf::check_against and run through `slsb bench --check`, so verify.sh
+# and the library can never disagree about what counts as a regression.
 benchfile="$(mktemp /tmp/slsb-bench.XXXXXX.json)"
 trap 'rm -f "$tracefile" "$benchfile"' EXIT
 # Structural smoke on a quick report: rows present, both kernels, both
@@ -316,19 +315,5 @@ if ! cmp -s "$fleet_m1" "$fleet_m2"; then
     exit 1
 fi
 echo "verify.sh: policy determinism ok (hybrid_histogram byte-identical across worker budgets)"
-
-# Trace-replay smoke: an ingested trace summary must replay its exact
-# invocation count (the bucket grid is a contract, not a hint).
-replay_out="$(./target/release/slsb run scenarios/fleet_trace_replay.json)"
-replay_requests="$(sed -n 's/^requests      : //p' <<<"$replay_out")"
-trace_invocations="$(python3 -c "
-import json
-t = json.load(open('scenarios/traces/sample_production.json'))
-print(sum(sum(a['invocations']) for a in t['apps']))")"
-if [[ -z "$replay_requests" || "$replay_requests" != "$trace_invocations" ]]; then
-    echo "verify.sh: trace replay ran ${replay_requests:-none} requests, trace has $trace_invocations invocations" >&2
-    exit 1
-fi
-echo "verify.sh: fleet trace replay ok ($replay_requests requests)"
 
 echo "verify.sh: all gates passed"
