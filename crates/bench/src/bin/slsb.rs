@@ -487,6 +487,9 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
     let (run, a) = match opts.trace_out.as_deref() {
         None => scenario.run().map_err(|e| e.to_string())?,
         Some(out_path) => {
+            // Reject the scenario before the file is created: an invalid
+            // run must leave an earlier trace at `out_path` untouched.
+            scenario.validate().map_err(|e| e.to_string())?;
             let file = std::fs::File::create(out_path)
                 .map_err(|e| format!("cannot create {out_path}: {e}"))?;
             // JsonlRecorder buffers internally, so the file goes in raw.
@@ -627,6 +630,7 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
     let run = match opts.trace_out.as_deref() {
         None => runner.run(&plan, seed).map_err(|e| e.to_string())?,
         Some(out_path) => {
+            plan.validate().map_err(|e| e.to_string())?;
             let file = std::fs::File::create(out_path)
                 .map_err(|e| format!("cannot create {out_path}: {e}"))?;
             let mut rec = JsonlRecorder::new(file);

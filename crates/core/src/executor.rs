@@ -840,9 +840,10 @@ impl Executor {
     /// `seed`: it runs inline, streams straight into `rec`, and its records
     /// move through uncopied. Sharded, each client is its own cell on the
     /// seed's `("shard", client)` substream with its own platform; cells
-    /// run on up to [`ExecutorConfig::shards`] workers into per-cell trace
-    /// buffers and their records are placed back by global trace index.
-    /// The decomposition depends only on the client count, never on the
+    /// run on up to [`ExecutorConfig::shards`] workers, their trace events
+    /// reach `rec` in cell order as they finish (see [`fan_out`]), and
+    /// their records are placed back by global trace index. The
+    /// decomposition depends only on the client count, never on the
     /// worker budget.
     fn replay<K: StoreKind>(
         &self,
@@ -850,7 +851,7 @@ impl Executor {
         platform: Option<Platform>,
         trace: &WorkloadTrace,
         seed: Seed,
-        mut rec: Option<&mut dyn Recorder>,
+        rec: Option<&mut dyn Recorder>,
     ) -> Result<RunResult, PlanError> {
         let n_clients = self.cfg.clients.max(1);
         let clients = 0..n_clients as u32;
@@ -865,15 +866,18 @@ impl Executor {
             // builds (building is deterministic in the seed).
             deployment.validate()?;
         }
-        let tracing = rec.as_deref().is_some_and(|r| r.enabled());
-        let (run, buffers) = if let [cell] = cells.as_slice() {
+        let mut rec = rec.filter(|r| r.enabled());
+        let run = if let [cell] = cells.as_slice() {
             let cell_rec = rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-            let run = self.run_cell::<K>(deployment, platform, trace, cell, cell_rec);
-            (run, Vec::new())
+            self.run_cell::<K>(deployment, platform, trace, cell, cell_rec)
         } else {
-            let (outs, buffers) = fan_out(self.cfg.shards, &cells, tracing, |cell, cell_rec| {
-                self.run_cell::<K>(deployment, None, trace, cell, cell_rec)
-            });
+            let outs = fan_out(
+                self.cfg.shards,
+                &cells,
+                rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
+                "executor/merge",
+                |cell, cell_rec| self.run_cell::<K>(deployment, None, trace, cell, cell_rec),
+            );
             // Request i belongs to client i % n_clients and each cell's
             // records ascend by global index, so one pass over the trace
             // with a cursor per cell puts every record back in place.
@@ -892,7 +896,7 @@ impl Executor {
                 })
                 .collect();
             let reports: Vec<PlatformReport> = outs.iter().map(|o| o.platform.clone()).collect();
-            let run = RunResult {
+            RunResult {
                 deployment: *deployment,
                 workload: trace.shared_name(),
                 duration: trace.duration(),
@@ -901,13 +905,11 @@ impl Executor {
                 engine_events: outs.iter().map(|o| o.engine_events).sum(),
                 client_faults: outs.iter().map(|o| o.client_faults).sum(),
                 retries: outs.iter().map(|o| o.retries).sum(),
-            };
-            (run, buffers)
+            }
         };
-        if let Some(r) = rec.filter(|_| tracing) {
+        if let Some(r) = rec {
             let end = RunEnd::new(trace.duration(), self.cfg.timeout);
-            let (events, requests) = (run.engine_events, run.records.len() as u64);
-            close_trace(r, "executor/merge", &buffers, end, events, requests);
+            close_trace(r, end, run.engine_events, run.records.len() as u64);
         }
         Ok(run)
     }

@@ -163,7 +163,7 @@ impl FleetPartition {
 /// Why a fleet run failed.
 #[derive(Debug)]
 pub enum FleetRunError {
-    /// A per-app deployment could not be built.
+    /// A per-app deployment violates a platform rule.
     Plan(PlanError),
     /// The plan resolves to zero apps: there is nothing to run, and a
     /// silent empty result would read as a perfect success ratio.
@@ -348,6 +348,25 @@ pub struct FleetPlan {
     /// Non-fatal diagnostics raised during resolution (e.g. a profile
     /// with no policy block). The CLI prints these to stderr.
     pub warnings: Vec<FleetWarning>,
+}
+
+impl FleetPlan {
+    /// Checks that the plan can run: it has apps, and every deployment
+    /// passes [`Deployment::validate`]. [`FleetRunner`] checks this before
+    /// the first event, so a run that fails records nothing; callers may
+    /// check it before opening a trace sink.
+    ///
+    /// # Errors
+    /// [`FleetRunError::EmptyFleet`] or the first invalid deployment.
+    pub fn validate(&self) -> Result<(), FleetRunError> {
+        if self.spec.apps.is_empty() {
+            return Err(FleetRunError::EmptyFleet);
+        }
+        for dep in &self.deployments {
+            dep.validate()?;
+        }
+        Ok(())
+    }
 }
 
 impl FleetScenario {
@@ -586,8 +605,7 @@ impl FleetRunner {
     /// Runs the fleet.
     ///
     /// # Errors
-    /// Fails when the plan has no apps or a per-app deployment cannot be
-    /// built.
+    /// As [`FleetPlan::validate`].
     pub fn run(&self, plan: &FleetPlan, seed: Seed) -> Result<FleetRunResult, FleetRunError> {
         self.run_inner(plan, seed, None)
     }
@@ -595,12 +613,13 @@ impl FleetRunner {
     /// [`FleetRunner::run`] with every trace event streamed into `rec`:
     /// per-request spans (client = global app index), per-app
     /// [`EventKind::AppClosed`] rollups, platform internals, and a single
-    /// merged [`EventKind::RunClosed`]. The returned result is identical to
-    /// an unrecorded run's.
+    /// merged [`EventKind::RunClosed`]. Cells reach `rec` in cell order as
+    /// they finish, so the run holds only the cells in flight. The
+    /// returned result is identical to an unrecorded run's.
     ///
     /// # Errors
-    /// Fails when the plan has no apps or a per-app deployment cannot be
-    /// built.
+    /// As [`FleetPlan::validate`], checked before the first event: a run
+    /// that fails records nothing.
     pub fn run_recorded(
         &self,
         plan: &FleetPlan,
@@ -616,10 +635,8 @@ impl FleetRunner {
         seed: Seed,
         rec: Option<&mut dyn Recorder>,
     ) -> Result<FleetRunResult, FleetRunError> {
+        plan.validate()?;
         let n_apps = plan.spec.apps.len();
-        if n_apps == 0 {
-            return Err(FleetRunError::EmptyFleet);
-        }
         // Every cell runs on the run seed: per-app substreams are keyed by
         // global app index, so no draw depends on the cell an app lands in.
         let cells: Vec<Cell> = FleetPartition::compute(plan, FLEET_CELLS.min(n_apps))
@@ -627,12 +644,14 @@ impl FleetRunner {
             .into_iter()
             .map(|clients| Cell::new(seed, clients))
             .collect();
-        let tracing = rec.as_deref().is_some_and(|r| r.enabled());
-        let (outs, buffers) = fan_out(self.workers, &cells, tracing, |cell, cell_rec| {
-            self.run_cell(plan, cell, cell_rec)
-        });
-
-        let cell_outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut rec = rec.filter(|r| r.enabled());
+        let cell_outs = fan_out(
+            self.workers,
+            &cells,
+            rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
+            "fleet/merge",
+            |cell, cell_rec| self.run_cell(plan, cell, cell_rec),
+        );
 
         // Stitch per-app results back into global app order.
         let mut apps: Vec<Option<AppOut>> = (0..n_apps).map(|_| None).collect();
@@ -663,9 +682,9 @@ impl FleetRunner {
         }
         let platform = PlatformReport::merge_shards(&reports);
 
-        if let Some(r) = rec.filter(|_| tracing) {
+        if let Some(r) = rec {
             let end = RunEnd::new(plan.spec.duration, plan.timeout);
-            close_trace(r, "fleet/merge", &buffers, end, engine_events, requests);
+            close_trace(r, end, engine_events, requests);
         }
 
         Ok(FleetRunResult {
@@ -688,7 +707,7 @@ impl FleetRunner {
         plan: &FleetPlan,
         cell: &Cell,
         rec: Option<&mut dyn Recorder>,
-    ) -> Result<(Vec<AppOut>, u64), PlanError> {
+    ) -> (Vec<AppOut>, u64) {
         let _cell = ProfGuard::enter_root("fleet/cell");
         let (seed, globals) = (cell.seed, cell.clients.as_slice());
         let duration = plan.spec.duration;
@@ -709,7 +728,9 @@ impl FleetRunner {
         let mut apps = Vec::with_capacity(globals.len());
         for &g in globals {
             let dep = &plan.deployments[g as usize];
-            let mut platform = dep.build(seed.substream_indexed("fleet-app", u64::from(g)))?;
+            let mut platform = dep
+                .build(seed.substream_indexed("fleet-app", u64::from(g)))
+                .expect("plan validated before the run");
             let expected = plan.spec.apps[g as usize]
                 .process
                 .expected_requests(duration);
@@ -816,7 +837,7 @@ impl FleetRunner {
             out_apps.push((std::mem::take(r), std::mem::take(&mut a.latency), report));
         }
 
-        Ok((out_apps, engine_events))
+        (out_apps, engine_events)
     }
 }
 

@@ -296,6 +296,19 @@ impl Scenario {
         serde_json::to_string_pretty(self).expect("scenario is serializable")
     }
 
+    /// Checks everything [`Scenario::run`] checks before it simulates: the
+    /// fault plan, the SLO block, the workload and the deployment, in that
+    /// order. Callers may check it before opening a trace sink.
+    ///
+    /// # Errors
+    /// The first invalid block.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.faults.validate().map_err(ScenarioError::Faults)?;
+        self.slo.validate().map_err(ScenarioError::Slo)?;
+        self.workload.validate().map_err(ScenarioError::Workload)?;
+        Ok(self.effective_deployment().validate()?)
+    }
+
     /// Generates the workload and runs the deployment.
     ///
     /// # Errors
@@ -303,9 +316,7 @@ impl Scenario {
     /// deployment is invalid.
     pub fn run(&self) -> Result<(RunResult, Analysis), ScenarioError> {
         let seed = Seed(self.seed);
-        self.faults.validate().map_err(ScenarioError::Faults)?;
-        self.slo.validate().map_err(ScenarioError::Slo)?;
-        self.workload.validate().map_err(ScenarioError::Workload)?;
+        self.validate()?;
         let trace = self.workload.generate(seed.substream("scenario-workload"));
         let run = Executor::new(self.executor)
             .with_faults(self.faults.clone())
@@ -324,9 +335,7 @@ impl Scenario {
         rec: &mut dyn slsb_obs::Recorder,
     ) -> Result<(RunResult, Analysis), ScenarioError> {
         let seed = Seed(self.seed);
-        self.faults.validate().map_err(ScenarioError::Faults)?;
-        self.slo.validate().map_err(ScenarioError::Slo)?;
-        self.workload.validate().map_err(ScenarioError::Workload)?;
+        self.validate()?;
         let trace = self.workload.generate(seed.substream("scenario-workload"));
         let run = Executor::new(self.executor)
             .with_faults(self.faults.clone())

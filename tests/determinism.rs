@@ -4,7 +4,8 @@
 
 use slsbench::core::{
     analyze, explore_jobs, replicate_jobs, Deployment, Executor, ExecutorConfig, ExplorerGrid,
-    FleetRunner, FleetScenario, Jobs, RetryPolicy, WorkloadSpec,
+    FleetPartition, FleetRunError, FleetRunner, FleetScenario, FleetSource, Jobs, RetryPolicy,
+    WorkloadSpec, FLEET_CELLS,
 };
 use slsbench::model::{ModelKind, RuntimeKind};
 use slsbench::obs::{trace_view, JsonlRecorder, MemoryRecorder, SpanOutcome};
@@ -613,6 +614,118 @@ fn fleet_runs_are_identical_for_any_worker_budget() {
         assert_eq!(
             reference.1, parallel.1,
             "fleet workers({workers}) trace must equal workers(1)"
+        );
+    }
+}
+
+/// The JSONL bytes a traced fleet run of `plan` records on `workers`.
+fn fleet_jsonl(plan: &slsbench::core::FleetPlan, workers: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut rec = JsonlRecorder::new(&mut buf);
+    FleetRunner::default()
+        .with_workers(workers)
+        .run_recorded(plan, Seed(3141), &mut rec)
+        .unwrap();
+    rec.finish().unwrap();
+    buf
+}
+
+#[test]
+fn streamed_fleet_trace_keeps_cell_order_when_the_first_cell_is_heaviest() {
+    // A steep Zipf fleet puts its head app alone in cell 0, which then
+    // weighs several times any other cell: on several workers the helpers
+    // finish later cells first, and those must wait for cell 0.
+    let mut sc = fleet_scenario();
+    let FleetSource::Synth {
+        apps,
+        zipf_exponent,
+        ..
+    } = &mut sc.fleet
+    else {
+        unreachable!("the fleet scenario is synthesized")
+    };
+    (*apps, *zipf_exponent) = (120, 1.6);
+    let plan = sc.resolve(None).unwrap();
+    let part = FleetPartition::compute(&plan, FLEET_CELLS);
+    let next = part.weights[1..].iter().copied().fold(0.0, f64::max);
+    assert!(
+        part.weights[0] > 3.0 * next,
+        "cell 0 must be much the heaviest: {:?}",
+        part.weights
+    );
+    let reference = fleet_jsonl(&plan, 1);
+    assert!(!reference.is_empty());
+    // Which cells the helpers run depends on thread timing, so each budget
+    // runs several times.
+    for workers in [2, 4, 2, 4, 2, 4] {
+        assert!(
+            reference == fleet_jsonl(&plan, workers),
+            "fleet workers({workers}) trace must equal workers(1)"
+        );
+    }
+}
+
+#[test]
+fn streamed_sharded_trace_keeps_cell_order_with_retries_and_faults() {
+    let seed = Seed(2718);
+    let tr = trace(seed);
+    let mut faults = FaultPlan::none();
+    faults.crash_mid_exec = 0.05;
+    faults.packet_loss = 0.1;
+    let cfg = ExecutorConfig {
+        retry: RetryPolicy::standard(),
+        ..ExecutorConfig::default()
+    };
+    let dep = Deployment::new(
+        PlatformKind::AwsServerless,
+        ModelKind::MobileNet,
+        RuntimeKind::Tf115,
+    );
+    let jsonl = |workers: usize| -> (u64, Vec<u8>) {
+        let exec = Executor::new(cfg)
+            .with_faults(faults.clone())
+            .with_shards(workers);
+        let mut buf = Vec::new();
+        let mut rec = JsonlRecorder::new(&mut buf);
+        let run = exec.run_recorded(&dep, &tr, seed, &mut rec).unwrap();
+        rec.finish().unwrap();
+        (run.retries, buf)
+    };
+    let (retries, reference) = jsonl(1);
+    assert!(retries > 0, "the faulted run must retry");
+    // Which cells the helpers run depends on thread timing, so each budget
+    // runs several times.
+    for workers in [2, 4, 2, 4, 2, 4] {
+        assert!(
+            reference == jsonl(workers).1,
+            "shards({workers}) trace must equal shards(1)"
+        );
+    }
+}
+
+#[test]
+fn a_fleet_run_that_fails_records_nothing() {
+    // An invalid deployment in the last cell, edited in after `resolve`:
+    // every earlier cell could stream before that cell fails to build, so
+    // the run must reject the plan before its first event.
+    let mut plan = fleet_scenario().resolve(None).unwrap();
+    let part = FleetPartition::compute(&plan, FLEET_CELLS.min(plan.spec.apps.len()));
+    let last = part.cells.last().unwrap()[0] as usize;
+    plan.deployments[last].memory_mb = 50.0;
+    for workers in [1, 4] {
+        let mut rec = MemoryRecorder::new();
+        let result =
+            FleetRunner::default()
+                .with_workers(workers)
+                .run_recorded(&plan, Seed(3141), &mut rec);
+        assert!(
+            matches!(result, Err(FleetRunError::Plan(_))),
+            "workers({workers}): an invalid deployment must fail the run"
+        );
+        assert!(
+            rec.events().is_empty(),
+            "workers({workers}): a failed run recorded {} events",
+            rec.events().len()
         );
     }
 }

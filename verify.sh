@@ -258,6 +258,26 @@ for budget in "--jobs 4" "--shards 4"; do
 done
 echo "verify.sh: fleet determinism ok (--jobs/--shards byte-identical)"
 
+# Trace determinism: cells reach the recorder in cell order on any worker
+# budget, so the recorded JSONL must be byte-identical too, for the fleet
+# (whose Zipf head cell finishes last) and for the sharded executor.
+trace_1="$(mktemp /tmp/slsb-trace1.XXXXXX.jsonl)"
+trace_n="$(mktemp /tmp/slsb-traceN.XXXXXX.jsonl)"
+trap 'rm -f "$tracefile" "$benchfile" "$profilefile" "$metricsfile" "$metricsfile.doctored" "$fleet_m1" "$fleet_m2" "$trace_1" "$trace_n"' EXIT
+for pair in "scenarios/fleet_zipf.json --scale 0.05|--jobs 1|--jobs 4" \
+            "scenarios/fault_smoke.json|--shards 1|--shards 4"; do
+    IFS='|' read -r run_args budget_1 budget_n <<<"$pair"
+    # shellcheck disable=SC2086
+    ./target/release/slsb run $run_args $budget_1 --trace "$trace_1" >/dev/null
+    # shellcheck disable=SC2086
+    ./target/release/slsb run $run_args $budget_n --trace "$trace_n" >/dev/null
+    if ! cmp -s "$trace_1" "$trace_n"; then
+        echo "verify.sh: $run_args trace with $budget_n is not byte-identical to $budget_1" >&2
+        exit 1
+    fi
+done
+echo "verify.sh: trace determinism ok (fleet --jobs, executor --shards byte-identical)"
+
 # Policy-zoo smoke: every zoo member must run the fault scenario cleanly,
 # keep the analyzer's fault totals in exact agreement with the recorded
 # trace, and never beat the clairvoyant oracle's cold-start lower bound.
