@@ -15,7 +15,8 @@
 //! deployment-backed families, which exercise the same executor split.
 
 use slsbench::core::{
-    analyze, oracle_bound, run_metrics, Deployment, Executor, ExecutorConfig, RetryPolicy,
+    analyze, oracle_bound, run_metrics, BatchPolicy, Deployment, Executor, ExecutorConfig,
+    RetryPolicy,
 };
 use slsbench::model::{ModelKind, RuntimeKind};
 use slsbench::obs::{wire, MemoryRecorder, TraceEvent};
@@ -263,4 +264,75 @@ fn post_run_outputs_match_golden() {
         }
     }
     check_golden("post_run", &rendered);
+}
+
+/// The client lanes where no other pin reaches them: client jitter on,
+/// per-client batching (none, `Fixed(4)` through the deployment, adaptive
+/// through the override), retries off and on, on 1, 3 and 8 clients (3
+/// leaves a partial last round), unsharded and sharded. Each row pins the
+/// recorded trace (event count + FNV-64 of its JSONL) and the run's
+/// serialized [`run_metrics`], so delivery order, same-instant ties,
+/// jitter draws and batch membership are all covered.
+#[test]
+fn client_lane_outputs_match_golden() {
+    let tr = MmppSpec {
+        name: "lane-pin",
+        rate_high: 40.0,
+        rate_low: 10.0,
+        mean_high_dwell: SimDuration::from_secs(30),
+        mean_low_dwell: SimDuration::from_secs(60),
+        duration: SimDuration::from_secs(120),
+    }
+    .generate(SEED);
+    assert_ne!(tr.len() % 3, 0, "3 clients must leave a partial last round");
+    let mut plan = FaultPlan::none();
+    plan.client_jitter_ms = 25.0;
+    plan.packet_loss = 0.05;
+    plan.crash_mid_exec = 0.03;
+    let serverless = family_deployment("serverless");
+    let adaptive = BatchPolicy::Adaptive {
+        max_wait: SimDuration::from_millis(250),
+        max_batch: 6,
+    };
+    let batchings = [
+        ("none", serverless, None),
+        ("fixed4", serverless.with_batch_size(4), None),
+        ("adaptive", serverless, Some(adaptive)),
+    ];
+    let mut rendered = String::new();
+    for clients in [1, 3, 8] {
+        for (batch, dep, batch_override) in batchings {
+            for retry in [RetryPolicy::disabled(), RetryPolicy::standard()] {
+                for shards in [0, 2] {
+                    let exec = Executor::new(ExecutorConfig {
+                        clients,
+                        batch_override,
+                        retry,
+                        shards,
+                        ..ExecutorConfig::default()
+                    })
+                    .with_faults(plan.clone());
+                    let mut rec = MemoryRecorder::new();
+                    let run = exec
+                        .run_recorded(&dep, &tr, SEED, &mut rec)
+                        .expect("valid deployment");
+                    let events = rec.into_events();
+                    let metrics = serde_json::to_string(&run_metrics(&run)).expect("serializable");
+                    rendered.push_str(&format!(
+                        "clients={clients} batch={batch} attempts={} shards={shards} \
+                         events={} fnv=0x{:016x} metrics_fnv=0x{:016x} engine_events={} \
+                         client_faults={} retries={}\n",
+                        retry.max_attempts,
+                        events.len(),
+                        fnv64_jsonl(&events),
+                        fnv64(metrics.as_bytes()),
+                        run.engine_events,
+                        run.client_faults,
+                        run.retries,
+                    ));
+                }
+            }
+        }
+    }
+    check_golden("client_lanes", &rendered);
 }
