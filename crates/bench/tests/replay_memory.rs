@@ -1,61 +1,109 @@
 //! The memory bound of one replay, read off the live-bytes high-water mark
 //! of the counting allocator. A replay holds O(requests) memory only for
-//! its output records and the trace-sized plan; responses settle as they
-//! drain, so no platform or executor buffer grows with the request count.
+//! its output records. Each client is a lane that sends as its batches
+//! come up, deliveries reach the kernel a burst at a time, responses
+//! settle as they drain, and a lane keeps a byte per invocation in flight,
+//! so no platform or executor buffer grows with the request count. A
+//! sharded replay places each cell's records as the cell finishes, so it
+//! holds one record table too.
 //!
 //! This file is its own test binary with a single test, so no other test
 //! allocates while the mark is read.
 
 use slsb_bench::{CountingAllocator, ReproConfig};
-use slsb_core::{Deployment, Executor};
+use slsb_core::{Deployment, Executor, ExecutorConfig, RetryPolicy, RunResult};
 use slsb_model::{ModelKind, RuntimeKind};
-use slsb_platform::PlatformKind;
+use slsb_platform::{FaultPlan, PlatformKind, ThrottleSpec};
 use slsb_sim::alloc::{live_bytes, peak_live_bytes, reset_peak_live_bytes};
 use slsb_workload::MmppPreset;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Ceiling on the live-heap growth of one replay, per request of the
-/// trace: records, the invocation plan and its per-invocation tables, and
-/// the pre-scheduled deliveries, with headroom for the in-flight state.
-const MAX_BYTES_PER_REQUEST: usize = 288;
+/// Ceiling on the live-heap growth of one replay of the calibrated W200
+/// trace, per request: its 112-byte records plus what is in flight. The
+/// four families measure 118–124 B/request; the heaviest, the CPU server,
+/// is still waiting on 60k requests it dropped unanswered when the run
+/// ends, a byte each. Pre-scheduling every delivery up front measured
+/// 233–241 B/request.
+const MAX_BYTES_PER_REQUEST: f64 = 128.0;
+
+/// Ceiling on a `with_shards(1)` replay of the same trace with client
+/// retries, faults and client jitter, per request: one record table, the
+/// finished cell's own table on its way into it (an eighth as large), and
+/// what is in flight. It measures 138 B/request; copying every cell's
+/// records into a second table after the last cell, on top of the
+/// pre-scheduled deliveries, measured 270.
+const MAX_SHARDED_RETRY_BYTES_PER_REQUEST: f64 = 152.0;
+
+/// Runs `replay` on a fresh thread, whose run arena starts empty so the
+/// arena's buffers are part of what the replay is charged for, and
+/// returns the live-heap high-water growth per request.
+fn growth_per_request(replay: impl FnOnce() -> RunResult + Send) -> f64 {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let base = live_bytes();
+            reset_peak_live_bytes();
+            let run = replay();
+            let growth = peak_live_bytes() - base;
+            growth as f64 / run.records.len() as f64
+        })
+        .join()
+        .expect("replay thread")
+    })
+}
 
 #[test]
 fn a_replay_holds_only_its_records_and_what_is_in_flight() {
     let trace = ReproConfig::default().trace(MmppPreset::W200);
-    let requests = trace.len();
+    let seed = ReproConfig::default().seed();
+    let mobilenet = |p| Deployment::new(p, ModelKind::MobileNet, RuntimeKind::Tf115);
     for platform in [
         PlatformKind::AwsServerless,
         PlatformKind::AwsManagedMl,
         PlatformKind::AwsCpu,
         PlatformKind::AwsGpu,
     ] {
-        let dep = Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
-        // A fresh thread starts with an empty run arena, so the arena's
-        // buffers are part of what this replay is charged for.
-        let trace = &trace;
-        let growth = std::thread::scope(|s| {
-            s.spawn(|| {
-                let base = live_bytes();
-                reset_peak_live_bytes();
-                let run = Executor::default()
-                    .run(&dep, trace, ReproConfig::default().seed())
-                    .expect("valid deployment");
-                let peak = peak_live_bytes();
-                assert_eq!(run.records.len(), requests);
-                peak - base
-            })
-            .join()
-            .expect("replay thread")
+        let dep = mobilenet(platform);
+        let per_request = growth_per_request(|| {
+            let run = Executor::default().run(&dep, &trace, seed);
+            let run = run.expect("valid deployment");
+            assert_eq!(run.records.len(), trace.len());
+            run
         });
-        let per_request = growth as f64 / requests as f64;
         eprintln!("{}: {per_request:.1} B/request", platform.label());
         assert!(
-            growth <= MAX_BYTES_PER_REQUEST * requests,
-            "{}: one replay grew the live heap by {per_request:.1} B/request \
-             ({growth} B over {requests} requests), above {MAX_BYTES_PER_REQUEST}",
+            per_request <= MAX_BYTES_PER_REQUEST,
+            "{}: one replay grew the live heap by {per_request:.1} B/request, above \
+             {MAX_BYTES_PER_REQUEST}",
             platform.label(),
         );
     }
+
+    let mut faults = FaultPlan::none();
+    faults.crash_mid_exec = 0.05;
+    faults.packet_loss = 0.05;
+    faults.client_jitter_ms = 20.0;
+    faults.throttle = Some(ThrottleSpec {
+        rate_per_sec: 120.0,
+        burst: 40.0,
+    });
+    let exec = Executor::new(ExecutorConfig {
+        retry: RetryPolicy::standard(),
+        ..ExecutorConfig::default()
+    })
+    .with_faults(faults)
+    .with_shards(1);
+    let dep = mobilenet(PlatformKind::AwsServerless);
+    let per_request = growth_per_request(|| {
+        let run = exec.run(&dep, &trace, seed).expect("valid deployment");
+        assert!(run.retries > 0 && run.client_faults > 0);
+        run
+    });
+    eprintln!("sharded, retrying, faulted: {per_request:.1} B/request");
+    assert!(
+        per_request <= MAX_SHARDED_RETRY_BYTES_PER_REQUEST,
+        "a with_shards(1) retrying replay grew the live heap by {per_request:.1} B/request, \
+         above {MAX_SHARDED_RETRY_BYTES_PER_REQUEST}",
+    );
 }

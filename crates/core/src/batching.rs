@@ -27,173 +27,116 @@ pub enum BatchPolicy {
     },
 }
 
+impl BatchPolicy {
+    /// The batch a client sends next when its oldest unsent request is
+    /// `start` of `len`: returns the end of the batch (exclusive) and when
+    /// it is sent. `at(j)` is request `j`'s arrival; arrivals must not
+    /// decrease. Batches come out in send order, so a client can form
+    /// them one at a time as its requests come up.
+    ///
+    /// # Panics
+    /// Panics if a fixed batch size or adaptive max batch is zero.
+    pub fn next_batch(
+        self,
+        start: usize,
+        len: usize,
+        at: impl Fn(usize) -> SimTime,
+    ) -> (usize, SimTime) {
+        debug_assert!(start < len);
+        match self {
+            BatchPolicy::None => (start + 1, at(start)),
+            BatchPolicy::Fixed(n) => {
+                assert!(n > 0, "zero batch size");
+                // The batch fires when its last member arrives (or at
+                // workload end for the final partial batch — same
+                // instant, since these are the last arrivals).
+                let end = (start + n as usize).min(len);
+                (end, at(end - 1))
+            }
+            BatchPolicy::Adaptive {
+                max_wait,
+                max_batch,
+            } => {
+                assert!(max_batch > 0, "zero max batch");
+                let window_end = at(start) + max_wait;
+                let mut end = start + 1;
+                while end < len && at(end) <= window_end && end - start < max_batch as usize {
+                    end += 1;
+                }
+                // Fire as soon as the batch is full; otherwise wait out
+                // the window in case more requests show up.
+                let send_at = if end - start == max_batch as usize {
+                    at(end - 1)
+                } else {
+                    window_end
+                };
+                (end, send_at)
+            }
+        }
+    }
+
+    /// The members `start..end` of batch `k` over `len` requests, for the
+    /// policies that fix batches by position alone; `None` for adaptive
+    /// batching, whose batches depend on the arrival times.
+    pub fn positional_batch(self, k: usize, len: usize) -> Option<(usize, usize)> {
+        match self {
+            BatchPolicy::None => Some((k, k + 1)),
+            BatchPolicy::Fixed(n) => {
+                let n = n as usize;
+                Some((k * n, ((k + 1) * n).min(len)))
+            }
+            BatchPolicy::Adaptive { .. } => None,
+        }
+    }
+
+    /// How many batches [`BatchPolicy::next_batch`] forms over `len`
+    /// requests arriving at `at(0..len)`.
+    pub fn batches(self, len: usize, at: impl Fn(usize) -> SimTime) -> usize {
+        match self {
+            BatchPolicy::None => len,
+            BatchPolicy::Fixed(n) => {
+                assert!(n > 0, "zero batch size");
+                len.div_ceil(n as usize)
+            }
+            BatchPolicy::Adaptive { .. } => {
+                let (mut start, mut count) = (0, 0);
+                while start < len {
+                    start = self.next_batch(start, len, &at).0;
+                    count += 1;
+                }
+                count
+            }
+        }
+    }
+}
+
 /// One function invocation carrying one or more logical requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Invocation {
     /// When the client fires the invocation.
     pub send_at: SimTime,
-    /// Indices (into the run's record table) of the carried requests.
+    /// Indices (into the client's arrivals) of the carried requests.
     pub members: Vec<usize>,
 }
 
-/// Flat invocation storage: send instants plus one shared member pool.
-///
-/// The per-[`Invocation`] `members: Vec<usize>` costs one heap allocation
-/// per invocation — the single largest per-request allocation in an
-/// unbatched run. The plan stores all members in one vector with prefix
-/// offsets instead, and the executor recycles the whole structure across
-/// runs through its arena, so steady-state planning allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvocationPlan {
-    send_at: Vec<SimTime>,
-    /// Prefix offsets into `members`: invocation `i` owns
-    /// `members[bounds[i]..bounds[i + 1]]`. Always starts with 0.
-    bounds: Vec<u32>,
-    members: Vec<u32>,
-}
-
-impl Default for InvocationPlan {
-    fn default() -> Self {
-        InvocationPlan {
-            send_at: Vec::new(),
-            bounds: vec![0],
-            members: Vec::new(),
-        }
-    }
-}
-
-impl InvocationPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empties the plan, keeping all capacity.
-    pub fn clear(&mut self) {
-        self.send_at.clear();
-        self.bounds.clear();
-        self.bounds.push(0);
-        self.members.clear();
-    }
-
-    /// Pre-sizes for about `invocations` invocations over `members`
-    /// requests.
-    pub fn reserve(&mut self, invocations: usize, members: usize) {
-        self.send_at.reserve(invocations);
-        self.bounds.reserve(invocations);
-        self.members.reserve(members);
-    }
-
-    /// Number of invocations planned.
-    pub fn len(&self) -> usize {
-        self.send_at.len()
-    }
-
-    /// True when no invocations are planned.
-    pub fn is_empty(&self) -> bool {
-        self.send_at.is_empty()
-    }
-
-    /// When invocation `inv` fires.
-    pub fn send_at(&self, inv: usize) -> SimTime {
-        self.send_at[inv]
-    }
-
-    /// Record indices carried by invocation `inv`.
-    pub fn members(&self, inv: usize) -> &[u32] {
-        &self.members[self.bounds[inv] as usize..self.bounds[inv + 1] as usize]
-    }
-
-    /// Appends one invocation with the given members.
-    pub fn push(&mut self, send_at: SimTime, members: impl IntoIterator<Item = u32>) {
-        self.send_at.push(send_at);
-        self.members.extend(members);
-        self.bounds.push(self.members.len() as u32);
-    }
-
-    /// `(send_at, members)` pairs in invocation order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &[u32])> + '_ {
-        (0..self.len()).map(|i| (self.send_at(i), self.members(i)))
-    }
-}
-
-/// Groups one client's arrivals (`(record index, arrival)` sorted by
-/// arrival) into invocations under `policy`, appending to `out` — the
-/// executor calls this once per client into one shared plan.
-///
-/// # Panics
-/// Panics if a fixed batch size or adaptive max batch is zero.
-pub fn plan_invocations_into(
-    arrivals: &[(usize, SimTime)],
-    policy: BatchPolicy,
-    out: &mut InvocationPlan,
-) {
-    debug_assert!(arrivals.windows(2).all(|w| w[0].1 <= w[1].1));
-    match policy {
-        BatchPolicy::None => {
-            out.reserve(arrivals.len(), arrivals.len());
-            for &(idx, at) in arrivals {
-                out.push(at, [idx as u32]);
-            }
-        }
-        BatchPolicy::Fixed(n) => {
-            assert!(n > 0, "zero batch size");
-            for chunk in arrivals.chunks(n as usize) {
-                // The batch fires when its last member arrives (or at
-                // workload end for the final partial batch — same
-                // instant, since these are the last arrivals).
-                out.push(
-                    chunk.last().expect("non-empty chunk").1,
-                    chunk.iter().map(|&(idx, _)| idx as u32),
-                );
-            }
-        }
-        BatchPolicy::Adaptive {
-            max_wait,
-            max_batch,
-        } => {
-            assert!(max_batch > 0, "zero max batch");
-            let mut i = 0;
-            while i < arrivals.len() {
-                let window_end = arrivals[i].1 + max_wait;
-                let mut j = i + 1;
-                while j < arrivals.len()
-                    && arrivals[j].1 <= window_end
-                    && (j - i) < max_batch as usize
-                {
-                    j += 1;
-                }
-                let last_arrival = arrivals[j - 1].1;
-                // Fire as soon as the batch is full; otherwise wait out the
-                // window in case more requests show up.
-                let send_at = if (j - i) == max_batch as usize {
-                    last_arrival
-                } else {
-                    window_end
-                };
-                out.push(send_at, arrivals[i..j].iter().map(|&(idx, _)| idx as u32));
-                i = j;
-            }
-        }
-    }
-}
-
-/// Groups one client's arrivals (`(record index, arrival)` sorted by
-/// arrival) into invocations under `policy`. Allocating convenience
-/// wrapper around [`plan_invocations_into`], kept for tests and external
-/// callers.
+/// Groups one client's arrivals (`(request index, arrival)` sorted by
+/// arrival) into invocations under `policy`, all at once.
 ///
 /// # Panics
 /// Panics if a fixed batch size or adaptive max batch is zero.
 pub fn plan_invocations(arrivals: &[(usize, SimTime)], policy: BatchPolicy) -> Vec<Invocation> {
-    let mut plan = InvocationPlan::new();
-    plan_invocations_into(arrivals, policy, &mut plan);
-    plan.iter()
-        .map(|(send_at, members)| Invocation {
+    debug_assert!(arrivals.windows(2).all(|w| w[0].1 <= w[1].1));
+    let mut out = Vec::with_capacity(policy.batches(arrivals.len(), |j| arrivals[j].1));
+    let mut start = 0;
+    while start < arrivals.len() {
+        let (end, send_at) = policy.next_batch(start, arrivals.len(), |j| arrivals[j].1);
+        out.push(Invocation {
             send_at,
-            members: members.iter().map(|&m| m as usize).collect(),
-        })
-        .collect()
+            members: arrivals[start..end].iter().map(|&(idx, _)| idx).collect(),
+        });
+        start = end;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -289,6 +232,31 @@ mod tests {
         }
         let total: usize = inv.iter().map(|i| i.members.len()).sum();
         assert_eq!(total, 100);
+    }
+
+    #[test]
+    fn batch_counts_match_the_plans() {
+        let times: Vec<f64> = (0..37).map(|i| (i * i % 11) as f64 * 0.1 + i as f64 * 0.2).collect();
+        let mut times = times;
+        times.sort_by(f64::total_cmp);
+        let a = arrivals(&times);
+        for policy in [
+            BatchPolicy::None,
+            BatchPolicy::Fixed(4),
+            BatchPolicy::Adaptive {
+                max_wait: SimDuration::from_millis(300),
+                max_batch: 5,
+            },
+        ] {
+            let count = policy.batches(a.len(), |j| a[j].1);
+            let plan = plan_invocations(&a, policy);
+            assert_eq!(count, plan.len(), "{policy:?}");
+            for (k, inv) in plan.iter().enumerate() {
+                if let Some((start, end)) = policy.positional_batch(k, a.len()) {
+                    assert_eq!(inv.members, (start..end).collect::<Vec<_>>(), "{policy:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,12 @@ use slsb_sim::{EventQueue, ProfGuard, Seed, SimDuration, SimTime, StoreKind};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
+/// How many arrivals (fleet) or deliveries (executor) one refill hands
+/// the kernel. The burst lands through one call (one profiler scope, one
+/// wheel cursor walk) instead of one per event, and what an engine holds
+/// of its arrivals stays O(clients + burst).
+pub(crate) const ARRIVAL_BURST: usize = 64;
+
 /// One unit of a run: a seed plus the clients it replays.
 #[derive(Debug)]
 pub(crate) struct Cell {

@@ -15,8 +15,8 @@
 //! fan-out and reassembly. On top of the shared cell layer the executor
 //! adds its client layer: batching, retries and client-path faults.
 
-use crate::batching::{plan_invocations_into, BatchPolicy, InvocationPlan};
-use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd};
+use crate::batching::BatchPolicy;
+use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd, ARRIVAL_BURST};
 use crate::plan::{Deployment, PlanError};
 use serde::{Deserialize, Serialize};
 use slsb_model::ModelKind;
@@ -30,7 +30,8 @@ use slsb_sim::{
 };
 use slsb_workload::{InputKind, RequestPool, WorkloadTrace};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Client retry policy: how an invocation is re-issued after a failed or
 /// timed-out attempt. The default (`max_attempts = 1`) disables retries
@@ -317,7 +318,7 @@ enum ExecEvent {
     Deliver(usize),
     Platform(PlatformEvent),
     /// A platform response reaches the issuing client (retry mode only);
-    /// carries an index into the response log.
+    /// carries a slot of the receipt table.
     ClientRecv(usize),
     /// An attempt's per-attempt timeout expired (retry mode only); carries
     /// the attempt-encoded invocation id.
@@ -353,6 +354,14 @@ impl Resolution {
 /// Per-request span scratch: `(receive, net_in, exec, net_out)`.
 type SpanParts = (SimTime, SimDuration, SimDuration, SimDuration);
 
+/// What a traced run keeps per request until the trace's closing spans:
+/// the carrying invocation and, once fixed, the span's phases.
+#[derive(Clone, Copy, Default)]
+struct Span {
+    inv: u64,
+    parts: Option<SpanParts>,
+}
+
 /// Memoized request pool: pools are pure functions of `(kind, size,
 /// samples)`, so a run can reuse the previous run's pool whenever the key
 /// matches instead of regenerating (and reallocating) it.
@@ -363,32 +372,103 @@ struct PoolMemo {
     pool: RequestPool,
 }
 
+/// One client of a cell, replaying its share of the trace: requests
+/// `arrivals[client + j · clients]` for `j` in `0..len`, batched under the
+/// run's policy, with payloads drawn from its own `("client", id)`
+/// stream in request order.
+struct Lane {
+    /// The client's global id.
+    client: usize,
+    /// How many requests the client has.
+    len: usize,
+    /// The client's oldest request not yet sent.
+    next: usize,
+    /// The end of the batch starting at `next`; its send instant is the
+    /// lane's entry in [`ExecSystem::next_send`].
+    batch_end: usize,
+    /// Global id of the lane's next invocation; its first is its entry in
+    /// [`ExecSystem::first_inv`].
+    next_inv: usize,
+    payload_rng: SimRng,
+}
+
+/// A lane's invocations in flight: every one sent from the oldest its
+/// client may still hear back about on. What they carry is in their
+/// member records, so a lane keeps one byte per invocation in flight
+/// (five under adaptive batching).
+#[derive(Default)]
+struct Window {
+    /// Each invocation's current attempt, 1-based, or 0 once its client
+    /// stopped waiting; [`u8::MAX`] stands for any attempt from 255 on,
+    /// kept exactly in [`ExecSystem::late_attempts`].
+    attempts: VecDeque<u8>,
+    /// Where each invocation's members start in the lane, kept only under
+    /// adaptive batching: other policies fix batches by position.
+    starts: VecDeque<u32>,
+}
+
+/// An invocation in flight, located in its lane's window; what it
+/// carries is read back from its member records.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    lane: usize,
+    /// Its position in the lane's window.
+    slot: usize,
+    /// Its members' positions in the lane: `first..end`.
+    first: usize,
+    end: usize,
+    attempt: u32,
+}
+
+/// How the lanes' invocations reach the kernel.
+///
+/// Each first delivery (and, under retries, the first attempt's timeout)
+/// owns a sequence number reserved at the start of the run, numbered in
+/// invocation order, so it ties against every other event exactly as if
+/// the whole schedule had been queued up front, provided it is queued
+/// before anything that sorts after it pops. Lanes send in send order and
+/// a delivery never precedes its send, so nothing unsent fires before the
+/// earliest unsent send instant, the watermark. A refill sends at least
+/// [`ARRIVAL_BURST`] invocations, queues their events and picks as its
+/// trigger the latest of them that fires before the watermark: the kernel
+/// pops the trigger before anything at or past the watermark, and popping
+/// it calls the next refill.
+#[derive(Default)]
+struct Feed {
+    /// The first reserved sequence number.
+    first_seq: u64,
+    /// Reserved numbers per invocation: 1, or 2 under retries.
+    stride: u64,
+    /// The burst being handed to the kernel.
+    burst: Vec<(SimTime, u64, ExecEvent)>,
+    /// The event whose pop calls the next refill: the first delivery
+    /// (`false`) or first-attempt timeout (`true`) of an invocation.
+    /// `None` once every lane has sent everything.
+    trigger: Option<(bool, usize)>,
+}
+
 /// Run-lifetime buffers, recycled across runs on the same thread.
 ///
-/// Everything the executor used to allocate per run — per-client arrival
-/// lists, the invocation plan, the per-invocation tables, retry state and
-/// its response log (responses settle as they drain, as in the fleet, so
-/// only retries log them), span scratch — lives here. Buffers are
-/// `clear()`ed (keeping capacity) instead of dropped, so on a thread
-/// replaying many traces (replication, benches) the steady-state request
-/// path performs no per-request heap allocation. One arena per thread via
-/// [`ARENA`]; worker threads in a sharded or replicated run each get their
-/// own.
+/// Everything a run holds besides its records — the lanes, their
+/// in-flight invocations, the delivery feed, retry receipts, platform
+/// scratch — lives here and is sized by what is in flight, never by the
+/// request count. Buffers are `clear()`ed (keeping capacity) instead of
+/// dropped, so on a thread replaying many traces (replication, benches)
+/// the steady-state request path performs no per-request heap
+/// allocation. One arena per thread via [`ARENA`]; worker threads in a
+/// sharded or replicated run each get their own.
 #[derive(Default)]
 struct RunArena {
-    client_rngs: Vec<SimRng>,
-    per_client: Vec<Vec<(usize, SimTime)>>,
-    plan: InvocationPlan,
-    payload_per_invocation: Vec<u64>,
-    inferences_per_invocation: Vec<u32>,
-    net_in: Vec<SimDuration>,
-    deliver_at: Vec<SimTime>,
-    deadline: Vec<SimTime>,
-    attempt: Vec<u32>,
-    resolution: Vec<Option<Resolution>>,
-    inv_of: Vec<u64>,
-    spans: Vec<Option<SpanParts>>,
-    responses: Vec<(usize, ServingResponse)>,
+    lanes: Vec<Lane>,
+    first_inv: Vec<usize>,
+    next_send: Vec<SimTime>,
+    jitters: Vec<FaultInjector>,
+    windows: Vec<Window>,
+    feed: Feed,
+    /// Retry mode's responses on their way to the client, by
+    /// [`ExecEvent::ClientRecv`] slot, and the free slots.
+    receipts: Vec<(usize, ServingResponse)>,
+    free_receipts: Vec<usize>,
     resp_scratch: Vec<ServingResponse>,
     buffer: Vec<(SimDuration, PlatformEvent)>,
     pool: Option<PoolMemo>,
@@ -399,21 +479,17 @@ impl RunArena {
     /// memo survives: pools are deterministic in their key, so reuse can
     /// never change results.
     fn begin(&mut self) {
-        self.client_rngs.clear();
-        for c in &mut self.per_client {
-            c.clear();
+        self.lanes.clear();
+        self.next_send.clear();
+        self.first_inv.clear();
+        self.jitters.clear();
+        for w in &mut self.windows {
+            w.attempts.clear();
+            w.starts.clear();
         }
-        self.plan.clear();
-        self.payload_per_invocation.clear();
-        self.inferences_per_invocation.clear();
-        self.net_in.clear();
-        self.deliver_at.clear();
-        self.deadline.clear();
-        self.attempt.clear();
-        self.resolution.clear();
-        self.inv_of.clear();
-        self.spans.clear();
-        self.responses.clear();
+        self.feed.burst.clear();
+        self.receipts.clear();
+        self.free_receipts.clear();
         self.resp_scratch.clear();
         self.buffer.clear();
     }
@@ -462,37 +538,51 @@ fn unresolved(index: usize, client: u32, arrival: SimTime, payload_bytes: u64) -
 
 struct ExecSystem<'r> {
     platform: Platform,
-    /// The cell's local record table, settled as responses drain.
+    /// The cell's local record table: lane `l`'s request `j` is record
+    /// `j · lanes + l`.
     records: Vec<RequestRecord>,
+    /// The next record to add: its round of the trace and its lane.
+    fill: (usize, usize),
     /// Per-record span scratch; sized only when a recorder wants spans.
-    spans: &'r mut [Option<SpanParts>],
-    /// The run's invocations (send instants + member record indices).
-    plan: &'r InvocationPlan,
-    payload_per_invocation: &'r [u64],
-    inferences_per_invocation: &'r [u32],
-    /// Retry mode's response log (attempt-encoded invocation id →
-    /// response), indexed by [`ExecEvent::ClientRecv`].
-    responses: &'r mut Vec<(usize, ServingResponse)>,
+    spans: Vec<Span>,
+    /// The whole trace's arrivals, which the lanes read strided.
+    arrivals: &'r [SimTime],
+    /// Clients in the whole run: the lanes' stride through `arrivals`.
+    all_clients: usize,
+    lanes: &'r mut [Lane],
+    /// Per lane, the global id of its first invocation: invocations are
+    /// numbered consecutively in send order, lane after lane.
+    first_inv: &'r [usize],
+    /// Per lane, its share of the first-attempt client jitter.
+    jitters: &'r mut [FaultInjector],
+    /// Per lane, when its next batch is sent; [`SimTime::MAX`] once it
+    /// has sent everything. Kept apart from the lanes so that finding the
+    /// earliest reads one cache line.
+    next_send: &'r mut [SimTime],
+    windows: &'r mut [Window],
+    /// Exact attempts of invocations past attempt 254.
+    late_attempts: BTreeMap<usize, u32>,
+    feed: &'r mut Feed,
+    pool: &'r RequestPool,
+    policy: BatchPolicy,
+    inference_repeats: u32,
+    network: NetworkProfile,
+    /// Retry mode's receipt table and its free slots.
+    receipts: &'r mut Vec<(usize, ServingResponse)>,
+    free_receipts: &'r mut Vec<usize>,
     /// Platform scheduling buffer, drain scratch and trace sink.
     io: PlatformIo<'r>,
-    /// Client-path fault injector (packet loss, request-path jitter).
+    /// Client-path fault injector (packet loss, retry jitter).
     client_faults: FaultInjector,
     /// Retry machinery; everything below is inert when it is disabled.
     retry: RetryPolicy,
     /// Invocation count, for decoding attempt-encoded request ids.
     n_inv: usize,
-    /// Network time on each invocation's request path (pre-jitter).
-    net_in: &'r [SimDuration],
     /// Response-path network time.
     response_net: SimDuration,
-    /// Client HTTP timeout: a success received later counts as failed.
+    /// Client HTTP timeout: a success received later counts as failed,
+    /// and no retry is sent later than this after the first send.
     timeout: SimDuration,
-    /// Per-invocation overall client deadline (`send_at + timeout`).
-    deadline: &'r [SimTime],
-    /// Current attempt per invocation, 1-based (retry mode only).
-    attempt: &'r mut [u32],
-    /// Client-side fate per invocation, once fixed (retry mode only).
-    resolution: &'r mut [Option<Resolution>],
     /// Re-sends issued so far, bounded by the policy budget.
     retries_used: u64,
     /// Deterministic jitter source for retry backoffs.
@@ -500,6 +590,192 @@ struct ExecSystem<'r> {
 }
 
 impl ExecSystem<'_> {
+    /// Sends lane `l`'s next invocation: draws its members' payloads,
+    /// stamps their records and opens its flight. Returns its id, send
+    /// instant and request-path network time.
+    fn send(&mut self, l: usize) -> (usize, SimTime, SimDuration) {
+        let (arrivals, stride) = (self.arrivals, self.all_clients);
+        let lanes = self.lanes.len();
+        self.fill_records((self.lanes[l].batch_end - 1) * lanes + l);
+        let lane = &mut self.lanes[l];
+        let (end, send_at) = (lane.batch_end, self.next_send[l]);
+        debug_assert!(send_at < SimTime::MAX, "lane has an unsent batch");
+        let inv = lane.next_inv;
+        let mut payload_bytes = 0;
+        for j in lane.next..end {
+            let m = j * lanes + l;
+            let rec = &mut self.records[m];
+            rec.payload_bytes = self.pool.pick(&mut lane.payload_rng).size_bytes;
+            rec.sent_at = send_at;
+            payload_bytes += rec.payload_bytes;
+            if let Some(span) = self.spans.get_mut(m) {
+                span.inv = inv as u64;
+            }
+        }
+        let first = u32::try_from(lane.next).expect("a lane's requests fit in u32");
+        let client = lane.client;
+        let at = |j: usize| arrivals[client + j * stride];
+        (lane.batch_end, self.next_send[l]) = if end < lane.len {
+            self.policy.next_batch(end, lane.len, at)
+        } else {
+            (end, SimTime::MAX)
+        };
+        lane.next = end;
+        lane.next_inv += 1;
+        let window = &mut self.windows[l];
+        window.attempts.push_back(1);
+        if matches!(self.policy, BatchPolicy::Adaptive { .. }) {
+            window.starts.push_back(first);
+        }
+        (inv, send_at, self.network.transfer_time(payload_bytes))
+    }
+
+    /// Extends the record table, in trace order, through local record
+    /// `m`. The table grows just ahead of the lanes' sends, so a send
+    /// stamps records that are still in cache.
+    fn fill_records(&mut self, m: usize) {
+        while self.records.len() <= m {
+            let (round, l) = self.fill;
+            let client = self.lanes[l].client;
+            let index = round * self.all_clients + client;
+            let rec = unresolved(index, client as u32, self.arrivals[index], 0);
+            self.records.push(rec);
+            self.fill = if l + 1 == self.lanes.len() {
+                (round + 1, 0)
+            } else {
+                (round, l + 1)
+            };
+        }
+    }
+
+    /// Sends the next burst of lane invocations (earliest send first) and
+    /// hands their first deliveries, and first-attempt timeouts, to the
+    /// kernel; see [`Feed`].
+    fn refill<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
+        let mut earliest = SimTime::MAX;
+        let watermark = loop {
+            // The earliest unsent send bounds every unsent event.
+            let watermark = *self.next_send.iter().min().expect("a cell has a lane");
+            let l = self.next_send.iter().position(|&at| at == watermark);
+            let l = l.expect("the minimum is in the slice");
+            let full = self.feed.burst.len() >= ARRIVAL_BURST && earliest < watermark;
+            if watermark == SimTime::MAX || full {
+                break watermark;
+            }
+            let (inv, send_at, net_in) = self.send(l);
+            let deliver_at = send_at + net_in + self.jitters[l].client_jitter();
+            let seq = self.feed.first_seq + inv as u64 * self.feed.stride;
+            self.feed
+                .burst
+                .push((deliver_at, seq, ExecEvent::Deliver(inv)));
+            earliest = earliest.min(deliver_at);
+            if self.retry.enabled() {
+                let timeout_at = send_at + self.retry.attempt_timeout;
+                let timeout = ExecEvent::AttemptTimeout(inv);
+                self.feed.burst.push((timeout_at, seq + 1, timeout));
+            }
+        };
+        let feed = &mut *self.feed;
+        feed.trigger = if watermark == SimTime::MAX {
+            None
+        } else {
+            feed.burst
+                .iter()
+                .filter(|e| e.0 < watermark)
+                .max_by_key(|e| (e.0, e.1))
+                .map(|e| match e.2 {
+                    ExecEvent::AttemptTimeout(inv) => (true, inv),
+                    ExecEvent::Deliver(inv) => (false, inv),
+                    _ => unreachable!("the feed queues first attempts only"),
+                })
+        };
+        queue.schedule_reserved(feed.burst.drain(..));
+    }
+
+    /// The lane that sent invocation `inv`.
+    fn lane_of(&self, inv: usize) -> usize {
+        // Counting instead of a binary search: lanes are few, and ids in
+        // event order hop between them unpredictably.
+        self.first_inv.iter().filter(|&&first| first <= inv).count() - 1
+    }
+
+    /// Invocation `inv`'s lane and its position in the lane's window.
+    fn flight_at(&self, inv: usize) -> Option<(usize, usize)> {
+        let l = self.lane_of(inv);
+        let oldest = self.lanes[l].next_inv - self.windows[l].attempts.len();
+        Some((l, inv.checked_sub(oldest)?))
+    }
+
+    /// Invocation `inv`, while its client waits on it.
+    fn flight(&self, inv: usize) -> Option<Flight> {
+        let (l, slot) = self.flight_at(inv)?;
+        let (lane, window) = (&self.lanes[l], &self.windows[l]);
+        let attempt = match *window.attempts.get(slot)? {
+            0 => return None,
+            u8::MAX => self.late_attempts[&inv],
+            a => u32::from(a),
+        };
+        let (first, end) = self
+            .policy
+            .positional_batch(inv - self.first_inv[l], lane.len)
+            .unwrap_or_else(|| {
+                let end = window.starts.get(slot + 1).map_or(lane.next, |&j| j as usize);
+                (window.starts[slot] as usize, end)
+            });
+        Some(Flight {
+            lane: l,
+            slot,
+            first,
+            end,
+            attempt,
+        })
+    }
+
+    /// Record index of request `j` of lane `l`.
+    fn record(&self, l: usize, j: usize) -> usize {
+        j * self.lanes.len() + l
+    }
+
+    /// Bytes invocation `f` carries.
+    fn payload(&self, f: &Flight) -> u64 {
+        (f.first..f.end)
+            .map(|j| self.records[self.record(f.lane, j)].payload_bytes)
+            .sum()
+    }
+
+    /// When invocation `f` was first sent.
+    fn send_at(&self, f: &Flight) -> SimTime {
+        self.records[self.record(f.lane, f.first)].sent_at
+    }
+
+    /// Network time on invocation `f`'s request path (pre-jitter).
+    fn net_in(&self, f: &Flight) -> SimDuration {
+        self.network.transfer_time(self.payload(f))
+    }
+
+    /// Moves invocation `inv` (in flight as `f`) to attempt `attempt`;
+    /// 0 stops waiting on it and drops every closed invocation at the
+    /// front of its window.
+    fn set_attempt(&mut self, inv: usize, f: &Flight, attempt: u32) {
+        let window = &mut self.windows[f.lane];
+        window.attempts[f.slot] = match u8::try_from(attempt) {
+            Ok(a) if a < u8::MAX => {
+                if window.attempts[f.slot] == u8::MAX {
+                    self.late_attempts.remove(&inv);
+                }
+                a
+            }
+            _ => {
+                self.late_attempts.insert(inv, attempt);
+                u8::MAX
+            }
+        };
+        while window.attempts.front() == Some(&0) {
+            window.attempts.pop_front();
+            window.starts.pop_front();
+        }
+    }
+
     fn drain<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
         if self.io.drain(&mut self.platform) {
             self.settle_drained(Some(queue));
@@ -508,7 +784,7 @@ impl ExecSystem<'_> {
 
     /// Handles drained responses. A single attempt's fate is its response,
     /// settled at once; its exec time is what remains of the platform's
-    /// span after its own queueing. Under retries a response is logged for
+    /// span after its own queueing. Under retries a response is held for
     /// its client's receipt, or dropped once the engine has stopped
     /// (`queue` is `None`).
     fn settle_drained<K: StoreKind>(&mut self, mut queue: Option<&mut EventQueue<ExecEvent, K>>) {
@@ -517,27 +793,43 @@ impl ExecSystem<'_> {
         let mut pending = std::mem::take(self.io.resp_scratch);
         for resp in pending.drain(..) {
             let received_at = resp.completed_at + self.response_net;
-            let inv = resp.id.0 as usize;
+            let id = resp.id.0 as usize;
             if !self.retry.enabled() {
-                let delivered = self.plan.send_at(inv) + self.net_in[inv];
+                let f = self.flight(id).expect("a delivered invocation is in flight");
+                let delivered = self.send_at(&f) + self.net_in(&f);
                 let exec = resp
                     .completed_at
                     .saturating_duration_since(delivered + resp.queued);
-                self.settle(inv, Resolution::received(resp, received_at), exec);
+                self.resolve(id, &f, Resolution::received(resp, received_at), exec);
             } else if let Some(queue) = queue.as_deref_mut() {
-                let idx = self.responses.len();
-                self.responses.push((inv, resp));
-                queue.schedule_at(received_at, ExecEvent::ClientRecv(idx));
+                let slot = match self.free_receipts.pop() {
+                    Some(slot) => {
+                        self.receipts[slot] = (id, resp);
+                        slot
+                    }
+                    None => {
+                        self.receipts.push((id, resp));
+                        self.receipts.len() - 1
+                    }
+                };
+                queue.schedule_at(received_at, ExecEvent::ClientRecv(slot));
             }
         }
         *self.io.resp_scratch = pending;
     }
 
-    /// Applies an invocation's fate, and the exec time its spans report,
-    /// to its member records.
-    fn settle(&mut self, inv: usize, res: Resolution, exec: SimDuration) {
-        for &m in self.plan.members(inv) {
-            let rec = &mut self.records[m as usize];
+    /// Fixes invocation `inv`'s fate: applies it, and the exec time its
+    /// spans report, to its member records, and closes its flight.
+    fn resolve(&mut self, inv: usize, f: &Flight, res: Resolution, exec: SimDuration) {
+        // Spans are only kept when tracing.
+        let net_in = if self.spans.is_empty() {
+            SimDuration::ZERO
+        } else {
+            self.net_in(f)
+        };
+        for j in f.first..f.end {
+            let m = self.record(f.lane, j);
+            let rec = &mut self.records[m];
             rec.predict = res.predict;
             rec.queued = res.queued;
             rec.cold_start = res.cold_start;
@@ -552,22 +844,27 @@ impl ExecSystem<'_> {
                 }
                 failure => failure,
             };
-            if let Some(span) = self.spans.get_mut(m as usize) {
-                *span = Some((res.received_at, self.net_in[inv], exec, self.response_net));
+            if let Some(span) = self.spans.get_mut(m) {
+                span.parts = Some((res.received_at, net_in, exec, self.response_net));
             }
         }
+        self.set_attempt(inv, f, 0);
     }
 
     fn decode(&self, id: usize) -> (usize, u32) {
-        let n = self.n_inv.max(1);
-        (id % n, (id / n) as u32 + 1)
+        if id < self.n_inv {
+            // A first attempt, and without retries every event's: no
+            // division on the common path.
+            return (id, 1);
+        }
+        (id % self.n_inv, (id / self.n_inv) as u32 + 1)
     }
 
-    /// Whether an event about `inv`'s attempt `attempt` is stale: the
-    /// invocation already resolved, or the client has moved on to a later
-    /// attempt (late responses from abandoned attempts are dropped).
-    fn stale(&self, inv: usize, attempt: u32) -> bool {
-        self.resolution[inv].is_some() || self.attempt[inv] != attempt
+    /// Invocation `inv`, if its client still waits on exactly attempt
+    /// `attempt`; events about resolved invocations or abandoned attempts
+    /// are stale.
+    fn current(&self, inv: usize, attempt: u32) -> Option<Flight> {
+        self.flight(inv).filter(|f| f.attempt == attempt)
     }
 
     fn emit_fault(&mut self, at: SimTime, kind: FaultKind) {
@@ -591,9 +888,10 @@ impl ExecSystem<'_> {
         &mut self,
         queue: &mut EventQueue<ExecEvent, K>,
         inv: usize,
+        f: Flight,
         reason: FailureReason,
     ) {
-        let attempt = self.attempt[inv];
+        let attempt = f.attempt;
         let now = queue.now();
         if attempt < self.retry.max_attempts && self.retries_used < self.retry.budget {
             let base = (self.retry.base_backoff.as_secs_f64()
@@ -605,11 +903,11 @@ impl ExecSystem<'_> {
                 0.0
             };
             let send_at = now + SimDuration::from_secs_f64(base + jitter);
-            if send_at <= self.deadline[inv] {
+            if send_at <= self.send_at(&f) + self.timeout {
                 self.retries_used += 1;
-                self.attempt[inv] = attempt + 1;
+                self.set_attempt(inv, &f, attempt + 1);
                 let id = attempt as usize * self.n_inv + inv;
-                let deliver_at = send_at + self.net_in[inv] + self.client_faults.client_jitter();
+                let deliver_at = send_at + self.net_in(&f) + self.client_faults.client_jitter();
                 queue.schedule_at(deliver_at, ExecEvent::Deliver(id));
                 queue.schedule_at(
                     send_at + self.retry.attempt_timeout,
@@ -626,13 +924,14 @@ impl ExecSystem<'_> {
         } else {
             reason
         };
-        self.resolution[inv] = Some(Resolution {
+        let res = Resolution {
             outcome: Outcome::Failure(final_reason),
             received_at: now,
             predict: SimDuration::ZERO,
             queued: SimDuration::ZERO,
             cold_start: None,
-        });
+        };
+        self.resolve(inv, &f, res, res.predict);
     }
 }
 
@@ -647,22 +946,30 @@ impl System for ExecSystem<'_> {
         let sys = self;
         match ev {
             ExecEvent::Deliver(id) => {
-                let (inv, attempt) = sys.decode(id);
-                if sys.retry.enabled() && sys.stale(inv, attempt) {
-                    return;
+                if sys.feed.trigger == Some((false, id)) {
+                    sys.refill(queue);
                 }
+                let (inv, attempt) = sys.decode(id);
+                // Without retries every delivery is its invocation's only
+                // attempt, and nothing closes a flight before it lands.
+                let Some(f) = sys.current(inv, attempt) else {
+                    return;
+                };
                 if sys.client_faults.drop_packet() {
                     // The platform never sees the request; the attempt
                     // timeout (retry mode) or the client timeout (legacy
                     // mode) is what the client eventually observes.
                     sys.emit_fault(queue.now(), FaultKind::PacketLoss);
+                    if !sys.retry.enabled() {
+                        sys.set_attempt(inv, &f, 0);
+                    }
                     return;
                 }
                 let req = ServingRequest {
                     id: RequestId(id as u64),
                     arrival: queue.now(),
-                    payload_bytes: sys.payload_per_invocation[inv],
-                    inferences: sys.inferences_per_invocation[inv],
+                    payload_bytes: sys.payload(&f),
+                    inferences: (f.end - f.first) as u32 * sys.inference_repeats,
                 };
                 sys.io
                     .drive(&mut sys.platform, queue, ExecEvent::Platform, |p, s| {
@@ -675,27 +982,36 @@ impl System for ExecSystem<'_> {
                         p.handle(s, e)
                     });
             }
-            ExecEvent::ClientRecv(idx) => {
-                let (id, resp) = sys.responses[idx];
+            ExecEvent::ClientRecv(slot) => {
+                let (id, resp) = sys.receipts[slot];
+                sys.free_receipts.push(slot);
                 let (inv, attempt) = sys.decode(id);
-                if sys.stale(inv, attempt) {
+                let Some(f) = sys.current(inv, attempt) else {
                     return;
-                }
+                };
                 match resp.outcome {
                     Outcome::Success => {
-                        sys.resolution[inv] = Some(Resolution::received(resp, queue.now()));
+                        let res = Resolution::received(resp, queue.now());
+                        // The winning attempt's exec time is approximated
+                        // by its predict time: the retransmission history
+                        // makes the phase algebra of the single-shot path
+                        // moot.
+                        sys.resolve(inv, &f, res, res.predict);
                     }
                     Outcome::Failure(reason) => {
-                        sys.attempt_failed(queue, inv, reason);
+                        sys.attempt_failed(queue, inv, f, reason);
                     }
                 }
             }
             ExecEvent::AttemptTimeout(id) => {
-                let (inv, attempt) = sys.decode(id);
-                if sys.stale(inv, attempt) {
-                    return;
+                if sys.feed.trigger == Some((true, id)) {
+                    sys.refill(queue);
                 }
-                sys.attempt_failed(queue, inv, FailureReason::ClientTimeout);
+                let (inv, attempt) = sys.decode(id);
+                let Some(f) = sys.current(inv, attempt) else {
+                    return;
+                };
+                sys.attempt_failed(queue, inv, f, FailureReason::ClientTimeout);
             }
         }
         sys.drain(queue);
@@ -842,9 +1158,9 @@ impl Executor {
     /// seed's `("shard", client)` substream with its own platform; cells
     /// run on up to [`ExecutorConfig::shards`] workers, their trace events
     /// reach `rec` in cell order as they finish (see [`fan_out`]), and
-    /// their records are placed back by global trace index. The
-    /// decomposition depends only on the client count, never on the
-    /// worker budget.
+    /// each cell's records go to their trace positions as soon as it
+    /// finishes, so the run holds one record table. The decomposition
+    /// depends only on the client count, never on the worker budget.
     fn replay<K: StoreKind>(
         &self,
         deployment: &Deployment,
@@ -871,36 +1187,33 @@ impl Executor {
             let cell_rec = rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
             self.run_cell::<K>(deployment, platform, trace, cell, cell_rec)
         } else {
+            let table = Mutex::new(vec![
+                unresolved(0, 0, SimTime::ZERO, 0);
+                trace.arrivals().len()
+            ]);
             let outs = fan_out(
                 self.cfg.shards,
                 &cells,
                 rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
                 "executor/merge",
-                |cell, cell_rec| self.run_cell::<K>(deployment, None, trace, cell, cell_rec),
+                |cell, cell_rec| {
+                    let mut out = self.run_cell::<K>(deployment, None, trace, cell, cell_rec);
+                    let records = std::mem::take(&mut out.records);
+                    let mut table = table.lock().unwrap_or_else(PoisonError::into_inner);
+                    // A cell's client owns every `n_clients`-th request.
+                    let own = table[cell.clients[0] as usize..].iter_mut();
+                    for (slot, r) in own.step_by(n_clients).zip(records) {
+                        *slot = r;
+                    }
+                    out
+                },
             );
-            // Request i belongs to client i % n_clients and each cell's
-            // records ascend by global index, so one pass over the trace
-            // with a cursor per cell puts every record back in place.
-            let mut cell_of = vec![0; n_clients];
-            for (k, cell) in cells.iter().enumerate() {
-                for &c in &cell.clients {
-                    cell_of[c as usize] = k;
-                }
-            }
-            let mut next = vec![0; cells.len()];
-            let records = (0..trace.arrivals().len())
-                .map(|i| {
-                    let k = cell_of[i % n_clients];
-                    next[k] += 1;
-                    outs[k].records[next[k] - 1]
-                })
-                .collect();
             let reports: Vec<PlatformReport> = outs.iter().map(|o| o.platform.clone()).collect();
             RunResult {
                 deployment: *deployment,
                 workload: trace.shared_name(),
                 duration: trace.duration(),
-                records,
+                records: table.into_inner().unwrap_or_else(PoisonError::into_inner),
                 platform: PlatformReport::merge_shards(&reports),
                 engine_events: outs.iter().map(|o| o.engine_events).sum(),
                 client_faults: outs.iter().map(|o| o.client_faults).sum(),
@@ -935,17 +1248,19 @@ impl Executor {
         })
     }
 
-    /// Replays one cell against its platform: the cell's clients' requests
+    /// Replays one cell against its platform. Its clients' requests
     /// (round-robin over all clients, the paper's splitter) in ascending
-    /// global trace index form its local record table, which plan members
-    /// index. Each client draws from its own `("client", id)` stream of
-    /// the cell seed. All run-lifetime state lives in `arena`.
+    /// global trace index form its local record table. Each client is a
+    /// [`Lane`] drawing from its own `("client", id)` stream of the cell
+    /// seed; the lanes send as their batches come up and the [`Feed`]
+    /// hands their deliveries to the kernel. All run-lifetime state
+    /// besides the records lives in `arena`.
     #[allow(clippy::too_many_lines)]
     fn run_cell_in<'a, K: StoreKind>(
         &self,
         deployment: &Deployment,
         mut platform: Platform,
-        trace: &WorkloadTrace,
+        trace: &'a WorkloadTrace,
         cell: &Cell,
         rec: Option<&'a mut dyn Recorder>,
         arena: &'a mut RunArena,
@@ -960,16 +1275,11 @@ impl Executor {
         let end = RunEnd::new(trace.duration(), self.cfg.timeout);
         let all_clients = self.cfg.clients.max(1);
         let arrivals = trace.arrivals();
-        let slots = cell.clients.len();
         // Request i belongs to client i % all_clients: full rounds give
-        // every slot one request, the last partial round only the clients
-        // below the remainder.
-        let n = arrivals.len() / all_clients * slots
-            + cell
-                .clients
-                .iter()
-                .filter(|&&c| (c as usize) < arrivals.len() % all_clients)
-                .count();
+        // every client one request, the last partial round only the
+        // clients below the remainder.
+        let lane_len = |c: usize| arrivals.len() / all_clients + usize::from(c < arrivals.len() % all_clients);
+        let n: usize = cell.clients.iter().map(|&c| lane_len(c as usize)).sum();
         // An empty plan installs an injector that never draws, so this is
         // unconditional without costing byte-identity.
         platform.set_faults(&self.faults, seed);
@@ -977,23 +1287,19 @@ impl Executor {
 
         let arrivals_guard = ProfGuard::enter("executor/arrivals");
         arena.begin();
-        if arena.per_client.len() < slots {
-            arena.per_client.resize_with(slots, Vec::new);
+        let slots = cell.clients.len();
+        if arena.windows.len() < slots {
+            arena.windows.resize_with(slots, Window::default);
         }
         let RunArena {
-            client_rngs,
-            per_client,
-            plan,
-            payload_per_invocation,
-            inferences_per_invocation,
-            net_in,
-            deliver_at,
-            deadline,
-            attempt,
-            resolution,
-            inv_of,
-            spans,
-            responses,
+            lanes,
+            first_inv,
+            next_send,
+            jitters,
+            windows,
+            feed,
+            receipts,
+            free_receipts,
             resp_scratch,
             buffer,
             pool: pool_memo,
@@ -1010,31 +1316,6 @@ impl Executor {
             self.cfg.pool_size,
             deployment.samples_per_request,
         );
-
-        // Build the local record table and draw each request's payload from
-        // its client's stream; per-client lists hold local indices.
-        client_rngs.extend(
-            cell.clients
-                .iter()
-                .map(|&c| seed.substream_indexed("client", u64::from(c)).rng()),
-        );
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(n);
-        {
-            let _rng = ProfGuard::enter("rng");
-            for (round, row) in arrivals.chunks(all_clients).enumerate() {
-                for (slot, &c) in cell.clients.iter().enumerate() {
-                    let Some(&arrival) = row.get(c as usize) else {
-                        break;
-                    };
-                    let payload = pool.pick(&mut client_rngs[slot]);
-                    per_client[slot].push((records.len(), arrival));
-                    let global = round * all_clients + c as usize;
-                    records.push(unresolved(global, c, arrival, payload.size_bytes));
-                }
-            }
-        }
-
-        // Group each client's requests into invocations.
         let policy = self
             .cfg
             .batch_override
@@ -1043,74 +1324,65 @@ impl Executor {
             } else {
                 BatchPolicy::None
             });
-        for requests in per_client.iter().take(slots) {
-            plan_invocations_into(requests, policy, plan);
-        }
-        let n_inv = plan.len();
-        // Record when each request's invocation fired, and (when tracing)
-        // which invocation carries each record — the join key to the
-        // platform's per-invocation trace events.
-        if tracing {
-            inv_of.resize(n, 0);
-        }
-        for inv_idx in 0..n_inv {
-            let send_at = plan.send_at(inv_idx);
-            for &m in plan.members(inv_idx) {
-                records[m as usize].sent_at = send_at;
-                if tracing {
-                    inv_of[m as usize] = inv_idx as u64;
-                }
-            }
-        }
-        payload_per_invocation.extend((0..n_inv).map(|i| {
-            plan.members(i)
-                .iter()
-                .map(|&m| records[m as usize].payload_bytes)
-                .sum::<u64>()
-        }));
-        inferences_per_invocation
-            .extend((0..n_inv).map(|i| plan.members(i).len() as u32 * deployment.inference_repeats));
 
-        // First-attempt client-path jitter is drawn here in invocation
-        // order; retry-time draws then follow in event order — both
-        // deterministic.
+        let records: Vec<RequestRecord> = Vec::with_capacity(n);
+
+        // Invocations are numbered lane after lane, in send order within a
+        // lane, so each lane counts its batches up front. First-attempt
+        // client-path jitter is one sequence in that order, each lane
+        // drawing its own share; retry-time draws then follow in event
+        // order — both deterministic.
         let mut client_faults =
             FaultInjector::new(self.faults.clone(), seed.substream("client-faults"));
-        net_in.extend(
-            payload_per_invocation
-                .iter()
-                .map(|&bytes| self.cfg.network.transfer_time(bytes)),
-        );
-        deliver_at.extend(
-            (0..n_inv).map(|i| plan.send_at(i) + net_in[i] + client_faults.client_jitter()),
-        );
-        if retrying {
-            deadline.extend((0..n_inv).map(|i| plan.send_at(i) + self.cfg.timeout));
-            attempt.resize(n_inv, 1);
-            resolution.resize(n_inv, None);
+        let mut n_inv = 0;
+        for &c in &cell.clients {
+            let (client, len) = (c as usize, lane_len(c as usize));
+            let at = |j: usize| arrivals[client + j * all_clients];
+            let batches = policy.batches(len, at);
+            let (batch_end, send_at) = if len > 0 {
+                policy.next_batch(0, len, at)
+            } else {
+                (0, SimTime::MAX)
+            };
+            next_send.push(send_at);
+            first_inv.push(n_inv);
+            jitters.push(client_faults.split_jitter(batches as u64));
+            lanes.push(Lane {
+                client,
+                len,
+                next: 0,
+                batch_end,
+                next_inv: n_inv,
+                payload_rng: seed.substream_indexed("client", u64::from(c)).rng(),
+            });
+            n_inv += batches;
         }
-        // Deliveries (and in retry mode, their timeouts) are scheduled up
-        // front, so the queue's high-water mark is about one entry per
-        // invocation plus in-flight platform events.
         drop(arrivals_guard);
+
         let engine_guard = ProfGuard::enter("executor/engine");
-        let queue_cap = if retrying { 2 * n + 64 } else { n + 64 };
-        let queue = EventQueue::<ExecEvent, K>::with_store_capacity(queue_cap);
-        if retrying {
-            responses.reserve(n_inv);
-        }
-        if tracing {
-            spans.resize(n, None);
-        }
+        let queue = EventQueue::<ExecEvent, K>::with_store_capacity(1024);
+        let spans = if tracing { vec![Span::default(); n] } else { Vec::new() };
         let mut engine = Engine::with_queue(
             ExecSystem {
                 platform,
                 records,
-                spans: spans.as_mut_slice(),
-                plan: &*plan,
-                payload_per_invocation: payload_per_invocation.as_slice(),
-                inferences_per_invocation: inferences_per_invocation.as_slice(),
-                responses,
+                fill: (0, 0),
+                spans,
+                arrivals,
+                all_clients,
+                lanes: lanes.as_mut_slice(),
+                next_send: next_send.as_mut_slice(),
+                first_inv: first_inv.as_slice(),
+                jitters: jitters.as_mut_slice(),
+                windows: &mut windows[..slots],
+                late_attempts: BTreeMap::new(),
+                feed,
+                pool,
+                policy,
+                inference_repeats: deployment.inference_repeats,
+                network: self.cfg.network,
+                receipts,
+                free_receipts,
                 io: PlatformIo {
                     buffer,
                     resp_scratch,
@@ -1119,19 +1391,17 @@ impl Executor {
                 client_faults,
                 retry: self.cfg.retry,
                 n_inv,
-                net_in: net_in.as_slice(),
                 response_net: self.cfg.network.response_time(),
                 timeout: self.cfg.timeout,
-                deadline: deadline.as_slice(),
-                attempt: attempt.as_mut_slice(),
-                resolution: resolution.as_mut_slice(),
                 retries_used: 0,
                 backoff_rng: seed.substream("retry-backoff").rng(),
             },
             queue,
         );
 
-        // Platform startup at t = 0.
+        // Platform startup at t = 0, then the first burst of deliveries,
+        // under sequence numbers reserved for every first delivery (and,
+        // under retries, first-attempt timeout) right after startup's.
         let sys = &mut engine.system;
         sys.io.drive(
             &mut sys.platform,
@@ -1141,31 +1411,10 @@ impl Executor {
                 p.start(s, end.workload_end);
             },
         );
-
-        // Invocation deliveries: network transfer happens on the way in.
-        // In retry mode each first attempt also arms its attempt timeout.
-        // One batched kernel call replaces per-event dispatch; iteration
-        // order matches the legacy per-event loop, so sequence numbers —
-        // and therefore same-instant FIFO ties — are unchanged.
-        if retrying {
-            let attempt_timeout = self.cfg.retry.attempt_timeout;
-            engine.queue.schedule_many((0..n_inv).flat_map(|idx| {
-                [
-                    (deliver_at[idx], ExecEvent::Deliver(idx)),
-                    (
-                        plan.send_at(idx) + attempt_timeout,
-                        ExecEvent::AttemptTimeout(idx),
-                    ),
-                ]
-            }));
-        } else {
-            engine.queue.schedule_many(
-                deliver_at
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, &at)| (at, ExecEvent::Deliver(idx))),
-            );
-        }
+        let stride = if retrying { 2 } else { 1 };
+        sys.feed.stride = stride;
+        sys.feed.first_seq = engine.queue.reserve_seqs(stride * n_inv as u64);
+        sys.refill(&mut engine.queue);
 
         engine.run_until(end.horizon);
         engine.queue.advance_to(end.horizon);
@@ -1177,43 +1426,36 @@ impl Executor {
         drop(engine_guard);
         let _resolve = ProfGuard::enter("executor/resolve");
 
+        // Batches that would only have been delivered past the horizon
+        // still stamp their records.
+        for l in 0..sys.lanes.len() {
+            while sys.next_send[l] < SimTime::MAX {
+                sys.send(l);
+            }
+        }
         let engine_events = engine.events_processed();
         let mut sys = engine.system;
         let recorder = sys.io.rec.take();
-        if retrying {
-            // Fates were fixed online; invocations with none (still
-            // waiting at the horizon) keep the default client timeout. The
-            // winning attempt's exec time is approximated by its predict
-            // time: the retransmission history makes the phase algebra of
-            // the single-shot path moot.
-            for inv_idx in 0..n_inv {
-                if let Some(res) = sys.resolution[inv_idx] {
-                    sys.settle(inv_idx, res, res.predict);
-                }
-            }
-        }
 
         if let Some(r) = recorder {
             if r.enabled() {
                 let _p = ProfGuard::enter("executor/spans");
-                for (m, rec) in sys.records.iter().enumerate() {
-                    let (at, net_in, exec, net_out) = match sys.spans[m] {
-                        Some(s) => s,
-                        // The platform never answered: the client's timeout
-                        // is the whole story, no server-side phases.
-                        None => (
-                            end.horizon,
-                            SimDuration::ZERO,
-                            SimDuration::ZERO,
-                            SimDuration::ZERO,
-                        ),
-                    };
+                for (rec, span) in sys.records.iter().zip(&sys.spans) {
+                    // Without parts the platform never answered: the
+                    // client's timeout is the whole story, no server-side
+                    // phases.
+                    let (at, net_in, exec, net_out) = span.parts.unwrap_or((
+                        end.horizon,
+                        SimDuration::ZERO,
+                        SimDuration::ZERO,
+                        SimDuration::ZERO,
+                    ));
                     r.record(&TraceEvent {
                         at,
                         kind: EventKind::RequestSpan {
                             request: rec.index as u64,
                             client: rec.client,
-                            invocation: inv_of[m],
+                            invocation: span.inv,
                             arrival: rec.arrival,
                             batch: rec.sent_at.saturating_duration_since(rec.arrival),
                             net_in,
@@ -1382,6 +1624,38 @@ mod tests {
         assert_eq!(a.records, b.records);
         let c = exec.run(&dep, &trace, Seed(9)).unwrap();
         assert_ne!(a.records, c.records);
+    }
+
+    /// A lane keeps attempts past 254 outside its one-byte window: an
+    /// outage fails every attempt at once, each attempt's timeout goes
+    /// stale, and every invocation still makes exactly its 300 attempts.
+    #[test]
+    fn attempts_past_a_byte_are_tracked_exactly() {
+        let mut plan = FaultPlan::none();
+        plan.outages.push(slsb_platform::OutageWindow {
+            start_s: 0.0,
+            duration_s: 1e6,
+        });
+        let exec = Executor::new(ExecutorConfig {
+            retry: RetryPolicy {
+                max_attempts: 300,
+                base_backoff: SimDuration::ZERO,
+                jitter: 0.0,
+                ..RetryPolicy::standard()
+            },
+            ..ExecutorConfig::default()
+        })
+        .with_faults(plan);
+        let trace = small_trace(2.0, 20);
+        let run = exec
+            .run(&deployment(PlatformKind::AwsServerless), &trace, Seed(11))
+            .unwrap();
+        assert!(!run.records.is_empty());
+        assert_eq!(run.retries, 299 * run.records.len() as u64);
+        assert!(run
+            .records
+            .iter()
+            .all(|r| r.outcome == Outcome::Failure(FailureReason::RetriesExhausted)));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! payload's network transfer, and resolved against the client timeout when
 //! its response (plus response-path network) comes back.
 
-use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd};
+use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd, ARRIVAL_BURST};
 use crate::plan::{Deployment, PlanError};
 use serde::{Deserialize, Serialize};
 use slsb_obs::{EventKind, LogLinearHistogram, MetricsRegistry, Recorder, TraceEvent};
@@ -196,12 +196,6 @@ impl From<PlanError> for FleetRunError {
         FleetRunError::Plan(e)
     }
 }
-
-/// How many merged arrivals are pulled from the k-way merge per refill.
-/// The burst lands in the kernel through one `schedule_many` call (one
-/// prof/region scope, one wheel cursor walk) instead of one
-/// `schedule_at` per arrival; memory stays O(apps + burst).
-const ARRIVAL_BURST: usize = 64;
 
 /// Where a fleet's apps come from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -262,6 +262,7 @@ impl std::error::Error for FaultPlanError {}
 /// Each simulator (and the executor's client path) holds its own
 /// injector built from its own seed substream, so fault draws in one
 /// component never shift the streams of another.
+#[derive(Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: SimRng,
@@ -374,6 +375,20 @@ impl FaultInjector {
         self.rng.uniform_duration(SimDuration::ZERO, self.jitter)
     }
 
+    /// Splits off the client jitter of the next `n` sends: returns an
+    /// injector that draws exactly what `n` calls to
+    /// [`FaultInjector::client_jitter`] on `self` would, and moves `self`
+    /// past them. Lets independent senders each draw their own share of
+    /// one jitter sequence, in any interleaving.
+    pub fn split_jitter(&mut self, n: u64) -> FaultInjector {
+        let head = self.clone();
+        if self.jitter > SimDuration::ZERO {
+            // One draw per jittered send.
+            self.rng.discard(n);
+        }
+        head
+    }
+
     fn fire(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
@@ -406,6 +421,27 @@ mod tests {
         );
         assert_eq!(inj.admit(SimTime::from_secs_f64(5.0)), None);
         assert_eq!(inj.injected(), 0);
+    }
+
+    #[test]
+    fn split_jitter_hands_out_the_sequential_draws() {
+        let mut plan = FaultPlan::none();
+        plan.client_jitter_ms = 40.0;
+        plan.packet_loss = 0.5;
+        let mut sequential = FaultInjector::new(plan.clone(), Seed(3));
+        let expect: Vec<SimDuration> = (0..7).map(|_| sequential.client_jitter()).collect();
+        let mut rest = FaultInjector::new(plan, Seed(3));
+        let mut first = rest.split_jitter(3);
+        let mut second = rest.split_jitter(4);
+        // Drawn in another interleaving, the shares are still the
+        // sequence's, and `rest` continues where it would.
+        let mut got = vec![second.client_jitter(), first.client_jitter()];
+        got.extend((0..2).map(|_| first.client_jitter()));
+        got.extend((0..3).map(|_| second.client_jitter()));
+        let order = [3, 0, 1, 2, 4, 5, 6];
+        assert_eq!(got, order.map(|i| expect[i]));
+        assert_eq!(rest.drop_packet(), sequential.drop_packet());
+        assert_eq!(rest.client_jitter(), sequential.client_jitter());
     }
 
     #[test]

@@ -242,6 +242,41 @@ impl<E, K: StoreKind> EventQueue<E, K> {
         }
     }
 
+    /// Reserves the next `n` sequence numbers and returns the first. Events
+    /// scheduled later under them with [`EventQueue::schedule_reserved`]
+    /// order among all others as if they had been scheduled now, so a
+    /// caller can feed a long, known schedule to the kernel in bursts
+    /// instead of holding all of it in the store.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedules a batch of `(instant, reserved sequence number, event)`
+    /// triples. Each event pops exactly where it would have popped had it
+    /// been scheduled when its number was reserved, provided it is
+    /// scheduled before any event that would follow it pops.
+    ///
+    /// # Panics
+    /// Panics if any event's instant is before the current time or its
+    /// sequence number was never reserved.
+    pub fn schedule_reserved<I>(&mut self, events: I)
+    where
+        I: IntoIterator<Item = (SimTime, u64, E)>,
+    {
+        let _p = ProfGuard::enter("kernel/schedule");
+        let now = self.now;
+        for (at, seq, ev) in events {
+            assert!(
+                at >= now,
+                "causality violation: scheduling at {at} but now is {now}"
+            );
+            assert!(seq < self.seq, "sequence number {seq} was never reserved");
+            self.store.insert(Scheduled { at, seq, ev });
+        }
+    }
+
     /// [`EventQueue::schedule_many`] with per-event delays relative to the
     /// current time.
     pub fn schedule_many_after<I>(&mut self, events: I)
@@ -665,6 +700,89 @@ mod tests {
         }
         check::<Wheel>();
         check::<ReferenceHeap>();
+    }
+
+    /// Events fed late under reserved sequence numbers pop exactly as they
+    /// would had they been scheduled up front: same-instant ties against
+    /// earlier and later events, events behind the wheel's cursor (its
+    /// ready spill) and far-future ones included.
+    #[test]
+    fn reserved_sequences_pop_as_if_scheduled_up_front() {
+        fn check<K: StoreKind>() {
+            let t = SimTime::from_micros;
+            // A long schedule, fed in small bursts below, with ties at 50
+            // and at 9_000 and a far-future outlier.
+            let late = [
+                (t(50), 10),
+                (t(9_000), 11),
+                (t(50), 12),
+                (t(5_000_000), 13),
+                (t(9_000), 14),
+                (t(9_100), 15),
+            ];
+            let mut up_front = EventQueue::<u32, K>::default();
+            let mut fed = EventQueue::<u32, K>::default();
+            up_front.schedule_at(t(50), 0);
+            up_front.schedule_many(late);
+            fed.schedule_at(t(50), 0);
+            let first = fed.reserve_seqs(late.len() as u64);
+            let reserved: Vec<(SimTime, u64, u32)> = (first..)
+                .zip(late)
+                .map(|(seq, (at, ev))| (at, seq, ev))
+                .collect();
+            // Sorted release one event at a time, the next fed when the
+            // previous one pops: 12 lands behind the wheel's cursor, at
+            // the instant 10 just popped at.
+            let mut order = reserved;
+            order.sort_by_key(|&(at, seq, _)| (at, seq));
+            let mut bursts = order.chunks(1);
+            fed.schedule_reserved(bursts.next().unwrap().iter().copied());
+            let mut outstanding = 1;
+            // Both queues also schedule the same follow-ups while they run:
+            // a tie at the popped instant (behind the wheel's cursor) and
+            // one at 9_000, after the reserved block in sequence order.
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            let follow = |q: &mut EventQueue<u32, K>, ev: u32| {
+                if ev == 10 {
+                    q.schedule_now(100);
+                    q.schedule_at(t(9_000), 101);
+                }
+            };
+            while let Some((at, ev)) = up_front.pop() {
+                follow(&mut up_front, ev);
+                a.push((at, ev));
+            }
+            while let Some((at, ev)) = fed.pop() {
+                if (10..=15).contains(&ev) {
+                    outstanding -= 1;
+                    if outstanding == 0 {
+                        if let Some(next) = bursts.next() {
+                            fed.schedule_reserved(next.iter().copied());
+                            outstanding = next.len();
+                        }
+                    }
+                }
+                follow(&mut fed, ev);
+                b.push((at, ev));
+            }
+            assert_eq!(a, b, "{}", K::NAME);
+            let ties = |at| -> Vec<u32> {
+                b.iter().filter(|e| e.0 == at).map(|e| e.1).collect()
+            };
+            assert_eq!(ties(t(50)), [0, 10, 12, 100], "{}", K::NAME);
+            assert_eq!(ties(t(9_000)), [11, 14, 101], "{}", K::NAME);
+        }
+        check::<Wheel>();
+        check::<ReferenceHeap>();
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn an_unreserved_sequence_number_panics() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let first = q.reserve_seqs(1);
+        q.schedule_reserved([(SimTime::ZERO, first + 1, 0)]);
     }
 
     /// `schedule_many_after` offsets every delay from the same `now`.

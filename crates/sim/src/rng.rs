@@ -163,6 +163,15 @@ impl SimRng {
         result
     }
 
+    /// Skips the next `n` raw draws: afterwards the stream continues
+    /// exactly where it would after `n` calls that each draw once (such
+    /// as [`SimRng::uniform`] or [`SimRng::uniform_duration`]).
+    pub fn discard(&mut self, n: u64) {
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
+
     /// Uniform draw in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 high bits give every representable double in [0, 1) at the
@@ -415,6 +424,17 @@ mod tests {
         );
         let d = SimDuration::from_secs(2);
         assert_eq!(rng.uniform_duration(d, d), d);
+    }
+
+    #[test]
+    fn discard_skips_single_draws() {
+        let mut skipped = Seed(21).rng();
+        let mut drawn = Seed(21).rng();
+        skipped.discard(5);
+        for _ in 0..5 {
+            drawn.uniform();
+        }
+        assert_eq!(skipped.uniform().to_bits(), drawn.uniform().to_bits());
     }
 
     #[test]
