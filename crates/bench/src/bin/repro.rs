@@ -60,9 +60,7 @@ fn parse_args() -> Result<Args, String> {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
                 cfg.scale = v.parse().map_err(|_| format!("bad scale: {v}"))?;
-                if cfg.scale <= 0.0 || !cfg.scale.is_finite() {
-                    return Err(format!("scale must be positive, got {v}"));
-                }
+                ReproConfig::check_scale(cfg.scale)?;
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;

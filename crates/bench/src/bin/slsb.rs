@@ -18,6 +18,7 @@
 
 use slsb_bench::cli::extract_log_level;
 use slsb_bench::perf;
+use slsb_bench::ReproConfig;
 use slsb_core::{
     analyze, arrival_allocs, ascii_chart, explore_jobs, fleet_metrics, fmt_money, fmt_opt_secs,
     fmt_pct, oracle_bound, replicate_jobs, run_metrics, slo_metrics, slo_samples, trace_oracle,
@@ -186,9 +187,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--scale" => {
                 let v = value("--scale")?;
                 o.scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
-                if o.scale <= 0.0 || !o.scale.is_finite() {
-                    return Err(format!("scale must be positive, got {v}"));
-                }
+                ReproConfig::check_scale(o.scale)?;
             }
             "--slo" => {
                 let v = value("--slo")?;

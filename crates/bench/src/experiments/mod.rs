@@ -27,7 +27,7 @@ use slsb_core::{
     analyze, Analysis, Deployment, Executor, ExperimentId, RunResult, Table, TraceCache,
 };
 use slsb_sim::Seed;
-use slsb_workload::{MmppPreset, WorkloadTrace};
+use slsb_workload::{MmppPreset, TooManyRequests, WorkloadTrace};
 use std::sync::Arc;
 
 /// Knobs shared by every experiment run.
@@ -62,6 +62,23 @@ impl ReproConfig {
             scale,
             ..ReproConfig::default()
         }
+    }
+
+    /// Checks a duration scale: positive, finite, and small enough that
+    /// every preset expects no more requests than one run can index.
+    ///
+    /// # Errors
+    /// Names the first preset the scale makes too large.
+    pub fn check_scale(scale: f64) -> Result<(), String> {
+        if scale <= 0.0 || !scale.is_finite() {
+            return Err(format!("scale must be positive, got {scale}"));
+        }
+        for preset in MmppPreset::ALL {
+            let spec = preset.spec();
+            TooManyRequests::check(spec.expected_requests() * scale)
+                .map_err(|e| format!("scale {scale}: {} {e}", spec.name))?;
+        }
+        Ok(())
     }
 
     /// The experiment seed.

@@ -236,8 +236,9 @@ mod tests {
 
     #[test]
     fn batch_counts_match_the_plans() {
-        let times: Vec<f64> = (0..37).map(|i| (i * i % 11) as f64 * 0.1 + i as f64 * 0.2).collect();
-        let mut times = times;
+        let mut times: Vec<f64> = (0..37)
+            .map(|i| (i * i % 11) as f64 * 0.1 + i as f64 * 0.2)
+            .collect();
         times.sort_by(f64::total_cmp);
         let a = arrivals(&times);
         for policy in [

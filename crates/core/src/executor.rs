@@ -13,7 +13,9 @@
 //! client is a cell of its own on the seed's `("shard", client)`
 //! substream with its own platform. Both modes run the same cell replay,
 //! fan-out and reassembly. On top of the shared cell layer the executor
-//! adds its client layer: batching, retries and client-path faults.
+//! adds its client layer: batching, retries and client-path faults. Each
+//! client is a lane that sends its batches as they come up, and a run
+//! holds its records plus what is in flight (see `Feed` and `Window`).
 
 use crate::batching::BatchPolicy;
 use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd, ARRIVAL_BURST};
@@ -719,7 +721,10 @@ impl ExecSystem<'_> {
             .policy
             .positional_batch(inv - self.first_inv[l], lane.len)
             .unwrap_or_else(|| {
-                let end = window.starts.get(slot + 1).map_or(lane.next, |&j| j as usize);
+                let end = window
+                    .starts
+                    .get(slot + 1)
+                    .map_or(lane.next, |&j| j as usize);
                 (window.starts[slot] as usize, end)
             });
         Some(Flight {
@@ -795,7 +800,9 @@ impl ExecSystem<'_> {
             let received_at = resp.completed_at + self.response_net;
             let id = resp.id.0 as usize;
             if !self.retry.enabled() {
-                let f = self.flight(id).expect("a delivered invocation is in flight");
+                let f = self
+                    .flight(id)
+                    .expect("a delivered invocation is in flight");
                 let delivered = self.send_at(&f) + self.net_in(&f);
                 let exec = resp
                     .completed_at
@@ -1278,7 +1285,8 @@ impl Executor {
         // Request i belongs to client i % all_clients: full rounds give
         // every client one request, the last partial round only the
         // clients below the remainder.
-        let lane_len = |c: usize| arrivals.len() / all_clients + usize::from(c < arrivals.len() % all_clients);
+        let lane_len =
+            |c: usize| arrivals.len() / all_clients + usize::from(c < arrivals.len() % all_clients);
         let n: usize = cell.clients.iter().map(|&c| lane_len(c as usize)).sum();
         // An empty plan installs an injector that never draws, so this is
         // unconditional without costing byte-identity.
@@ -1361,7 +1369,11 @@ impl Executor {
 
         let engine_guard = ProfGuard::enter("executor/engine");
         let queue = EventQueue::<ExecEvent, K>::with_store_capacity(1024);
-        let spans = if tracing { vec![Span::default(); n] } else { Vec::new() };
+        let spans = if tracing {
+            vec![Span::default(); n]
+        } else {
+            Vec::new()
+        };
         let mut engine = Engine::with_queue(
             ExecSystem {
                 platform,

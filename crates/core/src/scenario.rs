@@ -12,7 +12,8 @@ use crate::slo::SloSpec;
 use slsb_platform::{FaultPlan, FaultPlanError, PolicySet};
 use slsb_sim::{ProfGuard, Seed, SimDuration, SimTime};
 use slsb_workload::{
-    DiurnalSpec, FlashCrowdSpec, MmppPreset, MmppSpec, PoissonProcess, WorkloadTrace,
+    DiurnalSpec, FlashCrowdSpec, MmppPreset, MmppSpec, PoissonProcess, TooManyRequests,
+    WorkloadTrace,
 };
 use std::fmt;
 
@@ -79,11 +80,37 @@ impl WorkloadSpec {
     /// flash-crowd background, whose peak must stay finite), a diurnal
     /// amplitude within `[0, base_rate]`, a spike no slower than its
     /// background, and times and the preset scale finite and
-    /// non-negative.
+    /// non-negative. Then checks that the workload expects no more
+    /// requests than one run can index.
     ///
     /// # Errors
-    /// Names the first field out of range.
+    /// Names the first field out of range, or the expected request count.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_fields()?;
+        let expected = match *self {
+            WorkloadSpec::Preset { which, scale } => which.spec().expected_requests() * scale,
+            WorkloadSpec::Mmpp { .. } => {
+                return self.mmpp().check_size().map_err(|e| e.to_string())
+            }
+            WorkloadSpec::Diurnal {
+                base_rate,
+                duration_s,
+                ..
+            } => base_rate * duration_s,
+            WorkloadSpec::FlashCrowd {
+                base_rate,
+                spike_rate,
+                spike_duration_s,
+                duration_s,
+                ..
+            } => base_rate * duration_s + (spike_rate - base_rate) * spike_duration_s,
+            WorkloadSpec::Poisson { rate, duration_s } => rate * duration_s,
+        };
+        TooManyRequests::check(expected).map_err(|e| e.to_string())
+    }
+
+    /// The field checks of [`WorkloadSpec::validate`].
+    fn validate_fields(&self) -> Result<(), String> {
         let need = |ok: bool, field: &str, rule: &str, value: f64| {
             if ok {
                 Ok(())
@@ -144,6 +171,32 @@ impl WorkloadSpec {
         }
     }
 
+    /// The MMPP a [`WorkloadSpec::Mmpp`] describes.
+    ///
+    /// # Panics
+    /// Panics on any other kind, or on fields
+    /// [`WorkloadSpec::validate`] rejects.
+    fn mmpp(&self) -> MmppSpec {
+        let WorkloadSpec::Mmpp {
+            rate_high,
+            rate_low,
+            dwell_high_s,
+            dwell_low_s,
+            duration_s,
+        } = *self
+        else {
+            unreachable!("not an MMPP workload");
+        };
+        MmppSpec {
+            name: "scenario-mmpp",
+            rate_high,
+            rate_low,
+            mean_high_dwell: SimDuration::from_secs_f64(dwell_high_s),
+            mean_low_dwell: SimDuration::from_secs_f64(dwell_low_s),
+            duration: SimDuration::from_secs_f64(duration_s),
+        }
+    }
+
     /// Materializes the trace for a seed.
     ///
     /// # Panics
@@ -151,29 +204,8 @@ impl WorkloadSpec {
     pub fn generate(&self, seed: Seed) -> WorkloadTrace {
         let _p = ProfGuard::enter("workload/generate");
         match *self {
-            WorkloadSpec::Preset { which, scale } => {
-                let spec = which.spec();
-                MmppSpec {
-                    duration: spec.duration.mul_f64(scale),
-                    ..spec
-                }
-                .generate(seed)
-            }
-            WorkloadSpec::Mmpp {
-                rate_high,
-                rate_low,
-                dwell_high_s,
-                dwell_low_s,
-                duration_s,
-            } => MmppSpec {
-                name: "scenario-mmpp",
-                rate_high,
-                rate_low,
-                mean_high_dwell: SimDuration::from_secs_f64(dwell_high_s),
-                mean_low_dwell: SimDuration::from_secs_f64(dwell_low_s),
-                duration: SimDuration::from_secs_f64(duration_s),
-            }
-            .generate(seed),
+            WorkloadSpec::Preset { which, scale } => which.spec().scaled(scale).generate(seed),
+            WorkloadSpec::Mmpp { .. } => self.mmpp().generate(seed),
             WorkloadSpec::Diurnal {
                 base_rate,
                 amplitude,

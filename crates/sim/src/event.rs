@@ -215,8 +215,8 @@ impl<E, K: StoreKind> EventQueue<E, K> {
     /// item — sequence numbers are assigned in iteration order, so
     /// same-instant events pop FIFO in batch order — but the profiler
     /// scope and causality check setup are paid once per batch instead of
-    /// once per event. This is the entry point platforms and the executor
-    /// use for bursts: initial deliveries, batch dispatch, retry storms,
+    /// once per event. This is the entry point platforms and the fleet
+    /// use for bursts: arrivals, batch dispatch, retry storms,
     /// outage-window re-queues.
     ///
     /// # Panics
@@ -767,9 +767,7 @@ mod tests {
                 b.push((at, ev));
             }
             assert_eq!(a, b, "{}", K::NAME);
-            let ties = |at| -> Vec<u32> {
-                b.iter().filter(|e| e.0 == at).map(|e| e.1).collect()
-            };
+            let ties = |at| -> Vec<u32> { b.iter().filter(|e| e.0 == at).map(|e| e.1).collect() };
             assert_eq!(ties(t(50)), [0, 10, 12, 100], "{}", K::NAME);
             assert_eq!(ties(t(9_000)), [11, 14, 101], "{}", K::NAME);
         }

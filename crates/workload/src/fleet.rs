@@ -233,8 +233,7 @@ impl FleetSpec {
     /// thin adapter for consumers that still want a `Vec`. O(requests)
     /// memory, byte-identical to draining [`FleetSpec::arrival_stream`].
     pub fn materialize(&self, seed: Seed) -> WorkloadTrace {
-        let cap = (self.expected_requests() * 1.2).max(16.0) as usize;
-        let mut arrivals = Vec::with_capacity(cap);
+        let mut arrivals = Vec::with_capacity(crate::trace::reserve_for(self.expected_requests()));
         arrivals.extend(self.arrival_stream(seed).map(|(at, _)| at));
         WorkloadTrace::new(self.name.clone(), self.duration, arrivals)
     }

@@ -50,4 +50,4 @@ pub use poisson::PoissonProcess;
 pub use request::{InputKind, Payload, RequestPool};
 pub use splitter::{merge, split_round_robin};
 pub use stream::MmppStream;
-pub use trace::{Burstiness, TraceParseError, WorkloadTrace};
+pub use trace::{Burstiness, TooManyRequests, TraceParseError, WorkloadTrace, MAX_TRACE_REQUESTS};

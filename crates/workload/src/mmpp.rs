@@ -9,7 +9,7 @@
 //! Figure 4).
 
 use crate::stream::MmppStream;
-use crate::trace::WorkloadTrace;
+use crate::trace::{reserve_for, TooManyRequests, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 use slsb_sim::{Seed, SimDuration};
 
@@ -131,6 +131,30 @@ impl MmppSpec {
         self.stationary_rate() * self.duration.as_secs_f64()
     }
 
+    /// The same chain over `scale` times the duration.
+    pub fn scaled(self, scale: f64) -> MmppSpec {
+        MmppSpec {
+            duration: self.duration.mul_f64(scale),
+            ..self
+        }
+    }
+
+    /// Checks that the spec expects no more requests than one run can
+    /// index; a chain whose dwells are both zero is charged its faster
+    /// rate.
+    ///
+    /// # Errors
+    /// When it expects more.
+    pub fn check_size(&self) -> Result<(), TooManyRequests> {
+        let expected = self.expected_requests();
+        let expected = if expected.is_nan() {
+            self.rate_high.max(self.rate_low) * self.duration.as_secs_f64()
+        } else {
+            expected
+        };
+        TooManyRequests::check(expected)
+    }
+
     /// A lazy iterator over this spec's arrivals — same seed, same draw
     /// order, byte-identical sequence to [`MmppSpec::generate`], but O(1)
     /// memory. Fleet runs pull from this instead of materializing.
@@ -146,7 +170,7 @@ impl MmppSpec {
     /// restarted, which is the standard (memoryless-exact) construction.
     /// This is a thin collect over [`MmppSpec::stream`].
     pub fn generate(&self, seed: Seed) -> WorkloadTrace {
-        let mut arrivals = Vec::with_capacity((self.expected_requests() * 1.2).max(16.0) as usize);
+        let mut arrivals = Vec::with_capacity(reserve_for(self.expected_requests()));
         arrivals.extend(self.stream(seed));
         // A sample can land exactly on `duration` only via rounding; the
         // trace type requires arrivals ≤ duration, which holds by the stream
@@ -172,6 +196,23 @@ mod tests {
                 p
             );
         }
+    }
+
+    #[test]
+    fn oversized_specs_are_rejected_and_reserve_little() {
+        let mut spec = MmppPreset::W200.spec();
+        spec.check_size().unwrap();
+        spec.duration = SimDuration::from_secs(10_000_000_000);
+        let err = spec.check_size().unwrap_err();
+        assert!(err.expected > crate::MAX_TRACE_REQUESTS as f64, "{err}");
+        assert!(err.to_string().contains("one run can index"));
+        assert!(reserve_for(spec.expected_requests()) <= crate::trace::MAX_RESERVED_ARRIVALS);
+        spec.mean_high_dwell = SimDuration::ZERO;
+        spec.mean_low_dwell = SimDuration::ZERO;
+        assert!(
+            spec.check_size().is_err(),
+            "zero dwells are charged the faster rate"
+        );
     }
 
     #[test]

@@ -5,6 +5,53 @@ use slsb_sim::{SimDuration, SimTime};
 use std::fmt;
 use std::sync::Arc;
 
+/// The most requests one trace may be expected to hold: the executor
+/// numbers a run's requests and invocations with `u32`.
+pub const MAX_TRACE_REQUESTS: u64 = u32::MAX as u64;
+
+/// Generators pre-size a trace's arrivals for at most this many requests;
+/// a larger trace grows as it is generated, so a huge expected count
+/// costs no allocation up front.
+pub(crate) const MAX_RESERVED_ARRIVALS: usize = 1 << 22;
+
+/// The arrival capacity to reserve for about `expected` requests.
+pub(crate) fn reserve_for(expected: f64) -> usize {
+    ((expected * 1.2).max(16.0) as usize).min(MAX_RESERVED_ARRIVALS)
+}
+
+/// A workload that expects more requests than one run can index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TooManyRequests {
+    /// The workload's expected request count.
+    pub expected: f64,
+}
+
+impl TooManyRequests {
+    /// Checks an expected request count against [`MAX_TRACE_REQUESTS`].
+    ///
+    /// # Errors
+    /// When the count is larger, or not a number.
+    pub fn check(expected: f64) -> Result<(), TooManyRequests> {
+        if expected <= MAX_TRACE_REQUESTS as f64 {
+            Ok(())
+        } else {
+            Err(TooManyRequests { expected })
+        }
+    }
+}
+
+impl fmt::Display for TooManyRequests {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "expects {:.3e} requests, more than the {MAX_TRACE_REQUESTS} one run can index",
+            self.expected
+        )
+    }
+}
+
+impl std::error::Error for TooManyRequests {}
+
 /// A fully materialized workload: every request's arrival instant, sorted.
 ///
 /// The name is interned (`Arc<str>`): results and analyses that label

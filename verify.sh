@@ -260,12 +260,15 @@ echo "verify.sh: fleet determinism ok (--jobs/--shards byte-identical)"
 
 # Trace determinism: cells reach the recorder in cell order on any worker
 # budget, so the recorded JSONL must be byte-identical too, for the fleet
-# (whose Zipf head cell finishes last) and for the sharded executor.
+# (whose Zipf head cell finishes last) and for the sharded executor, also
+# with client jitter, batching and retries on (every client is a lane
+# drawing its own share of the jitter).
 trace_1="$(mktemp /tmp/slsb-trace1.XXXXXX.jsonl)"
 trace_n="$(mktemp /tmp/slsb-traceN.XXXXXX.jsonl)"
 trap 'rm -f "$tracefile" "$benchfile" "$profilefile" "$metricsfile" "$metricsfile.doctored" "$fleet_m1" "$fleet_m2" "$trace_1" "$trace_n"' EXIT
 for pair in "scenarios/fleet_zipf.json --scale 0.05|--jobs 1|--jobs 4" \
-            "scenarios/fault_smoke.json|--shards 1|--shards 4"; do
+            "scenarios/fault_smoke.json|--shards 1|--shards 4" \
+            "scenarios/batched_serverless.json --faults scenarios/faults/client_jitter.json --retry attempts=3,base=0.2|--shards 1|--shards 4"; do
     IFS='|' read -r run_args budget_1 budget_n <<<"$pair"
     # shellcheck disable=SC2086
     ./target/release/slsb run $run_args $budget_1 --trace "$trace_1" >/dev/null
@@ -276,7 +279,7 @@ for pair in "scenarios/fleet_zipf.json --scale 0.05|--jobs 1|--jobs 4" \
         exit 1
     fi
 done
-echo "verify.sh: trace determinism ok (fleet --jobs, executor --shards byte-identical)"
+echo "verify.sh: trace determinism ok (fleet --jobs, executor --shards byte-identical, plain and jittered/batched/retried)"
 
 # Policy-zoo smoke: every zoo member must run the fault scenario cleanly,
 # keep the analyzer's fault totals in exact agreement with the recorded
