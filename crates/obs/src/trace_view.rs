@@ -677,6 +677,48 @@ mod tests {
     }
 
     #[test]
+    fn waterfall_keeps_trace_order_among_equal_totals() {
+        // A fleet span's `request` is its arrival microsecond, so two apps
+        // can share one; equal totals under one index keep trace order.
+        let outcomes = [
+            (7, 100, SpanOutcome::Success),
+            (3, 100, SpanOutcome::QueueFull),
+            (7, 100, SpanOutcome::Crashed),
+            (9, 200, SpanOutcome::Success),
+            (3, 100, SpanOutcome::Throttled),
+            (1, 50, SpanOutcome::Success),
+            (7, 100, SpanOutcome::Rejected),
+            (3, 100, SpanOutcome::ClientTimeout),
+        ];
+        let events: Vec<TraceEvent> = outcomes
+            .iter()
+            .map(|&(request, exec_ms, outcome)| span_event(request, exec_ms, outcome))
+            .collect();
+        let rows = |text: &str| -> Vec<(String, String)> {
+            text.lines()
+                .filter(|l| l.trim_start().starts_with('#'))
+                .map(|l| {
+                    let mut words = l.split_whitespace();
+                    (words.next().unwrap().into(), words.next().unwrap().into())
+                })
+                .collect()
+        };
+        for limit in 0..=events.len() + 1 {
+            let mut sorted = spans(&events);
+            sorted.sort_by(|a, b| b.total().cmp(&a.total()).then(a.request.cmp(&b.request)));
+            sorted.truncate(limit);
+            let expected: Vec<(String, String)> = sorted
+                .iter()
+                .map(|s| (format!("#{}", s.request), s.outcome.to_string()))
+                .collect();
+            assert_eq!(rows(&waterfall(&events, limit)), expected, "limit {limit}");
+        }
+        let top = rows(&waterfall(&events, 5));
+        let top: Vec<&str> = top.iter().map(|(_, outcome)| outcome.as_str()).collect();
+        assert_eq!(top, ["ok", "queue-full", "throttled", "timeout", "ok"]);
+    }
+
+    #[test]
     fn attribution_reports_exec_dominant_share() {
         let events = vec![
             span_event(0, 990, SpanOutcome::Success),
