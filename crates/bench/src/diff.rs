@@ -10,7 +10,7 @@
 //! step-function regressions deterministically, not to flake on noise.
 
 use slsb_obs::trace_view::{parse_jsonl_strict, spans};
-use slsb_obs::{MetricsRegistry, Profile};
+use slsb_obs::{MetricsRegistry, Profile, TraceEvent};
 use slsb_sim::SampleSet;
 use std::fmt::Write as _;
 
@@ -190,20 +190,44 @@ struct SchemaProbe {
 /// # Errors
 /// Fails when the text matches no known artifact shape.
 pub fn detect(text: &str) -> Result<ArtifactKind, String> {
+    classify(text).map(|artifact| artifact.kind())
+}
+
+/// What [`detect`] found, with a trace's events kept so that a trace is
+/// parsed once.
+enum Artifact {
+    Trace(Vec<TraceEvent>),
+    Metrics,
+    Profile,
+    Bench,
+}
+
+impl Artifact {
+    fn kind(&self) -> ArtifactKind {
+        match self {
+            Artifact::Trace(_) => ArtifactKind::Trace,
+            Artifact::Metrics => ArtifactKind::Metrics,
+            Artifact::Profile => ArtifactKind::Profile,
+            Artifact::Bench => ArtifactKind::Bench,
+        }
+    }
+}
+
+fn classify(text: &str) -> Result<Artifact, String> {
     if let Ok(probe) = serde_json::from_str::<SchemaProbe>(text) {
         if probe.schema.starts_with("slsb-profile/") {
-            return Ok(ArtifactKind::Profile);
+            return Ok(Artifact::Profile);
         }
         if probe.schema.starts_with("slsb-bench") {
-            return Ok(ArtifactKind::Bench);
+            return Ok(Artifact::Bench);
         }
         return Err(format!("unrecognized artifact schema `{}`", probe.schema));
     }
     if serde_json::from_str::<MetricsRegistry>(text).is_ok() {
-        return Ok(ArtifactKind::Metrics);
+        return Ok(Artifact::Metrics);
     }
-    if parse_jsonl_strict(text).is_ok() {
-        return Ok(ArtifactKind::Trace);
+    if let Ok(events) = parse_jsonl_strict(text) {
+        return Ok(Artifact::Trace(events));
     }
     Err(
         "unrecognized artifact: expected trace JSONL, a metrics snapshot, \
@@ -217,24 +241,25 @@ pub fn detect(text: &str) -> Result<ArtifactKind, String> {
 /// # Errors
 /// Fails when either file is unparseable or the kinds differ.
 pub fn diff(text_a: &str, text_b: &str) -> Result<DiffReport, String> {
-    let ka = detect(text_a).map_err(|e| format!("baseline: {e}"))?;
-    let kb = detect(text_b).map_err(|e| format!("candidate: {e}"))?;
-    if ka != kb {
-        return Err(format!(
-            "artifact kinds differ: baseline is {}, candidate is {}",
-            ka.name(),
-            kb.name()
-        ));
-    }
-    let indicators = match ka {
-        ArtifactKind::Trace => diff_traces(text_a, text_b)?,
-        ArtifactKind::Metrics => diff_metrics(text_a, text_b)?,
-        ArtifactKind::Profile => diff_profiles(text_a, text_b)?,
-        ArtifactKind::Bench => diff_benches(text_a, text_b)?,
+    let a = classify(text_a).map_err(|e| format!("baseline: {e}"))?;
+    let b = classify(text_b).map_err(|e| format!("candidate: {e}"))?;
+    let kind = a.kind();
+    let indicators = match (a, b) {
+        (Artifact::Trace(a), Artifact::Trace(b)) => diff_traces(&a, &b)?,
+        (Artifact::Metrics, Artifact::Metrics) => diff_metrics(text_a, text_b)?,
+        (Artifact::Profile, Artifact::Profile) => diff_profiles(text_a, text_b)?,
+        (Artifact::Bench, Artifact::Bench) => diff_benches(text_a, text_b)?,
+        (a, b) => {
+            return Err(format!(
+                "artifact kinds differ: baseline is {}, candidate is {}",
+                a.kind().name(),
+                b.kind().name()
+            ))
+        }
     };
     let regressions = indicators.iter().filter(|i| i.regressed).count();
     Ok(DiffReport {
-        kind: ka,
+        kind,
         indicators,
         regressions,
     })
@@ -249,9 +274,8 @@ struct TraceStats {
     cold: f64,
 }
 
-fn trace_stats(text: &str) -> Result<TraceStats, String> {
-    let events = parse_jsonl_strict(text)?;
-    let all = spans(&events);
+fn trace_stats(events: &[TraceEvent]) -> Result<TraceStats, String> {
+    let all = spans(events);
     if all.is_empty() {
         return Err("trace has no request spans to compare".to_string());
     }
@@ -271,9 +295,9 @@ fn trace_stats(text: &str) -> Result<TraceStats, String> {
     })
 }
 
-fn diff_traces(text_a: &str, text_b: &str) -> Result<Vec<Indicator>, String> {
-    let a = trace_stats(text_a).map_err(|e| format!("baseline: {e}"))?;
-    let b = trace_stats(text_b).map_err(|e| format!("candidate: {e}"))?;
+fn diff_traces(a: &[TraceEvent], b: &[TraceEvent]) -> Result<Vec<Indicator>, String> {
+    let a = trace_stats(a).map_err(|e| format!("baseline: {e}"))?;
+    let b = trace_stats(b).map_err(|e| format!("candidate: {e}"))?;
     Ok(vec![
         judge("requests", a.requests, b.requests, Rule::Info),
         judge(
@@ -486,6 +510,59 @@ mod tests {
 
         let profile = slsb_obs::Profile::new(Vec::new(), 1.0).to_json();
         let err = diff(METRICS_A, &profile).unwrap_err();
+        assert!(err.contains("kinds differ"), "{err}");
+    }
+
+    #[test]
+    fn trace_diff_reads_parsed_events_and_types_bad_traces() {
+        use slsb_obs::{EventKind, SpanOutcome};
+        use slsb_sim::{SimDuration, SimTime};
+        let line = |ev: &TraceEvent| {
+            let mut out = Vec::new();
+            slsb_obs::wire::write_event(ev, &mut out);
+            String::from_utf8(out).unwrap() + "\n"
+        };
+        let span = |request: u64, exec_ms: u64| TraceEvent {
+            at: SimTime::from_micros(request),
+            kind: EventKind::RequestSpan {
+                request,
+                client: 0,
+                invocation: request,
+                arrival: SimTime::ZERO,
+                batch: SimDuration::ZERO,
+                net_in: SimDuration::from_millis(1),
+                queued: SimDuration::ZERO,
+                exec: SimDuration::from_millis(exec_ms),
+                net_out: SimDuration::from_millis(1),
+                cold: request == 0,
+                outcome: SpanOutcome::Success,
+            },
+        };
+        let fast: String = (0..50).map(|r| line(&span(r, 10))).collect();
+        let slow: String = (0..50).map(|r| line(&span(r, 30))).collect();
+        assert_eq!(detect(&fast).unwrap(), ArtifactKind::Trace);
+        let report = diff(&fast, &fast).unwrap();
+        assert_eq!(report.kind, ArtifactKind::Trace);
+        assert!(!report.regressed(), "{}", report.render());
+        let report = diff(&fast, &slow).unwrap();
+        assert!(report
+            .indicators
+            .iter()
+            .any(|i| i.name == "latency_p99_s" && i.regressed));
+
+        let truncated = &fast[..fast.len() - 10];
+        let err = diff(&fast, truncated).unwrap_err();
+        assert!(err.starts_with("candidate: unrecognized artifact"), "{err}");
+        let closed = line(&TraceEvent {
+            at: SimTime::ZERO,
+            kind: EventKind::RunClosed {
+                engine_events: 1,
+                requests: 0,
+            },
+        });
+        let err = diff(&closed, &fast).unwrap_err();
+        assert_eq!(err, "baseline: trace has no request spans to compare");
+        let err = diff(&fast, METRICS_A).unwrap_err();
         assert!(err.contains("kinds differ"), "{err}");
     }
 

@@ -156,7 +156,9 @@ impl TraceOracle {
 /// events. `None` when the trace has no serverless executions (nothing to
 /// bound).
 pub fn trace_oracle(events: &[TraceEvent]) -> Option<TraceOracle> {
-    let mut windows = Vec::new();
+    // The sweep's keys, gathered in the one pass over the trace.
+    let (mut starts, mut ends) = (Vec::new(), Vec::new());
+    let mut execs = 0u64;
     let mut provisioned = 0u64;
     let mut cold_observed = 0u64;
     for ev in events {
@@ -165,7 +167,14 @@ pub fn trace_oracle(events: &[TraceEvent]) -> Option<TraceOracle> {
                 component: Component::Serverless,
                 done_at,
                 ..
-            } => windows.push((ev.at.as_secs_f64(), done_at.as_secs_f64())),
+            } => {
+                execs += 1;
+                push_interval(
+                    (ev.at.as_secs_f64(), done_at.as_secs_f64()),
+                    &mut starts,
+                    &mut ends,
+                );
+            }
             EventKind::InstanceReady {
                 component: Component::Serverless,
                 ..
@@ -178,10 +187,10 @@ pub fn trace_oracle(events: &[TraceEvent]) -> Option<TraceOracle> {
             _ => {}
         }
     }
-    if windows.is_empty() {
+    if execs == 0 {
         return None;
     }
-    let instance_floor = peak_overlap(windows.into_iter());
+    let instance_floor = sweep(starts, ends);
     Some(TraceOracle {
         instance_floor,
         cold_floor: instance_floor.saturating_sub(provisioned),
@@ -197,12 +206,22 @@ fn peak_overlap(intervals: impl Iterator<Item = (f64, f64)>) -> u64 {
     let cap = intervals.size_hint().1.unwrap_or(0);
     let mut starts = Vec::with_capacity(cap);
     let mut ends = Vec::with_capacity(cap);
-    for (start, end) in intervals {
-        if end > start {
-            starts.push(total_order_key(start));
-            ends.push(total_order_key(end));
-        }
+    for interval in intervals {
+        push_interval(interval, &mut starts, &mut ends);
     }
+    sweep(starts, ends)
+}
+
+/// Adds a non-empty interval's keys to the sweep's two arrays.
+fn push_interval((start, end): (f64, f64), starts: &mut Vec<u64>, ends: &mut Vec<u64>) {
+    if end > start {
+        starts.push(total_order_key(start));
+        ends.push(total_order_key(end));
+    }
+}
+
+/// The sweep of [`peak_overlap`] over the intervals' start and end keys.
+fn sweep(mut starts: Vec<u64>, mut ends: Vec<u64>) -> u64 {
     starts.sort_unstable();
     ends.sort_unstable();
     // Every interval ends after it starts, so `live` never goes negative

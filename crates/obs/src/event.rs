@@ -33,7 +33,7 @@ use slsb_sim::{SimDuration, SimTime};
 use std::fmt;
 
 /// Which simulated component emitted a platform-side event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
     /// A FaaS-style serverless platform (Lambda / Cloud Functions model).
     Serverless,

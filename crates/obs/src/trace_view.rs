@@ -2,31 +2,23 @@
 //! — an event summary, a per-request waterfall, a per-instance timeline,
 //! and phase-attribution tables mirroring the paper's cold-start
 //! breakdown figure. Everything here is a pure function of the event
-//! list, so renderings are as deterministic as the trace itself.
+//! list, so renderings are as deterministic as the trace itself. Each
+//! rendering reads the list in one pass (the per-app table in two) and
+//! holds only what it prints or must count: fixed-size tallies, the
+//! `limit` rows it selects, and one row per instance or app.
 
-use crate::event::{Component, EventKind, SpanOutcome, TraceEvent};
+use crate::event::{Component, EventKind, SpanOutcome, SpawnCause, TraceEvent};
 use crate::metrics::LogLinearHistogram;
 use crate::wire;
 use slsb_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt::Write as _;
 
 /// Parses a JSON-Lines trace (one event per non-empty line; see
 /// [`wire::parse_event`] for what a line may hold).
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    // One slot per line, so a large trace is allocated once.
-    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
-    let mut events = Vec::with_capacity(lines);
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let ev = wire::parse_event(line.as_bytes())
-            .map_err(|e| format!("line {}: invalid trace event: {e}", i + 1))?;
-        events.push(ev);
-    }
-    Ok(events)
+    parse_lines(text).map_err(|(line, e)| invalid(line, &e))
 }
 
 /// [`parse_jsonl`] with the error reporting a CLI wants: an empty file is
@@ -37,15 +29,51 @@ pub fn parse_jsonl_strict(text: &str) -> Result<Vec<TraceEvent>, String> {
     if text.trim().is_empty() {
         return Err("trace file is empty (no events recorded)".to_string());
     }
-    parse_jsonl(text).map_err(|e| {
-        let lines = text.lines().count();
-        let failed_last = e.starts_with(&format!("line {lines}:"));
-        if failed_last && !text.ends_with('\n') {
+    parse_lines(text).map_err(|(line, e)| {
+        let e = invalid(line, &e);
+        if line == line_count(text) && !text.ends_with('\n') {
             format!("trace file is truncated (last line is incomplete): {e}")
         } else {
             e
         }
     })
+}
+
+fn invalid(line: usize, e: &wire::WireError) -> String {
+    format!("line {line}: invalid trace event: {e}")
+}
+
+/// The events of `text`'s lines, or the first bad line's number and
+/// error. Lines are found as they are parsed; the event table is one
+/// allocation, sized by [`line_count`], so it is exact for a trace
+/// without blank lines.
+fn parse_lines(text: &str) -> Result<Vec<TraceEvent>, (usize, wire::WireError)> {
+    let mut events = Vec::with_capacity(line_count(text));
+    let mut rest = text;
+    let mut number = 0;
+    while !rest.is_empty() {
+        number += 1;
+        let (line, next) = rest.split_once('\n').unwrap_or((rest, ""));
+        rest = next;
+        // `trim` drops the `\r` of a CRLF ending too.
+        let line = line.trim();
+        if !line.is_empty() {
+            events.push(wire::parse_event(line.as_bytes()).map_err(|e| (number, e))?);
+        }
+    }
+    Ok(events)
+}
+
+/// The number of lines [`str::lines`] yields for `text`: its newlines,
+/// plus an unterminated last line. The count runs over 255-byte blocks
+/// with a byte-wide tally, which the compiler vectorizes.
+fn line_count(text: &str) -> usize {
+    let newlines: usize = text
+        .as_bytes()
+        .chunks(255)
+        .map(|block| usize::from(block.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
+        .sum();
+    newlines + usize::from(!text.is_empty() && !text.ends_with('\n'))
 }
 
 /// The `RunClosed` bookkeeping event, if the trace carries one.
@@ -61,12 +89,18 @@ pub fn run_closed(events: &[TraceEvent]) -> Option<(u64, u64)> {
 
 /// Per-kind event counts, one aligned line per kind in sorted order.
 pub fn summary(events: &[TraceEvent]) -> String {
-    let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut counts = [0u64; wire::TAGS.len()];
     for ev in events {
-        *counts.entry(ev.kind.name()).or_insert(0) += 1;
+        counts[wire::variant(&ev.kind)] += 1;
     }
+    let mut kinds: Vec<(&str, u64)> = wire::TAGS
+        .into_iter()
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    kinds.sort_unstable();
     let mut out = String::new();
-    for (name, n) in counts {
+    for (name, n) in kinds {
         let _ = writeln!(out, "  {name:<18} {n:>8}");
     }
     out
@@ -108,37 +142,39 @@ impl Span {
 
 /// Extracts the request spans from a trace, in emission order.
 pub fn spans(events: &[TraceEvent]) -> Vec<Span> {
-    events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::RequestSpan {
-                request,
-                client,
-                invocation,
-                arrival,
-                batch,
-                net_in,
-                queued,
-                exec,
-                net_out,
-                cold,
-                outcome,
-            } => Some(Span {
-                request,
-                client,
-                invocation,
-                arrival,
-                batch,
-                net_in,
-                queued,
-                exec,
-                net_out,
-                cold,
-                outcome,
-            }),
-            _ => None,
-        })
-        .collect()
+    events.iter().filter_map(span_of).collect()
+}
+
+/// The span `ev` records, if it is a `RequestSpan`.
+fn span_of(ev: &TraceEvent) -> Option<Span> {
+    match ev.kind {
+        EventKind::RequestSpan {
+            request,
+            client,
+            invocation,
+            arrival,
+            batch,
+            net_in,
+            queued,
+            exec,
+            net_out,
+            cold,
+            outcome,
+        } => Some(Span {
+            request,
+            client,
+            invocation,
+            arrival,
+            batch,
+            net_in,
+            queued,
+            exec,
+            net_out,
+            cold,
+            outcome,
+        }),
+        _ => None,
+    }
 }
 
 const PHASES: [&str; 5] = ["batch", "net_in", "queued", "exec", "net_out"];
@@ -151,26 +187,25 @@ fn phase_values(s: &Span) -> [SimDuration; 5] {
 /// Phase-attribution table over successful request spans: where
 /// end-to-end latency goes, phase by phase, with streamed quantiles.
 pub fn phase_attribution(events: &[TraceEvent]) -> String {
-    let ok: Vec<Span> = spans(events)
-        .into_iter()
-        .filter(|s| s.outcome.is_success())
-        .collect();
-    let mut out = String::new();
-    if ok.is_empty() {
-        out.push_str("  (no successful request spans)\n");
-        return out;
-    }
-    let mut hists: Vec<LogLinearHistogram> = (0..PHASES.len())
-        .map(|_| LogLinearHistogram::default())
-        .collect();
+    let mut hists: [LogLinearHistogram; 5] = Default::default();
     let mut sums = [0u64; 5];
     let mut grand = 0u64;
-    for s in &ok {
-        for (i, d) in phase_values(s).into_iter().enumerate() {
+    let mut ok = 0u64;
+    for s in events.iter().filter_map(span_of) {
+        if !s.outcome.is_success() {
+            continue;
+        }
+        ok += 1;
+        for (i, d) in phase_values(&s).into_iter().enumerate() {
             hists[i].record(d.as_secs_f64());
             sums[i] += d.as_micros();
             grand += d.as_micros();
         }
+    }
+    let mut out = String::new();
+    if ok == 0 {
+        out.push_str("  (no successful request spans)\n");
+        return out;
     }
     let _ = writeln!(
         out,
@@ -259,22 +294,23 @@ pub fn cold_start_breakdown(events: &[TraceEvent]) -> String {
 /// proportional to the phase's share of that request's latency.
 pub fn waterfall(events: &[TraceEvent], limit: usize) -> String {
     const WIDTH: usize = 40;
-    let mut all = spans(events);
-    // Slowest first; request index breaks ties so output is stable.
-    all.sort_by(|a, b| b.total().cmp(&a.total()).then(a.request.cmp(&b.request)));
-    all.truncate(limit);
+    // Slowest first; request index, then trace order, break ties, so
+    // output is stable.
+    let ranks = events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, ev)| span_of(ev).map(|s| (Reverse(s.total()), s.request, i)));
+    let shown: Vec<Span> = smallest(ranks, limit)
+        .into_iter()
+        .filter_map(|(_, _, i)| span_of(&events[i]))
+        .collect();
     let mut out = String::new();
-    if all.is_empty() {
+    let Some(slowest) = shown.first() else {
         out.push_str("  (no request spans)\n");
         return out;
-    }
-    let max = all
-        .iter()
-        .map(|s| s.total().as_micros())
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    for s in &all {
+    };
+    let max = slowest.total().as_micros().max(1);
+    for s in &shown {
         let total = s.total().as_micros();
         let bar_len = ((total as f64 / max as f64) * WIDTH as f64).round() as usize;
         let mut bar = String::new();
@@ -345,11 +381,26 @@ pub fn fault_attribution(events: &[TraceEvent]) -> String {
     out
 }
 
+/// The `limit` smallest of `keys`, in ascending order; the keys must be
+/// distinct. Holds `limit` keys, not all of them.
+fn smallest<K: Ord>(keys: impl Iterator<Item = K>, limit: usize) -> Vec<K> {
+    let mut kept = BinaryHeap::new();
+    for key in keys {
+        if kept.len() < limit {
+            kept.push(key);
+        } else if let Some(mut largest) = kept.peek_mut() {
+            if key < *largest {
+                *largest = key;
+            }
+        }
+    }
+    kept.into_sorted_vec()
+}
+
 #[derive(Debug, Default, Clone, Copy)]
 struct InstanceRow {
     spawned: Option<SimTime>,
     cause: Option<&'static str>,
-    ready: Option<SimTime>,
     cold_total: SimDuration,
     execs: u64,
     crashed: bool,
@@ -360,7 +411,8 @@ struct InstanceRow {
 /// executions → reclaim, one line per instance, at most `limit` lines
 /// (earliest-spawned instances first).
 pub fn instance_timeline(events: &[TraceEvent], limit: usize) -> String {
-    let mut rows: BTreeMap<(Component, u64), InstanceRow> = BTreeMap::new();
+    // One row per (component, instance id): the count of them is printed.
+    let mut rows: HashMap<(Component, u64), InstanceRow> = HashMap::new();
     for ev in events {
         match ev.kind {
             EventKind::InstanceSpawn {
@@ -371,9 +423,9 @@ pub fn instance_timeline(events: &[TraceEvent], limit: usize) -> String {
                 let row = rows.entry((component, instance)).or_default();
                 row.spawned = Some(ev.at);
                 row.cause = Some(match cause {
-                    crate::event::SpawnCause::Demand => "demand",
-                    crate::event::SpawnCause::Overprovision => "overprov",
-                    crate::event::SpawnCause::Provisioned => "provisioned",
+                    SpawnCause::Demand => "demand",
+                    SpawnCause::Overprovision => "overprov",
+                    SpawnCause::Provisioned => "provisioned",
                 });
             }
             EventKind::InstanceReady {
@@ -384,9 +436,8 @@ pub fn instance_timeline(events: &[TraceEvent], limit: usize) -> String {
                 download,
                 load,
             } => {
-                let row = rows.entry((component, instance)).or_default();
-                row.ready = Some(ev.at);
-                row.cold_total = boot + import + download + load;
+                rows.entry((component, instance)).or_default().cold_total =
+                    boot + import + download + load;
             }
             EventKind::ExecStart {
                 component,
@@ -414,9 +465,13 @@ pub fn instance_timeline(events: &[TraceEvent], limit: usize) -> String {
         return out;
     }
     let total = rows.len();
-    let mut ordered: Vec<((Component, u64), InstanceRow)> = rows.into_iter().collect();
-    ordered.sort_by_key(|(key, row)| (row.spawned.unwrap_or(SimTime::ZERO), *key));
-    for ((component, id), row) in ordered.iter().take(limit) {
+    let first = smallest(
+        rows.iter()
+            .map(|(&key, row)| (row.spawned.unwrap_or(SimTime::ZERO), key)),
+        limit,
+    );
+    for (_, (component, id)) in first {
+        let row = rows[&(component, id)];
         let spawned = row
             .spawned
             .map_or("?".to_string(), |t| format!("{:.3}", t.as_secs_f64()));
@@ -449,7 +504,6 @@ struct AppRow {
     requests: u64,
     ok: u64,
     cold: u64,
-    latencies_us: Vec<u64>,
     cost_micro_dollars: Option<i64>,
 }
 
@@ -459,26 +513,19 @@ struct AppRow {
 /// one `AppClosed` per tenant carrying the cost; single-app traces degrade
 /// to one row per client with cost shown as `-`.
 pub fn app_breakdown(events: &[TraceEvent], limit: usize) -> String {
-    let mut rows: BTreeMap<u32, AppRow> = BTreeMap::new();
+    let mut rows: HashMap<u32, AppRow> = HashMap::new();
     for ev in events {
         match ev.kind {
             EventKind::RequestSpan {
                 client,
                 cold,
                 outcome,
-                batch,
-                net_in,
-                queued,
-                exec,
-                net_out,
                 ..
             } => {
                 let row = rows.entry(client).or_default();
                 row.requests += 1;
                 if outcome.is_success() {
                     row.ok += 1;
-                    row.latencies_us
-                        .push((batch + net_in + queued + exec + net_out).as_micros());
                 }
                 if cold {
                     row.cold += 1;
@@ -504,23 +551,20 @@ pub fn app_breakdown(events: &[TraceEvent], limit: usize) -> String {
         return out;
     }
     let total = rows.len();
-    let mut ordered: Vec<(u32, AppRow)> = rows.into_iter().collect();
     // Busiest first; app index breaks ties so the rendering is stable.
-    ordered.sort_by(|a, b| b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0)));
+    let busiest = rows.iter().map(|(&app, row)| (Reverse(row.requests), app));
+    let shown: Vec<(u32, &AppRow)> = smallest(busiest, limit)
+        .into_iter()
+        .map(|(_, app)| (app, &rows[&app]))
+        .collect();
+    let p99 = p99_latencies_us(events, &shown);
     let _ = writeln!(
         out,
         "  {:<8} {:>10} {:>8} {:>7} {:>10} {:>12}",
         "app", "requests", "ok", "cold", "p99", "cost"
     );
-    for (app, row) in ordered.iter_mut().take(limit) {
-        row.latencies_us.sort_unstable();
-        let p99 = if row.latencies_us.is_empty() {
-            "-".to_string()
-        } else {
-            let rank = (row.latencies_us.len() as f64 * 0.99).ceil() as usize;
-            let us = row.latencies_us[rank.saturating_sub(1).min(row.latencies_us.len() - 1)];
-            format!("{:.3}s", us as f64 / 1e6)
-        };
+    for ((app, row), p99) in shown.into_iter().zip(p99) {
+        let p99 = p99.map_or("-".to_string(), |us| format!("{:.3}s", us as f64 / 1e6));
         let cost = row
             .cost_micro_dollars
             .map_or("-".to_string(), |c| format!("${:.4}", c as f64 / 1e6));
@@ -539,6 +583,40 @@ pub fn app_breakdown(events: &[TraceEvent], limit: usize) -> String {
         let _ = writeln!(out, "  … {} more apps", total - limit);
     }
     out
+}
+
+/// The nearest-rank p99 of each `apps` row's successful span latencies,
+/// in microseconds (`None` without one). Of `ok` latencies the p99 is the
+/// `ok + 1 - rank`-th largest, so a second pass keeps only that many per
+/// app, the smallest on top.
+fn p99_latencies_us(events: &[TraceEvent], apps: &[(u32, &AppRow)]) -> Vec<Option<u64>> {
+    let mut largest: BTreeMap<u32, (usize, BinaryHeap<Reverse<u64>>)> = apps
+        .iter()
+        .map(|&(app, row)| {
+            let ok = row.ok as usize;
+            let rank = ((ok as f64 * 0.99).ceil() as usize).clamp(1, ok.max(1));
+            (app, (ok + 1 - rank, BinaryHeap::new()))
+        })
+        .collect();
+    for s in events.iter().filter_map(span_of) {
+        if !s.outcome.is_success() {
+            continue;
+        }
+        let Some((keep, heap)) = largest.get_mut(&s.client) else {
+            continue;
+        };
+        let latency = Reverse(s.total().as_micros());
+        if heap.len() < *keep {
+            heap.push(latency);
+        } else if let Some(mut smallest) = heap.peek_mut() {
+            if latency < *smallest {
+                *smallest = latency;
+            }
+        }
+    }
+    apps.iter()
+        .map(|(app, _)| largest[app].1.peek().map(|&Reverse(us)| us))
+        .collect()
 }
 
 #[cfg(test)]
@@ -716,6 +794,31 @@ mod tests {
         let top = rows(&waterfall(&events, 5));
         let top: Vec<&str> = top.iter().map(|(_, outcome)| outcome.as_str()).collect();
         assert_eq!(top, ["ok", "queue-full", "throttled", "timeout", "ok"]);
+    }
+
+    #[test]
+    fn app_p99_is_the_nearest_rank_of_all_latencies() {
+        for n in [1u64, 2, 3, 99, 100, 101, 150, 199, 200, 201, 1000] {
+            // Latencies in a shuffled order, with repeats, and one failure
+            // that must not count.
+            let mut events: Vec<TraceEvent> = (0..n)
+                .map(|i| span_event(i, (i * 37 % n) / 3 + 1, SpanOutcome::Success))
+                .collect();
+            events.push(span_event(n, 10_000, SpanOutcome::Crashed));
+            let mut latencies: Vec<u64> = spans(&events[..n as usize])
+                .iter()
+                .map(|s| s.total().as_micros())
+                .collect();
+            latencies.sort_unstable();
+            let rank = (latencies.len() as f64 * 0.99).ceil() as usize;
+            let p99 = latencies[rank.saturating_sub(1).min(latencies.len() - 1)];
+            let t = app_breakdown(&events, 5);
+            let row = t.lines().nth(1).unwrap();
+            assert!(
+                row.contains(&format!(" {:.3}s ", p99 as f64 / 1e6)),
+                "n {n}: {t}"
+            );
+        }
     }
 
     #[test]

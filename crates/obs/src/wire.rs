@@ -13,6 +13,11 @@
 //! field, a `client` or `app` beyond `u32`, an unknown tag or enum value,
 //! and arrays or objects nested deeper than [`MAX_DEPTH`]. The parser
 //! allocates only to report an error; the writer only grows its output.
+//!
+//! The parser reads strings and runs of digits a word (eight bytes) at a
+//! time, finds a key, tag or enum value by a perfect hash of its length
+//! and end bytes with one comparison, and unescapes a string into a stack
+//! buffer only when it holds an escape.
 
 use crate::event::{Component, EventKind, FaultKind, SpanOutcome, SpawnCause, TraceEvent};
 use slsb_sim::{SimDuration, SimTime};
@@ -91,6 +96,9 @@ trait WireName: Copy + 'static {
     /// this table; it is the only place the names are spelled.
     const NAMES: &'static [(Self, &'static str)];
 
+    /// [`WireName::NAMES`]' names, indexed for [`lookup`].
+    const INDEX: NameIndex;
+
     /// The value's position in [`WireName::NAMES`].
     fn index(self) -> usize;
 }
@@ -99,12 +107,52 @@ macro_rules! wire_names {
     ($ty:ident { $($value:ident => $name:literal,)+ }) => {
         impl WireName for $ty {
             const NAMES: &'static [(Self, &'static str)] = &[$(($ty::$value, $name),)+];
+            const INDEX: NameIndex = name_index(&[$($name,)+]);
 
             fn index(self) -> usize {
                 self as usize
             }
         }
     };
+}
+
+/// A perfect-hash index over a list of at most 255 distinct names: entry
+/// [`slot`]`(name)` holds the name's position in the list, and `u8::MAX`
+/// marks a slot no name hashes to.
+type NameIndex = [u8; 64];
+
+/// A name's slot: a hash of its length and its first and last bytes.
+/// `name_index` checks at compile time that no two names of one list
+/// share a slot, so a lookup compares one candidate.
+const fn slot(name: &[u8]) -> usize {
+    (3 * name.len() + 4 * name[0] as usize + name[name.len() - 1] as usize) % 64
+}
+
+const fn name_index(names: &[&str]) -> NameIndex {
+    let mut index = [u8::MAX; 64];
+    let mut i = 0;
+    while i < names.len() {
+        let s = slot(names[i].as_bytes());
+        assert!(index[s] == u8::MAX, "two wire names share a slot");
+        index[s] = i as u8;
+        i += 1;
+    }
+    index
+}
+
+/// The position of `name` in the list `index` was built from, whose
+/// `i`-th name is `name_at(i)`.
+#[inline(always)]
+fn lookup(
+    index: &NameIndex,
+    name: &[u8],
+    name_at: impl Fn(usize) -> &'static str,
+) -> Option<usize> {
+    if name.is_empty() {
+        return None;
+    }
+    let i = usize::from(index[slot(name)]);
+    (i != usize::from(u8::MAX) && name_at(i).as_bytes() == name).then_some(i)
 }
 
 // `managed_ml` is the wire name; `Component::label` is `managed-ml`.
@@ -152,18 +200,16 @@ macro_rules! keys {
         impl Key {
             const ALL: &'static [Key] = &[$(Key::$key,)+];
             const COUNT: usize = Key::ALL.len();
+            const NAMES: [&'static str; Key::COUNT] = [$(stringify!($key),)+];
+            const INDEX: NameIndex = name_index(&Key::NAMES);
 
+            #[inline(always)]
             fn of(name: &[u8]) -> Option<Key> {
-                Some(match std::str::from_utf8(name).ok()? {
-                    $(stringify!($key) => Key::$key,)+
-                    _ => return None,
-                })
+                lookup(&Key::INDEX, name, |i| Key::NAMES[i]).map(|i| Key::ALL[i])
             }
 
             fn name(self) -> &'static str {
-                match self {
-                    $(Key::$key => stringify!($key),)+
-                }
+                Key::NAMES[self as usize]
             }
         }
     };
@@ -314,9 +360,27 @@ const EVENTS: [(&str, Build); 15] = [
     }),
 ];
 
+/// [`EVENTS`]' tags, by [`variant`].
+pub(crate) const TAGS: [&str; EVENTS.len()] = {
+    let mut tags = [""; EVENTS.len()];
+    let mut i = 0;
+    while i < tags.len() {
+        tags[i] = EVENTS[i].0;
+        i += 1;
+    }
+    tags
+};
+
+const TAG_INDEX: NameIndex = name_index(&TAGS);
+
 /// The variant's wire tag.
 pub(crate) fn tag(kind: &EventKind) -> &'static str {
-    let index = match kind {
+    TAGS[variant(kind)]
+}
+
+/// The variant's position in [`EVENTS`], its declaration order.
+pub(crate) fn variant(kind: &EventKind) -> usize {
+    match kind {
         EventKind::RequestArrival { .. } => 0,
         EventKind::RequestQueued { .. } => 1,
         EventKind::RequestRejected { .. } => 2,
@@ -332,8 +396,7 @@ pub(crate) fn tag(kind: &EventKind) -> &'static str {
         EventKind::RequestSpan { .. } => 12,
         EventKind::AppClosed { .. } => 13,
         EventKind::RunClosed { .. } => 14,
-    };
-    EVENTS[index].0
+    }
 }
 
 // --------------------------------------------------------------- writing
@@ -522,29 +585,28 @@ pub fn parse_event(line: &[u8]) -> Result<TraceEvent, WireError> {
     let mut fields = Fields([Tok::Absent; Key::COUNT]);
     p.ws();
     p.object(1, |p, key| {
-        let mut buf = Unescaped::new();
-        match key.text(&mut buf) {
-            Some(b"at") if matches!(at, Tok::Absent) => at = p.value(1)?,
-            Some(b"kind") if !kind_seen => {
-                kind_seen = true;
-                if p.peek() != Some(b'{') {
-                    return Err(WireError::Invalid {
-                        field: "kind",
-                        expected: "an object",
-                    });
-                }
-                p.object(2, |p, key| {
-                    let mut buf = Unescaped::new();
-                    match key.text(&mut buf).and_then(Key::of) {
-                        Some(k) if matches!(fields.0[k as usize], Tok::Absent) => {
-                            fields.0[k as usize] = p.value(2)?;
-                        }
-                        _ => p.skip(2)?,
-                    }
-                    Ok(())
-                })?;
+        let is = |name: &[u8]| key.with_text(|text| text == Some(name));
+        if is(b"at") && matches!(at, Tok::Absent) {
+            at = p.value(1)?;
+        } else if is(b"kind") && !kind_seen {
+            kind_seen = true;
+            if p.peek() != Some(b'{') {
+                return Err(WireError::Invalid {
+                    field: "kind",
+                    expected: "an object",
+                });
             }
-            _ => p.skip(1)?,
+            p.object(2, |p, key| {
+                match key.with_text(|text| text.and_then(Key::of)) {
+                    Some(k) if matches!(fields.0[k as usize], Tok::Absent) => {
+                        fields.0[k as usize] = p.value(2)?;
+                    }
+                    _ => p.skip(2)?,
+                }
+                Ok(())
+            })?;
+        } else {
+            p.skip(1)?;
         }
         Ok(())
     })?;
@@ -566,11 +628,9 @@ pub fn parse_event(line: &[u8]) -> Result<TraceEvent, WireError> {
             expected: "a string",
         });
     };
-    let mut buf = Unescaped::new();
     let build = tag
-        .text(&mut buf)
-        .and_then(|t| EVENTS.iter().find(|(name, _)| name.as_bytes() == t))
-        .map(|&(_, build)| build)
+        .with_text(|text| lookup(&TAG_INDEX, text?, |i| TAGS[i]))
+        .map(|i| EVENTS[i].1)
         .ok_or_else(|| tag.unknown("event"))?;
     Ok(TraceEvent {
         at,
@@ -585,19 +645,19 @@ struct Str<'a> {
     escaped: bool,
 }
 
-impl<'a> Str<'a> {
-    /// The string's content: the raw bytes, or the unescaped ones in
-    /// `buf`; `None` when they do not fit `buf`, which is longer than any
+impl Str<'_> {
+    /// Hands the string's content to `f`: the raw bytes, or, only when
+    /// the string has an escape, the unescaped ones in a stack buffer;
+    /// `None` when they do not fit the buffer, which is longer than any
     /// name the schema knows.
-    fn text<'s>(&self, buf: &'s mut Unescaped) -> Option<&'s [u8]>
-    where
-        'a: 's,
-    {
+    #[inline(always)]
+    fn with_text<R>(&self, f: impl FnOnce(Option<&[u8]>) -> R) -> R {
         if !self.escaped {
-            return Some(self.raw);
+            return f(Some(self.raw));
         }
+        let mut buf = Unescaped::new();
         unescape(self.raw, |bytes| buf.push(bytes));
-        buf.get()
+        f(buf.get())
     }
 
     fn unknown(&self, field: &'static str) -> WireError {
@@ -707,6 +767,7 @@ fn unsigned(field: &'static str) -> WireError {
 struct Fields<'a>([Tok<'a>; Key::COUNT]);
 
 impl<'a> Fields<'a> {
+    #[inline(always)]
     fn get(&self, key: Key) -> Result<Tok<'a>, WireError> {
         match self.0[key as usize] {
             Tok::Absent => Err(WireError::Missing { field: key.name() }),
@@ -714,6 +775,7 @@ impl<'a> Fields<'a> {
         }
     }
 
+    #[inline(always)]
     fn u64(&self, key: Key) -> Result<u64, WireError> {
         match self.get(key)? {
             Tok::U64(v) => Ok(v),
@@ -740,14 +802,17 @@ impl<'a> Fields<'a> {
         }
     }
 
+    #[inline(always)]
     fn time(&self, key: Key) -> Result<SimTime, WireError> {
         self.u64(key).map(SimTime::from_micros)
     }
 
+    #[inline(always)]
     fn duration(&self, key: Key) -> Result<SimDuration, WireError> {
         self.u64(key).map(SimDuration::from_micros)
     }
 
+    #[inline(always)]
     fn bool(&self, key: Key) -> Result<bool, WireError> {
         match self.get(key)? {
             Tok::Bool(v) => Ok(v),
@@ -758,6 +823,7 @@ impl<'a> Fields<'a> {
         }
     }
 
+    #[inline(always)]
     fn name<T: WireName>(&self, key: Key) -> Result<T, WireError> {
         let Tok::Str(s) = self.get(key)? else {
             return Err(WireError::Invalid {
@@ -765,10 +831,8 @@ impl<'a> Fields<'a> {
                 expected: "a string",
             });
         };
-        let mut buf = Unescaped::new();
-        s.text(&mut buf)
-            .and_then(|text| T::NAMES.iter().find(|(_, n)| n.as_bytes() == text))
-            .map(|&(v, _)| v)
+        s.with_text(|text| lookup(&T::INDEX, text?, |i| T::NAMES[i].1))
+            .map(|i| T::NAMES[i].0)
             .ok_or_else(|| s.unknown(key.name()))
     }
 
@@ -781,23 +845,29 @@ impl<'a> Fields<'a> {
 }
 
 /// A pull parser over one line. It never recurses: nested values that
-/// the schema does not read are skipped with an explicit stack.
+/// the schema does not read are skipped with an explicit stack. Its
+/// steps, and the lookups and field reads of [`parse_event`], are
+/// `#[inline(always)]`: left to the compiler's own choice, a recorded
+/// trace parsed ~1.3× slower.
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    #[inline(always)]
     fn peek(&self) -> Option<u8> {
         self.b.get(self.pos).copied()
     }
 
+    #[inline(always)]
     fn ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[cold]
     fn syntax(&self, expected: &'static str) -> WireError {
         WireError::Syntax {
             at: self.pos,
@@ -805,6 +875,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline(always)]
     fn eat(&mut self, byte: u8, expected: &'static str) -> Result<(), WireError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -826,6 +897,7 @@ impl<'a> Parser<'a> {
 
     /// Parses an object at nesting `depth`, handing each key to `member`,
     /// which must consume the key's value.
+    #[inline(always)]
     fn object(
         &mut self,
         depth: usize,
@@ -859,6 +931,7 @@ impl<'a> Parser<'a> {
 
     /// A member's key and the colon after it; leaves the cursor on the
     /// value.
+    #[inline(always)]
     fn key(&mut self) -> Result<Str<'a>, WireError> {
         let key = self.string()?;
         self.ws();
@@ -869,6 +942,7 @@ impl<'a> Parser<'a> {
 
     /// The value at the cursor, inside `depth` open containers: a scalar
     /// token, or [`Tok::Other`] once a nested value has been skipped.
+    #[inline(always)]
     fn value(&mut self, depth: usize) -> Result<Tok<'a>, WireError> {
         match self.peek() {
             Some(b'{' | b'[') => {
@@ -879,6 +953,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline(always)]
     fn scalar(&mut self) -> Result<Tok<'a>, WireError> {
         let literal = |p: &mut Self, text: &[u8], tok| {
             if p.b[p.pos..].starts_with(text) {
@@ -958,35 +1033,37 @@ impl<'a> Parser<'a> {
 
     /// A string at the cursor. Escapes are checked here and decoded only
     /// when the string is compared or reported.
+    #[inline(always)]
     fn string(&mut self) -> Result<Str<'a>, WireError> {
         self.eat(b'"', "a string")?;
         let start = self.pos;
         let mut escaped = false;
         let mut ascii = true;
         loop {
+            let (run, run_ascii) = quote_or_backslash(&self.b[self.pos..]);
+            let Some(run) = run else {
+                self.pos = self.b.len();
+                return Err(self.syntax("`\"`"));
+            };
+            ascii &= run_ascii;
+            self.pos += run;
+            if self.b[self.pos] == b'"' {
+                break;
+            }
+            escaped = true;
+            self.pos += 1;
             match self.peek() {
-                None => return Err(self.syntax("`\"`")),
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    escaped = true;
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => match self.b.get(self.pos + 1..self.pos + 5).and_then(hex4) {
-                            Some(_) => self.pos += 5,
-                            None => return Err(self.syntax("four hex digits")),
-                        },
-                        _ => return Err(self.syntax("an escape")),
-                    }
-                }
-                Some(c) => {
-                    ascii &= c.is_ascii();
+                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
                     self.pos += 1;
                 }
+                Some(b'u') => match self.b.get(self.pos + 1..self.pos + 5).and_then(hex4) {
+                    Some(_) => self.pos += 5,
+                    None => return Err(self.syntax("four hex digits")),
+                },
+                _ => return Err(self.syntax("an escape")),
             }
         }
+        // An escape's own bytes are ASCII, so they change nothing here.
         let raw = &self.b[start..self.pos];
         if !ascii && std::str::from_utf8(raw).is_err() {
             return Err(WireError::Syntax {
@@ -1001,26 +1078,45 @@ impl<'a> Parser<'a> {
     /// A number at the cursor, classified as the vendored `serde_json`
     /// classifies it: a float if `.`, `e`, `E`, `+` or a second `-`
     /// appears, else a negative or unsigned 64-bit integer.
+    #[inline(always)]
     fn number(&mut self) -> Result<Tok<'a>, WireError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
+        let mut pos = start + usize::from(negative);
         let mut float = false;
-        let mut magnitude: Option<u64> = Some(0);
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => {
-                    magnitude = magnitude
-                        .and_then(|m| m.checked_mul(10))
-                        .and_then(|m| m.checked_add(u64::from(c - b'0')));
-                }
-                b'.' | b'e' | b'E' | b'+' | b'-' => float = true,
-                _ => break,
+        // Once set, `overflow` stays set and `magnitude` means nothing.
+        let (mut magnitude, mut overflow) = (0u64, false);
+        // Runs of digits eight bytes at a time, then byte by byte.
+        while let Some(word) = self.b.get(pos..pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            let digits = leading_digits(word);
+            if digits == 0 {
+                break;
             }
-            self.pos += 1;
+            let (scaled, o1) = magnitude.overflowing_mul(POW10[digits]);
+            let (sum, o2) = scaled.overflowing_add(digits_value(word, digits));
+            magnitude = sum;
+            overflow |= o1 | o2;
+            pos += digits;
+            if digits < 8 {
+                break;
+            }
         }
+        while let Some(&c) = self.b.get(pos) {
+            let digit = c.wrapping_sub(b'0');
+            if digit < 10 {
+                let (times_ten, o1) = magnitude.overflowing_mul(10);
+                let (sum, o2) = times_ten.overflowing_add(u64::from(digit));
+                magnitude = sum;
+                overflow |= o1 | o2;
+            } else if matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
+                float = true;
+            } else {
+                break;
+            }
+            pos += 1;
+        }
+        self.pos = pos;
         let bad = WireError::Number { at: start };
         if float {
             let text =
@@ -1029,12 +1125,86 @@ impl<'a> Parser<'a> {
         }
         let digits = self.pos - start - usize::from(negative);
         match magnitude {
-            Some(_) if digits == 0 => Err(bad),
-            Some(m) if !negative => Ok(Tok::U64(m)),
-            Some(m) if m <= 1 << 63 => Ok(Tok::I64(0i64.wrapping_sub_unsigned(m))),
+            _ if overflow || digits == 0 => Err(bad),
+            m if !negative => Ok(Tok::U64(m)),
+            m if m <= 1 << 63 => Ok(Tok::I64(0i64.wrapping_sub_unsigned(m))),
             _ => Err(bad),
         }
     }
+}
+
+/// The offset of the first `"` or `\` in `s`, found eight bytes at a
+/// time, and whether every byte before it is ASCII.
+#[inline(always)]
+fn quote_or_backslash(s: &[u8]) -> (Option<usize>, bool) {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    const HIGHS: u64 = ONES << 7;
+    const QUOTES: u64 = u64::from_ne_bytes([b'"'; 8]);
+    const BACKSLASHES: u64 = u64::from_ne_bytes([b'\\'; 8]);
+    let mut i = 0;
+    let mut high = 0;
+    while let Some(word) = s.get(i..i + 8) {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let (quote, backslash) = (word ^ QUOTES, word ^ BACKSLASHES);
+        // The lowest set high bit marks the first zero byte of either
+        // word (a borrow can set bits only above a zero byte).
+        let zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
+        let hits = zero(quote) | zero(backslash);
+        if hits != 0 {
+            let before = (hits & hits.wrapping_neg()) - 1;
+            return (
+                Some(i + hits.trailing_zeros() as usize / 8),
+                (high | word & before) & HIGHS == 0,
+            );
+        }
+        high |= word;
+        i += 8;
+    }
+    for (at, &c) in s.iter().enumerate().skip(i) {
+        if c == b'"' || c == b'\\' {
+            return (Some(at), (high & HIGHS == 0) && s[i..at].is_ascii());
+        }
+    }
+    (None, false)
+}
+
+/// `10^n`, the scale of a run of `n` digits.
+const POW10: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
+/// How many of `word`'s bytes, lowest first, are ASCII digits before the
+/// first one that is not.
+#[inline(always)]
+fn leading_digits(word: u64) -> usize {
+    const NIBBLES: u64 = u64::from_ne_bytes([0xf0; 8]);
+    const THREES: u64 = u64::from_ne_bytes([0x30; 8]);
+    const SIXES: u64 = u64::from_ne_bytes([0x06; 8]);
+    // A byte is a digit when its high nibble is 3 both as it is and plus
+    // six; a carry out of a byte of 0xfa or more only reaches bytes above
+    // that non-digit.
+    let other = ((word & NIBBLES) ^ THREES) | ((word.wrapping_add(SIXES) & NIBBLES) ^ THREES);
+    other.trailing_zeros() as usize / 8
+}
+
+/// The value of `word`'s lowest `digits` bytes (1 to 8 ASCII digits, the
+/// first the most significant).
+#[inline(always)]
+fn digits_value(word: u64, digits: usize) -> u64 {
+    const LOW_NIBBLES: u64 = u64::from_ne_bytes([0x0f; 8]);
+    // Shift the digits to the top, leaving leading zeros below them.
+    let v = (word << (8 * (8 - digits))) & LOW_NIBBLES;
+    let v = v.wrapping_mul(10 << 8 | 1) >> 8;
+    let v = (v & 0x00ff_00ff_00ff_00ff).wrapping_mul(100 << 16 | 1) >> 16;
+    (v & 0x0000_ffff_0000_ffff).wrapping_mul(10_000 << 32 | 1) >> 32
 }
 
 #[cfg(test)]
@@ -1080,6 +1250,90 @@ mod tests {
             assert_eq!(Key::of(key.name().as_bytes()), Some(key));
         }
         assert_eq!(Key::of(b"at"), None);
+    }
+
+    fn names_are_found_by_their_index<T: WireName + fmt::Debug + PartialEq>() {
+        for (i, &(value, name)) in T::NAMES.iter().enumerate() {
+            let found = lookup(&T::INDEX, name.as_bytes(), |i| T::NAMES[i].1);
+            assert_eq!(found.map(|i| T::NAMES[i].0), Some(value), "{name}");
+            assert_eq!(found, Some(i));
+            // Same length and end bytes, one byte off in the middle.
+            let mut near = name.as_bytes().to_vec();
+            if near.len() > 2 {
+                near[1] ^= 1;
+                assert_eq!(lookup(&T::INDEX, &near, |i| T::NAMES[i].1), None, "{name}");
+            }
+        }
+        assert_eq!(lookup(&T::INDEX, b"", |i| T::NAMES[i].1), None);
+    }
+
+    #[test]
+    fn every_name_is_found_and_nothing_else() {
+        names_are_found_by_their_index::<Component>();
+        names_are_found_by_their_index::<SpawnCause>();
+        names_are_found_by_their_index::<SpanOutcome>();
+        names_are_found_by_their_index::<FaultKind>();
+        for (i, tag) in TAGS.iter().enumerate() {
+            assert_eq!(lookup(&TAG_INDEX, tag.as_bytes(), |i| TAGS[i]), Some(i));
+        }
+        for name in [
+            "",
+            "x",
+            "faul",
+            "faultt",
+            "request_spaN",
+            "Fault",
+            "\u{e9}vent",
+        ] {
+            assert_eq!(
+                lookup(&TAG_INDEX, name.as_bytes(), |i| TAGS[i]),
+                None,
+                "{name}"
+            );
+            assert_eq!(Key::of(name.as_bytes()), None, "{name}");
+        }
+    }
+
+    #[test]
+    fn word_scans_match_byte_scans() {
+        // Every prefix length and every position of the quote, backslash
+        // or non-ASCII byte, so each lands in the words and in the tail.
+        for len in 0..20 {
+            for at in 0..len {
+                for special in [b'"', b'\\', 0xc3] {
+                    let mut s = vec![b'a'; len];
+                    s[at] = special;
+                    let first = s.iter().position(|&c| c == b'"' || c == b'\\');
+                    let ascii = first.map(|f| s[..f].is_ascii());
+                    let (found, found_ascii) = quote_or_backslash(&s);
+                    assert_eq!(found, first, "{s:?}");
+                    if let Some(ascii) = ascii {
+                        assert_eq!(found_ascii, ascii, "{s:?}");
+                    }
+                }
+            }
+        }
+        for text in [
+            "0",
+            "7,",
+            "12345678",
+            "123456789}",
+            "00000000000000000001",
+            "9x",
+        ] {
+            let b = text.as_bytes();
+            let mut padded = b.to_vec();
+            padded.resize(b.len().max(8), b'}');
+            let word = u64::from_le_bytes(padded[..8].try_into().unwrap());
+            let digits = b.iter().take(8).take_while(|c| c.is_ascii_digit()).count();
+            assert_eq!(leading_digits(word), digits, "{text}");
+            let value: u64 = std::str::from_utf8(&b[..digits]).unwrap().parse().unwrap();
+            assert_eq!(digits_value(word, digits), value, "{text}");
+        }
+        for byte in 0..=255u8 {
+            let word = u64::from_le_bytes([byte, b'5', b'5', b'5', b'5', b'5', b'5', b'5']);
+            assert_eq!(leading_digits(word) > 0, byte.is_ascii_digit(), "{byte}");
+        }
     }
 
     #[test]

@@ -727,3 +727,55 @@ fn nesting_is_capped_without_recursion() {
         })
     );
 }
+
+/// Bytes a random edit writes: JSON's structural and literal bytes,
+/// whitespace, and bytes that are not ASCII or not UTF-8 on their own.
+const EDIT_BYTES: &[u8] = b"{}[]\":,\\/0179-+.eEtrufalsn \t\r\n\x00\x0b\x80\xc3\xa9\xff";
+
+/// `line` after `edits`: each truncates it, overwrites, flips or inserts
+/// one byte, or makes one of two edits that often leave an event: a digit
+/// for the next digit, or whitespace after the next `{`, `,` or `:`. The
+/// edit's bits pick the position and the byte.
+fn edited(line: &str, edits: &[u64]) -> Vec<u8> {
+    let mut bytes = line.as_bytes().to_vec();
+    for &edit in edits {
+        let at = (edit >> 8) as usize % (bytes.len() + 1);
+        let byte = EDIT_BYTES[(edit >> 40) as usize % EDIT_BYTES.len()];
+        let next = |bytes: &[u8], hit: fn(u8) -> bool| (at..bytes.len()).find(|&i| hit(bytes[i]));
+        match edit % 6 {
+            0 => bytes.truncate(at),
+            1 if at < bytes.len() => bytes[at] = byte,
+            2 if at < bytes.len() => bytes[at] ^= 1 << ((edit >> 32) % 8),
+            3 => bytes.insert(at, byte),
+            4 => {
+                if let Some(i) = next(&bytes, |b| b.is_ascii_digit()) {
+                    bytes[i] = b'0' + (edit >> 40) as u8 % 10;
+                }
+            }
+            _ => {
+                if let Some(i) = next(&bytes, |b| matches!(b, b'{' | b',' | b':')) {
+                    bytes.insert(i + 1, b" \t\r\n"[(edit >> 40) as usize % 4]);
+                }
+            }
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    #[test]
+    fn edited_lines_never_panic_and_accepted_ones_round_trip(
+        pick in 0usize..1024,
+        edits in prop::collection::vec(0u64..u64::MAX, 1..4),
+    ) {
+        let lines = fixture_lines();
+        let line = edited(lines[pick % lines.len()], &edits);
+        let parsed = std::panic::catch_unwind(|| parse_event(&line));
+        prop_assert!(parsed.is_ok(), "panicked on {:?}", String::from_utf8_lossy(&line));
+        if let Ok(Ok(ev)) = parsed {
+            let written = to_line(&ev);
+            prop_assert_eq!(parse_event(written.as_bytes()), Ok(ev), "{}", written);
+        }
+    }
+}

@@ -83,7 +83,10 @@ fn explorer_renderings_match_goldens() {
     );
     check_golden("fault_attribution", &trace_view::fault_attribution(&events));
     check_golden("waterfall", &trace_view::waterfall(&events, 20));
-    check_golden("instance_timeline", &trace_view::instance_timeline(&events, 20));
+    check_golden(
+        "instance_timeline",
+        &trace_view::instance_timeline(&events, 20),
+    );
     check_golden("app_breakdown", &trace_view::app_breakdown(&events, 5));
 
     // The same pinned run with the self-profiler enabled must emit the

@@ -24,6 +24,18 @@ if [[ "$faulted_line" != *'"correct":true'* ]]; then
 fi
 echo "verify.sh: faulted_retry digests ok"
 
+# The same check on the read half of tracing: at its default seed a
+# trace_explore run must reproduce the committed digests of its 196,687
+# event trace, of every `slsb trace` rendering of it and of the trace
+# oracle.
+explore_line="$(cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- \
+    --workload trace_explore --seconds 1 --trace 0 | tail -n 1)"
+if [[ "$explore_line" != *'"correct":true'* ]]; then
+    echo "verify.sh: trace_explore at its default seed is not correct: $explore_line" >&2
+    exit 1
+fi
+echo "verify.sh: trace_explore digests ok"
+
 # Trace round-trip smoke: a recorded run must emit a JSONL trace the
 # explorer can parse, with event counts that cross-check exactly.
 # (A bare `cargo build --release` only builds the root package, so make
