@@ -33,7 +33,82 @@ use slsb_sim::{
 use slsb_workload::{InputKind, RequestPool, WorkloadTrace};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// A year: the bound on every configured duration and on a payload's
+/// network time, far below where instant arithmetic could overflow.
+const MAX_CONFIG_SECS: f64 = 365.0 * 86_400.0;
+
+/// Why an [`ExecutorConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// The retry policy allows no attempt at all.
+    NoAttempts,
+    /// Retry jitter outside `[0, 10]`.
+    Jitter(f64),
+    /// A duration longer than a year.
+    Duration {
+        /// The offending field.
+        field: &'static str,
+        /// Its value in seconds.
+        secs: f64,
+    },
+    /// Network bandwidth that is not finite and positive.
+    Bandwidth(f64),
+    /// The largest pool payload's request-path network time is longer
+    /// than a year.
+    TransferTime {
+        /// The payload's size.
+        bytes: u64,
+        /// Its network time in seconds.
+        secs: f64,
+    },
+    /// A request pool that is empty or past `u32` payload ids.
+    PoolSize(usize),
+    /// A batching override that forms empty batches.
+    EmptyBatch,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NoAttempts => write!(f, "retry needs attempts >= 1"),
+            ConfigError::Jitter(j) => write!(f, "retry jitter {j} out of range [0, 10]"),
+            ConfigError::Duration { field, secs } => {
+                write!(
+                    f,
+                    "{field} must be at most {MAX_CONFIG_SECS} s, got {secs} s"
+                )
+            }
+            ConfigError::Bandwidth(bw) => write!(
+                f,
+                "network bandwidth_mb_per_sec must be finite and > 0, got {bw}"
+            ),
+            ConfigError::TransferTime { bytes, secs } => write!(
+                f,
+                "a {bytes}-byte payload takes {secs:.3e} s on the network, \
+                 more than {MAX_CONFIG_SECS} s"
+            ),
+            ConfigError::PoolSize(n) => {
+                write!(f, "pool_size must be in [1, {}], got {n}", u32::MAX)
+            }
+            ConfigError::EmptyBatch => write!(f, "batch_override must batch at least 1 request"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Checks that `value` is at most a year.
+fn check_duration(field: &'static str, value: SimDuration) -> Result<(), ConfigError> {
+    let secs = value.as_secs_f64();
+    if secs <= MAX_CONFIG_SECS {
+        Ok(())
+    } else {
+        Err(ConfigError::Duration { field, secs })
+    }
+}
 
 /// Client retry policy: how an invocation is re-issued after a failed or
 /// timed-out attempt. The default (`max_attempts = 1`) disables retries
@@ -153,14 +228,13 @@ impl RetryPolicy {
                     .map_err(|_| format!("retry spec '{key}' has a malformed value '{value}'"))
             }
             fn secs(key: &str, value: &str) -> Result<SimDuration, String> {
-                // A year bounds every backoff and timeout far below where
-                // instant arithmetic could overflow.
-                const MAX_SECS: f64 = 365.0 * 86_400.0;
                 let s: f64 = num(key, value)?;
-                (0.0..=MAX_SECS)
+                (0.0..=MAX_CONFIG_SECS)
                     .contains(&s)
                     .then(|| SimDuration::from_secs_f64(s))
-                    .ok_or_else(|| format!("retry spec '{key}' must be in [0, {MAX_SECS}] s"))
+                    .ok_or_else(|| {
+                        format!("retry spec '{key}' must be in [0, {MAX_CONFIG_SECS}] s")
+                    })
             }
             match key {
                 "attempts" => p.max_attempts = num(key, value)?,
@@ -172,13 +246,25 @@ impl RetryPolicy {
                 other => return Err(format!("unknown retry spec key '{other}'")),
             }
         }
-        if p.max_attempts == 0 {
-            return Err("retry spec needs attempts >= 1".into());
-        }
-        if !(0.0..=10.0).contains(&p.jitter) {
-            return Err(format!("retry jitter {} out of range [0, 10]", p.jitter));
-        }
+        p.validate().map_err(|e| e.to_string())?;
         Ok(p)
+    }
+
+    /// Checks what a run needs of the policy: at least one attempt, a
+    /// jitter fraction in `[0, 10]` and durations of at most a year.
+    ///
+    /// # Errors
+    /// The first field out of range.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.max_attempts == 0 {
+            return Err(ConfigError::NoAttempts);
+        }
+        if !(0.0..=10.0).contains(&self.jitter) {
+            return Err(ConfigError::Jitter(self.jitter));
+        }
+        check_duration("retry.attempt_timeout", self.attempt_timeout)?;
+        check_duration("retry.base_backoff", self.base_backoff)?;
+        check_duration("retry.max_backoff", self.max_backoff)
     }
 }
 
@@ -211,6 +297,49 @@ pub struct ExecutorConfig {
     /// draws its own RNG substreams).
     #[serde(default)]
     pub shards: usize,
+}
+
+impl ExecutorConfig {
+    /// Checks that a run of `deployment` under this configuration cannot
+    /// panic or overflow: the retry policy (see [`RetryPolicy::validate`]),
+    /// a client timeout of at most a year, a pool of 1 to `u32::MAX`
+    /// payloads, batches of at least one request formed within a year, a
+    /// finite positive bandwidth, and a request-path network time of at
+    /// most a year for the largest payload `deployment` can send.
+    ///
+    /// # Errors
+    /// The first field out of range.
+    pub fn validate(&self, deployment: &Deployment) -> Result<(), ConfigError> {
+        self.retry.validate()?;
+        check_duration("timeout", self.timeout)?;
+        if self.pool_size == 0 || u32::try_from(self.pool_size).is_err() {
+            return Err(ConfigError::PoolSize(self.pool_size));
+        }
+        match self.batch_override {
+            Some(BatchPolicy::Fixed(0) | BatchPolicy::Adaptive { max_batch: 0, .. }) => {
+                return Err(ConfigError::EmptyBatch);
+            }
+            Some(BatchPolicy::Adaptive { max_wait, .. }) => {
+                check_duration("batch_override.max_wait", max_wait)?;
+            }
+            _ => {}
+        }
+        let bandwidth = self.network.bandwidth_mb_per_sec;
+        if !(bandwidth.is_finite() && bandwidth > 0.0) {
+            return Err(ConfigError::Bandwidth(bandwidth));
+        }
+        // No pool payload is larger than its kind's top size times the
+        // samples it packs. Its network time is summed in `f64`, where
+        // it cannot wrap as instant arithmetic would.
+        let top = input_kind(deployment.model).size_range().1;
+        let bytes = top.saturating_mul(u64::from(deployment.samples_per_request));
+        let secs = self.network.one_way_latency.as_secs_f64() + bytes as f64 / (bandwidth * 1e6);
+        if secs <= MAX_CONFIG_SECS {
+            Ok(())
+        } else {
+            Err(ConfigError::TransferTime { bytes, secs })
+        }
+    }
 }
 
 impl Default for ExecutorConfig {
@@ -474,6 +603,8 @@ struct RunArena {
     resp_scratch: Vec<ServingResponse>,
     buffer: Vec<(SimDuration, PlatformEvent)>,
     pool: Option<PoolMemo>,
+    /// The run's [`transfer_table`].
+    transfer: Vec<SimDuration>,
 }
 
 impl RunArena {
@@ -504,6 +635,15 @@ thread_local! {
     static ARENA: RefCell<RunArena> = RefCell::new(RunArena::default());
 }
 
+/// The payload kind `model` consumes.
+fn input_kind(model: ModelKind) -> InputKind {
+    if model.profile().image_input {
+        InputKind::Image
+    } else {
+        InputKind::Text
+    }
+}
+
 /// Returns the memoized pool for the key, regenerating it on a miss.
 fn pooled(memo: &mut Option<PoolMemo>, kind: InputKind, size: usize, samples: u32) -> &RequestPool {
     let hit = matches!(
@@ -519,6 +659,18 @@ fn pooled(memo: &mut Option<PoolMemo>, kind: InputKind, size: usize, samples: u3
         });
     }
     &memo.as_ref().expect("memo just filled").pool
+}
+
+/// Fills `table` with the request-path network time of each of `pool`'s
+/// payloads, by payload id: a single-payload invocation reads its own
+/// instead of recomputing it.
+fn transfer_table(table: &mut Vec<SimDuration>, pool: &RequestPool, network: &NetworkProfile) {
+    table.clear();
+    table.extend(
+        pool.payloads()
+            .iter()
+            .map(|p| network.transfer_time(p.size_bytes)),
+    );
 }
 
 /// A request the client has not yet heard back about: it times out
@@ -566,6 +718,8 @@ struct ExecSystem<'r> {
     late_attempts: BTreeMap<usize, u32>,
     feed: &'r mut Feed,
     pool: &'r RequestPool,
+    /// Request-path network time per pool payload; see [`transfer_table`].
+    transfer: &'r [SimDuration],
     policy: BatchPolicy,
     inference_repeats: u32,
     network: NetworkProfile,
@@ -603,17 +757,24 @@ impl ExecSystem<'_> {
         let (end, send_at) = (lane.batch_end, self.next_send[l]);
         debug_assert!(send_at < SimTime::MAX, "lane has an unsent batch");
         let inv = lane.next_inv;
-        let mut payload_bytes = 0;
+        let (mut payload_bytes, mut payload_net) = (0, SimDuration::ZERO);
         for j in lane.next..end {
             let m = j * lanes + l;
             let rec = &mut self.records[m];
-            rec.payload_bytes = self.pool.pick(&mut lane.payload_rng).size_bytes;
+            let payload = self.pool.pick(&mut lane.payload_rng);
+            rec.payload_bytes = payload.size_bytes;
             rec.sent_at = send_at;
-            payload_bytes += rec.payload_bytes;
+            payload_bytes += payload.size_bytes;
+            payload_net = self.transfer[payload.id as usize];
             if let Some(span) = self.spans.get_mut(m) {
                 span.inv = inv as u64;
             }
         }
+        let net_in = if end - lane.next == 1 {
+            payload_net
+        } else {
+            self.network.transfer_time(payload_bytes)
+        };
         let first = u32::try_from(lane.next).expect("a lane's requests fit in u32");
         let client = lane.client;
         let at = |j: usize| arrivals[client + j * stride];
@@ -629,7 +790,7 @@ impl ExecSystem<'_> {
         if matches!(self.policy, BatchPolicy::Adaptive { .. }) {
             window.starts.push_back(first);
         }
-        (inv, send_at, self.network.transfer_time(payload_bytes))
+        (inv, send_at, net_in)
     }
 
     /// Extends the record table, in trace order, through local record
@@ -656,10 +817,14 @@ impl ExecSystem<'_> {
     fn refill<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
         let mut earliest = SimTime::MAX;
         let watermark = loop {
-            // The earliest unsent send bounds every unsent event.
-            let watermark = *self.next_send.iter().min().expect("a cell has a lane");
-            let l = self.next_send.iter().position(|&at| at == watermark);
-            let l = l.expect("the minimum is in the slice");
+            // The earliest unsent send bounds every unsent event; ties go
+            // to the first lane.
+            let (l, &watermark) = self
+                .next_send
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, at)| at)
+                .expect("a cell has a lane");
             let full = self.feed.burst.len() >= ARRIVAL_BURST && earliest < watermark;
             if watermark == SimTime::MAX || full {
                 break watermark;
@@ -788,10 +953,10 @@ impl ExecSystem<'_> {
     }
 
     /// Handles drained responses. A single attempt's fate is its response,
-    /// settled at once; its exec time is what remains of the platform's
-    /// span after its own queueing. Under retries a response is held for
-    /// its client's receipt, or dropped once the engine has stopped
-    /// (`queue` is `None`).
+    /// settled at once; its exec time, which only its spans read, is what
+    /// remains of the platform's span after its own queueing. Under
+    /// retries a response is held for its client's receipt, or dropped
+    /// once the engine has stopped (`queue` is `None`).
     fn settle_drained<K: StoreKind>(&mut self, mut queue: Option<&mut EventQueue<ExecEvent, K>>) {
         // Swap the scratch out so settling can borrow `self` freely;
         // capacity is preserved across calls either way.
@@ -803,10 +968,13 @@ impl ExecSystem<'_> {
                 let f = self
                     .flight(id)
                     .expect("a delivered invocation is in flight");
-                let delivered = self.send_at(&f) + self.net_in(&f);
-                let exec = resp
-                    .completed_at
-                    .saturating_duration_since(delivered + resp.queued);
+                let exec = if self.spans.is_empty() {
+                    SimDuration::ZERO
+                } else {
+                    let delivered = self.send_at(&f) + self.net_in(&f);
+                    resp.completed_at
+                        .saturating_duration_since(delivered + resp.queued)
+                };
                 self.resolve(id, &f, Resolution::received(resp, received_at), exec);
             } else if let Some(queue) = queue.as_deref_mut() {
                 let slot = match self.free_receipts.pop() {
@@ -1056,12 +1224,7 @@ impl Executor {
 
     /// The request pool an executor builds for `model`.
     pub fn pool_for(&self, model: ModelKind, samples_per_request: u32) -> RequestPool {
-        let kind = if model.profile().image_input {
-            InputKind::Image
-        } else {
-            InputKind::Text
-        };
-        RequestPool::generate(kind, self.cfg.pool_size)
+        RequestPool::generate(input_kind(model), self.cfg.pool_size)
             .with_samples_per_request(samples_per_request)
     }
 
@@ -1311,19 +1474,16 @@ impl Executor {
             resp_scratch,
             buffer,
             pool: pool_memo,
+            transfer,
         } = arena;
 
-        let input = if deployment.model.profile().image_input {
-            InputKind::Image
-        } else {
-            InputKind::Text
-        };
         let pool = pooled(
             pool_memo,
-            input,
+            input_kind(deployment.model),
             self.cfg.pool_size,
             deployment.samples_per_request,
         );
+        transfer_table(transfer, pool, &self.cfg.network);
         let policy = self
             .cfg
             .batch_override
@@ -1390,6 +1550,7 @@ impl Executor {
                 late_attempts: BTreeMap::new(),
                 feed,
                 pool,
+                transfer,
                 policy,
                 inference_repeats: deployment.inference_repeats,
                 network: self.cfg.network,
@@ -1668,6 +1829,34 @@ mod tests {
             .records
             .iter()
             .all(|r| r.outcome == Outcome::Failure(FailureReason::RetriesExhausted)));
+    }
+
+    /// The transfer table holds, bit for bit, what `transfer_time` gives
+    /// each payload of the image and text pools.
+    #[test]
+    fn transfer_table_matches_transfer_time() {
+        let odd = NetworkProfile {
+            one_way_latency: SimDuration::from_micros(3),
+            bandwidth_mb_per_sec: 7.3,
+        };
+        let mut table = Vec::new();
+        for network in [NetworkProfile::DEFAULT, odd] {
+            for kind in [InputKind::Image, InputKind::Text] {
+                for samples in [1, 3, 10, 64] {
+                    let pool = RequestPool::default_for(kind).with_samples_per_request(samples);
+                    transfer_table(&mut table, &pool, &network);
+                    assert_eq!(table.len(), pool.len());
+                    for p in pool.payloads() {
+                        assert_eq!(
+                            table[p.id as usize],
+                            network.transfer_time(p.size_bytes),
+                            "{kind:?} x{samples}, {} bytes",
+                            p.size_bytes
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

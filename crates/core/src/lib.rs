@@ -64,7 +64,7 @@ pub use analyzer::{
     LatencyStats,
 };
 pub use batching::{plan_invocations, BatchPolicy, Invocation};
-pub use executor::{Executor, ExecutorConfig, RequestRecord, RetryPolicy, RunResult};
+pub use executor::{ConfigError, Executor, ExecutorConfig, RequestRecord, RetryPolicy, RunResult};
 pub use experiment::ExperimentId;
 pub use fleet::{
     arrival_allocs, fleet_metrics, AppResult, CellBalance, FleetPartition, FleetPlan,

@@ -5,7 +5,7 @@
 //! (Section 3): downstream users describe a run instead of writing code.
 
 use crate::analyzer::{analyze, Analysis};
-use crate::executor::{Executor, ExecutorConfig, RunResult};
+use crate::executor::{ConfigError, Executor, ExecutorConfig, RunResult};
 use crate::plan::{Deployment, PlanError};
 use serde::{Deserialize, Serialize};
 use crate::slo::SloSpec;
@@ -283,6 +283,8 @@ pub enum ScenarioError {
     Slo(String),
     /// The workload block has an out-of-range field.
     Workload(String),
+    /// The executor block has an out-of-range field.
+    Executor(ConfigError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -293,6 +295,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Faults(e) => write!(f, "invalid fault plan: {e}"),
             ScenarioError::Slo(e) => write!(f, "invalid slo: {e}"),
             ScenarioError::Workload(e) => write!(f, "invalid workload: {e}"),
+            ScenarioError::Executor(e) => write!(f, "invalid executor: {e}"),
         }
     }
 }
@@ -329,8 +332,9 @@ impl Scenario {
     }
 
     /// Checks everything [`Scenario::run`] checks before it simulates: the
-    /// fault plan, the SLO block, the workload and the deployment, in that
-    /// order. Callers may check it before opening a trace sink.
+    /// fault plan, the SLO block, the workload, the deployment and the
+    /// executor, in that order. Callers may check it before opening a
+    /// trace sink.
     ///
     /// # Errors
     /// The first invalid block.
@@ -338,14 +342,18 @@ impl Scenario {
         self.faults.validate().map_err(ScenarioError::Faults)?;
         self.slo.validate().map_err(ScenarioError::Slo)?;
         self.workload.validate().map_err(ScenarioError::Workload)?;
-        Ok(self.effective_deployment().validate()?)
+        let deployment = self.effective_deployment();
+        deployment.validate()?;
+        self.executor
+            .validate(&deployment)
+            .map_err(ScenarioError::Executor)
     }
 
     /// Generates the workload and runs the deployment.
     ///
     /// # Errors
-    /// Fails when the fault plan, the SLO block, the workload or the
-    /// deployment is invalid.
+    /// Fails when the fault plan, the SLO block, the workload, the
+    /// deployment or the executor is invalid.
     pub fn run(&self) -> Result<(RunResult, Analysis), ScenarioError> {
         let seed = Seed(self.seed);
         self.validate()?;

@@ -64,6 +64,7 @@ impl Seed {
         };
         SimRng {
             state: [next(), next(), next(), next()],
+            ln_median: (0, 0.0),
         }
     }
 }
@@ -145,6 +146,10 @@ fn zig_exp_table() -> &'static ZigTable {
 #[derive(Debug, Clone)]
 pub struct SimRng {
     state: [u64; 4],
+    /// The last [`SimRng::lognormal`] median (µs) and its `ln` in
+    /// seconds: callers draw around a few fixed medians, so most draws
+    /// skip the `ln`. A 0 key never matches: a zero median returns early.
+    ln_median: (u64, f64),
 }
 
 impl SimRng {
@@ -322,7 +327,11 @@ impl SimRng {
             return median;
         }
         let z = self.standard_normal();
-        SimDuration::from_secs_f64((m.ln() + sigma * z).exp())
+        let key = median.as_micros();
+        if self.ln_median.0 != key {
+            self.ln_median = (key, m.ln());
+        }
+        SimDuration::from_secs_f64((self.ln_median.1 + sigma * z).exp())
     }
 
     /// Normal duration clamped at zero. For mild symmetric jitter.
@@ -408,6 +417,53 @@ mod tests {
         }
         let frac = below as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.03, "median fraction {frac}");
+    }
+
+    /// `lognormal` keeps the last median's `ln`; its draws must equal the
+    /// uncached formula's draw for draw, whichever way the medians
+    /// alternate, on the `sigma <= 0` and zero-median paths too.
+    #[test]
+    fn lognormal_matches_the_uncached_formula() {
+        fn uncached(rng: &mut SimRng, median: SimDuration, sigma: f64) -> SimDuration {
+            let m = median.as_secs_f64();
+            if m <= 0.0 {
+                return SimDuration::ZERO;
+            }
+            if sigma <= 0.0 {
+                return median;
+            }
+            let z = rng.standard_normal();
+            SimDuration::from_secs_f64((m.ln() + sigma * z).exp())
+        }
+        // A serverless cold start draws around boot, import, download,
+        // load and first-predict medians in turn, then warm predicts
+        // around one median, scaled per inference count.
+        let ms = SimDuration::from_millis;
+        let medians = [
+            ms(250),
+            ms(4_100),
+            SimDuration::from_micros(1_234_567),
+            ms(900),
+            ms(35),
+            ms(35),
+            ms(35),
+            SimDuration::ZERO,
+            ms(35),
+            ms(70),
+            SimDuration::from_micros(1),
+        ];
+        let sigmas = [0.2, 0.0, 0.35, -1.0, 1.5];
+        let (mut cached, mut reference) = (Seed(31).rng(), Seed(31).rng());
+        for i in 0..5_000 {
+            let median = medians[i % medians.len()];
+            let sigma = sigmas[i / 7 % sigmas.len()];
+            assert_eq!(
+                cached.lognormal(median, sigma),
+                uncached(&mut reference, median, sigma),
+                "draw {i}: median {median:?}, sigma {sigma}"
+            );
+        }
+        assert_eq!(cached.next_u64(), reference.next_u64(), "streams in step");
     }
 
     #[test]

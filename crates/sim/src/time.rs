@@ -12,6 +12,16 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Number of microseconds in one second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
+/// `x.round() as u64` for a non-negative `x`, without `round`'s software
+/// call: truncate, then add one when the fraction is at least a half.
+/// The fraction `x - t` is exact (below 2^53 `t` and `x` lie within a
+/// factor of two; above it `x` is whole), so ties round away from zero
+/// as `round` does, and values past `u64::MAX` saturate as the cast does.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 /// An instant on the simulation clock (microseconds since the epoch).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -46,7 +56,7 @@ impl SimTime {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid time: {secs}");
-        SimTime((secs * MICROS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(secs * MICROS_PER_SEC as f64))
     }
 
     /// Microseconds since the epoch.
@@ -110,7 +120,7 @@ impl SimDuration {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimDuration((secs * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(secs * MICROS_PER_SEC as f64))
     }
 
     /// Whole microseconds in this duration.
@@ -159,7 +169,7 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "invalid factor: {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -238,6 +248,41 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_to_u64_matches_round() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut values = vec![
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            1e-300,
+            two(52) - 0.5,
+            two(52) + 1.0,
+            two(53) + 2.0,
+            two(63),
+            two(64),
+            two(64) + two(12),
+            1e300,
+            f64::MAX,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..100_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let v = f64::from_bits(x >> 2);
+            if v.is_finite() {
+                values.extend([v, v.fract() + 0.5, (v % 1e7).abs()]);
+            }
+        }
+        for v in values {
+            let v = v.abs();
+            for w in [v, v.next_up(), v.next_down().max(0.0)] {
+                assert_eq!(round_to_u64(w), w.round() as u64, "{w:e}");
+            }
+        }
+    }
 
     #[test]
     fn construction_roundtrips() {

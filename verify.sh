@@ -13,28 +13,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test --release --offline -q --manifest-path slsb-benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- --smoke
 
-# Full-size digest check on the retry and fault path: at its default seed
-# a faulted_retry run must reproduce the committed digests, which pin the
-# run_metrics bytes of its four deployments (--smoke checks no digests).
-faulted_line="$(cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- \
-    --workload faulted_retry --seconds 1 --trace 0 | tail -n 1)"
-if [[ "$faulted_line" != *'"correct":true'* ]]; then
-    echo "verify.sh: faulted_retry at its default seed is not correct: $faulted_line" >&2
-    exit 1
-fi
-echo "verify.sh: faulted_retry digests ok"
-
-# The same check on the read half of tracing: at its default seed a
-# trace_explore run must reproduce the committed digests of its 196,687
-# event trace, of every `slsb trace` rendering of it and of the trace
+# Full-size digest checks: at its default seed each of these workloads
+# must reproduce the committed digests (--smoke checks no digests).
+# faulted_retry pins the run_metrics bytes of its four deployments on the
+# retry and fault path; fleet_zipf the fleet's metrics, whose serverless
+# path draws every service time from the lognormal sampler; trace_record
+# the fleet's recorded trace; trace_explore the read half of tracing: its
+# 196,687-event trace, every `slsb trace` rendering of it and the trace
 # oracle.
-explore_line="$(cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- \
-    --workload trace_explore --seconds 1 --trace 0 | tail -n 1)"
-if [[ "$explore_line" != *'"correct":true'* ]]; then
-    echo "verify.sh: trace_explore at its default seed is not correct: $explore_line" >&2
-    exit 1
-fi
-echo "verify.sh: trace_explore digests ok"
+for workload in faulted_retry fleet_zipf trace_record trace_explore; do
+    digest_line="$(cargo run --release --offline -q --manifest-path slsb-benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)"
+    if [[ "$digest_line" != *'"correct":true'* ]]; then
+        echo "verify.sh: $workload at its default seed is not correct: $digest_line" >&2
+        exit 1
+    fi
+    echo "verify.sh: $workload digests ok"
+done
 
 # Trace round-trip smoke: a recorded run must emit a JSONL trace the
 # explorer can parse, with event counts that cross-check exactly.
