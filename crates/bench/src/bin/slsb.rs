@@ -325,15 +325,8 @@ fn cmd_replicate(o: &Options) -> Result<(), String> {
         // replica fan-out and intra-run shards share one worker pool.
         exec = exec.with_shards(n);
     }
-    let r = replicate_jobs(
-        &exec,
-        &dep,
-        workload_spec(o),
-        o.seed,
-        o.reps,
-        o.jobs,
-    )
-    .map_err(|e| e.to_string())?;
+    let r = replicate_jobs(&exec, &dep, workload_spec(o), o.seed, o.reps, o.jobs)
+        .map_err(|e| e.to_string())?;
     println!(
         "{} x {} x {} across {} seeds (base {}):\n",
         platform.label(),
@@ -653,7 +646,10 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
     println!("requests      : {}", run.requests);
     println!("success ratio : {}", fmt_pct(run.success_ratio()));
     println!("mean latency  : {}", fmt_opt_secs(run.latency.mean()));
-    println!("p99 latency   : {}", fmt_opt_secs(run.latency.quantile(99.0)));
+    println!(
+        "p99 latency   : {}",
+        fmt_opt_secs(run.latency.quantile(99.0))
+    );
     println!("cost          : {}", fmt_money(run.platform.cost.total()));
     println!("cold starts   : {}", run.platform.cold_started);
     println!("engine events : {}", run.engine_events);
@@ -749,7 +745,9 @@ fn cmd_fleet(rest: &[String]) -> Result<(), String> {
             println!("written to    : {out}");
             Ok(())
         }
-        _ => Err(format!("usage: slsb fleet ingest <raw.(json|csv)> [--out FILE]\n{USAGE}")),
+        _ => Err(format!(
+            "usage: slsb fleet ingest <raw.(json|csv)> [--out FILE]\n{USAGE}"
+        )),
     }
 }
 
@@ -929,11 +927,12 @@ fn cmd_profile(args: &ProfileArgs) -> Result<(), String> {
 const DIFF_REGRESSED: u8 = 2;
 
 fn cmd_diff(baseline: &str, candidate: &str) -> Result<ExitCode, String> {
-    let a = std::fs::read_to_string(baseline)
-        .map_err(|e| format!("cannot read {baseline}: {e}"))?;
-    let b = std::fs::read_to_string(candidate)
-        .map_err(|e| format!("cannot read {candidate}: {e}"))?;
-    let report = slsb_bench::diff(&a, &b).map_err(|e| format!("diff {baseline} {candidate}: {e}"))?;
+    let a =
+        std::fs::read_to_string(baseline).map_err(|e| format!("cannot read {baseline}: {e}"))?;
+    let b =
+        std::fs::read_to_string(candidate).map_err(|e| format!("cannot read {candidate}: {e}"))?;
+    let report =
+        slsb_bench::diff(&a, &b).map_err(|e| format!("diff {baseline} {candidate}: {e}"))?;
     println!("# diff: {baseline} -> {candidate}\n");
     print!("{}", report.render());
     if report.regressed() {
@@ -960,9 +959,7 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "compare" => parse_options(rest).and_then(|o| cmd_compare(&o)).map(ok),
         "explore" => parse_options(rest).and_then(|o| cmd_explore(&o)).map(ok),
-        "replicate" => parse_options(rest)
-            .and_then(|o| cmd_replicate(&o))
-            .map(ok),
+        "replicate" => parse_options(rest).and_then(|o| cmd_replicate(&o)).map(ok),
         "run" => parse_run_args(rest)
             .and_then(|(path, opts)| cmd_run(&path, &opts))
             .map(ok),
@@ -970,7 +967,9 @@ fn main() -> ExitCode {
             .and_then(|(path, slo, apps)| cmd_trace(&path, slo.as_deref(), apps))
             .map(ok),
         "fleet" => cmd_fleet(rest).map(ok),
-        "profile" => parse_profile_args(rest).and_then(|a| cmd_profile(&a)).map(ok),
+        "profile" => parse_profile_args(rest)
+            .and_then(|a| cmd_profile(&a))
+            .map(ok),
         "diff" => match rest {
             [a, b] => cmd_diff(a, b),
             _ => Err(format!("diff needs exactly two files\n{USAGE}")),
@@ -1090,8 +1089,7 @@ mod tests {
     #[test]
     fn run_args_accept_every_zoo_policy() {
         for name in PolicySet::ZOO {
-            let (path, o) =
-                parse_run_args(&strs(&["scenario.json", "--policy", name])).unwrap();
+            let (path, o) = parse_run_args(&strs(&["scenario.json", "--policy", name])).unwrap();
             assert_eq!(path, "scenario.json");
             assert_eq!(o.policy, PolicySet::by_name(name), "policy {name}");
             assert!(o.policy.is_some(), "zoo name {name} must resolve");
@@ -1190,9 +1188,11 @@ mod tests {
                 collapsed: false
             }
         );
-        assert!(parse_profile_args(&strs(&["p.json", "--collapsed"]))
-            .unwrap()
-            .collapsed);
+        assert!(
+            parse_profile_args(&strs(&["p.json", "--collapsed"]))
+                .unwrap()
+                .collapsed
+        );
         assert!(parse_profile_args(&strs(&["p.json", "--top", "0"])).is_err());
         assert!(parse_profile_args(&[]).is_err());
     }

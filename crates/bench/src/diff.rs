@@ -313,10 +313,8 @@ fn diff_traces(a: &[TraceEvent], b: &[TraceEvent]) -> Result<Vec<Indicator>, Str
 }
 
 fn diff_metrics(text_a: &str, text_b: &str) -> Result<Vec<Indicator>, String> {
-    let a: MetricsRegistry =
-        serde_json::from_str(text_a).map_err(|e| format!("baseline: {e}"))?;
-    let b: MetricsRegistry =
-        serde_json::from_str(text_b).map_err(|e| format!("candidate: {e}"))?;
+    let a: MetricsRegistry = serde_json::from_str(text_a).map_err(|e| format!("baseline: {e}"))?;
+    let b: MetricsRegistry = serde_json::from_str(text_b).map_err(|e| format!("candidate: {e}"))?;
     let ratio = |m: &MetricsRegistry| {
         let total = m.counter("requests_total");
         if total == 0 {
@@ -413,7 +411,12 @@ fn diff_profiles(text_a: &str, text_b: &str) -> Result<Vec<Indicator>, String> {
     }
     for (path, share_b) in &sb {
         if !sa.iter().any(|(p, _)| p == path) {
-            out.push(judge(&format!("share:{path}"), 0.0, *share_b, Rule::AbsRise(0.05)));
+            out.push(judge(
+                &format!("share:{path}"),
+                0.0,
+                *share_b,
+                Rule::AbsRise(0.05),
+            ));
         }
     }
     Ok(out)
@@ -636,7 +639,10 @@ mod tests {
                 children: Vec::new(),
             };
             Profile::new(
-                vec![node("executor/cell", 500_000_000), node("kernel", kernel_nanos)],
+                vec![
+                    node("executor/cell", 500_000_000),
+                    node("kernel", kernel_nanos),
+                ],
                 1.0,
             )
             .to_json()

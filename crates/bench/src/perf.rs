@@ -391,7 +391,12 @@ fn end_to_end<K: StoreKind>(
     Ok(EndToEndBench {
         kernel: K::NAME.to_string(),
         preset: preset.spec().name.to_string(),
-        mode: if shards.is_some() { "sharded" } else { "sequential" }.to_string(),
+        mode: if shards.is_some() {
+            "sharded"
+        } else {
+            "sequential"
+        }
+        .to_string(),
         requests: trace.len() as u64,
         reps: cfg.e2e_reps(),
         engine_events,
@@ -602,7 +607,10 @@ pub fn check_against(report: &BenchReport, baseline_json: &str) -> Result<String
     }
     for b in &report.end_to_end {
         if b.events_per_sec <= 0.0 {
-            return Err(format!("{} e2e {} measured no throughput", b.kernel, b.mode));
+            return Err(format!(
+                "{} e2e {} measured no throughput",
+                b.kernel, b.mode
+            ));
         }
     }
     if report.fleet.events_per_sec <= 0.0 {

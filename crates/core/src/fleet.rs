@@ -309,7 +309,10 @@ impl fmt::Display for FleetScenarioError {
             FleetScenarioError::Fleet(e) => write!(f, "invalid fleet: {e}"),
             FleetScenarioError::Plan(e) => write!(f, "invalid deployment: {e}"),
             FleetScenarioError::MissingTrace(p) => {
-                write!(f, "fleet replays trace {p} but no trace document was provided")
+                write!(
+                    f,
+                    "fleet replays trace {p} but no trace document was provided"
+                )
             }
         }
     }
@@ -446,8 +449,8 @@ impl FleetScenario {
                 (spec, deployments)
             }
             FleetSource::Trace { path } => {
-                let json = trace_json
-                    .ok_or_else(|| FleetScenarioError::MissingTrace(path.clone()))?;
+                let json =
+                    trace_json.ok_or_else(|| FleetScenarioError::MissingTrace(path.clone()))?;
                 let summary = TraceSummary::from_json(json)?;
                 let mut deployments = Vec::with_capacity(summary.apps.len());
                 for app in &summary.apps {
@@ -730,11 +733,17 @@ impl FleetRunner {
                 .expected_requests(duration);
             platform.reserve(expected.ceil() as usize + 8);
             let image = dep.model.profile().image_input;
-            let kind = if image { InputKind::Image } else { InputKind::Text };
-            let pool = pools.entry((image, dep.samples_per_request)).or_insert_with(|| {
-                RequestPool::generate(kind, self.pool_size)
-                    .with_samples_per_request(dep.samples_per_request)
-            });
+            let kind = if image {
+                InputKind::Image
+            } else {
+                InputKind::Text
+            };
+            let pool = pools
+                .entry((image, dep.samples_per_request))
+                .or_insert_with(|| {
+                    RequestPool::generate(kind, self.pool_size)
+                        .with_samples_per_request(dep.samples_per_request)
+                });
             // One fixed payload per app: tenants re-send the same artifact.
             let payload = pool.pick(&mut seed.substream_indexed("app-payload", u64::from(g)).rng());
             apps.push(AppState {
@@ -750,9 +759,7 @@ impl FleetRunner {
                 },
             });
         }
-        let stream = plan
-            .spec
-            .arrival_stream_for(seed, globals.iter().copied());
+        let stream = plan.spec.arrival_stream_for(seed, globals.iter().copied());
         drop(setup);
 
         let engine_guard = ProfGuard::enter("fleet/engine");
@@ -1197,7 +1204,9 @@ mod tests {
         // platform rollups, and metrics snapshots. Two plan shapes so a
         // cells-vs-apps boundary (apps < FLEET_CELLS) is covered too.
         for (apps, rate, duration, seed) in [(40, 25.0, 150.0, 11), (9, 12.0, 90.0, 23)] {
-            let plan = scenario(apps, rate, duration).resolve(None).expect("resolve");
+            let plan = scenario(apps, rate, duration)
+                .resolve(None)
+                .expect("resolve");
             let seed = Seed(seed);
             let one = FleetRunner::default().run(&plan, seed).expect("run");
             assert!(one.requests > 0, "fleet produced no requests");
@@ -1208,7 +1217,11 @@ mod tests {
                     .with_workers(workers)
                     .run(&plan, seed)
                     .expect("run");
-                assert_eq!(one_apps, serde_json::to_string(&n.apps).unwrap(), "workers={workers}");
+                assert_eq!(
+                    one_apps,
+                    serde_json::to_string(&n.apps).unwrap(),
+                    "workers={workers}"
+                );
                 assert_eq!(one.requests, n.requests, "workers={workers}");
                 assert_eq!(one.engine_events, n.engine_events, "workers={workers}");
                 assert_eq!(
@@ -1342,10 +1355,7 @@ mod tests {
         assert!(pinned.policy.is_some());
         let plan = pinned.resolve(None).expect("resolve");
         assert!(plan.warnings.is_empty());
-        assert!(plan
-            .deployments
-            .iter()
-            .all(|d| d.policy == pinned.policy));
+        assert!(plan.deployments.iter().all(|d| d.policy == pinned.policy));
 
         // A profile-level policy also silences its own warning.
         let mut per_profile = sc.clone();

@@ -49,8 +49,8 @@ pub mod batching;
 mod cell;
 pub mod executor;
 pub mod experiment;
-pub mod fleet;
 pub mod explorer;
+pub mod fleet;
 pub mod oracle;
 pub mod plan;
 pub mod replication;
@@ -66,12 +66,12 @@ pub use analyzer::{
 pub use batching::{plan_invocations, BatchPolicy, Invocation};
 pub use executor::{ConfigError, Executor, ExecutorConfig, RequestRecord, RetryPolicy, RunResult};
 pub use experiment::ExperimentId;
+pub use explorer::{explore, explore_jobs, Candidate, Exploration, ExplorerGrid};
 pub use fleet::{
     arrival_allocs, fleet_metrics, AppResult, CellBalance, FleetPartition, FleetPlan,
     FleetRunError, FleetRunResult, FleetRunner, FleetScenario, FleetScenarioError, FleetSource,
     FleetWarning, FLEET_CELLS,
 };
-pub use explorer::{explore, explore_jobs, Candidate, Exploration, ExplorerGrid};
 pub use oracle::{oracle_bound, trace_oracle, OracleBound, TraceOracle};
 pub use plan::{Deployment, PlanError};
 pub use replication::{replicate, replicate_jobs, MetricSummary, Replication};

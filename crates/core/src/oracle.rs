@@ -421,7 +421,11 @@ mod tests {
     #[test]
     fn trace_oracle_is_none_without_serverless_events() {
         let trace = MmppPreset::W40.generate(Seed(5));
-        let dep = Deployment::new(PlatformKind::AwsGpu, ModelKind::MobileNet, RuntimeKind::Tf115);
+        let dep = Deployment::new(
+            PlatformKind::AwsGpu,
+            ModelKind::MobileNet,
+            RuntimeKind::Tf115,
+        );
         let mut rec = slsb_obs::MemoryRecorder::new();
         Executor::default()
             .run_recorded(&dep, &trace, Seed(5), &mut rec)

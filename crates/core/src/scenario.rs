@@ -7,8 +7,8 @@
 use crate::analyzer::{analyze, Analysis};
 use crate::executor::{ConfigError, Executor, ExecutorConfig, RunResult};
 use crate::plan::{Deployment, PlanError};
-use serde::{Deserialize, Serialize};
 use crate::slo::SloSpec;
+use serde::{Deserialize, Serialize};
 use slsb_platform::{FaultPlan, FaultPlanError, PolicySet};
 use slsb_sim::{ProfGuard, Seed, SimDuration, SimTime};
 use slsb_workload::{
@@ -494,13 +494,12 @@ mod tests {
     fn policy_block_overrides_deployment() {
         let mut s = sample();
         s.policy = PolicySet::by_name("fixed");
-        assert_eq!(
-            s.effective_deployment().policy,
-            PolicySet::by_name("fixed")
-        );
+        assert_eq!(s.effective_deployment().policy, PolicySet::by_name("fixed"));
         // Absent scenario policy defers to the deployment's.
         let mut d = sample();
-        d.deployment = d.deployment.with_policy(PolicySet::by_name("least_loaded").unwrap());
+        d.deployment = d
+            .deployment
+            .with_policy(PolicySet::by_name("least_loaded").unwrap());
         assert_eq!(
             d.effective_deployment().policy,
             PolicySet::by_name("least_loaded")

@@ -55,7 +55,11 @@ impl SloTargets {
     }
 
     fn validate(&self, what: &str) -> Result<(), String> {
-        for (name, v) in [("p50", self.p50_s), ("p99", self.p99_s), ("cost1k", self.cost_per_1k)] {
+        for (name, v) in [
+            ("p50", self.p50_s),
+            ("p99", self.p99_s),
+            ("cost1k", self.cost_per_1k),
+        ] {
             if let Some(v) = v {
                 if !v.is_finite() || v <= 0.0 {
                     return Err(format!("{what}: {name} target must be positive, got {v}"));
@@ -64,12 +68,16 @@ impl SloTargets {
         }
         if let Some(sr) = self.success_ratio {
             if !sr.is_finite() || sr <= 0.0 || sr > 1.0 {
-                return Err(format!("{what}: success-ratio target must be in (0, 1], got {sr}"));
+                return Err(format!(
+                    "{what}: success-ratio target must be in (0, 1], got {sr}"
+                ));
             }
         }
         if let (Some(p50), Some(p99)) = (self.p50_s, self.p99_s) {
             if p99 < p50 {
-                return Err(format!("{what}: p99 target {p99} is below the p50 target {p50}"));
+                return Err(format!(
+                    "{what}: p99 target {p99} is below the p50 target {p50}"
+                ));
             }
         }
         Ok(())
@@ -169,7 +177,13 @@ impl SloSpec {
                 .filter(|s| s.client == tid)
                 .copied()
                 .collect();
-            eval_targets(targets, Some(tenant.clone()), &subset, None, &mut objectives);
+            eval_targets(
+                targets,
+                Some(tenant.clone()),
+                &subset,
+                None,
+                &mut objectives,
+            );
         }
         let attained = objectives.iter().all(|o| o.attained);
         SloReport {

@@ -4,13 +4,10 @@
 
 use proptest::prelude::*;
 use slsb_core::{
-    analyze, oracle_bound, Analysis, BatchPolicy, Deployment, Executor, ExecutorConfig,
-    RetryPolicy,
+    analyze, oracle_bound, Analysis, BatchPolicy, Deployment, Executor, ExecutorConfig, RetryPolicy,
 };
 use slsb_model::{ModelKind, RuntimeKind};
-use slsb_platform::{
-    FaultPlan, KeepAlivePolicy, PlatformKind, PolicySet, ScalingPolicy,
-};
+use slsb_platform::{FaultPlan, KeepAlivePolicy, PlatformKind, PolicySet, ScalingPolicy};
 use slsb_sim::{Seed, SimDuration, SimTime};
 use slsb_workload::{MmppSpec, WorkloadTrace};
 

@@ -77,7 +77,9 @@ impl LogLinearHistogram {
     }
 
     fn build_bounds(min_exp: i32, decades: u32) -> Vec<f64> {
-        (0..=decades as i32).map(|d| 10f64.powi(min_exp + d)).collect()
+        (0..=decades as i32)
+            .map(|d| 10f64.powi(min_exp + d))
+            .collect()
     }
 
     fn lower_bound(&self) -> f64 {

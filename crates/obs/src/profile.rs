@@ -63,7 +63,8 @@ impl Profile {
 
     /// Parses a profile document, checking the schema tag.
     pub fn from_json(text: &str) -> Result<Profile, String> {
-        let p: Profile = serde_json::from_str(text).map_err(|e| format!("invalid profile JSON: {e}"))?;
+        let p: Profile =
+            serde_json::from_str(text).map_err(|e| format!("invalid profile JSON: {e}"))?;
         if !p.schema.starts_with("slsb-profile/") {
             return Err(format!("not a profile document (schema {:?})", p.schema));
         }

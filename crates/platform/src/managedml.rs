@@ -270,7 +270,13 @@ impl ManagedMlPlatform {
         for _ in 0..self.cfg.params.min_instances.max(1) {
             let id = self.alloc_id();
             self.meter.open(id, sched.now());
-            self.ready.insert(id, MmlInstance { busy: false, served: 0 });
+            self.ready.insert(
+                id,
+                MmlInstance {
+                    busy: false,
+                    served: 0,
+                },
+            );
             self.gauge.record_delta(sched.now(), 1);
             sched.emit(|| EventKind::InstanceSpawn {
                 component: COMPONENT,
@@ -353,7 +359,13 @@ impl ManagedMlPlatform {
         match ev {
             ManagedMlEvent::InstanceUp(id) => {
                 if let Some(_ready_at) = self.provisioning.remove(id) {
-                    self.ready.insert(id, MmlInstance { busy: false, served: 0 });
+                    self.ready.insert(
+                        id,
+                        MmlInstance {
+                            busy: false,
+                            served: 0,
+                        },
+                    );
                     self.gauge.record_delta(sched.now(), 1);
                     sched.emit(|| EventKind::InstanceWarm {
                         component: COMPONENT,

@@ -306,16 +306,14 @@ mod tests {
         assert_eq!(back, p);
         let empty: PolicySet = serde_json::from_str("{}").unwrap();
         assert_eq!(empty, PolicySet::default());
-        let partial: PolicySet =
-            serde_json::from_str(r#"{"placement":"least_loaded"}"#).unwrap();
+        let partial: PolicySet = serde_json::from_str(r#"{"placement":"least_loaded"}"#).unwrap();
         assert_eq!(partial.placement, PlacementPolicy::LeastLoaded);
         assert_eq!(partial.keep_alive, KeepAlivePolicy::PlatformDefault);
     }
 
     #[test]
     fn histogram_knobs_have_serde_defaults() {
-        let p: KeepAlivePolicy =
-            serde_json::from_str(r#"{"kind":"hybrid_histogram"}"#).unwrap();
+        let p: KeepAlivePolicy = serde_json::from_str(r#"{"kind":"hybrid_histogram"}"#).unwrap();
         assert_eq!(p, KeepAlivePolicy::hybrid_histogram());
     }
 

@@ -331,10 +331,10 @@ impl ServerlessPlatform {
     pub fn new(cfg: ServerlessConfig, seed: Seed) -> Self {
         let meter = ServerlessMeter::new(cfg.params.pricing, cfg.memory_mb / 1024.0);
         let vcpus = cfg.vcpus();
-        let warm_predict_base = predict_time(&cfg.model, &cfg.runtime, vcpus)
-            .mul_f64(cfg.params.predict_factor);
-        let first_predict_base = first_predict_time(&cfg.model, &cfg.runtime, vcpus)
-            .mul_f64(cfg.params.predict_factor);
+        let warm_predict_base =
+            predict_time(&cfg.model, &cfg.runtime, vcpus).mul_f64(cfg.params.predict_factor);
+        let first_predict_base =
+            first_predict_time(&cfg.model, &cfg.runtime, vcpus).mul_f64(cfg.params.predict_factor);
         ServerlessPlatform {
             rng: seed.substream("serverless").rng(),
             faults: FaultInjector::disabled(),

@@ -789,10 +789,7 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.schedule_at(SimTime::from_micros(10), 0);
         q.pop();
-        q.schedule_many_after([
-            (SimDuration::from_micros(5), 1),
-            (SimDuration::ZERO, 2),
-        ]);
+        q.schedule_many_after([(SimDuration::from_micros(5), 1), (SimDuration::ZERO, 2)]);
         assert_eq!(q.pop(), Some((SimTime::from_micros(10), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_micros(15), 1)));
         assert_eq!(q.pop(), None);

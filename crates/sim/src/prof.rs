@@ -190,7 +190,9 @@ pub fn take() -> Vec<ProfileNode> {
     let mut merged = MERGED.lock().expect("profiler mutex poisoned");
     let out = std::mem::take(&mut *merged);
     drop(merged);
-    out.into_iter().map(|(label, n)| snapshot(label, n)).collect()
+    out.into_iter()
+        .map(|(label, n)| snapshot(label, n))
+        .collect()
 }
 
 fn snapshot(label: &'static str, node: MergedNode) -> ProfileNode {

@@ -572,7 +572,10 @@ mod tests {
         // 3σ bounds for N draws of a standard normal: mean ±3/√n,
         // variance ±3·√(2/n), third moment ±3·√(15/n).
         assert!(mean.abs() < 3.0 / (n as f64).sqrt(), "mean {mean}");
-        assert!((var - 1.0).abs() < 3.0 * (2.0 / n as f64).sqrt(), "var {var}");
+        assert!(
+            (var - 1.0).abs() < 3.0 * (2.0 / n as f64).sqrt(),
+            "var {var}"
+        );
         assert!(skew.abs() < 3.0 * (15.0 / n as f64).sqrt(), "skew {skew}");
     }
 

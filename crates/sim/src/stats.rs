@@ -775,10 +775,7 @@ mod tests {
         assert_eq!(m.current(), 1);
         // Canonical: merging in the same part order is reproducible, and an
         // empty merge is the zero gauge.
-        assert_eq!(
-            m.points(),
-            GaugeSeries::merge_summed([&a, &b]).points()
-        );
+        assert_eq!(m.points(), GaugeSeries::merge_summed([&a, &b]).points());
         assert!(GaugeSeries::merge_summed([]).points().is_empty());
     }
 

@@ -61,11 +61,17 @@ impl fmt::Display for FleetError {
         match self {
             FleetError::Parse(s) => write!(f, "fleet trace parse error: {s}"),
             FleetError::SchemaMismatch(s) => {
-                write!(f, "fleet trace schema {s:?}, expected {FLEET_TRACE_SCHEMA:?}")
+                write!(
+                    f,
+                    "fleet trace schema {s:?}, expected {FLEET_TRACE_SCHEMA:?}"
+                )
             }
             FleetError::EmptyFleet => write!(f, "fleet has no apps"),
             FleetError::Truncated { app, have, want } => {
-                write!(f, "truncated trace: app {app:?} has {have} of {want} buckets")
+                write!(
+                    f,
+                    "truncated trace: app {app:?} has {have} of {want} buckets"
+                )
             }
             FleetError::BadKnob(s) => write!(f, "bad fleet knob: {s}"),
         }
@@ -119,9 +125,7 @@ impl AppProcess {
                 median_idle,
                 idle_sigma,
             } => rate * Self::duty(*mean_busy, *median_idle, *idle_sigma) * duration.as_secs_f64(),
-            AppProcess::Buckets { counts, .. } => {
-                counts.iter().map(|&c| c as f64).sum()
-            }
+            AppProcess::Buckets { counts, .. } => counts.iter().map(|&c| c as f64).sum(),
         }
     }
 
@@ -190,7 +194,9 @@ impl FleetSpec {
             return Err(FleetError::EmptyFleet);
         }
         if self.duration.is_zero() {
-            return Err(FleetError::BadKnob("fleet duration must be positive".into()));
+            return Err(FleetError::BadKnob(
+                "fleet duration must be positive".into(),
+            ));
         }
         for app in &self.apps {
             app.process.validate(&app.name)?;
@@ -411,14 +417,16 @@ impl TraceSummary {
             match kv.split_once('=') {
                 Some(("name", v)) => name = Some(v.to_string()),
                 Some(("bucket_s", v)) => {
-                    bucket_s = Some(v.parse::<f64>().map_err(|_| {
-                        FleetError::Parse(format!("bad bucket_s {v:?}"))
-                    })?)
+                    bucket_s = Some(
+                        v.parse::<f64>()
+                            .map_err(|_| FleetError::Parse(format!("bad bucket_s {v:?}")))?,
+                    )
                 }
                 Some(("buckets", v)) => {
-                    buckets = Some(v.parse::<u32>().map_err(|_| {
-                        FleetError::Parse(format!("bad buckets {v:?}"))
-                    })?)
+                    buckets = Some(
+                        v.parse::<u32>()
+                            .map_err(|_| FleetError::Parse(format!("bad buckets {v:?}")))?,
+                    )
                 }
                 _ => return Err(FleetError::Parse(format!("unknown header field {kv:?}"))),
             }
@@ -434,15 +442,20 @@ impl TraceSummary {
                 continue;
             }
             let mut cols = line.split(',');
-            let (app, profile, bucket, count) =
-                match (cols.next(), cols.next(), cols.next(), cols.next(), cols.next()) {
-                    (Some(a), Some(p), Some(b), Some(c), None) => (a, p, b, c),
-                    _ => {
-                        return Err(FleetError::Parse(format!(
-                            "row {line:?} needs app,profile,bucket,invocations"
-                        )))
-                    }
-                };
+            let (app, profile, bucket, count) = match (
+                cols.next(),
+                cols.next(),
+                cols.next(),
+                cols.next(),
+                cols.next(),
+            ) {
+                (Some(a), Some(p), Some(b), Some(c), None) => (a, p, b, c),
+                _ => {
+                    return Err(FleetError::Parse(format!(
+                        "row {line:?} needs app,profile,bucket,invocations"
+                    )))
+                }
+            };
             let bucket: usize = bucket
                 .parse()
                 .map_err(|_| FleetError::Parse(format!("bad bucket index {bucket:?}")))?;
@@ -694,7 +707,9 @@ impl Iterator for AppStream {
                 let window = bucket_end.duration_since(*cursor).as_secs_f64();
                 let u = self.rng.uniform();
                 let gap = window * (1.0 - u.powf(1.0 / *remaining as f64));
-                let at = cursor.saturating_add(SimDuration::from_secs_f64(gap)).min(bucket_end);
+                let at = cursor
+                    .saturating_add(SimDuration::from_secs_f64(gap))
+                    .min(bucket_end);
                 *cursor = at;
                 *remaining -= 1;
                 if *remaining == 0 {
@@ -771,7 +786,11 @@ impl FleetArrivalStream {
             }
             MergeFrontier::Heap(heap)
         };
-        FleetArrivalStream { ids, streams, frontier }
+        FleetArrivalStream {
+            ids,
+            streams,
+            frontier,
+        }
     }
 
     /// Number of apps in the merge (live or exhausted).
@@ -882,7 +901,9 @@ mod tests {
         assert!(arrivals.windows(2).all(|w| w[0].0 <= w[1].0));
         let end = SimTime::ZERO + fleet.duration;
         assert!(arrivals.iter().all(|&(t, _)| t <= end));
-        assert!(arrivals.iter().all(|&(_, a)| (a as usize) < fleet.apps.len()));
+        assert!(arrivals
+            .iter()
+            .all(|&(_, a)| (a as usize) < fleet.apps.len()));
     }
 
     #[test]

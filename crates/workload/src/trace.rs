@@ -72,11 +72,7 @@ impl WorkloadTrace {
     /// Panics if any arrival exceeds `duration`. Internal generators uphold
     /// that invariant by construction; ingest paths that handle untrusted
     /// files use [`WorkloadTrace::try_new`] instead.
-    pub fn new(
-        name: impl Into<Arc<str>>,
-        duration: SimDuration,
-        arrivals: Vec<SimTime>,
-    ) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, duration: SimDuration, arrivals: Vec<SimTime>) -> Self {
         Self::try_new(name, duration, arrivals).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -388,7 +388,10 @@ fn sharded_runs_are_identical_for_any_worker_budget() {
         let variants = [
             ("plain", Executor::default()),
             ("faulted", Executor::default().with_faults(plan.clone())),
-            ("retrying", Executor::new(retry_cfg).with_faults(plan.clone())),
+            (
+                "retrying",
+                Executor::new(retry_cfg).with_faults(plan.clone()),
+            ),
         ];
         for (label, base) in variants {
             let dump = |workers: usize| -> (String, Vec<u8>) {

@@ -151,8 +151,11 @@ fn family_platform_with(family: &str, policy: PolicySet) -> (Deployment, Platfor
             Deployment::new(PlatformKind::AwsServerless, model, runtime),
             Platform::serverless(
                 {
-                    let mut cfg =
-                        ServerlessConfig::new(CloudProvider::Aws, model.profile(), runtime.profile());
+                    let mut cfg = ServerlessConfig::new(
+                        CloudProvider::Aws,
+                        model.profile(),
+                        runtime.profile(),
+                    );
                     cfg.policy = policy;
                     cfg
                 },
@@ -163,8 +166,11 @@ fn family_platform_with(family: &str, policy: PolicySet) -> (Deployment, Platfor
             Deployment::new(PlatformKind::AwsManagedMl, model, runtime),
             Platform::managedml(
                 {
-                    let mut cfg =
-                        ManagedMlConfig::new(CloudProvider::Aws, model.profile(), runtime.profile());
+                    let mut cfg = ManagedMlConfig::new(
+                        CloudProvider::Aws,
+                        model.profile(),
+                        runtime.profile(),
+                    );
                     cfg.policy = policy;
                     cfg
                 },

@@ -134,12 +134,19 @@ fn record_cell(family: &str, mode: &str, tr: &WorkloadTrace) -> (Vec<TraceEvent>
     let run = if family == "hybrid" {
         exec.run_built_recorded(&dep, hybrid_platform(), tr, SEED, Some(&mut rec))
     } else {
-        exec.run_recorded(&dep, tr, SEED, &mut rec).expect("valid deployment")
+        exec.run_recorded(&dep, tr, SEED, &mut rec)
+            .expect("valid deployment")
     };
     let a = analyze(&run);
     let events = rec.into_events();
-    assert!(!events.is_empty(), "{family} x {mode}: trace must be non-empty");
-    assert!(a.succeeded > 0, "{family} x {mode}: run must succeed sometimes");
+    assert!(
+        !events.is_empty(),
+        "{family} x {mode}: trace must be non-empty"
+    );
+    assert!(
+        a.succeeded > 0,
+        "{family} x {mode}: run must succeed sometimes"
+    );
     if mode == "faulted" {
         assert!(a.faults > 0, "{family} x {mode}: faults must fire");
     }
