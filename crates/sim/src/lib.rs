@@ -7,7 +7,9 @@
 //! - [`rng`] — one experiment seed fanned out into labelled, independent
 //!   substreams ([`Seed`], [`SimRng`]);
 //! - [`stats`] — streaming accumulators, exact percentiles, time-bucketed
-//!   series and step-function gauges for the analyzer.
+//!   series and step-function gauges for the analyzer;
+//! - [`merge`] — the k-way merge of sorted sources ([`KWayMerge`]) behind
+//!   fleet arrival streams and summed gauges.
 //!
 //! Determinism contract: for a fixed seed and configuration, a simulation is
 //! bit-for-bit reproducible. This is enforced by integer time, FIFO
@@ -37,6 +39,7 @@
 
 pub mod alloc;
 pub mod event;
+pub mod merge;
 pub mod prof;
 pub mod rng;
 pub mod stats;
@@ -44,6 +47,7 @@ pub mod time;
 mod wheel;
 
 pub use event::{Engine, EventQueue, StoreKind, System, Wheel};
+pub use merge::KWayMerge;
 pub use prof::{ProfGuard, ProfileNode};
 pub use rng::{Seed, SimRng};
 pub use stats::{Accumulator, GaugeSeries, Histogram, SampleSet, TimeSeries};

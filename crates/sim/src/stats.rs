@@ -1,6 +1,7 @@
 //! Streaming statistics used by the analyzer: scalar accumulators, exact
 //! percentile sets, time-bucketed series, and step-function gauges.
 
+use crate::merge::KWayMerge;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -398,10 +399,10 @@ impl GaugeSeries {
     /// any instant is the sum of the parts' values at that instant.
     ///
     /// Change points are replayed as deltas, merged by `(time, part index)`
-    /// — a canonical order that depends only on the parts themselves, never
-    /// on how they were produced. This is what lets sharded runs merge
-    /// per-shard instance gauges into a fleet gauge byte-identically for
-    /// any worker count.
+    /// through a [`KWayMerge`] — a canonical order that depends only on the
+    /// parts themselves, never on how they were produced. This is what lets
+    /// sharded runs merge per-shard instance gauges into a fleet gauge
+    /// byte-identically for any worker count.
     pub fn merge_summed<'a, I>(parts: I) -> GaugeSeries
     where
         I: IntoIterator<Item = &'a GaugeSeries>,
@@ -413,48 +414,17 @@ impl GaugeSeries {
         let mut out = GaugeSeries::new();
         out.points.reserve(total);
         let mut sum = 0i64;
-        if parts.len() <= 8 {
-            // k is small (one part per shard); a linear scan beats a heap.
-            for _ in 0..total {
-                let mut best: Option<(SimTime, usize)> = None;
-                for (i, p) in parts.iter().enumerate() {
-                    if let Some(&(t, _)) = p.points.get(cursor[i]) {
-                        if best.is_none_or(|(bt, _)| t < bt) {
-                            best = Some((t, i));
-                        }
-                    }
-                }
-                let (t, i) = best.expect("total counted points");
-                let (_, v) = parts[i].points[cursor[i]];
-                sum += v - prev[i];
-                prev[i] = v;
-                cursor[i] += 1;
-                out.record(t, sum);
-            }
-        } else {
-            // Large k (fleet runs merge one series per app): a min-heap on
-            // (t, part) makes this O(total log k). The tuple order pops the
-            // lowest-index part among equal instants — exactly the choice
-            // the linear scan makes — so both paths are byte-identical.
-            use std::cmp::Reverse;
-            use std::collections::BinaryHeap;
-            let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> =
-                BinaryHeap::with_capacity(parts.len());
-            for (i, p) in parts.iter().enumerate() {
-                if let Some(&(t, _)) = p.points.first() {
-                    heap.push(Reverse((t, i)));
-                }
-            }
-            while let Some(Reverse((t, i))) = heap.pop() {
-                let (_, v) = parts[i].points[cursor[i]];
-                sum += v - prev[i];
-                prev[i] = v;
-                cursor[i] += 1;
-                if let Some(&(nt, _)) = parts[i].points.get(cursor[i]) {
-                    heap.push(Reverse((nt, i)));
-                }
-                out.record(t, sum);
-            }
+        let mut frontier = KWayMerge::new(parts.iter().map(|p| p.points.first().map(|&(t, _)| t)));
+        while let Some((t, i)) = frontier.next_with(|i| {
+            let i = i as usize;
+            cursor[i] += 1;
+            parts[i].points.get(cursor[i]).map(|&(t, _)| t)
+        }) {
+            let i = i as usize;
+            let (_, v) = parts[i].points[cursor[i] - 1];
+            sum += v - prev[i];
+            prev[i] = v;
+            out.record(t, sum);
         }
         out
     }
@@ -487,18 +457,38 @@ impl GaugeSeries {
         max
     }
 
-    /// Per-bucket maxima from time zero through the last change.
+    /// Per-bucket maxima from time zero through the last change: entry `i`
+    /// is [`GaugeSeries::bucket_max`] of `[i·width, (i+1)·width)`, computed
+    /// in one pass over the change points.
     pub fn bucket_maxima(&self, width: SimDuration) -> Vec<(SimTime, i64)> {
         let Some(&(last, _)) = self.points.last() else {
             return Vec::new();
         };
         let n = last.as_micros() / width.as_micros() + 1;
-        (0..n)
-            .map(|i| {
-                let start = SimTime::from_micros(i * width.as_micros());
-                (start, self.bucket_max(start, width))
-            })
-            .collect()
+        let mut out = Vec::with_capacity(n as usize);
+        // The value carried into the bucket: the last change before it.
+        let mut value = 0;
+        let mut rest = self.points.as_slice();
+        for i in 0..n {
+            let start = SimTime::from_micros(i * width.as_micros());
+            let end = start + width;
+            // Changes at `start` itself replace the carried value; each of
+            // them counts toward the maximum, the last one carries over.
+            let mut max = match rest.first() {
+                Some(&(t, _)) if t == start => i64::MIN,
+                _ => value,
+            };
+            while let Some((&(t, v), tail)) = rest.split_first() {
+                if t >= end {
+                    break;
+                }
+                max = max.max(v);
+                value = v;
+                rest = tail;
+            }
+            out.push((start, max));
+        }
+        out
     }
 
     /// Time-weighted average value over `[SimTime::ZERO, end]`.
@@ -779,29 +769,102 @@ mod tests {
         assert!(GaugeSeries::merge_summed([]).points().is_empty());
     }
 
-    #[test]
-    fn gauge_merge_heap_path_matches_linear_scan() {
-        // Above 8 parts the merge switches to a heap; both paths must be
-        // byte-identical, including the tie-break among equal instants.
-        let parts: Vec<GaugeSeries> = (0..20)
-            .map(|i| {
-                let mut g = GaugeSeries::new();
-                // Deliberate cross-part timestamp collisions.
-                g.record_delta(secs((i % 5) as f64), i + 1);
-                g.record_delta(secs(5.0 + (i % 3) as f64), -(i + 1) / 2);
-                g
+    /// The reference sum: every part's change points tagged with their
+    /// part, stably sorted by `(instant, part)`, replayed as deltas.
+    fn sorted_sum(parts: &[GaugeSeries]) -> Vec<(SimTime, i64)> {
+        let mut changes: Vec<(SimTime, usize, i64)> = Vec::new();
+        for (i, p) in parts.iter().enumerate() {
+            let mut prev = 0;
+            for &(t, v) in p.points() {
+                changes.push((t, i, v - prev));
+                prev = v;
+            }
+        }
+        changes.sort_by_key(|&(t, i, _)| (t, i));
+        let mut sum = 0;
+        changes
+            .into_iter()
+            .map(|(t, _, delta)| {
+                sum += delta;
+                (t, sum)
             })
-            .collect();
-        let heap_merged = GaugeSeries::merge_summed(parts.iter());
-        // Pairwise-fold through the ≤8-part linear path as the oracle.
-        let mut oracle = GaugeSeries::new();
-        for p in &parts {
-            oracle = GaugeSeries::merge_summed([&oracle, p]);
+            .collect()
+    }
+
+    #[test]
+    fn gauge_merge_matches_a_sort_based_reference() {
+        // Across part counts on both sides of 8, with same-instant changes
+        // across parts and within one part, and parts that end early or
+        // hold nothing.
+        for k in [1i64, 2, 7, 8, 9, 20, 64] {
+            let parts: Vec<GaugeSeries> = (0..k)
+                .map(|i| {
+                    let mut g = GaugeSeries::new();
+                    for j in 0..(i * 5) % 9 {
+                        let t = secs((j + (i + j) % 2) as f64);
+                        g.record_delta(t, (i + j) % 5 - 2);
+                        if j % 3 == 0 {
+                            g.record_delta(t, i + 1);
+                        }
+                    }
+                    g
+                })
+                .collect();
+            let merged = GaugeSeries::merge_summed(parts.iter());
+            assert_eq!(merged.points(), &sorted_sum(&parts)[..], "k = {k}");
+            for t in [0.0, 1.0, 2.5, 4.0, 5.0, 6.0, 7.0, 15.0] {
+                let want: i64 = parts.iter().map(|p| p.value_at(secs(t))).sum();
+                assert_eq!(merged.value_at(secs(t)), want, "k = {k}, t = {t}");
+            }
         }
-        assert_eq!(heap_merged.points(), oracle.points());
-        for t in [0.0, 1.0, 2.5, 4.0, 5.0, 6.0, 7.0, 10.0] {
-            let want: i64 = parts.iter().map(|p| p.value_at(secs(t))).sum();
-            assert_eq!(heap_merged.value_at(secs(t)), want, "t = {t}");
+    }
+
+    #[test]
+    fn bucket_maxima_match_bucket_max() {
+        let width = SimDuration::from_secs(10);
+        let mut g = GaugeSeries::new();
+        // Several changes at one bucket's start (t = 10): all count toward
+        // that bucket's maximum and only the last carries over.
+        for (t, v) in [
+            (0.0, 3),
+            (0.0, 1),
+            (4.0, 6),
+            (9.0, 8),
+            (10.0, 12),
+            (10.0, 2),
+            (10.0, 5),
+            (15.0, 4),
+            // Empty buckets between: the carried value is their maximum.
+            (47.0, 1),
+            (50.0, 0),
+            (59.999, 9),
+            (60.0, 7),
+        ] {
+            g.record(secs(t), v);
         }
+        let maxima = g.bucket_maxima(width);
+        assert_eq!(maxima.len(), 7);
+        for &(start, max) in &maxima {
+            assert_eq!(max, g.bucket_max(start, width), "bucket at {start:?}");
+        }
+        let values: Vec<i64> = maxima.iter().map(|&(_, m)| m).collect();
+        assert_eq!(values, vec![8, 12, 4, 4, 4, 9, 7]);
+        // Same-instant pile-ups on every start, at a width that does not
+        // divide the change times.
+        let mut dense = GaugeSeries::new();
+        for i in 0..200u64 {
+            let t = SimTime::from_micros(i / 3 * 250_000);
+            dense.record(t, ((i * 37) % 11) as i64 - 3);
+        }
+        for width in [SimDuration::from_micros(250_000), SimDuration::from_secs(1)] {
+            for (start, max) in dense.bucket_maxima(width) {
+                assert_eq!(
+                    max,
+                    dense.bucket_max(start, width),
+                    "{width:?} at {start:?}"
+                );
+            }
+        }
+        assert!(GaugeSeries::new().bucket_maxima(width).is_empty());
     }
 }

@@ -25,9 +25,7 @@
 
 use crate::trace::WorkloadTrace;
 use serde::{Deserialize, Serialize};
-use slsb_sim::{Seed, SimDuration, SimRng, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use slsb_sim::{KWayMerge, Seed, SimDuration, SimRng, SimTime};
 use std::fmt;
 
 /// Schema tag every fleet trace-summary JSON document must carry.
@@ -721,71 +719,28 @@ impl Iterator for AppStream {
     }
 }
 
-/// Merges this many streams or fewer with a linear min-scan instead of a
-/// binary heap. Partitioned fleet cells typically hold a few dozen apps
-/// (`apps / FLEET_CELLS`), where a branch-predictable scan over a dense
-/// `SimTime` array beats the heap's pointer-chasing sift by 2-3x per pop.
-const SCAN_MERGE_MAX: usize = 64;
-
-/// The merge frontier: one pending arrival per live stream.
-#[derive(Debug, Clone)]
-enum MergeFrontier {
-    /// Small merges: `next[slot]` is that stream's pending arrival
-    /// (`SimTime::MAX` = exhausted); each pop min-scans the array. `live`
-    /// counts non-exhausted slots so an empty merge terminates without a
-    /// scan full of sentinels.
-    Scan { next: Vec<SimTime>, live: usize },
-    /// Large merges: min-heap on (next arrival, slot); the slot tie-break
-    /// makes same-instant pops deterministic (lower global app index first).
-    Heap(BinaryHeap<Reverse<(SimTime, u32)>>),
-}
-
 /// K-way merge of per-app arrival streams into one time-ordered stream of
 /// `(arrival, app)` pairs. Holds exactly one pending arrival per live app —
 /// the whole point: O(apps) memory however many requests flow through.
 ///
-/// Both frontier representations pop in the identical order — smallest
-/// `(arrival, slot)` pair, so same-instant arrivals break ties toward the
-/// lower global app index — which keeps merged output byte-identical
-/// whichever representation the app count selects.
+/// Pops the smallest `(arrival, slot)` pair, where a stream's slot is its
+/// position in the [`FleetArrivalStream::merge`] input, so same-instant
+/// arrivals break ties toward the earlier stream (the lower global app
+/// index, since every caller passes apps in ascending order). Each pop
+/// refills the frontier's top in place from the same app: one sift per
+/// arrival.
 #[derive(Debug, Clone)]
 pub struct FleetArrivalStream {
     ids: Vec<u32>,
     streams: Vec<AppStream>,
-    frontier: MergeFrontier,
+    frontier: KWayMerge<SimTime>,
 }
 
 impl FleetArrivalStream {
     /// Merges `(global_app_index, stream)` pairs.
     pub fn merge(apps: impl IntoIterator<Item = (u32, AppStream)>) -> Self {
-        let mut ids = Vec::new();
-        let mut streams = Vec::new();
-        for (id, stream) in apps {
-            ids.push(id);
-            streams.push(stream);
-        }
-        let frontier = if streams.len() <= SCAN_MERGE_MAX {
-            let mut live = 0;
-            let next = streams
-                .iter_mut()
-                .map(|s| match s.next() {
-                    Some(t) => {
-                        live += 1;
-                        t
-                    }
-                    None => SimTime::MAX,
-                })
-                .collect();
-            MergeFrontier::Scan { next, live }
-        } else {
-            let mut heap = BinaryHeap::with_capacity(streams.len());
-            for (slot, s) in streams.iter_mut().enumerate() {
-                if let Some(t) = s.next() {
-                    heap.push(Reverse((t, slot as u32)));
-                }
-            }
-            MergeFrontier::Heap(heap)
-        };
+        let (ids, mut streams): (Vec<u32>, Vec<AppStream>) = apps.into_iter().unzip();
+        let frontier = KWayMerge::new(streams.iter_mut().map(Iterator::next));
         FleetArrivalStream {
             ids,
             streams,
@@ -802,42 +757,12 @@ impl FleetArrivalStream {
 impl Iterator for FleetArrivalStream {
     type Item = (SimTime, u32);
 
+    #[inline]
     fn next(&mut self) -> Option<(SimTime, u32)> {
-        let (at, slot) = match &mut self.frontier {
-            MergeFrontier::Scan { next, live } => {
-                if *live == 0 {
-                    return None;
-                }
-                // Strict `<` keeps the first (lowest) slot on ties, matching
-                // the heap's (t, slot) ordering.
-                let mut best = 0;
-                for (slot, &t) in next.iter().enumerate().skip(1) {
-                    if t < next[best] {
-                        best = slot;
-                    }
-                }
-                let at = next[best];
-                match self.streams[best].next() {
-                    Some(t) => {
-                        debug_assert!(t >= at, "app stream went backwards");
-                        next[best] = t;
-                    }
-                    None => {
-                        next[best] = SimTime::MAX;
-                        *live -= 1;
-                    }
-                }
-                (at, best as u32)
-            }
-            MergeFrontier::Heap(heap) => {
-                let Reverse((at, slot)) = heap.pop()?;
-                if let Some(t) = self.streams[slot as usize].next() {
-                    debug_assert!(t >= at, "app stream went backwards");
-                    heap.push(Reverse((t, slot)));
-                }
-                (at, slot)
-            }
-        };
+        let streams = &mut self.streams;
+        let (at, slot) = self
+            .frontier
+            .next_with(|slot| streams[slot as usize].next())?;
         Some((at, self.ids[slot as usize]))
     }
 }
@@ -904,6 +829,66 @@ mod tests {
         assert!(arrivals
             .iter()
             .all(|&(_, a)| (a as usize) < fleet.apps.len()));
+    }
+
+    /// App `slot` of the differential fleet: on/off apps, bucket apps
+    /// packed into a few microseconds (same-instant ties across apps),
+    /// bucket apps that run dry early and apps with no arrivals at all.
+    fn mixed_process(slot: u32) -> AppProcess {
+        match slot % 4 {
+            0 => AppProcess::OnOff {
+                rate: 200.0,
+                mean_busy: SimDuration::from_millis(50),
+                median_idle: SimDuration::from_millis(100),
+                idle_sigma: 1.0,
+            },
+            1 => AppProcess::Buckets {
+                bucket: SimDuration::from_micros(4),
+                counts: vec![3, 0, 2, 5],
+            },
+            2 => AppProcess::Buckets {
+                bucket: SimDuration::from_millis(100),
+                counts: vec![1 + slot % 3; 1 + (slot as usize % 5)],
+            },
+            _ if slot % 8 == 3 => AppProcess::Buckets {
+                bucket: SimDuration::from_millis(100),
+                counts: vec![0, 0],
+            },
+            _ => AppProcess::OnOff {
+                rate: 0.0,
+                mean_busy: SimDuration::from_millis(50),
+                median_idle: SimDuration::from_millis(10),
+                idle_sigma: 0.5,
+            },
+        }
+    }
+
+    #[test]
+    fn merge_matches_a_sort_by_instant_then_app() {
+        let duration = SimDuration::from_secs(1);
+        let seed = Seed(23);
+        for k in [1u32, 2, 43, 64, 65, 1000] {
+            // Global indices ascend with gaps, as a fleet cell's do.
+            let stream = |slot: u32| {
+                let global = 3 * slot + 1;
+                let sub = seed.substream_indexed("app", u64::from(global));
+                (global, AppStream::new(&mixed_process(slot), duration, sub))
+            };
+            let mut reference: Vec<(SimTime, u32)> = (0..k)
+                .flat_map(|slot| {
+                    let (global, app) = stream(slot);
+                    app.map(move |t| (t, global))
+                })
+                .collect();
+            reference.sort();
+            let merged: Vec<(SimTime, u32)> =
+                FleetArrivalStream::merge((0..k).map(stream)).collect();
+            assert_eq!(merged, reference, "k = {k}");
+            if k >= 43 {
+                let ties = reference.windows(2).filter(|w| w[0].0 == w[1].0).count();
+                assert!(ties > 0, "k = {k}: no same-instant arrivals to order");
+            }
+        }
     }
 
     #[test]
