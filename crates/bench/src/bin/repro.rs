@@ -12,6 +12,7 @@
 
 use slsb_bench::cli::extract_log_level;
 use slsb_bench::experiments::{run_experiment, ReproConfig};
+use slsb_bench::outln;
 use slsb_core::{parallel_map, ExperimentId, Jobs, Scenario};
 use slsb_obs::{info_log, set_log_level};
 use std::path::PathBuf;
@@ -88,7 +89,7 @@ fn parse_args() -> Result<Args, String> {
     }
     if listed {
         for e in ExperimentId::ALL {
-            println!("{:<14} {}", e.slug(), e.title());
+            outln!("{:<14} {}", e.slug(), e.title());
         }
         std::process::exit(0);
     }
@@ -109,25 +110,28 @@ fn run_scenario_file(path: &PathBuf) -> Result<(), String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let scenario = Scenario::from_json(&json).map_err(|e| e.to_string())?;
     let (_run, a) = scenario.run().map_err(|e| e.to_string())?;
-    println!("# Scenario: {}\n", scenario.name);
-    println!("deployment    : {}", scenario.deployment.label());
-    println!("requests      : {}", a.total);
-    println!("success ratio : {:.2}%", a.success_ratio * 100.0);
+    outln!("# Scenario: {}\n", scenario.name);
+    outln!("deployment    : {}", scenario.deployment.label());
+    outln!("requests      : {}", a.total);
+    outln!("success ratio : {:.2}%", a.success_ratio * 100.0);
     match a.latency {
-        Some(l) => println!(
+        Some(l) => outln!(
             "latency       : mean {:.3}s, p50 {:.3}s, p99 {:.3}s",
-            l.mean, l.p50, l.p99
+            l.mean,
+            l.p50,
+            l.p99
         ),
-        None => println!("latency       : (no successful requests)"),
+        None => outln!("latency       : (no successful requests)"),
     }
-    println!("cost          : {}", a.cost.total());
-    println!(
+    outln!("cost          : {}", a.cost.total());
+    outln!(
         "cold starts   : {} instances, peak {} concurrent\n",
-        a.cold_started, a.peak_instances
+        a.cold_started,
+        a.peak_instances
     );
     // Latency timeline as a terminal chart.
     let series: Vec<(f64, Option<f64>)> = a.series.iter().map(|p| (p.at, p.mean_latency)).collect();
-    println!(
+    outln!(
         "{}",
         slsb_core::ascii_chart("mean latency per 10s bucket (s)", &series, 8)
     );
@@ -153,9 +157,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    println!(
+    outln!(
         "# slsbench repro — seed {}, scale {}\n",
-        args.cfg.seed, args.cfg.scale
+        args.cfg.seed,
+        args.cfg.scale
     );
     // Experiment modules are independent simulations; fan them across
     // cores, then print and persist in target order so the output stream
@@ -167,7 +172,7 @@ fn main() -> ExitCode {
     });
 
     for (id, (out, elapsed)) in args.targets.iter().zip(&outputs) {
-        println!("{}", out.to_markdown());
+        outln!("{}", out.to_markdown());
         info_log!("[{}] done in {:.1}s", id.slug(), elapsed.as_secs_f64());
 
         if let Some(dir) = &args.out {

@@ -19,6 +19,7 @@
 use slsb_bench::cli::extract_log_level;
 use slsb_bench::perf;
 use slsb_bench::ReproConfig;
+use slsb_bench::{out, outln};
 use slsb_core::{
     analyze, arrival_allocs, ascii_chart, explore_jobs, fleet_metrics, fmt_money, fmt_opt_secs,
     fmt_pct, oracle_bound, replicate_jobs, run_metrics, slo_metrics, slo_samples, trace_oracle,
@@ -232,7 +233,7 @@ fn workload_spec(o: &Options) -> WorkloadSpec {
 fn cmd_compare(o: &Options) -> Result<(), String> {
     let seed = Seed(o.seed);
     let trace = workload_spec(o).generate(seed.substream("cli-workload"));
-    println!(
+    outln!(
         "Comparing all systems on {} x {} ({} requests, runtime {})\n",
         o.model,
         trace.name(),
@@ -270,7 +271,7 @@ fn cmd_compare(o: &Options) -> Result<(), String> {
             }
         }
     }
-    println!("{}", table.to_markdown());
+    outln!("{}", table.to_markdown());
     Ok(())
 }
 
@@ -288,15 +289,15 @@ fn cmd_explore(o: &Options) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
 
-    println!(
+    outln!(
         "Explored {} serverless configurations for {} x {}\n",
         exploration.candidates.len(),
         o.model,
         trace.name()
     );
-    println!("Pareto front (latency vs cost, SR >= 99%):");
+    outln!("Pareto front (latency vs cost, SR >= 99%):");
     for c in exploration.pareto_front(0.99) {
-        println!(
+        outln!(
             "  {:>6.0}MB {} batch={:<2} -> mean {:.3}s, p95 {:.3}s, ${:.3}",
             c.deployment.memory_mb,
             c.deployment.runtime,
@@ -307,11 +308,15 @@ fn cmd_explore(o: &Options) -> Result<(), String> {
         );
     }
     match exploration.cheapest_under_slo(o.slo, 0.99) {
-        Some(c) => println!(
+        Some(c) => outln!(
             "\ncheapest with p95 <= {}s: {:.0}MB {} batch={} at ${:.3}",
-            o.slo, c.deployment.memory_mb, c.deployment.runtime, c.deployment.batch_size, c.cost
+            o.slo,
+            c.deployment.memory_mb,
+            c.deployment.runtime,
+            c.deployment.batch_size,
+            c.cost
         ),
-        None => println!("\nno configuration meets p95 <= {}s", o.slo),
+        None => outln!("\nno configuration meets p95 <= {}s", o.slo),
     }
     Ok(())
 }
@@ -327,7 +332,7 @@ fn cmd_replicate(o: &Options) -> Result<(), String> {
     }
     let r = replicate_jobs(&exec, &dep, workload_spec(o), o.seed, o.reps, o.jobs)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{} x {} x {} across {} seeds (base {}):\n",
         platform.label(),
         o.model,
@@ -336,14 +341,14 @@ fn cmd_replicate(o: &Options) -> Result<(), String> {
         o.seed
     );
     if let Some(m) = r.mean_latency {
-        println!("mean latency : {} s", m.display(3));
+        outln!("mean latency : {} s", m.display(3));
     }
     if let Some(m) = r.p99_latency {
-        println!("p99 latency  : {} s", m.display(3));
+        outln!("p99 latency  : {} s", m.display(3));
     }
-    println!("success ratio: {}", r.success_ratio.display(4));
-    println!("cost         : ${}", r.cost.display(3));
-    println!("cold starts  : {}", r.cold_started.display(1));
+    outln!("success ratio: {}", r.success_ratio.display(4));
+    outln!("cost         : ${}", r.cost.display(3));
+    outln!("cold starts  : {}", r.cold_started.display(1));
     Ok(())
 }
 
@@ -498,30 +503,30 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
     if profiling {
         slsb_sim::prof::enable(false);
     }
-    println!("# {}\n", scenario.name);
-    println!("deployment    : {}", scenario.deployment.label());
-    println!("requests      : {}", a.total);
-    println!("success ratio : {}", fmt_pct(a.success_ratio));
-    println!("mean latency  : {}", fmt_opt_secs(a.mean_latency()));
-    println!("cost          : {}", fmt_money(a.cost.total()));
-    println!("cold starts   : {}", a.cold_started);
+    outln!("# {}\n", scenario.name);
+    outln!("deployment    : {}", scenario.deployment.label());
+    outln!("requests      : {}", a.total);
+    outln!("success ratio : {}", fmt_pct(a.success_ratio));
+    outln!("mean latency  : {}", fmt_opt_secs(a.mean_latency()));
+    outln!("cost          : {}", fmt_money(a.cost.total()));
+    outln!("cold starts   : {}", a.cold_started);
     let oracle = oracle_bound(&run);
-    println!(
+    outln!(
         "oracle        : cold >= {} ({:.0}% of optimal), cost >= ${:.6} ({:.0}% of optimal)",
         oracle.cold_starts,
         oracle.cold_score(a.cold_started),
         oracle.cost_dollars,
         oracle.cost_score(a.cost.total().as_dollars()),
     );
-    println!("plat. faults  : {}", a.faults);
-    println!("client faults : {}", a.client_faults);
-    println!("retries       : {}", a.retries);
-    println!("engine events : {}", run.engine_events);
+    outln!("plat. faults  : {}", a.faults);
+    outln!("client faults : {}", a.client_faults);
+    outln!("retries       : {}", a.retries);
+    outln!("engine events : {}", run.engine_events);
     if let Some(n) = trace_events {
-        println!("trace events  : {n}");
+        outln!("trace events  : {n}");
     }
     let series: Vec<(f64, Option<f64>)> = a.series.iter().map(|p| (p.at, p.mean_latency)).collect();
-    println!(
+    outln!(
         "\n{}",
         ascii_chart("mean latency per 10s bucket (s)", &series, 8)
     );
@@ -530,7 +535,7 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
     } else {
         let samples = slo_samples(&run);
         let report = scenario.slo.evaluate(&samples, Some(a.cost_dollars()));
-        println!("{}", report.render());
+        outln!("{}", report.render());
         Some(report)
     };
     if let Some(out) = &opts.metrics_out {
@@ -540,12 +545,12 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
         }
         let json = serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?;
         std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("metrics written to {out}");
+        outln!("metrics written to {out}");
     }
     if let Some(out) = &opts.profile_out {
         let profile = Profile::new(slsb_sim::prof::take(), wall);
         std::fs::write(out, profile.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!(
+        outln!(
             "profile written to {out} ({:.1}% of {:.3}s wall attributed)",
             profile.attributed_frac * 100.0,
             profile.wall_secs
@@ -641,29 +646,29 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
         slsb_sim::prof::enable(false);
         slsb_sim::prof::take()
     });
-    println!("# {} (fleet)\n", scenario.name);
-    println!("apps          : {}", run.apps.len());
-    println!("requests      : {}", run.requests);
-    println!("success ratio : {}", fmt_pct(run.success_ratio()));
-    println!("mean latency  : {}", fmt_opt_secs(run.latency.mean()));
-    println!(
+    outln!("# {} (fleet)\n", scenario.name);
+    outln!("apps          : {}", run.apps.len());
+    outln!("requests      : {}", run.requests);
+    outln!("success ratio : {}", fmt_pct(run.success_ratio()));
+    outln!("mean latency  : {}", fmt_opt_secs(run.latency.mean()));
+    outln!(
         "p99 latency   : {}",
         fmt_opt_secs(run.latency.quantile(99.0))
     );
-    println!("cost          : {}", fmt_money(run.platform.cost.total()));
-    println!("cold starts   : {}", run.platform.cold_started);
-    println!("engine events : {}", run.engine_events);
+    outln!("cost          : {}", fmt_money(run.platform.cost.total()));
+    outln!("cold starts   : {}", run.platform.cold_started);
+    outln!("engine events : {}", run.engine_events);
     // The engine's own arrival-side footprint (per-app setup + streaming
     // merge), which must stay O(apps) — flat in the request count.
     if let Some(roots) = &profile {
-        println!("arrival allocs: {}", arrival_allocs(roots));
+        outln!("arrival allocs: {}", arrival_allocs(roots));
     }
     // The weighted partition's balance, in expected-request units. The
     // verify.sh fleet smoke parses this line and asserts the LPT invariant
     // (max cell <= 2x mean, unless a lone head app is the floor).
     let part = FleetPartition::compute(&plan, FLEET_CELLS.min(run.apps.len()).max(1));
     let bal = part.balance();
-    println!(
+    outln!(
         "cell balance  : {} cells, max {:.1} / mean {:.1} / max-app {:.1} ({})",
         part.cells.len(),
         bal.max_cell,
@@ -676,15 +681,15 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
         }
     );
     if let Some(n) = trace_events {
-        println!("trace events  : {n}");
+        outln!("trace events  : {n}");
     }
     // The busiest tenants, Zipf's head.
     let mut by_requests: Vec<&slsb_core::AppResult> = run.apps.iter().collect();
     by_requests.sort_by(|a, b| b.requests.cmp(&a.requests).then(a.app.cmp(&b.app)));
-    println!("\ntop apps by requests:");
-    println!("  app        profile     requests       ok      p99     cost");
+    outln!("\ntop apps by requests:");
+    outln!("  app        profile     requests       ok      p99     cost");
     for a in by_requests.iter().take(5) {
-        println!(
+        outln!(
             "  {:<10} {:<10} {:>9} {:>8} {:>8} {:>8}",
             a.name,
             a.profile,
@@ -698,12 +703,12 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
         let m = fleet_metrics(&run);
         let json = serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?;
         std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("metrics written to {out}");
+        outln!("metrics written to {out}");
     }
     if let (Some(out), Some(roots)) = (&opts.profile_out, profile) {
         let profile = Profile::new(roots, wall);
         std::fs::write(out, profile.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!(
+        outln!(
             "profile written to {out} ({:.1}% of {:.3}s wall attributed)",
             profile.attributed_frac * 100.0,
             profile.wall_secs
@@ -734,15 +739,16 @@ fn cmd_fleet(rest: &[String]) -> Result<(), String> {
             });
             std::fs::write(&out, summary.to_json() + "\n")
                 .map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("# fleet ingest: {raw}\n");
-            println!("name          : {}", summary.name);
-            println!("apps          : {}", summary.apps.len());
-            println!(
+            outln!("# fleet ingest: {raw}\n");
+            outln!("name          : {}", summary.name);
+            outln!("apps          : {}", summary.apps.len());
+            outln!(
                 "buckets       : {} x {:.0}s",
-                summary.buckets, summary.bucket_s
+                summary.buckets,
+                summary.bucket_s
             );
-            println!("invocations   : {}", summary.total_invocations());
-            println!("written to    : {out}");
+            outln!("invocations   : {}", summary.total_invocations());
+            outln!("written to    : {out}");
             Ok(())
         }
         _ => Err(format!(
@@ -790,27 +796,27 @@ fn cmd_bench(args: &BenchArgs) -> Result<(), String> {
         // workload, not the smoke-size one.
         let baseline = std::fs::read_to_string(&args.out)
             .map_err(|e| format!("cannot read baseline {}: {e}", args.out))?;
-        println!("Checking kernel throughput against {}...\n", args.out);
+        outln!("Checking kernel throughput against {}...\n", args.out);
         let report = perf::run_benchmarks(&perf::BenchConfig {
             quick: true,
             fleet_full: true,
         })?;
-        println!("{}", perf::summary(&report));
+        outln!("{}", perf::summary(&report));
         let verdict = perf::check_against(&report, &baseline)?;
-        println!("\n{verdict}");
+        outln!("\n{verdict}");
         return Ok(());
     }
     let mode = if args.quick { "quick" } else { "full" };
-    println!("Measuring kernel throughput (wheel vs heap, {mode} matrix)...\n");
+    outln!("Measuring kernel throughput (wheel vs heap, {mode} matrix)...\n");
     let report = perf::run_benchmarks(&perf::BenchConfig {
         quick: args.quick,
         fleet_full: false,
     })?;
-    println!("{}", perf::summary(&report));
+    outln!("{}", perf::summary(&report));
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(&args.out, json + "\n")
         .map_err(|e| format!("cannot write {}: {e}", args.out))?;
-    println!("\nreport written to {}", args.out);
+    outln!("\nreport written to {}", args.out);
     Ok(())
 }
 
@@ -834,20 +840,20 @@ fn parse_trace_args(rest: &[String]) -> Result<(String, Option<String>, Option<u
 fn cmd_trace(path: &str, slo: Option<&str>, apps: Option<usize>) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let events = trace_view::parse_jsonl_strict(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("# trace: {path}\n");
-    println!("trace events  : {}", events.len());
+    outln!("# trace: {path}\n");
+    outln!("trace events  : {}", events.len());
     match trace_view::run_closed(&events) {
         Some((engine_events, requests)) => {
-            println!("engine events : {engine_events}");
-            println!("requests      : {requests}\n");
+            outln!("engine events : {engine_events}");
+            outln!("requests      : {requests}\n");
         }
-        None => println!("(no run_closed event — trace may be truncated)\n"),
+        None => outln!("(no run_closed event — trace may be truncated)\n"),
     }
-    println!("{}", trace_view::summary(&events));
-    println!("{}", trace_view::phase_attribution(&events));
-    println!("{}", trace_view::cold_start_breakdown(&events));
+    outln!("{}", trace_view::summary(&events));
+    outln!("{}", trace_view::phase_attribution(&events));
+    outln!("{}", trace_view::cold_start_breakdown(&events));
     if let Some(t) = trace_oracle(&events) {
-        println!(
+        outln!(
             "oracle        : cold-start floor {} vs {} observed ({:.0}% of optimal, \
              peak concurrency {})\n",
             t.cold_floor,
@@ -856,11 +862,11 @@ fn cmd_trace(path: &str, slo: Option<&str>, apps: Option<usize>) -> Result<(), S
             t.instance_floor,
         );
     }
-    println!("{}", trace_view::fault_attribution(&events));
-    println!("{}", trace_view::waterfall(&events, 20));
-    println!("{}", trace_view::instance_timeline(&events, 20));
+    outln!("{}", trace_view::fault_attribution(&events));
+    outln!("{}", trace_view::waterfall(&events, 20));
+    outln!("{}", trace_view::instance_timeline(&events, 20));
     if let Some(n) = apps {
-        println!("{}", trace_view::app_breakdown(&events, n));
+        outln!("{}", trace_view::app_breakdown(&events, n));
     }
     if let Some(spec) = slo {
         let spec = SloSpec::parse(spec)?;
@@ -874,7 +880,7 @@ fn cmd_trace(path: &str, slo: Option<&str>, apps: Option<usize>) -> Result<(), S
                 latency_s: s.total().as_secs_f64(),
             })
             .collect();
-        println!("{}", spec.evaluate(&samples, None).render());
+        outln!("{}", spec.evaluate(&samples, None).render());
     }
     Ok(())
 }
@@ -912,11 +918,11 @@ fn cmd_profile(args: &ProfileArgs) -> Result<(), String> {
         .map_err(|e| format!("cannot read {}: {e}", args.path))?;
     let profile = Profile::from_json(&text).map_err(|e| format!("{}: {e}", args.path))?;
     if args.collapsed {
-        print!("{}", profile.render_collapsed());
+        out!("{}", profile.render_collapsed());
     } else if let Some(n) = args.top {
-        println!("{}", profile.render_top(n));
+        outln!("{}", profile.render_top(n));
     } else {
-        println!("{}", profile.render_tree());
+        outln!("{}", profile.render_tree());
     }
     Ok(())
 }
@@ -933,8 +939,8 @@ fn cmd_diff(baseline: &str, candidate: &str) -> Result<ExitCode, String> {
         std::fs::read_to_string(candidate).map_err(|e| format!("cannot read {candidate}: {e}"))?;
     let report =
         slsb_bench::diff(&a, &b).map_err(|e| format!("diff {baseline} {candidate}: {e}"))?;
-    println!("# diff: {baseline} -> {candidate}\n");
-    print!("{}", report.render());
+    outln!("# diff: {baseline} -> {candidate}\n");
+    out!("{}", report.render());
     if report.regressed() {
         Ok(ExitCode::from(DIFF_REGRESSED))
     } else {
@@ -976,7 +982,7 @@ fn main() -> ExitCode {
         },
         "bench" => parse_bench_args(rest).and_then(|a| cmd_bench(&a)).map(ok),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),

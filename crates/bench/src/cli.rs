@@ -1,6 +1,53 @@
-//! Flags shared by the `slsb` and `repro` binaries.
+//! Flags and output shared by the `slsb` and `repro` binaries.
 
 use slsb_obs::LogLevel;
+use std::fmt;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once a write to stdout found the reading end closed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout, as `print!` does, except that a closed stdout (the
+/// reader went away, as `slsb run ... | head -2` does) is the end of
+/// output rather than a panic: that write and every later one are
+/// dropped, and the command runs to its normal exit status. Any other
+/// write error is fatal: it is reported on stderr and the process exits
+/// with status 1.
+pub fn print_stdout(args: fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`print_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::print_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`print_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::print_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Extracts a `--log-level <quiet|info|debug>` flag from `args`, removing
 /// it (and its value) so subcommand parsers never see it. Returns the
