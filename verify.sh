@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, whole test suite, pedantic clippy.
+# Full pre-merge gate: formatting, release build, whole test suite,
+# pedantic clippy.
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Formatting of the workspace (the benchmark package is not a member).
+cargo fmt --check
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
