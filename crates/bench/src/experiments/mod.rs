@@ -106,12 +106,18 @@ impl ReproConfig {
 
     /// Runs `deployment` on `preset`, keeping the raw records too.
     pub fn run_full(&self, deployment: &Deployment, preset: MmppPreset) -> (RunResult, Analysis) {
-        let trace = self.trace(preset);
-        let run = Executor::default()
-            .run(deployment, &trace, self.seed())
-            .expect("experiment deployments are valid by construction");
+        let run = self.replay(deployment, preset);
         let analysis = analyze(&run);
         (run, analysis)
+    }
+
+    /// Runs `deployment` on `preset` without analyzing it, for callers
+    /// that read only the platform report.
+    pub fn replay(&self, deployment: &Deployment, preset: MmppPreset) -> RunResult {
+        let trace = self.trace(preset);
+        Executor::default()
+            .run(deployment, &trace, self.seed())
+            .expect("experiment deployments are valid by construction")
     }
 }
 

@@ -1,6 +1,7 @@
 //! The memory bound of one replay, read off the live-bytes high-water mark
 //! of the counting allocator. A replay holds O(requests) memory only for
-//! its output records. Each client is a lane that sends as its batches
+//! its output records, whose cold-start breakdowns sit in a side table
+//! with an entry per cold request only. Each client is a lane that sends as its batches
 //! come up, deliveries reach the kernel a burst at a time, responses
 //! settle as they drain, and a lane keeps a byte per invocation in flight,
 //! so no platform or executor buffer grows with the request count. A
@@ -21,20 +22,23 @@ use slsb_workload::MmppPreset;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Ceiling on the live-heap growth of one replay of the calibrated W200
-/// trace, per request: its 112-byte records plus what is in flight. The
-/// four families measure 118–124 B/request; the heaviest, the CPU server,
-/// is still waiting on 60k requests it dropped unanswered when the run
-/// ends, a byte each. Pre-scheduling every delivery up front measured
-/// 233–241 B/request.
-const MAX_BYTES_PER_REQUEST: f64 = 128.0;
+/// trace, per request: its 72-byte records, the cold-start table, and what
+/// is in flight. The four families measure 77.7–84.3 B/request; the
+/// heaviest, the CPU server, is still waiting on 60k requests it dropped
+/// unanswered when the run ends, a byte each. The ceiling leaves about
+/// 8 B of headroom. With each record carrying its cold-start breakdown
+/// inline (112-byte records) they measured 118–124, and pre-scheduling
+/// every delivery up front 233–241.
+const MAX_BYTES_PER_REQUEST: f64 = 92.0;
 
 /// Ceiling on a `with_shards(1)` replay of the same trace with client
 /// retries, faults and client jitter, per request: one record table, the
 /// finished cell's own table on its way into it (an eighth as large), and
-/// what is in flight. It measures 138 B/request; copying every cell's
-/// records into a second table after the last cell, on top of the
-/// pre-scheduled deliveries, measured 270.
-const MAX_SHARDED_RETRY_BYTES_PER_REQUEST: f64 = 152.0;
+/// what is in flight. It measures 95.6 B/request, and the ceiling leaves
+/// about 8 B of headroom. With 112-byte records it measured 138, and
+/// copying every cell's records into a second table after the last cell,
+/// on top of the pre-scheduled deliveries, 270.
+const MAX_SHARDED_RETRY_BYTES_PER_REQUEST: f64 = 104.0;
 
 /// Runs `replay` on a fresh thread, whose run arena starts empty so the
 /// arena's buffers are part of what the replay is charged for, and

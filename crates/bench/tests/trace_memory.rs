@@ -30,10 +30,11 @@ const MAX_FLEET_BYTES_PER_REQUEST: f64 = 64.0;
 /// Ceiling on the live-heap growth of a traced `with_shards(1)` replay of
 /// the calibrated W200 trace, per request: one record table, the finished
 /// cell's table and span scratch, and what is in flight. The replay
-/// measures 141 B/request; with pre-scheduled deliveries and a second
-/// record table it measured 239, and buffering each cell's events until
+/// measures 96.2 B/request, and the ceiling leaves about 8 B of headroom.
+/// With 112-byte records it measured 141, with pre-scheduled deliveries
+/// and a second record table 239, and buffering each cell's events until
 /// the run closed 727.
-const MAX_SHARDED_BYTES_PER_REQUEST: f64 = 160.0;
+const MAX_SHARDED_BYTES_PER_REQUEST: f64 = 104.0;
 
 /// A sink that keeps only the count of bytes written to it.
 #[derive(Default)]

@@ -133,7 +133,7 @@ pub fn analyze(run: &RunResult) -> Analysis {
 /// understate failures.
 pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
     let _p = ProfGuard::enter("analyzer");
-    let mut latencies = SampleSet::new();
+    let mut latencies = SampleSet::with_capacity(run.records.len());
     let mut lat_series = TimeSeries::new(bucket);
     let mut ok_series = TimeSeries::new(bucket);
     let mut failed_queue_full = 0;
@@ -145,7 +145,7 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
 
     let mut cold = ColdMeans::default();
 
-    for r in &run.records {
+    for (r, cold_start) in run.records_with_cold_starts() {
         match r.outcome {
             Outcome::Success => {
                 let lat = r
@@ -155,7 +155,7 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
                 latencies.push(lat);
                 lat_series.add(r.arrival, lat);
                 ok_series.add(r.arrival, 1.0);
-                match r.cold_start {
+                match cold_start {
                     Some(bd) => {
                         cold.e2e_cold.push(lat);
                         cold.boot.push_duration(bd.boot);
@@ -280,7 +280,7 @@ pub fn run_metrics(run: &RunResult) -> MetricsRegistry {
                     .expect("success without latency: unresolved record")
                     .as_secs_f64();
                 latency.record(lat);
-                if r.cold_start.is_some() {
+                if r.cold {
                     cold += 1;
                     latency_cold.record(lat);
                 } else {
@@ -378,14 +378,16 @@ pub fn slo_metrics(m: &mut MetricsRegistry, report: &SloReport) {
 /// The mean and deviation are read before the percentile queries reorder
 /// the samples, so they sum in arrival order.
 fn latency_stats(latencies: &mut SampleSet) -> Option<LatencyStats> {
+    let (mean, std_dev) = latencies.mean_std_dev()?;
+    let [p50, p95, p99, max] = latencies.percentiles([50.0, 95.0, 99.0, 100.0])?;
     Some(LatencyStats {
         count: latencies.len() as u64,
-        mean: latencies.mean()?,
-        std_dev: latencies.std_dev()?,
-        p50: latencies.percentile(50.0)?,
-        p95: latencies.percentile(95.0)?,
-        p99: latencies.percentile(99.0)?,
-        max: latencies.percentile(100.0)?,
+        mean,
+        std_dev,
+        p50,
+        p95,
+        p99,
+        max,
     })
 }
 
@@ -622,12 +624,11 @@ mod tests {
                 max: rank(&sorted, 100.0),
             }
         });
-        let (cold, warm): (Vec<&RequestRecord>, Vec<_>) =
-            ok.iter().partition(|r| r.cold_start.is_some());
+        let (cold, warm): (Vec<&RequestRecord>, Vec<_>) = ok.iter().partition(|r| r.cold);
         let stage = |f: fn(&ColdStartBreakdown) -> SimDuration| {
             let xs: Vec<f64> = cold
                 .iter()
-                .map(|r| secs(f(&r.cold_start.unwrap())))
+                .map(|r| secs(f(run.cold_start(r.index).unwrap())))
                 .collect();
             mean(&xs)
         };
@@ -679,9 +680,21 @@ mod tests {
         let mut rng = Seed(seed).rng();
         let base = template.records[0];
         let d = |rng: &mut SimRng| SimDuration::from_micros(value(rng));
+        let mut cold_starts = Vec::new();
         let records = (0..n)
             .map(|i| {
                 let failed = i % 7 == 3;
+                let latency = (!failed).then(|| d(&mut rng));
+                let cold = rng.chance(0.3);
+                if cold {
+                    let breakdown = ColdStartBreakdown {
+                        boot: d(&mut rng),
+                        import: d(&mut rng),
+                        download: d(&mut rng),
+                        load: d(&mut rng),
+                    };
+                    cold_starts.push((i, breakdown));
+                }
                 RequestRecord {
                     index: i,
                     arrival: SimTime::from_micros(i as u64 * 20_000),
@@ -690,13 +703,8 @@ mod tests {
                     } else {
                         Outcome::Success
                     },
-                    latency: (!failed).then(|| d(&mut rng)),
-                    cold_start: rng.chance(0.3).then(|| ColdStartBreakdown {
-                        boot: d(&mut rng),
-                        import: d(&mut rng),
-                        download: d(&mut rng),
-                        load: d(&mut rng),
-                    }),
+                    cold,
+                    latency,
                     predict: d(&mut rng),
                     ..base
                 }
@@ -704,6 +712,7 @@ mod tests {
             .collect();
         RunResult {
             records,
+            cold_starts,
             ..template.clone()
         }
     }

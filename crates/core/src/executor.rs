@@ -7,15 +7,16 @@
 //! HTTP timeout converts slow responses into failures — the mechanism
 //! behind every success-ratio number in the evaluation.
 //!
-//! Requests go to clients round-robin and a run replays as
-//! [cells](crate::cell): unsharded, one cell holds every client on the run
-//! seed and one platform; sharded ([`ExecutorConfig::shards`] ≥ 1), each
-//! client is a cell of its own on the seed's `("shard", client)`
-//! substream with its own platform. Both modes run the same cell replay,
-//! fan-out and reassembly. On top of the shared cell layer the executor
-//! adds its client layer: batching, retries and client-path faults. Each
-//! client is a lane that sends its batches as they come up, and a run
-//! holds its records plus what is in flight (see `Feed` and `Window`).
+//! Requests go to clients round-robin and a run replays as cells (the
+//! crate's private `cell` layer): unsharded, one cell holds every client
+//! on the run seed and one platform; sharded
+//! ([`ExecutorConfig::shards`] ≥ 1), each client is a cell of its own on
+//! the seed's `("shard", client)` substream with its own platform. Both
+//! modes run the same cell replay, fan-out and reassembly. On top of the
+//! shared cell layer the executor adds its client layer: batching,
+//! retries and client-path faults. Each client is a lane that sends its
+//! batches as they come up, and a run holds its records plus what is in
+//! flight (see `Feed` and `Window`).
 
 use crate::batching::BatchPolicy;
 use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd, ARRIVAL_BURST};
@@ -372,11 +373,12 @@ pub struct RequestRecord {
     pub payload_bytes: u64,
     /// Final outcome after applying the client timeout.
     pub outcome: Outcome,
+    /// Whether a cold start was on this request's path; its breakdown is
+    /// in [`RunResult::cold_starts`].
+    pub cold: bool,
     /// End-to-end latency from `arrival` to client receive (present for
     /// successes).
     pub latency: Option<SimDuration>,
-    /// Cold-start breakdown when one was on this request's path.
-    pub cold_start: Option<ColdStartBreakdown>,
     /// Server-side predict time of the carrying invocation.
     pub predict: SimDuration,
     /// Platform-side queueing of the carrying invocation.
@@ -395,6 +397,11 @@ pub struct RunResult {
     pub duration: SimDuration,
     /// One record per logical request, trace order.
     pub records: Vec<RequestRecord>,
+    /// The cold-start breakdown of each record that waited on one, as
+    /// `(record index, breakdown)` sorted by index: one entry per record
+    /// whose [`RequestRecord::cold`] is set. Most requests run warm, so
+    /// the records keep a flag and the breakdowns live here.
+    pub cold_starts: Vec<(usize, ColdStartBreakdown)>,
     /// Platform-side accounting (cost, instances, cold starts).
     pub platform: PlatformReport,
     /// Discrete events the simulation kernel delivered during the run —
@@ -408,6 +415,40 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Record `index`'s cold-start breakdown, if one was on its path.
+    pub fn cold_start(&self, index: usize) -> Option<&ColdStartBreakdown> {
+        self.cold_starts
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .ok()
+            .map(|at| &self.cold_starts[at].1)
+    }
+
+    /// Every record, in record order, with its cold-start breakdown.
+    /// Records in trace order, as a run returns them, walk the table in
+    /// step; a record out of that order looks its entry up.
+    ///
+    /// # Panics
+    /// Panics on a cold record without an entry in the table.
+    pub fn records_with_cold_starts(
+        &self,
+    ) -> impl Iterator<Item = (&RequestRecord, Option<&ColdStartBreakdown>)> + '_ {
+        let table = &self.cold_starts;
+        let mut next = 0;
+        self.records.iter().map(move |r| {
+            if !r.cold {
+                return (r, None);
+            }
+            let at = match table.get(next) {
+                Some(&(i, _)) if i == r.index => next,
+                _ => table
+                    .binary_search_by_key(&r.index, |&(i, _)| i)
+                    .expect("a cold record has a breakdown"),
+            };
+            next = at + 1;
+            (r, Some(&table[at].1))
+        })
+    }
+
     /// Requests that succeeded.
     pub fn successes(&self) -> impl Iterator<Item = &RequestRecord> + '_ {
         self.records.iter().filter(|r| r.outcome.is_success())
@@ -683,8 +724,8 @@ fn unresolved(index: usize, client: u32, arrival: SimTime, payload_bytes: u64) -
         sent_at: arrival,
         payload_bytes,
         outcome: Outcome::Failure(FailureReason::ClientTimeout),
+        cold: false,
         latency: None,
-        cold_start: None,
         predict: SimDuration::ZERO,
         queued: SimDuration::ZERO,
     }
@@ -695,6 +736,9 @@ struct ExecSystem<'r> {
     /// The cell's local record table: lane `l`'s request `j` is record
     /// `j · lanes + l`.
     records: Vec<RequestRecord>,
+    /// The cell's cold-start table, in resolution order until the run
+    /// ends; see [`RunResult::cold_starts`].
+    cold_starts: Vec<(usize, ColdStartBreakdown)>,
     /// The next record to add: its round of the trace and its lane.
     fill: (usize, usize),
     /// Per-record span scratch; sized only when a recorder wants spans.
@@ -1007,7 +1051,10 @@ impl ExecSystem<'_> {
             let rec = &mut self.records[m];
             rec.predict = res.predict;
             rec.queued = res.queued;
-            rec.cold_start = res.cold_start;
+            if let Some(breakdown) = res.cold_start {
+                rec.cold = true;
+                self.cold_starts.push((rec.index, breakdown));
+            }
             let e2e = res.received_at.saturating_duration_since(rec.arrival);
             rec.outcome = match res.outcome {
                 Outcome::Success if e2e > self.timeout => {
@@ -1361,7 +1408,7 @@ impl Executor {
                 unresolved(0, 0, SimTime::ZERO, 0);
                 trace.arrivals().len()
             ]);
-            let outs = fan_out(
+            let mut outs = fan_out(
                 self.cfg.shards,
                 &cells,
                 rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
@@ -1379,11 +1426,20 @@ impl Executor {
                 },
             );
             let reports: Vec<PlatformReport> = outs.iter().map(|o| o.platform.clone()).collect();
+            // The run's cold-start table: every cell's, in cell order,
+            // sorted by index.
+            let mut cold_starts =
+                Vec::with_capacity(outs.iter().map(|o| o.cold_starts.len()).sum());
+            for out in &mut outs {
+                cold_starts.append(&mut out.cold_starts);
+            }
+            cold_starts.sort_unstable_by_key(|&(i, _)| i);
             RunResult {
                 deployment: *deployment,
                 workload: trace.shared_name(),
                 duration: trace.duration(),
                 records: table.into_inner().unwrap_or_else(PoisonError::into_inner),
+                cold_starts,
                 platform: PlatformReport::merge_shards(&reports),
                 engine_events: outs.iter().map(|o| o.engine_events).sum(),
                 client_faults: outs.iter().map(|o| o.client_faults).sum(),
@@ -1538,6 +1594,7 @@ impl Executor {
             ExecSystem {
                 platform,
                 records,
+                cold_starts: Vec::new(),
                 fill: (0, 0),
                 spans,
                 arrivals,
@@ -1608,6 +1665,7 @@ impl Executor {
         }
         let engine_events = engine.events_processed();
         let mut sys = engine.system;
+        sys.cold_starts.sort_unstable_by_key(|&(i, _)| i);
         let recorder = sys.io.rec.take();
 
         if let Some(r) = recorder {
@@ -1635,7 +1693,7 @@ impl Executor {
                             queued: rec.queued,
                             exec,
                             net_out,
-                            cold: rec.cold_start.is_some(),
+                            cold: rec.cold,
                             outcome: rec.outcome.into(),
                         },
                     });
@@ -1648,6 +1706,7 @@ impl Executor {
             workload: trace.shared_name(),
             duration: trace.duration(),
             records: sys.records,
+            cold_starts: sys.cold_starts,
             platform: sys.platform.report(),
             engine_events,
             client_faults: sys.client_faults.injected(),
@@ -1702,6 +1761,13 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_72_bytes() {
+        // Every replay holds one record per request: a cold-start
+        // breakdown inline would add 40 B to each.
+        assert_eq!(std::mem::size_of::<RequestRecord>(), 72);
+    }
+
+    #[test]
     fn serverless_succeeds_under_burst() {
         let exec = Executor::default();
         let trace = small_trace(30.0, 120);
@@ -1722,7 +1788,7 @@ mod tests {
         // Average warm latency (excluding cold starts) well under a second.
         let warm: Vec<f64> = run
             .successes()
-            .filter(|r| r.cold_start.is_none())
+            .filter(|r| !r.cold)
             .filter_map(|r| r.latency.map(|l| l.as_secs_f64()))
             .collect();
         assert!(!warm.is_empty());

@@ -30,9 +30,10 @@
 //!   slowest cell from "head app + 1/8 of the tail" (the old
 //!   `app % cells` rule) to ~1/cells of total weight.
 //!
-//! Each partition cell is a [cell](crate::cell) of the shared layer whose
-//! clients are its apps, all on the run seed: platform driving, the run's
-//! end, the fan-out over workers and the trace close are the executor's.
+//! Each partition cell is a cell of the shared layer (the crate's private
+//! `cell` module) whose clients are its apps, all on the run seed:
+//! platform driving, the run's end, the fan-out over workers and the
+//! trace close are the executor's.
 //! Unlike the single-app executor there is no client batching and no retry
 //! layer: each trace arrival is one invocation, delivered after its
 //! payload's network transfer, and resolved against the client timeout when

@@ -97,11 +97,12 @@ pub fn oracle_bound(run: &RunResult) -> OracleBound {
     let warm_ratio = if run.deployment.platform.is_serverless() {
         let mut useful = 0.0;
         let mut billed = 0.0;
-        for r in run.records.iter().filter(|r| r.latency.is_some()) {
+        let answered = run.records_with_cold_starts();
+        for (r, cold_start) in answered.filter(|(r, _)| r.latency.is_some()) {
             let predict = r.predict.as_secs_f64();
             useful += predict;
             billed += predict;
-            if let Some(cold) = &r.cold_start {
+            if let Some(cold) = cold_start {
                 billed += cold.download.as_secs_f64() + cold.load.as_secs_f64();
             }
         }

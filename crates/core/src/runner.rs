@@ -300,6 +300,7 @@ mod tests {
         for (p, s) in par.iter().zip(&seq) {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
             assert_eq!(p.records, s.records);
+            assert_eq!(p.cold_starts, s.cold_starts);
             assert_eq!(p.platform.invocations, s.platform.invocations);
         }
     }

@@ -368,9 +368,9 @@ proptest! {
         prop_assert_eq!(warm_run.platform.cold_started, 1, "one cold pipeline total");
         let mut by_arrival: Vec<_> = warm_run.records.iter().collect();
         by_arrival.sort_by_key(|r| r.arrival);
-        prop_assert!(by_arrival[0].cold_start.is_some(), "first touch pays the cold start");
+        prop_assert!(by_arrival[0].cold, "first touch pays the cold start");
         for r in &by_arrival[1..] {
-            prop_assert!(r.cold_start.is_none(), "request at {:?} re-cold", r.arrival);
+            prop_assert!(!r.cold, "request at {:?} re-cold", r.arrival);
         }
 
         // The platform default forgets the instance between arrivals.

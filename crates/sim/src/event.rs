@@ -9,8 +9,8 @@
 //! [`EventQueue`] holds the clock, the sequence counter and the causality
 //! checks; a [`PendingStore`] holds the events, picked by type through the
 //! queue's [`StoreKind`] parameter. The default, [`Wheel`], is the
-//! hierarchical timer wheel ([`crate::wheel`]) with O(1) amortized
-//! schedule/pop for near-future events. [`ReferenceHeap`] is the original
+//! hierarchical timer wheel (the crate's private `wheel` module) with
+//! O(1) amortized schedule/pop for near-future events. [`ReferenceHeap`] is the original
 //! binary heap, kept as the reference model that the differential tests
 //! and `slsb bench` race the wheel against; only code that names it gets
 //! it. Both deliver the exact same `(time, sequence)` order, so the store

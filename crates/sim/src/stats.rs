@@ -119,6 +119,13 @@ impl SampleSet {
         SampleSet::default()
     }
 
+    /// An empty sample set with room for `n` observations.
+    pub fn with_capacity(n: usize) -> Self {
+        SampleSet {
+            samples: Vec::with_capacity(n),
+        }
+    }
+
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.samples.push(x);
@@ -162,20 +169,47 @@ impl SampleSet {
     /// # Panics
     /// Panics if `q` is outside `[0, 100]`.
     pub fn percentile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
+        self.percentiles([q]).map(|[x]| x)
+    }
+
+    /// The percentiles `qs`, each what [`SampleSet::percentile`] reads,
+    /// from one cascade of selections: a selection leaves every sample
+    /// above its rank behind it, so each later rank is selected inside
+    /// that part alone.
+    ///
+    /// # Panics
+    /// Panics if a `q` is outside `[0, 100]` or below the one before it.
+    pub fn percentiles<const N: usize>(&mut self, qs: [f64; N]) -> Option<[f64; N]> {
         let n = self.samples.len();
         if n == 0 {
             return None;
         }
-        let idx = if q == 0.0 {
-            0
-        } else {
-            ((q / 100.0 * n as f64).ceil() as usize).max(1) - 1
-        };
-        let (_, x, _) = self
-            .samples
-            .select_nth_unstable_by(idx.min(n - 1), |a, b| a.partial_cmp(b).expect("NaN sample"));
-        Some(*x)
+        let mut out = [0.0; N];
+        // The last rank selected and its sample.
+        let mut last: Option<(usize, f64)> = None;
+        for (x, q) in out.iter_mut().zip(qs) {
+            assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
+            let idx = if q == 0.0 {
+                0
+            } else {
+                ((q / 100.0 * n as f64).ceil() as usize).max(1) - 1
+            }
+            .min(n - 1);
+            *x = match last {
+                Some((at, x)) if at == idx => x,
+                _ => {
+                    let from = last.map_or(0, |(at, _)| at + 1);
+                    assert!(idx >= from, "percentiles must ascend: {q}");
+                    let (_, x, _) = self.samples[from..]
+                        .select_nth_unstable_by(idx - from, |a, b| {
+                            a.partial_cmp(b).expect("NaN sample")
+                        });
+                    *x
+                }
+            };
+            last = Some((idx, *x));
+        }
+        Some(out)
     }
 
     /// Median (p50), or `None` when empty.
@@ -185,6 +219,12 @@ impl SampleSet {
 
     /// Standard deviation (population), or `None` when empty.
     pub fn std_dev(&self) -> Option<f64> {
+        self.mean_std_dev().map(|(_, sd)| sd)
+    }
+
+    /// [`SampleSet::mean`] and [`SampleSet::std_dev`] with one pass for
+    /// the mean, or `None` when empty.
+    pub fn mean_std_dev(&self) -> Option<(f64, f64)> {
         let mean = self.mean()?;
         let var = self
             .samples
@@ -192,7 +232,7 @@ impl SampleSet {
             .map(|x| (x - mean) * (x - mean))
             .sum::<f64>()
             / self.samples.len() as f64;
-        Some(var.sqrt())
+        Some((mean, var.sqrt()))
     }
 
     /// Immutable view of the raw samples: insertion order until the first
@@ -298,6 +338,11 @@ impl Histogram {
 pub struct TimeSeries {
     bucket: SimDuration,
     buckets: Vec<Accumulator>,
+    /// The bucket added to last and its span `[start, end)` in µs:
+    /// observations in time order mostly land in it, found without a
+    /// division.
+    #[serde(skip)]
+    last: (usize, u64, u64),
 }
 
 impl TimeSeries {
@@ -310,14 +355,22 @@ impl TimeSeries {
         TimeSeries {
             bucket,
             buckets: Vec::new(),
+            last: (0, 0, 0),
         }
     }
 
     /// Records observation `value` at instant `at`.
     pub fn add(&mut self, at: SimTime, value: f64) {
-        let idx = (at.as_micros() / self.bucket.as_micros()) as usize;
-        if idx >= self.buckets.len() {
-            self.buckets.resize_with(idx + 1, Accumulator::new);
+        let t = at.as_micros();
+        let (mut idx, start, end) = self.last;
+        if !(start..end).contains(&t) {
+            let width = self.bucket.as_micros();
+            idx = (t / width) as usize;
+            let start = idx as u64 * width;
+            self.last = (idx, start, start.saturating_add(width));
+            if idx >= self.buckets.len() {
+                self.buckets.resize_with(idx + 1, Accumulator::new);
+            }
         }
         self.buckets[idx].add(value);
     }
@@ -629,6 +682,28 @@ mod tests {
     }
 
     #[test]
+    fn percentile_cascade_matches_a_sorted_reference() {
+        let qs = [0.0, 10.0, 50.0, 95.0, 99.0, 99.5, 100.0];
+        for n in [1, 2, 3, 7, 100, 1001] {
+            for distinct in [1, 3, 1000] {
+                let mut rng = crate::Seed(n as u64 * 31 + distinct).rng();
+                let mut s = SampleSet::new();
+                for _ in 0..n {
+                    s.push(rng.index(distinct as usize) as f64 * 0.25);
+                }
+                let mut sorted = s.samples().to_vec();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let want = qs.map(|q| {
+                    let rank = (q / 100.0 * n as f64).ceil() as usize;
+                    sorted[rank.clamp(1, n) - 1]
+                });
+                assert_eq!(s.percentiles(qs), Some(want), "n={n} distinct={distinct}");
+            }
+        }
+        assert_eq!(SampleSet::new().percentiles([50.0, 99.0]), None);
+    }
+
+    #[test]
     fn sampleset_mean_std() {
         let mut s = SampleSet::new();
         for x in [1.0, 2.0, 3.0, 4.0] {
@@ -659,6 +734,37 @@ mod tests {
         assert!(v[1].1.is_empty());
         assert_eq!(v[2].1.mean(), Some(100.0));
         assert_eq!(v[2].0, secs(20.0));
+    }
+
+    #[test]
+    fn timeseries_buckets_match_division_in_any_order() {
+        let width = SimDuration::from_secs(10);
+        let mut rng = crate::Seed(11).rng();
+        let mut ats: Vec<u64> = (0..2000)
+            .map(|i| i * 77_777 + rng.index(50_000) as u64)
+            .collect();
+        for shuffled in [false, true] {
+            if shuffled {
+                for i in (1..ats.len()).rev() {
+                    ats.swap(i, rng.index(i + 1));
+                }
+            }
+            let mut ts = TimeSeries::new(width);
+            let mut reference: Vec<Accumulator> = Vec::new();
+            for (i, &at) in ats.iter().enumerate() {
+                ts.add(SimTime::from_micros(at), i as f64);
+                let idx = (at / width.as_micros()) as usize;
+                if idx >= reference.len() {
+                    reference.resize_with(idx + 1, Accumulator::new);
+                }
+                reference[idx].add(i as f64);
+            }
+            assert_eq!(ts.len(), reference.len());
+            for ((_, got), want) in ts.iter().zip(&reference) {
+                assert_eq!(got.count(), want.count(), "shuffled={shuffled}");
+                assert_eq!(got.mean().map(f64::to_bits), want.mean().map(f64::to_bits));
+            }
+        }
     }
 
     #[test]

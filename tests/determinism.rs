@@ -3,9 +3,9 @@
 //! bit-for-bit identical across runs; different seeds differ.
 
 use slsbench::core::{
-    analyze, explore_jobs, replicate_jobs, Deployment, Executor, ExecutorConfig, ExplorerGrid,
-    FleetPartition, FleetRunError, FleetRunner, FleetScenario, FleetSource, Jobs, RetryPolicy,
-    WorkloadSpec, FLEET_CELLS,
+    analyze, explore_jobs, replicate_jobs, BatchPolicy, Deployment, Executor, ExecutorConfig,
+    ExplorerGrid, FleetPartition, FleetRunError, FleetRunner, FleetScenario, FleetSource, Jobs,
+    RetryPolicy, RunResult, WorkloadSpec, FLEET_CELLS,
 };
 use slsbench::model::{ModelKind, RuntimeKind};
 use slsbench::obs::{trace_view, JsonlRecorder, MemoryRecorder, SpanOutcome};
@@ -394,13 +394,13 @@ fn sharded_runs_are_identical_for_any_worker_budget() {
             ),
         ];
         for (label, base) in variants {
-            let dump = |workers: usize| -> (String, Vec<u8>) {
+            let dump = |workers: usize| {
                 let exec = base.clone().with_shards(workers);
                 let mut buf = Vec::new();
                 let mut rec = JsonlRecorder::new(&mut buf);
                 let run = exec.run_recorded(&dep, &tr, seed, &mut rec).unwrap();
                 rec.finish().unwrap();
-                (serde_json_digest(&analyze(&run)), buf)
+                (serde_json_digest(&analyze(&run)), buf, run.cold_starts)
             };
             let reference = dump(1);
             assert!(!reference.1.is_empty());
@@ -413,6 +413,10 @@ fn sharded_runs_are_identical_for_any_worker_budget() {
                 assert_eq!(
                     reference.1, sharded.1,
                     "{platform:?}/{label}: shards({workers}) trace must equal shards(1)"
+                );
+                assert_eq!(
+                    reference.2, sharded.2,
+                    "{platform:?}/{label}: shards({workers}) cold starts must equal shards(1)"
                 );
             }
         }
@@ -444,7 +448,8 @@ fn unsharded_run_is_the_one_cell_case() {
             let mut rec = JsonlRecorder::new(&mut buf);
             let run = exec.run_recorded(&dep, &tr, seed, &mut rec).unwrap();
             rec.finish().unwrap();
-            (run.records.clone(), serde_json_digest(&analyze(&run)), buf)
+            let digest = serde_json_digest(&analyze(&run));
+            (run.records, digest, buf, run.cold_starts)
         };
         let unsharded = dump(&exec, seed.substream_indexed("shard", 0));
         let sharded = dump(&exec.clone().with_shards(1), seed);
@@ -452,6 +457,115 @@ fn unsharded_run_is_the_one_cell_case() {
         assert_eq!(unsharded.0, sharded.0, "{platform:?}: records must match");
         assert_eq!(unsharded.1, sharded.1, "{platform:?}: analysis must match");
         assert_eq!(unsharded.2, sharded.2, "{platform:?}: trace must match");
+        assert_eq!(
+            unsharded.3, sharded.3,
+            "{platform:?}: cold starts must match"
+        );
+    }
+}
+
+/// Checks a run's cold-start table against its records: sorted by
+/// index without duplicates, with an entry exactly for the cold records.
+fn check_cold_table(run: &RunResult, case: &str) {
+    let table = &run.cold_starts;
+    assert!(
+        table.windows(2).all(|w| w[0].0 < w[1].0),
+        "{case}: the table is not strictly sorted by index"
+    );
+    for (i, r) in run.records.iter().enumerate() {
+        assert_eq!(r.index, i, "{case}: records in trace order");
+        assert_eq!(
+            r.cold,
+            run.cold_start(i).is_some(),
+            "{case}: record {i}'s cold flag disagrees with the table"
+        );
+    }
+    assert_eq!(
+        table.len(),
+        run.records.iter().filter(|r| r.cold).count(),
+        "{case}: an entry per cold record"
+    );
+    let walked: Vec<_> = run
+        .records_with_cold_starts()
+        .filter_map(|(r, bd)| Some((r.index, *bd?)))
+        .collect();
+    assert_eq!(&walked, table, "{case}: the walk reads the table in order");
+}
+
+#[test]
+fn cold_start_tables_match_the_records_for_any_worker_budget() {
+    // Every run keeps its cold-start breakdowns in a side table sorted by
+    // record index. Whatever the batching, provisioning, retries and
+    // faults, and however the run is sharded, the table must hold one
+    // entry exactly per cold record and be the same for every worker
+    // budget.
+    let seed = Seed(1618);
+    let tr = trace(seed);
+    let mut faults = FaultPlan::none();
+    faults.crash_mid_exec = 0.05;
+    faults.packet_loss = 0.05;
+    faults.client_jitter_ms = 25.0;
+    let batched = |policy| {
+        Executor::new(ExecutorConfig {
+            batch_override: Some(policy),
+            ..ExecutorConfig::default()
+        })
+    };
+    let serverless = Deployment::new(
+        PlatformKind::AwsServerless,
+        ModelKind::MobileNet,
+        RuntimeKind::Tf115,
+    );
+    let cases = [
+        ("plain", serverless, Executor::default()),
+        (
+            "provisioned",
+            serverless.with_provisioned_concurrency(1),
+            Executor::default(),
+        ),
+        ("fixed(4)", serverless, batched(BatchPolicy::Fixed(4))),
+        (
+            "adaptive",
+            serverless,
+            batched(BatchPolicy::Adaptive {
+                max_wait: SimDuration::from_millis(200),
+                max_batch: 8,
+            }),
+        ),
+        (
+            "retrying",
+            serverless,
+            Executor::new(ExecutorConfig {
+                retry: RetryPolicy::standard(),
+                ..ExecutorConfig::default()
+            })
+            .with_faults(faults),
+        ),
+    ];
+    for (label, dep, exec) in cases {
+        let mut sharded_table = None;
+        for shards in [0, 1, 2] {
+            let exec = if shards == 0 {
+                exec.clone()
+            } else {
+                exec.clone().with_shards(shards)
+            };
+            let run = exec.run(&dep, &tr, seed).unwrap();
+            let case = format!("{label}, shards {shards}");
+            check_cold_table(&run, &case);
+            // A sharded client's share of the load can fit its
+            // provisioned instance, so only the whole fleet must go cold.
+            if shards == 0 || label != "provisioned" {
+                assert!(!run.cold_starts.is_empty(), "{case}: no cold start at all");
+            }
+            if shards > 0 {
+                let table = sharded_table.get_or_insert_with(|| run.cold_starts.clone());
+                assert_eq!(
+                    *table, run.cold_starts,
+                    "{case}: table differs from shards 1"
+                );
+            }
+        }
     }
 }
 
@@ -493,7 +607,7 @@ fn run_arena_recycling_is_invisible() {
     let records = |exec: &Executor| {
         let run = exec.run(&serverless, &tr, seed).unwrap();
         let digest = serde_json_digest(&analyze(&run));
-        (run.records, digest)
+        (run.records, run.cold_starts, digest)
     };
     let fresh_plain = on_fresh_thread(|| records(&plain));
     let fresh_retrying = on_fresh_thread(|| records(&retrying));

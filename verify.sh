@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: formatting, release build, whole test suite,
-# pedantic clippy.
+# pedantic clippy, warning-free docs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -9,6 +9,9 @@ cargo fmt --check
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+# The API docs build without a warning: no broken or private intra-doc
+# link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The benchmark package is a workspace of its own, so the two lines above
 # never build it, yet it drives the slsb_core API: test it and run its
