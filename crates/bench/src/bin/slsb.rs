@@ -17,7 +17,6 @@
 //! per-instance timelines.
 
 use slsb_bench::cli::extract_log_level;
-use slsb_bench::perf;
 use slsb_bench::ReproConfig;
 use slsb_bench::{out, outln};
 use slsb_core::{
@@ -33,10 +32,11 @@ use slsb_sim::Seed;
 use slsb_workload::{MmppPreset, TraceSummary};
 use std::process::ExitCode;
 
-/// Counting allocator so `slsb bench` can report allocation deltas; the
-/// cost elsewhere is one relaxed atomic increment per allocation.
+/// Counting allocator: `run --profile` charges allocations to profile
+/// regions and the fleet report's `arrival allocs` line reads them; the
+/// cost is a few relaxed atomic updates per allocation.
 #[global_allocator]
-static ALLOC: perf::CountingAllocator = perf::CountingAllocator;
+static ALLOC: slsb_bench::CountingAllocator = slsb_bench::CountingAllocator;
 
 const USAGE: &str = "usage:
   slsb compare   --model <mobilenet|albert|vgg> --workload <w40|w120|w200> [--runtime <tf|ort>] [--seed N] [--scale F]
@@ -47,7 +47,6 @@ const USAGE: &str = "usage:
   slsb trace     <trace.jsonl> [--slo SPEC] [--apps N]
   slsb profile   <profile.json> [--top N] [--collapsed]
   slsb diff      <baseline> <candidate>
-  slsb bench     [--quick] [--out FILE] [--check]
 
 --jobs N runs N simulations in parallel (default: all cores; results are
 bit-identical to --jobs 1 for any N).
@@ -92,13 +91,8 @@ profile renders a profile written by run --profile: the region tree by
 default, --top N the hottest regions by exclusive time, --collapsed
 flamegraph-collapsed lines (path;to;region <exclusive-us>).
 diff compares two artifacts of the same kind (trace JSONL, metrics
-snapshot, profile, or bench report) against regression thresholds and
-exits 2 when the candidate regressed.
-bench measures event-kernel and end-to-end throughput for both the
-timer-wheel and the reference binary-heap kernel and writes the report
-to FILE (default BENCH_kernel.json); --quick runs a smaller smoke-test
-matrix; --check runs a quick measurement and gates it against the
-committed FILE without overwriting it.
+snapshot, or profile) against regression thresholds and exits 2 when
+the candidate regressed.
 
 platforms: aws-serverless gcp-serverless aws-managedml gcp-managedml aws-cpu gcp-cpu aws-gpu gcp-gpu";
 
@@ -767,59 +761,6 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     true
 }
 
-/// Flags accepted by `slsb bench`.
-#[derive(Debug, PartialEq)]
-struct BenchArgs {
-    quick: bool,
-    out: String,
-    check: bool,
-}
-
-fn parse_bench_args(rest: &[String]) -> Result<BenchArgs, String> {
-    let mut args: Vec<String> = rest.to_vec();
-    let out = take_flag(&mut args, "--out")?.unwrap_or_else(|| "BENCH_kernel.json".to_string());
-    let quick = take_switch(&mut args, "--quick");
-    let check = take_switch(&mut args, "--check");
-    if !args.is_empty() {
-        return Err(format!("unexpected bench arguments {args:?}\n{USAGE}"));
-    }
-    Ok(BenchArgs { quick, out, check })
-}
-
-fn cmd_bench(args: &BenchArgs) -> Result<(), String> {
-    if args.check {
-        // Gate mode: a quick measurement against the committed report,
-        // leaving the file untouched. Absolute floors always apply; the
-        // speedup ratio is only compared when the baseline recorded one.
-        // The fleet row runs at full size (it costs well under a second)
-        // so the third-wave throughput bar is graded on the real
-        // workload, not the smoke-size one.
-        let baseline = std::fs::read_to_string(&args.out)
-            .map_err(|e| format!("cannot read baseline {}: {e}", args.out))?;
-        outln!("Checking kernel throughput against {}...\n", args.out);
-        let report = perf::run_benchmarks(&perf::BenchConfig {
-            quick: true,
-            fleet_full: true,
-        })?;
-        outln!("{}", perf::summary(&report));
-        let verdict = perf::check_against(&report, &baseline)?;
-        outln!("\n{verdict}");
-        return Ok(());
-    }
-    let mode = if args.quick { "quick" } else { "full" };
-    outln!("Measuring kernel throughput (wheel vs heap, {mode} matrix)...\n");
-    let report = perf::run_benchmarks(&perf::BenchConfig {
-        quick: args.quick,
-        fleet_full: false,
-    })?;
-    outln!("{}", perf::summary(&report));
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&args.out, json + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", args.out))?;
-    outln!("\nreport written to {}", args.out);
-    Ok(())
-}
-
 /// Splits `slsb trace` arguments into the trace path and its flags.
 fn parse_trace_args(rest: &[String]) -> Result<(String, Option<String>, Option<usize>), String> {
     let mut args: Vec<String> = rest.to_vec();
@@ -980,7 +921,6 @@ fn main() -> ExitCode {
             [a, b] => cmd_diff(a, b),
             _ => Err(format!("diff needs exactly two files\n{USAGE}")),
         },
-        "bench" => parse_bench_args(rest).and_then(|a| cmd_bench(&a)).map(ok),
         "help" | "--help" | "-h" => {
             outln!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -1126,33 +1066,6 @@ mod tests {
         let (path, o) = parse_run_args(&strs(&["a.json"])).unwrap();
         assert_eq!(path, "a.json");
         assert_eq!(o, RunOptions::default());
-    }
-
-    #[test]
-    fn bench_args_defaults_and_flags() {
-        let a = parse_bench_args(&[]).unwrap();
-        assert_eq!(
-            a,
-            BenchArgs {
-                quick: false,
-                out: "BENCH_kernel.json".to_string(),
-                check: false
-            }
-        );
-        let a = parse_bench_args(&strs(&["--quick", "--out", "x.json"])).unwrap();
-        assert_eq!(
-            a,
-            BenchArgs {
-                quick: true,
-                out: "x.json".to_string(),
-                check: false
-            }
-        );
-        // Flags in the other order work too; stray arguments do not.
-        assert!(parse_bench_args(&strs(&["--out", "x.json", "--quick"])).is_ok());
-        assert!(parse_bench_args(&strs(&["--check"])).unwrap().check);
-        assert!(parse_bench_args(&strs(&["extra"])).is_err());
-        assert!(parse_bench_args(&strs(&["--out"])).is_err());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! `slsb diff`: regression comparison between two artifacts of the same
-//! kind — trace JSONL, metrics snapshots, profiles, or bench reports.
+//! kind — trace JSONL, metrics snapshots, or profiles.
 //!
 //! The diff is the CI-facing half of the observability story: every
 //! artifact the toolchain emits (`slsb run --record/--metrics-out/
-//! --profile`, `slsb bench`) can be compared against a committed baseline
-//! with one command, and a thresholded regression turns into a nonzero
-//! exit code that `verify.sh` can gate on. Thresholds are deliberately
-//! loose (latency +10 %, throughput −20 %, …): the point is to catch
+//! --profile`) can be compared against a committed baseline with one
+//! command, and a thresholded regression turns into a nonzero exit code
+//! that `verify.sh` can gate on. Thresholds are deliberately loose
+//! (latency +10 %, success ratio −0.5 points, …): the point is to catch
 //! step-function regressions deterministically, not to flake on noise.
 
 use slsb_obs::trace_view::{parse_jsonl_strict, spans};
@@ -25,8 +25,6 @@ pub enum ArtifactKind {
     Metrics,
     /// A `slsb-profile/v1` document (`slsb run --profile`).
     Profile,
-    /// A `slsb-bench-kernel/v*` report (`BENCH_kernel.json`).
-    Bench,
 }
 
 impl ArtifactKind {
@@ -35,7 +33,6 @@ impl ArtifactKind {
             ArtifactKind::Trace => "trace",
             ArtifactKind::Metrics => "metrics",
             ArtifactKind::Profile => "profile",
-            ArtifactKind::Bench => "bench",
         }
     }
 }
@@ -45,8 +42,6 @@ impl ArtifactKind {
 enum Rule {
     /// Regress when `b > a * (1 + frac)` (and the change is visible).
     RelIncrease(f64),
-    /// Regress when `b < a * (1 - frac)`.
-    RelDecrease(f64),
     /// Regress when `b < a - abs` (absolute drop, e.g. ratios).
     AbsDrop(f64),
     /// Regress when `b > a + abs` (absolute rise, e.g. time shares).
@@ -90,7 +85,6 @@ fn judge(name: &str, a: f64, b: f64, rule: Rule) -> Indicator {
     const EPS: f64 = 1e-12;
     let (regressed, threshold) = match rule {
         Rule::RelIncrease(f) => (b > a * (1.0 + f) + EPS, format!("+{:.0}%", f * 100.0)),
-        Rule::RelDecrease(f) => (b < a * (1.0 - f) - EPS, format!("-{:.0}%", f * 100.0)),
         Rule::AbsDrop(x) => (b < a - x - EPS, format!("-{x}")),
         Rule::AbsRise(x) => (b > a + x + EPS, format!("+{x}")),
         Rule::CountIncrease(f) => (
@@ -146,38 +140,6 @@ impl DiffReport {
     }
 }
 
-/// Minimal deserializable mirror of `BenchReport` — the committed report
-/// type is `Serialize`-only, and the diff only needs headline rows.
-#[derive(Debug, Deserialize)]
-struct BenchDoc {
-    schema: String,
-    #[serde(default = "Default::default")]
-    schedule_pop: Vec<BenchRow>,
-    #[serde(default = "Default::default")]
-    end_to_end: Vec<EndRow>,
-    #[serde(default = "Default::default")]
-    kernel_speedup: f64,
-    #[serde(default = "Default::default")]
-    end_to_end_speedup: f64,
-    #[serde(default = "Default::default")]
-    allocs_per_request: f64,
-}
-
-#[derive(Debug, Deserialize)]
-struct BenchRow {
-    kernel: String,
-    pattern: String,
-    events_per_sec: f64,
-}
-
-#[derive(Debug, Deserialize)]
-struct EndRow {
-    kernel: String,
-    preset: String,
-    mode: String,
-    events_per_sec: f64,
-}
-
 /// Probe for any single-document artifact that carries a `schema` field.
 #[derive(Debug, Deserialize)]
 struct SchemaProbe {
@@ -199,7 +161,6 @@ enum Artifact {
     Trace(Vec<TraceEvent>),
     Metrics,
     Profile,
-    Bench,
 }
 
 impl Artifact {
@@ -208,7 +169,6 @@ impl Artifact {
             Artifact::Trace(_) => ArtifactKind::Trace,
             Artifact::Metrics => ArtifactKind::Metrics,
             Artifact::Profile => ArtifactKind::Profile,
-            Artifact::Bench => ArtifactKind::Bench,
         }
     }
 }
@@ -217,9 +177,6 @@ fn classify(text: &str) -> Result<Artifact, String> {
     if let Ok(probe) = serde_json::from_str::<SchemaProbe>(text) {
         if probe.schema.starts_with("slsb-profile/") {
             return Ok(Artifact::Profile);
-        }
-        if probe.schema.starts_with("slsb-bench") {
-            return Ok(Artifact::Bench);
         }
         return Err(format!("unrecognized artifact schema `{}`", probe.schema));
     }
@@ -230,8 +187,8 @@ fn classify(text: &str) -> Result<Artifact, String> {
         return Ok(Artifact::Trace(events));
     }
     Err(
-        "unrecognized artifact: expected trace JSONL, a metrics snapshot, \
-         a profile, or a bench report"
+        "unrecognized artifact: expected trace JSONL, a metrics snapshot \
+         or a profile"
             .to_string(),
     )
 }
@@ -248,7 +205,6 @@ pub fn diff(text_a: &str, text_b: &str) -> Result<DiffReport, String> {
         (Artifact::Trace(a), Artifact::Trace(b)) => diff_traces(&a, &b)?,
         (Artifact::Metrics, Artifact::Metrics) => diff_metrics(text_a, text_b)?,
         (Artifact::Profile, Artifact::Profile) => diff_profiles(text_a, text_b)?,
-        (Artifact::Bench, Artifact::Bench) => diff_benches(text_a, text_b)?,
         (a, b) => {
             return Err(format!(
                 "artifact kinds differ: baseline is {}, candidate is {}",
@@ -422,63 +378,6 @@ fn diff_profiles(text_a: &str, text_b: &str) -> Result<Vec<Indicator>, String> {
     Ok(out)
 }
 
-fn diff_benches(text_a: &str, text_b: &str) -> Result<Vec<Indicator>, String> {
-    let a: BenchDoc = serde_json::from_str(text_a).map_err(|e| format!("baseline: {e}"))?;
-    let b: BenchDoc = serde_json::from_str(text_b).map_err(|e| format!("candidate: {e}"))?;
-    if a.schema != b.schema {
-        return Err(format!(
-            "bench schemas differ: baseline `{}`, candidate `{}`",
-            a.schema, b.schema
-        ));
-    }
-    let mut out = Vec::new();
-    for row in &a.schedule_pop {
-        let matched = b
-            .schedule_pop
-            .iter()
-            .find(|r| r.kernel == row.kernel && r.pattern == row.pattern)
-            .map_or(0.0, |r| r.events_per_sec);
-        out.push(judge(
-            &format!("eps:{}/{}", row.kernel, row.pattern),
-            row.events_per_sec,
-            matched,
-            Rule::RelDecrease(0.20),
-        ));
-    }
-    for row in &a.end_to_end {
-        let matched = b
-            .end_to_end
-            .iter()
-            .find(|r| r.kernel == row.kernel && r.preset == row.preset && r.mode == row.mode)
-            .map_or(0.0, |r| r.events_per_sec);
-        out.push(judge(
-            &format!("eps:{}/{}/{}", row.kernel, row.preset, row.mode),
-            row.events_per_sec,
-            matched,
-            Rule::RelDecrease(0.20),
-        ));
-    }
-    out.push(judge(
-        "kernel_speedup",
-        a.kernel_speedup,
-        b.kernel_speedup,
-        Rule::RelDecrease(0.20),
-    ));
-    out.push(judge(
-        "end_to_end_speedup",
-        a.end_to_end_speedup,
-        b.end_to_end_speedup,
-        Rule::RelDecrease(0.20),
-    ));
-    out.push(judge(
-        "allocs_per_request",
-        a.allocs_per_request,
-        b.allocs_per_request,
-        Rule::RelIncrease(0.10),
-    ));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,10 +393,6 @@ mod tests {
         assert_eq!(detect(METRICS_A).unwrap(), ArtifactKind::Metrics);
         let profile = slsb_obs::Profile::new(Vec::new(), 1.0).to_json();
         assert_eq!(detect(&profile).unwrap(), ArtifactKind::Profile);
-        let bench = r#"{"schema": "slsb-bench-kernel/v2", "schedule_pop": [],
-                        "end_to_end": [], "kernel_speedup": 1.0,
-                        "end_to_end_speedup": 1.0, "allocs_per_request": 0.5}"#;
-        assert_eq!(detect(bench).unwrap(), ArtifactKind::Bench);
         assert!(detect("garbage").is_err());
         assert!(detect(r#"{"schema": "who-knows/v9"}"#)
             .unwrap_err()
@@ -607,24 +502,6 @@ mod tests {
             .any(|i| i.name == "cold_starts" && i.regressed));
         let report = diff(one, one).unwrap();
         assert!(!report.regressed());
-    }
-
-    #[test]
-    fn bench_diff_compares_matching_rows() {
-        let base = r#"{"schema": "slsb-bench-kernel/v2",
-            "schedule_pop": [{"kernel": "wheel", "pattern": "preload-drain",
-                              "events": 1, "elapsed_secs": 1.0,
-                              "events_per_sec": 1000000.0, "allocations": 0}],
-            "end_to_end": [], "kernel_speedup": 2.0,
-            "end_to_end_speedup": 1.5, "allocs_per_request": 0.5}"#;
-        let slower = base.replace("1000000.0", "700000.0");
-        let report = diff(base, &slower).unwrap();
-        assert!(report.regressed());
-        assert!(report
-            .indicators
-            .iter()
-            .any(|i| i.name == "eps:wheel/preload-drain" && i.regressed));
-        assert!(!diff(base, base).unwrap().regressed());
     }
 
     #[test]

@@ -1299,7 +1299,7 @@ impl Executor {
         trace: &WorkloadTrace,
         seed: Seed,
     ) -> Result<RunResult, PlanError> {
-        self.run_on::<Wheel>(deployment, trace, seed, None)
+        self.replay(deployment, None, trace, seed, None)
     }
 
     /// Like [`Executor::run`] but streams every trace event — platform
@@ -1316,26 +1316,7 @@ impl Executor {
         seed: Seed,
         rec: &mut dyn Recorder,
     ) -> Result<RunResult, PlanError> {
-        self.run_on::<Wheel>(deployment, trace, seed, Some(rec))
-    }
-
-    /// [`Executor::run`] or [`Executor::run_recorded`] with every event
-    /// queue on the pending store `K` instead of the timer wheel. Every
-    /// store delivers the same `(time, sequence)` order, so the result and
-    /// the trace are byte-identical; this exists so the differential tests
-    /// and `slsb bench` can race the reference heap against the wheel on
-    /// the real request path.
-    ///
-    /// # Errors
-    /// Fails when the deployment is invalid.
-    pub fn run_on<K: StoreKind>(
-        &self,
-        deployment: &Deployment,
-        trace: &WorkloadTrace,
-        seed: Seed,
-        rec: Option<&mut dyn Recorder>,
-    ) -> Result<RunResult, PlanError> {
-        self.replay::<K>(deployment, None, trace, seed, rec)
+        self.replay(deployment, None, trace, seed, Some(rec))
     }
 
     /// Replays `trace` against an already-built platform. This is the
@@ -1364,7 +1345,7 @@ impl Executor {
         seed: Seed,
         rec: Option<&mut dyn Recorder>,
     ) -> RunResult {
-        self.replay::<Wheel>(deployment, Some(platform), trace, seed, rec)
+        self.replay(deployment, Some(platform), trace, seed, rec)
             .expect("a pre-built platform needs no validation")
     }
 
@@ -1378,7 +1359,7 @@ impl Executor {
     /// each cell's records go to their trace positions as soon as it
     /// finishes, so the run holds one record table. The decomposition
     /// depends only on the client count, never on the worker budget.
-    fn replay<K: StoreKind>(
+    fn replay(
         &self,
         deployment: &Deployment,
         platform: Option<Platform>,
@@ -1402,7 +1383,7 @@ impl Executor {
         let mut rec = rec.filter(|r| r.enabled());
         let run = if let [cell] = cells.as_slice() {
             let cell_rec = rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-            self.run_cell::<K>(deployment, platform, trace, cell, cell_rec)
+            self.run_cell(deployment, platform, trace, cell, cell_rec)
         } else {
             let table = Mutex::new(vec![
                 unresolved(0, 0, SimTime::ZERO, 0);
@@ -1414,7 +1395,7 @@ impl Executor {
                 rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
                 "executor/merge",
                 |cell, cell_rec| {
-                    let mut out = self.run_cell::<K>(deployment, None, trace, cell, cell_rec);
+                    let mut out = self.run_cell(deployment, None, trace, cell, cell_rec);
                     let records = std::mem::take(&mut out.records);
                     let mut table = table.lock().unwrap_or_else(PoisonError::into_inner);
                     // A cell's client owns every `n_clients`-th request.
@@ -1455,7 +1436,7 @@ impl Executor {
 
     /// Replays one cell on this thread's run arena, on `platform` or, when
     /// none is given, on one built from the cell seed.
-    fn run_cell<K: StoreKind>(
+    fn run_cell(
         &self,
         deployment: &Deployment,
         platform: Option<Platform>,
@@ -1470,7 +1451,7 @@ impl Executor {
         });
         ARENA.with(|arena| {
             let (mut arena, rec) = (arena.borrow_mut(), rec.map(|r| r as &mut dyn Recorder));
-            self.run_cell_in::<K>(deployment, platform, trace, cell, rec, &mut arena)
+            self.run_cell_in(deployment, platform, trace, cell, rec, &mut arena)
         })
     }
 
@@ -1482,7 +1463,7 @@ impl Executor {
     /// hands their deliveries to the kernel. All run-lifetime state
     /// besides the records lives in `arena`.
     #[allow(clippy::too_many_lines)]
-    fn run_cell_in<'a, K: StoreKind>(
+    fn run_cell_in<'a>(
         &self,
         deployment: &Deployment,
         mut platform: Platform,
@@ -1584,7 +1565,7 @@ impl Executor {
         drop(arrivals_guard);
 
         let engine_guard = ProfGuard::enter("executor/engine");
-        let queue = EventQueue::<ExecEvent, K>::with_store_capacity(1024);
+        let queue = EventQueue::<ExecEvent>::with_store_capacity(1024);
         let spans = if tracing {
             vec![Span::default(); n]
         } else {
@@ -1652,7 +1633,7 @@ impl Executor {
         // retries no client can receive them any more.
         let sys = &mut engine.system;
         sys.io.finish(&mut sys.platform, end.teardown);
-        sys.settle_drained::<K>(None);
+        sys.settle_drained::<Wheel>(None);
         drop(engine_guard);
         let _resolve = ProfGuard::enter("executor/resolve");
 

@@ -30,6 +30,10 @@ use slsb_obs::FaultKind;
 use slsb_sim::{Seed, SimDuration, SimRng, SimTime};
 use std::fmt;
 
+/// A year in seconds: the bound on the plan's durations, far below where
+/// instant arithmetic could overflow.
+const MAX_DURATION_S: f64 = 365.0 * 86_400.0;
+
 /// A token-bucket admission throttle (429-style), refilled continuously
 /// at `rate_per_sec` up to a capacity of `burst` tokens. Each admitted
 /// request consumes one token; a request arriving to an empty bucket is
@@ -158,6 +162,8 @@ impl FaultPlan {
     }
 
     /// Checks every knob for well-formedness; returns the first problem.
+    /// Durations longer than a year are rejected: they would saturate
+    /// [`SimDuration`] and then wrap in instant arithmetic.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         let chances = [
             ("crash_on_boot", self.crash_on_boot),
@@ -173,12 +179,16 @@ impl FaultPlan {
         if !self.storage_slowdown.is_finite() || self.storage_slowdown < 1.0 {
             return Err(FaultPlanError::BadSlowdown(self.storage_slowdown));
         }
-        for (name, v) in [
-            ("storage_stall_s", self.storage_stall_s),
-            ("client_jitter_ms", self.client_jitter_ms),
+        // (field, value, units per second)
+        for (name, v, per_s) in [
+            ("storage_stall_s", self.storage_stall_s, 1.0),
+            ("client_jitter_ms", self.client_jitter_ms, 1e3),
         ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(FaultPlanError::NegativeDuration { name, value: v });
+            }
+            if v / per_s > MAX_DURATION_S {
+                return Err(FaultPlanError::DurationTooLong { name, value: v });
             }
         }
         if let Some(t) = &self.throttle {
@@ -222,6 +232,13 @@ pub enum FaultPlanError {
         /// Its value.
         value: f64,
     },
+    /// A duration knob longer than a year.
+    DurationTooLong {
+        /// The offending field.
+        name: &'static str,
+        /// Its value, in the field's unit.
+        value: f64,
+    },
     /// A throttle with non-positive rate or a burst below one token.
     BadThrottle(ThrottleSpec),
     /// An outage window with negative start or non-positive length.
@@ -239,6 +256,9 @@ impl fmt::Display for FaultPlanError {
             }
             FaultPlanError::NegativeDuration { name, value } => {
                 write!(f, "{name} = {value} must be finite and >= 0")
+            }
+            FaultPlanError::DurationTooLong { name, value } => {
+                write!(f, "{name} = {value} is longer than a year")
             }
             FaultPlanError::BadThrottle(t) => write!(
                 f,
@@ -590,6 +610,36 @@ mod tests {
             bad_outage.validate(),
             Err(FaultPlanError::BadOutage(_))
         ));
+        for (name, plan) in [
+            (
+                "storage_stall_s",
+                FaultPlan {
+                    storage_stall_s: 1e300,
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                "client_jitter_ms",
+                FaultPlan {
+                    client_jitter_ms: 1e308,
+                    ..FaultPlan::default()
+                },
+            ),
+        ] {
+            let err = plan.validate().unwrap_err();
+            assert!(
+                matches!(err, FaultPlanError::DurationTooLong { name: n, .. } if n == name),
+                "{err}"
+            );
+            assert!(err.to_string().contains(name), "{err}");
+        }
+        // A year is the last value allowed.
+        let year = FaultPlan {
+            storage_stall_s: MAX_DURATION_S,
+            client_jitter_ms: MAX_DURATION_S * 1e3,
+            ..FaultPlan::default()
+        };
+        year.validate().unwrap();
         for e in [
             FaultPlanError::BadSlowdown(0.0),
             FaultPlanError::NegativeDuration {

@@ -11,9 +11,10 @@
 //! queue's [`StoreKind`] parameter. The default, [`Wheel`], is the
 //! hierarchical timer wheel (the crate's private `wheel` module) with
 //! O(1) amortized schedule/pop for near-future events. [`ReferenceHeap`] is the original
-//! binary heap, kept as the reference model that the differential tests
-//! and `slsb bench` race the wheel against; only code that names it gets
-//! it. Both deliver the exact same `(time, sequence)` order, so the store
+//! binary heap, kept as the reference model that the kernel differential
+//! tests check the wheel against, operation for operation, and that the
+//! release-only `kernel_ratio` test races it against; only code that
+//! names it gets it. Both deliver the exact same `(time, sequence)` order, so the store
 //! never changes a simulation's results, only its speed, and no queue
 //! operation branches on which one it is.
 
@@ -75,11 +76,9 @@ pub trait PendingStore<E> {
 }
 
 /// A family of [`PendingStore`]s, one per event type: the type parameter
-/// that picks an [`EventQueue`]'s store, so code that builds queues of its
-/// own private event types (the executor) can be generic over it.
+/// that picks an [`EventQueue`]'s store, so [`System::handle`] and the
+/// engine code it calls can be generic over it.
 pub trait StoreKind {
-    /// Stable lowercase name, used in benchmark reports.
-    const NAME: &'static str;
     /// The store for events of type `E`.
     type Store<E>: PendingStore<E>;
 }
@@ -89,16 +88,15 @@ pub trait StoreKind {
 pub enum Wheel {}
 
 impl StoreKind for Wheel {
-    const NAME: &'static str = "wheel";
     type Store<E> = TimerWheel<E>;
 }
 
 /// The original `BinaryHeap`: O(log n) per operation. Retained as the
-/// reference model for equivalence tests and as the benchmark baseline.
+/// reference model for the differential tests and as the yardstick of
+/// the wheel's speed test.
 pub enum ReferenceHeap {}
 
 impl StoreKind for ReferenceHeap {
-    const NAME: &'static str = "heap";
     type Store<E> = BinaryHeap<Scheduled<E>>;
 }
 
@@ -416,6 +414,7 @@ impl<S: System, K: StoreKind> Engine<S, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::any::type_name;
 
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
@@ -449,7 +448,7 @@ mod tests {
             eng.queue.schedule_at(SimTime::from_secs_f64(2.0), 2);
             assert_eq!(eng.run_to_completion(), 3);
             let order: Vec<u32> = eng.system.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(order, vec![1, 2, 3], "{}", K::NAME);
+            assert_eq!(order, vec![1, 2, 3], "{}", type_name::<K>());
         }
         check::<Wheel>();
         check::<ReferenceHeap>();
@@ -465,7 +464,7 @@ mod tests {
             }
             eng.run_to_completion();
             let order: Vec<u32> = eng.system.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{}", K::NAME);
+            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{}", type_name::<K>());
         }
         check::<Wheel>();
         check::<ReferenceHeap>();
@@ -490,7 +489,12 @@ mod tests {
             eng.queue.schedule_at(SimTime::from_secs_f64(1.0), 1);
             eng.queue.schedule_at(SimTime::from_secs_f64(2.0), 2);
             eng.queue.schedule_at(SimTime::from_secs_f64(3.0), 3);
-            assert_eq!(eng.run_until(SimTime::from_secs_f64(2.0)), 2, "{}", K::NAME);
+            assert_eq!(
+                eng.run_until(SimTime::from_secs_f64(2.0)),
+                2,
+                "{}",
+                type_name::<K>()
+            );
             assert_eq!(eng.queue.len(), 1);
             assert_eq!(eng.now(), SimTime::from_secs_f64(2.0));
         }
@@ -541,7 +545,7 @@ mod tests {
             eng.queue.schedule_at(SimTime::ZERO, 0);
             eng.queue.schedule_at(SimTime::ZERO, 1);
             eng.run_to_completion();
-            assert_eq!(eng.system.seen, vec![0, 1, 99], "{}", K::NAME);
+            assert_eq!(eng.system.seen, vec![0, 1, 99], "{}", type_name::<K>());
         }
         check::<Wheel>();
         check::<ReferenceHeap>();
@@ -627,7 +631,7 @@ mod tests {
             q.schedule_at(SimTime::from_micros(20), 1);
             let h = SimTime::from_micros(15);
             assert_eq!(q.pop_at_or_before(h), Some((SimTime::from_micros(10), 0)));
-            assert_eq!(q.pop_at_or_before(h), None, "{}", K::NAME);
+            assert_eq!(q.pop_at_or_before(h), None, "{}", type_name::<K>());
             assert_eq!(q.now(), SimTime::from_micros(10));
             assert_eq!(q.len(), 1);
             // A later horizon releases the held event.
@@ -688,7 +692,7 @@ mod tests {
             }
             let a: Vec<_> = std::iter::from_fn(|| one.pop()).collect();
             let b: Vec<_> = std::iter::from_fn(|| many.pop()).collect();
-            assert_eq!(a, b, "{}", K::NAME);
+            assert_eq!(a, b, "{}", type_name::<K>());
             // And the tie order itself is pinned: batch order 10, 12, 14
             // between the pre- and post-batch events at t=50.
             let ties: Vec<u32> = b
@@ -696,7 +700,7 @@ mod tests {
                 .filter(|&&(at, _)| at == t(50))
                 .map(|&(_, e)| e)
                 .collect();
-            assert_eq!(ties, vec![0, 10, 12, 14, 2], "{}", K::NAME);
+            assert_eq!(ties, vec![0, 10, 12, 14, 2], "{}", type_name::<K>());
         }
         check::<Wheel>();
         check::<ReferenceHeap>();
@@ -766,10 +770,10 @@ mod tests {
                 follow(&mut fed, ev);
                 b.push((at, ev));
             }
-            assert_eq!(a, b, "{}", K::NAME);
+            assert_eq!(a, b, "{}", type_name::<K>());
             let ties = |at| -> Vec<u32> { b.iter().filter(|e| e.0 == at).map(|e| e.1).collect() };
-            assert_eq!(ties(t(50)), [0, 10, 12, 100], "{}", K::NAME);
-            assert_eq!(ties(t(9_000)), [11, 14, 101], "{}", K::NAME);
+            assert_eq!(ties(t(50)), [0, 10, 12, 100], "{}", type_name::<K>());
+            assert_eq!(ties(t(9_000)), [11, 14, 101], "{}", type_name::<K>());
         }
         check::<Wheel>();
         check::<ReferenceHeap>();

@@ -2,9 +2,9 @@
 //!
 //! A *tree* of named scopes that accumulate inclusive wall time, entry
 //! counts, and heap allocations. It is the workspace's only attribution
-//! mechanism: per-subsystem allocation breakdowns (`slsb bench`'s
-//! `alloc_breakdown`, the fleet's `arrival allocs`) are read off the
-//! tree's nodes, next to [`crate::alloc`]'s process-wide total. Guards
+//! mechanism: per-subsystem allocation breakdowns (the fleet's `arrival
+//! allocs`, the kernel/platform split that `alloc_attribution.rs` checks)
+//! are read off the tree's nodes, next to [`crate::alloc`]'s process-wide total. Guards
 //! are cheap enough to leave on every hot path:
 //!
 //! - **Disabled (the default)** a [`ProfGuard`] costs one relaxed atomic

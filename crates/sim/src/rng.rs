@@ -353,8 +353,9 @@ impl SimRng {
         if lo == hi {
             return lo;
         }
-        let span = hi.as_micros() - lo.as_micros() + 1;
-        let offset = (((self.next_u64() as u128) * (span as u128)) >> 64) as u64;
+        // In u128: the full range `[0, u64::MAX]` spans 2^64 values.
+        let span = u128::from(hi.as_micros() - lo.as_micros()) + 1;
+        let offset = ((u128::from(self.next_u64()) * span) >> 64) as u64;
         SimDuration::from_micros(lo.as_micros() + offset)
     }
 }
@@ -518,6 +519,21 @@ mod tests {
         for _ in 0..1000 {
             let d = rng.uniform_duration(lo, hi);
             assert!(d >= lo && d <= hi);
+        }
+    }
+
+    #[test]
+    fn full_range_uniform_duration_is_in_bounds_and_not_constant() {
+        // The span of [0, u64::MAX] µs is 2^64 values, one past u64.
+        let mut rng = Seed(13).rng();
+        let (lo, hi) = (SimDuration::ZERO, SimDuration::from_micros(u64::MAX));
+        let draws: Vec<SimDuration> = (0..64).map(|_| rng.uniform_duration(lo, hi)).collect();
+        assert!(draws.iter().all(|&d| d >= lo && d <= hi));
+        assert!(draws.iter().any(|&d| d != draws[0]), "{draws:?}");
+        // A range that starts above zero and ends at the maximum.
+        let lo = SimDuration::from_micros(u64::MAX - 10);
+        for _ in 0..100 {
+            assert!(rng.uniform_duration(lo, hi) >= lo);
         }
     }
 

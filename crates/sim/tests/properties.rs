@@ -73,14 +73,29 @@ enum Step {
     After(u64),
     /// Pop this many events.
     Pop(usize),
+    /// Schedule this many events in one `schedule_many` call, the k-th
+    /// (from 0) `delay / (k + 1)` µs after the current time: a burst out
+    /// of time order, all ties when `delay` is 0.
+    Burst { delay: u64, n: usize },
+    /// Reserve this many sequence numbers with `reserve_seqs`.
+    Reserve(usize),
+    /// Schedule up to this many of the oldest reserved, not yet scheduled
+    /// numbers in one `schedule_reserved` call, `delay` µs after the
+    /// current time.
+    Feed { delay: u64, n: usize },
 }
 
 /// Runs `steps` on a wheel and a heap queue side by side, then drains
-/// both; panics at the first pop on which they differ.
+/// both; panics at the first pop on which they differ. Every scheduling
+/// operation the engines use is covered: `schedule_at`, `schedule_many`
+/// bursts, and sequence numbers reserved up front and scheduled later in
+/// `schedule_reserved` bursts, the way the executor feeds deliveries.
 fn assert_kernels_agree(steps: &[Step]) {
     let mut wheel = EventQueue::new();
     let mut heap = EventQueue::<_, ReferenceHeap>::default();
     let mut id = 0u64;
+    // Reserved numbers not yet scheduled, oldest first.
+    let mut reserved = std::collections::VecDeque::new();
     for (i, &step) in steps.iter().enumerate() {
         match step {
             Step::After(delay) => {
@@ -94,6 +109,33 @@ fn assert_kernels_agree(steps: &[Step]) {
                     assert_eq!(wheel.pop(), heap.pop(), "step {i} of {steps:?}");
                 }
             }
+            Step::Burst { delay, n } => {
+                let now = wheel.now();
+                let burst: Vec<(SimTime, u64)> = (0..n as u64)
+                    .map(|k| (now + SimDuration::from_micros(delay / (k + 1)), id + k))
+                    .collect();
+                wheel.schedule_many(burst.iter().copied());
+                heap.schedule_many(burst);
+                id += n as u64;
+            }
+            Step::Reserve(n) => {
+                let first = wheel.reserve_seqs(n as u64);
+                assert_eq!(heap.reserve_seqs(n as u64), first, "step {i}");
+                reserved.extend(first..first + n as u64);
+            }
+            Step::Feed { delay, n } => {
+                let at = wheel.now() + SimDuration::from_micros(delay);
+                let take = n.min(reserved.len());
+                let feed: Vec<(SimTime, u64, u64)> = reserved
+                    .drain(..take)
+                    .map(|seq| {
+                        id += 1;
+                        (at, seq, id - 1)
+                    })
+                    .collect();
+                wheel.schedule_reserved(feed.iter().copied());
+                heap.schedule_reserved(feed);
+            }
         }
         assert_eq!(wheel.len(), heap.len(), "step {i}");
         assert_eq!(wheel.peek_time(), heap.peek_time(), "step {i}");
@@ -104,6 +146,20 @@ fn assert_kernels_agree(steps: &[Step]) {
         if a.is_none() {
             break;
         }
+    }
+}
+
+/// Shapes a generated `(kind, raw)` pair into a step of any kind, with
+/// delays that stress every wheel path (see [`shape_delay`]).
+fn shape_step(kind: u64, raw: u64) -> Step {
+    let delay = shape_delay(raw);
+    let n = (raw % 17) as usize;
+    match kind % 5 {
+        0 => Step::After(delay),
+        1 => Step::Pop(n % 5),
+        2 => Step::Burst { delay, n },
+        3 => Step::Reserve(n),
+        _ => Step::Feed { delay, n },
     }
 }
 
@@ -391,6 +447,22 @@ proptest! {
             steps.push(Step::After(shape_far_delay(raw)));
             steps.push(Step::Pop(pops[i % pops.len()]));
         }
+        assert_kernels_agree(&steps);
+    }
+
+    /// Scripts mixing every queue operation the engines use: single
+    /// schedules, `schedule_many` bursts, reserved sequence numbers fed
+    /// later through `schedule_reserved`, and interleaved pops.
+    #[test]
+    fn kernels_agree_on_bursts_and_reserved_sequence_numbers(
+        kinds in prop::collection::vec(0u64..5, 1..200),
+        raws in prop::collection::vec(0u64..16_777_216, 1..200),
+    ) {
+        let steps: Vec<Step> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| shape_step(kind, raws[i % raws.len()]))
+            .collect();
         assert_kernels_agree(&steps);
     }
 

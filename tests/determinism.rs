@@ -10,8 +10,7 @@ use slsbench::core::{
 use slsbench::model::{ModelKind, RuntimeKind};
 use slsbench::obs::{trace_view, JsonlRecorder, MemoryRecorder, SpanOutcome};
 use slsbench::platform::{FaultPlan, PlatformKind};
-use slsbench::sim::event::ReferenceHeap;
-use slsbench::sim::{Seed, SimDuration, StoreKind, Wheel};
+use slsbench::sim::{Seed, SimDuration};
 use slsbench::workload::{MmppPreset, MmppSpec, WorkloadTrace};
 
 fn trace(seed: Seed) -> WorkloadTrace {
@@ -194,12 +193,13 @@ fn recorded_traces_are_byte_identical() {
 }
 
 #[test]
-fn timer_wheel_and_heap_kernels_are_byte_identical() {
-    // The timer-wheel kernel is a pure scheduling optimization: swapping
-    // it for the reference binary heap must not move a single byte of the
-    // recorded trace or the analysis, on any platform family, nor under
-    // retries and packet loss, which schedule client receipts and attempt
-    // timeouts.
+fn platform_and_retry_matrix_replays_byte_identically() {
+    // Every platform family, and serverless under retries and packet
+    // loss (which schedule client receipts and attempt timeouts): a
+    // second replay records the same trace and analyzes the same, and
+    // retries fire only in retry mode. The event queue's wheel is checked
+    // against the reference heap operation for operation, every queue op
+    // the engines use included, in crates/sim/tests/properties.rs.
     let seed = Seed(42);
     let tr = trace(seed);
     let mut lossy = FaultPlan::none();
@@ -217,23 +217,18 @@ fn timer_wheel_and_heap_kernels_are_byte_identical() {
         (PlatformKind::GcpGpu, &plain),
         (PlatformKind::AwsServerless, &retrying),
     ];
-    fn dump<K: StoreKind>(
-        exec: &Executor,
-        dep: &Deployment,
-        tr: &WorkloadTrace,
-        seed: Seed,
-    ) -> (Vec<u8>, String, u64) {
+    let dump = |exec: &Executor, dep: &Deployment| -> (Vec<u8>, String, u64) {
         let mut buf = Vec::new();
         let mut rec = JsonlRecorder::new(&mut buf);
-        let run = exec.run_on::<K>(dep, tr, seed, Some(&mut rec)).unwrap();
+        let run = exec.run_recorded(dep, &tr, seed, &mut rec).unwrap();
         rec.finish().unwrap();
         (buf, serde_json_digest(&analyze(&run)), run.retries)
-    }
+    };
     for (platform, exec) in cases {
         let dep = Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
-        let (wheel_trace, wheel_analysis, retries) = dump::<Wheel>(exec, &dep, &tr, seed);
-        let (heap_trace, heap_analysis, _) = dump::<ReferenceHeap>(exec, &dep, &tr, seed);
-        assert!(!wheel_trace.is_empty());
+        let (first_trace, first_analysis, retries) = dump(exec, &dep);
+        let (second_trace, second_analysis, _) = dump(exec, &dep);
+        assert!(!first_trace.is_empty());
         let retry_mode = exec.config().retry.enabled();
         assert_eq!(
             retries > 0,
@@ -241,12 +236,12 @@ fn timer_wheel_and_heap_kernels_are_byte_identical() {
             "{platform:?}: retries fire only in retry mode"
         );
         assert_eq!(
-            wheel_trace, heap_trace,
-            "{platform:?} (retry {retry_mode}): kernels must record identical traces"
+            first_trace, second_trace,
+            "{platform:?} (retry {retry_mode}): replays must record identical traces"
         );
         assert_eq!(
-            wheel_analysis, heap_analysis,
-            "{platform:?} (retry {retry_mode}): kernels must analyze identically"
+            first_analysis, second_analysis,
+            "{platform:?} (retry {retry_mode}): replays must analyze identically"
         );
     }
 }
