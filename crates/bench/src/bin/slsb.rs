@@ -500,7 +500,10 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
     outln!("# {}\n", scenario.name);
     outln!("deployment    : {}", scenario.deployment.label());
     outln!("requests      : {}", a.total);
-    outln!("success ratio : {}", fmt_pct(a.success_ratio));
+    outln!(
+        "success ratio : {}",
+        success_ratio(a.total, a.success_ratio)
+    );
     outln!("mean latency  : {}", fmt_opt_secs(a.mean_latency()));
     outln!("cost          : {}", fmt_money(a.cost.total()));
     outln!("cold starts   : {}", a.cold_started);
@@ -551,6 +554,16 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// A run's success ratio as `slsb run` prints it: `-` for a run with no
+/// requests, which has nothing to succeed at.
+fn success_ratio(requests: u64, ratio: f64) -> String {
+    if requests == 0 {
+        "-".to_string()
+    } else {
+        fmt_pct(ratio)
+    }
 }
 
 /// Whether the document carries a `"fleet"` *key* (the vendored
@@ -643,7 +656,10 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
     outln!("# {} (fleet)\n", scenario.name);
     outln!("apps          : {}", run.apps.len());
     outln!("requests      : {}", run.requests);
-    outln!("success ratio : {}", fmt_pct(run.success_ratio()));
+    outln!(
+        "success ratio : {}",
+        success_ratio(run.requests, run.success_ratio())
+    );
     outln!("mean latency  : {}", fmt_opt_secs(run.latency.mean()));
     outln!(
         "p99 latency   : {}",

@@ -142,7 +142,10 @@ pub fn table1(cfg: &ReproConfig) -> Output {
     // A cell's cost is the platform's bill: no analysis needed.
     let costs = |platform: PlatformKind, model: ModelKind| {
         let dep = Deployment::new(platform, model, RuntimeKind::Tf115);
-        MmppPreset::ALL.map(|preset| fmt_money(cfg.replay(&dep, preset).platform.cost.total()))
+        MmppPreset::ALL.map(|preset| {
+            let trace = cfg.trace(preset);
+            fmt_money(cfg.replay(&dep, &trace).platform.cost.total())
+        })
     };
     for platform in PlatformKind::ALL {
         if platform.is_serverless() || platform.is_managed_ml() {

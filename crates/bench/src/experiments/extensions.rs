@@ -5,8 +5,8 @@
 
 use super::{Output, ReproConfig};
 use slsb_core::{
-    analyze, explore, fmt_money, fmt_opt_secs, BatchPolicy, Deployment, Executor, ExecutorConfig,
-    ExplorerGrid, Table,
+    analyze_outcomes, explore, fmt_money, fmt_opt_secs, BatchPolicy, Deployment, Executor,
+    ExecutorConfig, ExplorerGrid, OutcomeRun, Table,
 };
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::{CloudProvider, Platform, PlatformKind, ServerlessConfig};
@@ -54,9 +54,9 @@ pub fn adaptive(cfg: &ReproConfig) -> Output {
             let trace = cfg.trace(MmppPreset::W120);
             let dep = Deployment::new(PlatformKind::AwsServerless, model, RuntimeKind::Tf115);
             let run = exec
-                .run(&dep, &trace, cfg.seed())
+                .run_outcomes(&dep, &trace, cfg.seed())
                 .expect("valid deployment");
-            let a = analyze(&run);
+            let a = analyze_outcomes(&run);
             t.push_row(vec![
                 model.to_string(),
                 label.to_string(),
@@ -174,8 +174,8 @@ pub fn scaling(cfg: &ReproConfig) -> Output {
         );
         scfg.params.spawn_factor = factor;
         let platform = Platform::serverless(scfg, cfg.seed());
-        let run = Executor::default().run_built(&dep, platform, &trace, cfg.seed());
-        let a = analyze(&run);
+        let run = Executor::default().run_built_outcomes(&dep, platform, &trace, cfg.seed());
+        let a = analyze_outcomes(&run);
         t.push_row(vec![
             format!("{factor:.1}"),
             a.cold_started.to_string(),
@@ -213,8 +213,8 @@ pub fn scaling(cfg: &ReproConfig) -> Output {
         );
         scfg.params.pending_per_starting = depth;
         let platform = Platform::serverless(scfg, cfg.seed());
-        let run = Executor::default().run_built(&dep_aws, platform, &trace, cfg.seed());
-        let a = analyze(&run);
+        let run = Executor::default().run_built_outcomes(&dep_aws, platform, &trace, cfg.seed());
+        let a = analyze_outcomes(&run);
         t2.push_row(vec![
             depth.to_string(),
             a.cold_started.to_string(),
@@ -266,8 +266,8 @@ pub fn hybrid(cfg: &ReproConfig) -> Output {
     );
     let mut notes = Vec::new();
 
-    let mut push = |name: &str, run: &slsb_core::RunResult| {
-        let a = analyze(run);
+    let mut push = |name: &str, run: &OutcomeRun<'_>| {
+        let a = analyze_outcomes(run);
         t.push_row(vec![
             name.to_string(),
             fmt_opt_secs(a.mean_latency()),
@@ -282,7 +282,7 @@ pub fn hybrid(cfg: &ReproConfig) -> Output {
     };
 
     // Each run is tabulated and dropped as it finishes, so no more than
-    // one run's records are alive at a time.
+    // one run's outcome table is alive at a time.
     let gpu = Deployment::new(
         PlatformKind::AwsGpu,
         ModelKind::MobileNet,
@@ -290,11 +290,11 @@ pub fn hybrid(cfg: &ReproConfig) -> Output {
     );
     push(
         "Pure GPU server",
-        &exec.run(&gpu, &trace, cfg.seed()).expect("valid"),
+        &exec.run_outcomes(&gpu, &trace, cfg.seed()).expect("valid"),
     );
     push(
         "Pure serverless",
-        &exec.run(&dep, &trace, cfg.seed()).expect("valid"),
+        &exec.run_outcomes(&dep, &trace, cfg.seed()).expect("valid"),
     );
 
     for depth in [4usize, 16, 64] {
@@ -312,7 +312,7 @@ pub fn hybrid(cfg: &ReproConfig) -> Output {
             policy: SpilloverPolicy::QueueDepth(depth),
         };
         let platform = Platform::hybrid(hybrid_cfg, cfg.seed());
-        let run = exec.run_built(&dep, platform, &trace, cfg.seed());
+        let run = exec.run_built_outcomes(&dep, platform, &trace, cfg.seed());
         push(&format!("Hybrid (spill at depth {depth})"), &run);
     }
 

@@ -24,7 +24,7 @@ pub mod timelines;
 pub mod workloads;
 
 use slsb_core::{
-    analyze, Analysis, Deployment, Executor, ExperimentId, RunResult, Table, TraceCache,
+    analyze_outcomes, Analysis, Deployment, Executor, ExperimentId, OutcomeRun, Table, TraceCache,
 };
 use slsb_sim::Seed;
 use slsb_workload::{MmppPreset, TooManyRequests, WorkloadTrace};
@@ -101,22 +101,16 @@ impl ReproConfig {
 
     /// Runs `deployment` on `preset` and analyzes it.
     pub fn run(&self, deployment: &Deployment, preset: MmppPreset) -> Analysis {
-        self.run_full(deployment, preset).1
-    }
-
-    /// Runs `deployment` on `preset`, keeping the raw records too.
-    pub fn run_full(&self, deployment: &Deployment, preset: MmppPreset) -> (RunResult, Analysis) {
-        let run = self.replay(deployment, preset);
-        let analysis = analyze(&run);
-        (run, analysis)
-    }
-
-    /// Runs `deployment` on `preset` without analyzing it, for callers
-    /// that read only the platform report.
-    pub fn replay(&self, deployment: &Deployment, preset: MmppPreset) -> RunResult {
         let trace = self.trace(preset);
+        analyze_outcomes(&self.replay(deployment, &trace))
+    }
+
+    /// Replays `deployment` on `trace` at this config's seed. The run
+    /// settles into an outcome table: experiments read analyses, bills
+    /// and SLO attainment, never records.
+    pub fn replay<'t>(&self, deployment: &Deployment, trace: &'t WorkloadTrace) -> OutcomeRun<'t> {
         Executor::default()
-            .run(deployment, &trace, self.seed())
+            .run_outcomes(deployment, trace, self.seed())
             .expect("experiment deployments are valid by construction")
     }
 }

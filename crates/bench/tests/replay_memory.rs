@@ -1,12 +1,15 @@
-//! The memory bound of one replay, read off the live-bytes high-water mark
-//! of the counting allocator. A replay holds O(requests) memory only for
-//! its output records, whose cold-start breakdowns sit in a side table
-//! with an entry per cold request only. Each client is a lane that sends as its batches
-//! come up, deliveries reach the kernel a burst at a time, responses
-//! settle as they drain, and a lane keeps a byte per invocation in flight,
-//! so no platform or executor buffer grows with the request count. A
-//! sharded replay places each cell's records as the cell finishes, so it
-//! holds one record table too.
+//! The memory bound of one replay that keeps records, read off the
+//! live-bytes high-water mark of the counting allocator. A replay holds
+//! O(requests) memory only for its sink, here the output records, whose
+//! cold-start breakdowns sit in a side table with an entry per cold
+//! request only. (Analysis-only replays settle into an outcome table
+//! instead; `outcome_memory.rs` bounds those.) Each client is a lane that
+//! sends as its batches come up, deliveries reach the kernel a burst at a
+//! time, responses settle as they drain, and a lane keeps five bytes per
+//! invocation in flight (its attempt and payload size), so no platform or
+//! executor buffer grows with the request count. A sharded replay places
+//! each cell's records as the cell finishes, so it holds one record table
+//! too.
 //!
 //! This file is its own test binary with a single test, so no other test
 //! allocates while the mark is read.
@@ -23,12 +26,13 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Ceiling on the live-heap growth of one replay of the calibrated W200
 /// trace, per request: its 72-byte records, the cold-start table, and what
-/// is in flight. The four families measure 77.7–84.3 B/request; the
+/// is in flight. The four families measure 77.9–90.4 B/request; the
 /// heaviest, the CPU server, is still waiting on 60k requests it dropped
-/// unanswered when the run ends, a byte each. The ceiling leaves about
-/// 8 B of headroom. With each record carrying its cold-start breakdown
-/// inline (112-byte records) they measured 118–124, and pre-scheduling
-/// every delivery up front 233–241.
+/// unanswered when the run ends, five bytes each (84.3 when a window kept
+/// a byte each and read payloads back from the records). The ceiling
+/// leaves about 1.6 B of headroom. With each record carrying its
+/// cold-start breakdown inline (112-byte records) they measured 118–124,
+/// and pre-scheduling every delivery up front 233–241.
 const MAX_BYTES_PER_REQUEST: f64 = 92.0;
 
 /// Ceiling on a `with_shards(1)` replay of the same trace with client

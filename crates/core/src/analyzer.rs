@@ -3,11 +3,13 @@
 //! plus the time series and cold-start breakdowns its figures plot.
 
 use crate::executor::RunResult;
+use crate::outcome::{Fate, OutcomeRun};
+use crate::plan::Deployment;
 use crate::slo::{SloReport, SloSample};
 use serde::{Deserialize, Serialize};
 use slsb_obs::{LogLinearHistogram, MetricsRegistry};
-use slsb_platform::{CostBreakdown, FailureReason, Outcome};
-use slsb_sim::{ProfGuard, SampleSet, SimDuration, TimeSeries};
+use slsb_platform::{ColdStartBreakdown, CostBreakdown, FailureReason, Outcome, PlatformReport};
+use slsb_sim::{ProfGuard, SampleSet, SimDuration, SimTime, TimeSeries};
 
 /// Aggregate latency statistics over successful requests (seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -132,8 +134,58 @@ pub fn analyze(run: &RunResult) -> Analysis {
 /// guarantees resolution, and analyzing a half-resolved log would silently
 /// understate failures.
 pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
+    let side = RunSide {
+        deployment: &run.deployment,
+        workload: &run.workload,
+        platform: &run.platform,
+        client_faults: run.client_faults,
+        retries: run.retries,
+    };
+    let settled = run.records_with_cold_starts().map(|(r, cold_start)| {
+        let fate = Fate {
+            outcome: r.outcome,
+            cold: r.cold,
+            latency: r.latency,
+            predict: r.predict,
+        };
+        (r.arrival, fate, cold_start)
+    });
+    fold(&side, run.records.len(), settled, bucket)
+}
+
+/// Analyzes a run settled into an outcome table, with the default 10 s
+/// timeline bucket: the same fold as [`analyze`], over the same requests
+/// in the same order, so a run's two analyses are bit for bit equal.
+pub fn analyze_outcomes(run: &OutcomeRun<'_>) -> Analysis {
+    let side = RunSide {
+        deployment: &run.deployment,
+        workload: run.trace.name(),
+        platform: &run.platform,
+        client_faults: run.client_faults,
+        retries: run.retries,
+    };
+    fold(&side, run.outcomes.len(), run.settled(), DEFAULT_BUCKET)
+}
+
+/// What an analysis reads of a run besides its requests.
+struct RunSide<'a> {
+    deployment: &'a Deployment,
+    workload: &'a str,
+    platform: &'a PlatformReport,
+    client_faults: u64,
+    retries: u64,
+}
+
+/// The analyzer's one fold: `total` requests in trace order, each with its
+/// arrival, fate and cold-start breakdown.
+fn fold<'a>(
+    run: &RunSide<'_>,
+    total: usize,
+    settled: impl Iterator<Item = (SimTime, Fate, Option<&'a ColdStartBreakdown>)>,
+    bucket: SimDuration,
+) -> Analysis {
     let _p = ProfGuard::enter("analyzer");
-    let mut latencies = SampleSet::with_capacity(run.records.len());
+    let mut latencies = SampleSet::with_capacity(total);
     let mut lat_series = TimeSeries::new(bucket);
     let mut ok_series = TimeSeries::new(bucket);
     let mut failed_queue_full = 0;
@@ -145,7 +197,7 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
 
     let mut cold = ColdMeans::default();
 
-    for (r, cold_start) in run.records_with_cold_starts() {
+    for (arrival, r, cold_start) in settled {
         match r.outcome {
             Outcome::Success => {
                 let lat = r
@@ -153,8 +205,8 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
                     .expect("success without latency: unresolved record")
                     .as_secs_f64();
                 latencies.push(lat);
-                lat_series.add(r.arrival, lat);
-                ok_series.add(r.arrival, 1.0);
+                lat_series.add(arrival, lat);
+                ok_series.add(arrival, 1.0);
                 match cold_start {
                     Some(bd) => {
                         cold.e2e_cold.push(lat);
@@ -171,7 +223,7 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
                 }
             }
             Outcome::Failure(reason) => {
-                ok_series.add(r.arrival, 0.0);
+                ok_series.add(arrival, 0.0);
                 match reason {
                     FailureReason::QueueFull => failed_queue_full += 1,
                     FailureReason::ClientTimeout => failed_timeout += 1,
@@ -184,7 +236,7 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
         }
     }
 
-    let total = run.records.len() as u64;
+    let total = total as u64;
     let succeeded = latencies.len() as u64;
     let latency = latency_stats(&mut latencies);
 
@@ -323,9 +375,10 @@ pub fn run_metrics(run: &RunResult) -> MetricsRegistry {
     m
 }
 
-/// Every failure reason; `run_metrics` counts them in an array indexed
-/// by `reason as usize`.
-const FAILURE_REASONS: [FailureReason; 6] = [
+/// Every failure reason, in declaration order: `run_metrics` counts them
+/// in an array indexed by `reason as usize`, and an outcome table codes
+/// them by position.
+pub(crate) const FAILURE_REASONS: [FailureReason; 6] = [
     FailureReason::QueueFull,
     FailureReason::ClientTimeout,
     FailureReason::Rejected,
@@ -444,10 +497,9 @@ impl Analysis {
 mod tests {
     use super::*;
     use crate::executor::{Executor, ExecutorConfig, RequestRecord};
-    use crate::plan::Deployment;
     use slsb_model::{ModelKind, RuntimeKind};
-    use slsb_platform::{ColdStartBreakdown, PlatformKind};
-    use slsb_sim::{Seed, SimRng, SimTime};
+    use slsb_platform::PlatformKind;
+    use slsb_sim::{Seed, SimRng};
     use slsb_workload::MmppSpec;
 
     fn run_small(platform: PlatformKind, rate: f64) -> RunResult {

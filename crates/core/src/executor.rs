@@ -15,11 +15,17 @@
 //! modes run the same cell replay, fan-out and reassembly. On top of the
 //! shared cell layer the executor adds its client layer: batching,
 //! retries and client-path faults. Each client is a lane that sends its
-//! batches as they come up, and a run holds its records plus what is in
-//! flight (see `Feed` and `Window`).
+//! batches as they come up, and a run holds its settled requests plus what
+//! is in flight (see `Feed` and `Window`).
+//!
+//! A run settles each request into one of two tables, its sink: the full
+//! [`RequestRecord`]s of [`Executor::run`], or the compact
+//! [`OutcomeTable`] of [`Executor::run_outcomes`] for callers that only
+//! analyze. Both replay through the same event loop.
 
 use crate::batching::BatchPolicy;
 use crate::cell::{close_trace, fan_out, Cell, PlatformIo, RunEnd, ARRIVAL_BURST};
+use crate::outcome::{Fate, OutcomeRun, OutcomeTable};
 use crate::plan::{Deployment, PlanError};
 use serde::{Deserialize, Serialize};
 use slsb_model::ModelKind;
@@ -565,22 +571,45 @@ struct Lane {
 }
 
 /// A lane's invocations in flight: every one sent from the oldest its
-/// client may still hear back about on. What they carry is in their
-/// member records, so a lane keeps one byte per invocation in flight
-/// (five under adaptive batching).
+/// client may still hear back about on. A lane keeps five bytes per
+/// invocation in flight (nine under adaptive batching); the send instant
+/// is not kept, since the batching policy derives it from the members'
+/// arrivals.
 #[derive(Default)]
 struct Window {
     /// Each invocation's current attempt, 1-based, or 0 once its client
     /// stopped waiting; [`u8::MAX`] stands for any attempt from 255 on,
     /// kept exactly in [`ExecSystem::late_attempts`].
     attempts: VecDeque<u8>,
+    /// Each invocation's payload bytes; [`u32::MAX`] stands for any size
+    /// from there on, kept exactly in [`ExecSystem::large_payloads`].
+    payloads: VecDeque<u32>,
     /// Where each invocation's members start in the lane, kept only under
     /// adaptive batching: other policies fix batches by position.
     starts: VecDeque<u32>,
 }
 
-/// An invocation in flight, located in its lane's window; what it
-/// carries is read back from its member records.
+impl Window {
+    /// The invocations a window keeps room for between runs: enough for
+    /// the steady state of any paper workload, so that a thread replaying
+    /// many traces does not reallocate, while a run whose platform leaves
+    /// thousands of requests unanswered (the CPU server at workload-200)
+    /// does not leave its window's size behind in the arena.
+    const RETAINED: usize = 1024;
+
+    /// Empties the window after a run, keeping at most
+    /// [`Window::RETAINED`] invocations of room.
+    fn release(&mut self) {
+        self.attempts.clear();
+        self.payloads.clear();
+        self.starts.clear();
+        self.attempts.shrink_to(Self::RETAINED);
+        self.payloads.shrink_to(Self::RETAINED);
+        self.starts.shrink_to(Self::RETAINED);
+    }
+}
+
+/// An invocation in flight, located in its lane's window.
 #[derive(Debug, Clone, Copy)]
 struct Flight {
     lane: usize,
@@ -590,6 +619,8 @@ struct Flight {
     first: usize,
     end: usize,
     attempt: u32,
+    /// The bytes it carries.
+    payload: u64,
 }
 
 /// How the lanes' invocations reach the kernel.
@@ -621,7 +652,7 @@ struct Feed {
 
 /// Run-lifetime buffers, recycled across runs on the same thread.
 ///
-/// Everything a run holds besides its records — the lanes, their
+/// Everything a run holds besides its sink — the lanes, their
 /// in-flight invocations, the delivery feed, retry receipts, platform
 /// scratch — lives here and is sized by what is in flight, never by the
 /// request count. Buffers are `clear()`ed (keeping capacity) instead of
@@ -658,8 +689,7 @@ impl RunArena {
         self.first_inv.clear();
         self.jitters.clear();
         for w in &mut self.windows {
-            w.attempts.clear();
-            w.starts.clear();
+            w.release();
         }
         self.feed.burst.clear();
         self.receipts.clear();
@@ -731,17 +761,191 @@ fn unresolved(index: usize, client: u32, arrival: SimTime, payload_bytes: u64) -
     }
 }
 
-struct ExecSystem<'r> {
+/// Where a cell settles its requests: one entry per request in the cell's
+/// local order (lane `l`'s request `j` is entry `j · lanes + l`), added
+/// unresolved just ahead of the lanes' sends. Records keep everything a
+/// request went through; an [`OutcomeTable`] keeps what the analyzer
+/// reads.
+trait Sink: Default + Send {
+    /// An empty table with room for `n` requests.
+    fn with_room(n: usize) -> Self;
+    /// A table of `n` unresolved requests, into which a sharded run
+    /// places each cell's share.
+    fn unresolved_run(n: usize) -> Self;
+    /// Requests in the table.
+    fn count(&self) -> usize;
+    /// Adds the next request, unresolved.
+    fn push_unresolved(&mut self, index: usize, client: u32, arrival: SimTime);
+    /// Entry `m` went out at `at` carrying `bytes` of its invocation's
+    /// payload.
+    fn sent(&mut self, m: usize, at: SimTime, bytes: u64);
+    /// Fixes entry `m`'s fate; `queued` is its invocation's platform-side
+    /// queueing.
+    fn settle(&mut self, m: usize, fate: Fate, queued: SimDuration);
+    /// Writes this cell's entries to positions `first`, `first + stride`,
+    /// … of the run's `table`.
+    fn place_into(self, table: &mut Self, first: usize, stride: usize);
+    /// Writes each entry's request span, with its scratch in `spans`, to
+    /// `rec`; a request the platform never answered ends at `horizon`.
+    fn record_spans(&self, spans: &[Span], rec: &mut dyn Recorder, horizon: SimTime);
+}
+
+impl Sink for Vec<RequestRecord> {
+    fn with_room(n: usize) -> Self {
+        Vec::with_capacity(n)
+    }
+
+    fn unresolved_run(n: usize) -> Self {
+        vec![unresolved(0, 0, SimTime::ZERO, 0); n]
+    }
+
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn push_unresolved(&mut self, index: usize, client: u32, arrival: SimTime) {
+        self.push(unresolved(index, client, arrival, 0));
+    }
+
+    fn sent(&mut self, m: usize, at: SimTime, bytes: u64) {
+        let rec = &mut self[m];
+        rec.payload_bytes = bytes;
+        rec.sent_at = at;
+    }
+
+    fn settle(&mut self, m: usize, fate: Fate, queued: SimDuration) {
+        let rec = &mut self[m];
+        rec.outcome = fate.outcome;
+        rec.cold = fate.cold;
+        rec.latency = fate.latency;
+        rec.predict = fate.predict;
+        rec.queued = queued;
+    }
+
+    fn place_into(self, table: &mut Self, first: usize, stride: usize) {
+        for (slot, r) in table[first..].iter_mut().step_by(stride).zip(self) {
+            *slot = r;
+        }
+    }
+
+    fn record_spans(&self, spans: &[Span], r: &mut dyn Recorder, horizon: SimTime) {
+        for (rec, span) in self.iter().zip(spans) {
+            // Without parts the platform never answered: the client's
+            // timeout is the whole story, no server-side phases.
+            let (at, net_in, exec, net_out) = span.parts.unwrap_or((
+                horizon,
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+            ));
+            r.record(&TraceEvent {
+                at,
+                kind: EventKind::RequestSpan {
+                    request: rec.index as u64,
+                    client: rec.client,
+                    invocation: span.inv,
+                    arrival: rec.arrival,
+                    batch: rec.sent_at.saturating_duration_since(rec.arrival),
+                    net_in,
+                    queued: rec.queued,
+                    exec,
+                    net_out,
+                    cold: rec.cold,
+                    outcome: rec.outcome.into(),
+                },
+            });
+        }
+    }
+}
+
+impl Sink for OutcomeTable {
+    fn with_room(n: usize) -> Self {
+        OutcomeTable::with_capacity(n)
+    }
+
+    fn unresolved_run(n: usize) -> Self {
+        OutcomeTable::unresolved(n)
+    }
+
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn push_unresolved(&mut self, _: usize, _: u32, _: SimTime) {
+        self.push(Fate::UNRESOLVED);
+    }
+
+    fn sent(&mut self, _: usize, _: SimTime, _: u64) {}
+
+    fn settle(&mut self, m: usize, fate: Fate, _: SimDuration) {
+        self.set(m, fate);
+    }
+
+    fn place_into(self, table: &mut Self, first: usize, stride: usize) {
+        table.place(&self, first, stride);
+    }
+
+    fn record_spans(&self, _: &[Span], _: &mut dyn Recorder, _: SimTime) {
+        unreachable!("an outcome run records no trace");
+    }
+}
+
+/// What a replay produced besides its deployment and trace: the sink and
+/// the run's tallies.
+struct Replayed<S> {
+    table: S,
+    cold_starts: Vec<(usize, ColdStartBreakdown)>,
+    platform: PlatformReport,
+    engine_events: u64,
+    client_faults: u64,
+    retries: u64,
+}
+
+impl Replayed<Vec<RequestRecord>> {
+    fn into_run(self, deployment: &Deployment, trace: &WorkloadTrace) -> RunResult {
+        RunResult {
+            deployment: *deployment,
+            workload: trace.shared_name(),
+            duration: trace.duration(),
+            records: self.table,
+            cold_starts: self.cold_starts,
+            platform: self.platform,
+            engine_events: self.engine_events,
+            client_faults: self.client_faults,
+            retries: self.retries,
+        }
+    }
+}
+
+impl Replayed<OutcomeTable> {
+    fn into_outcomes<'t>(
+        self,
+        deployment: &Deployment,
+        trace: &'t WorkloadTrace,
+    ) -> OutcomeRun<'t> {
+        OutcomeRun {
+            deployment: *deployment,
+            trace,
+            outcomes: self.table,
+            cold_starts: self.cold_starts,
+            platform: self.platform,
+            engine_events: self.engine_events,
+            client_faults: self.client_faults,
+            retries: self.retries,
+        }
+    }
+}
+
+struct ExecSystem<'r, S> {
     platform: Platform,
-    /// The cell's local record table: lane `l`'s request `j` is record
-    /// `j · lanes + l`.
-    records: Vec<RequestRecord>,
+    /// The cell's settled requests.
+    sink: S,
     /// The cell's cold-start table, in resolution order until the run
     /// ends; see [`RunResult::cold_starts`].
     cold_starts: Vec<(usize, ColdStartBreakdown)>,
-    /// The next record to add: its round of the trace and its lane.
+    /// The next entry to add: its round of the trace and its lane.
     fill: (usize, usize),
-    /// Per-record span scratch; sized only when a recorder wants spans.
+    /// Per-request span scratch; sized only when a recorder wants spans.
     spans: Vec<Span>,
     /// The whole trace's arrivals, which the lanes read strided.
     arrivals: &'r [SimTime],
@@ -760,6 +964,8 @@ struct ExecSystem<'r> {
     windows: &'r mut [Window],
     /// Exact attempts of invocations past attempt 254.
     late_attempts: BTreeMap<usize, u32>,
+    /// Exact payloads of invocations carrying [`u32::MAX`] bytes or more.
+    large_payloads: BTreeMap<usize, u64>,
     feed: &'r mut Feed,
     pool: &'r RequestPool,
     /// Request-path network time per pool payload; see [`transfer_table`].
@@ -789,14 +995,14 @@ struct ExecSystem<'r> {
     backoff_rng: SimRng,
 }
 
-impl ExecSystem<'_> {
+impl<S: Sink> ExecSystem<'_, S> {
     /// Sends lane `l`'s next invocation: draws its members' payloads,
-    /// stamps their records and opens its flight. Returns its id, send
-    /// instant and request-path network time.
+    /// tells the sink and opens its flight. Returns its id, send instant
+    /// and request-path network time.
     fn send(&mut self, l: usize) -> (usize, SimTime, SimDuration) {
         let (arrivals, stride) = (self.arrivals, self.all_clients);
         let lanes = self.lanes.len();
-        self.fill_records((self.lanes[l].batch_end - 1) * lanes + l);
+        self.fill((self.lanes[l].batch_end - 1) * lanes + l);
         let lane = &mut self.lanes[l];
         let (end, send_at) = (lane.batch_end, self.next_send[l]);
         debug_assert!(send_at < SimTime::MAX, "lane has an unsent batch");
@@ -804,10 +1010,8 @@ impl ExecSystem<'_> {
         let (mut payload_bytes, mut payload_net) = (0, SimDuration::ZERO);
         for j in lane.next..end {
             let m = j * lanes + l;
-            let rec = &mut self.records[m];
             let payload = self.pool.pick(&mut lane.payload_rng);
-            rec.payload_bytes = payload.size_bytes;
-            rec.sent_at = send_at;
+            self.sink.sent(m, send_at, payload.size_bytes);
             payload_bytes += payload.size_bytes;
             payload_net = self.transfer[payload.id as usize];
             if let Some(span) = self.spans.get_mut(m) {
@@ -831,22 +1035,29 @@ impl ExecSystem<'_> {
         lane.next_inv += 1;
         let window = &mut self.windows[l];
         window.attempts.push_back(1);
+        match u32::try_from(payload_bytes) {
+            Ok(bytes) if bytes < u32::MAX => window.payloads.push_back(bytes),
+            _ => {
+                window.payloads.push_back(u32::MAX);
+                self.large_payloads.insert(inv, payload_bytes);
+            }
+        }
         if matches!(self.policy, BatchPolicy::Adaptive { .. }) {
             window.starts.push_back(first);
         }
         (inv, send_at, net_in)
     }
 
-    /// Extends the record table, in trace order, through local record
-    /// `m`. The table grows just ahead of the lanes' sends, so a send
-    /// stamps records that are still in cache.
-    fn fill_records(&mut self, m: usize) {
-        while self.records.len() <= m {
+    /// Extends the sink, in trace order, through entry `m`. The table
+    /// grows just ahead of the lanes' sends, so a send stamps entries that
+    /// are still in cache.
+    fn fill(&mut self, m: usize) {
+        while self.sink.count() <= m {
             let (round, l) = self.fill;
             let client = self.lanes[l].client;
             let index = round * self.all_clients + client;
-            let rec = unresolved(index, client as u32, self.arrivals[index], 0);
-            self.records.push(rec);
+            self.sink
+                .push_unresolved(index, client as u32, self.arrivals[index]);
             self.fill = if l + 1 == self.lanes.len() {
                 (round + 1, 0)
             } else {
@@ -936,35 +1147,32 @@ impl ExecSystem<'_> {
                     .map_or(lane.next, |&j| j as usize);
                 (window.starts[slot] as usize, end)
             });
+        let payload = match window.payloads[slot] {
+            u32::MAX => self.large_payloads[&inv],
+            bytes => u64::from(bytes),
+        };
         Some(Flight {
             lane: l,
             slot,
             first,
             end,
             attempt,
+            payload,
         })
     }
 
-    /// Record index of request `j` of lane `l`.
-    fn record(&self, l: usize, j: usize) -> usize {
-        j * self.lanes.len() + l
-    }
-
-    /// Bytes invocation `f` carries.
-    fn payload(&self, f: &Flight) -> u64 {
-        (f.first..f.end)
-            .map(|j| self.records[self.record(f.lane, j)].payload_bytes)
-            .sum()
-    }
-
-    /// When invocation `f` was first sent.
+    /// When invocation `f` was first sent: the instant the batching
+    /// policy gives the batch starting at its first member.
     fn send_at(&self, f: &Flight) -> SimTime {
-        self.records[self.record(f.lane, f.first)].sent_at
+        let (arrivals, stride) = (self.arrivals, self.all_clients);
+        let lane = &self.lanes[f.lane];
+        let at = |j: usize| arrivals[lane.client + j * stride];
+        self.policy.next_batch(f.first, lane.len, at).1
     }
 
     /// Network time on invocation `f`'s request path (pre-jitter).
     fn net_in(&self, f: &Flight) -> SimDuration {
-        self.network.transfer_time(self.payload(f))
+        self.network.transfer_time(f.payload)
     }
 
     /// Moves invocation `inv` (in flight as `f`) to attempt `attempt`;
@@ -985,7 +1193,11 @@ impl ExecSystem<'_> {
             }
         };
         while window.attempts.front() == Some(&0) {
+            let oldest = self.lanes[f.lane].next_inv - window.attempts.len();
             window.attempts.pop_front();
+            if window.payloads.pop_front() == Some(u32::MAX) {
+                self.large_payloads.remove(&oldest);
+            }
             window.starts.pop_front();
         }
     }
@@ -1037,8 +1249,8 @@ impl ExecSystem<'_> {
         *self.io.resp_scratch = pending;
     }
 
-    /// Fixes invocation `inv`'s fate: applies it, and the exec time its
-    /// spans report, to its member records, and closes its flight.
+    /// Fixes invocation `inv`'s fate: settles it, and the exec time its
+    /// spans report, for its members, and closes its flight.
     fn resolve(&mut self, inv: usize, f: &Flight, res: Resolution, exec: SimDuration) {
         // Spans are only kept when tracing.
         let net_in = if self.spans.is_empty() {
@@ -1046,26 +1258,30 @@ impl ExecSystem<'_> {
         } else {
             self.net_in(f)
         };
+        let (lanes, client) = (self.lanes.len(), self.lanes[f.lane].client);
         for j in f.first..f.end {
-            let m = self.record(f.lane, j);
-            let rec = &mut self.records[m];
-            rec.predict = res.predict;
-            rec.queued = res.queued;
+            let m = j * lanes + f.lane;
+            let index = client + j * self.all_clients;
             if let Some(breakdown) = res.cold_start {
-                rec.cold = true;
-                self.cold_starts.push((rec.index, breakdown));
+                self.cold_starts.push((index, breakdown));
             }
-            let e2e = res.received_at.saturating_duration_since(rec.arrival);
-            rec.outcome = match res.outcome {
+            let e2e = res
+                .received_at
+                .saturating_duration_since(self.arrivals[index]);
+            let (outcome, latency) = match res.outcome {
                 Outcome::Success if e2e > self.timeout => {
-                    Outcome::Failure(FailureReason::ClientTimeout)
+                    (Outcome::Failure(FailureReason::ClientTimeout), None)
                 }
-                Outcome::Success => {
-                    rec.latency = Some(e2e);
-                    Outcome::Success
-                }
-                failure => failure,
+                Outcome::Success => (Outcome::Success, Some(e2e)),
+                failure => (failure, None),
             };
+            let fate = Fate {
+                outcome,
+                cold: res.cold_start.is_some(),
+                latency,
+                predict: res.predict,
+            };
+            self.sink.settle(m, fate, res.queued);
             if let Some(span) = self.spans.get_mut(m) {
                 span.parts = Some((res.received_at, net_in, exec, self.response_net));
             }
@@ -1157,7 +1373,7 @@ impl ExecSystem<'_> {
     }
 }
 
-impl System for ExecSystem<'_> {
+impl<S: Sink> System for ExecSystem<'_, S> {
     type Ev = ExecEvent;
     fn handle<K: StoreKind>(
         &mut self,
@@ -1190,7 +1406,7 @@ impl System for ExecSystem<'_> {
                 let req = ServingRequest {
                     id: RequestId(id as u64),
                     arrival: queue.now(),
-                    payload_bytes: sys.payload(&f),
+                    payload_bytes: f.payload,
                     inferences: (f.end - f.first) as u32 * sys.inference_repeats,
                 };
                 sys.io
@@ -1299,7 +1515,25 @@ impl Executor {
         trace: &WorkloadTrace,
         seed: Seed,
     ) -> Result<RunResult, PlanError> {
-        self.replay(deployment, None, trace, seed, None)
+        let run = self.replay(deployment, None, trace, seed, None)?;
+        Ok(run.into_run(deployment, trace))
+    }
+
+    /// Like [`Executor::run`] but settles each request into an
+    /// [`OutcomeTable`] instead of a record: the same replay, holding 17 B
+    /// per request instead of 72, for callers that only analyze it (see
+    /// [`crate::analyzer::analyze_outcomes`]).
+    ///
+    /// # Errors
+    /// Fails when the deployment is invalid.
+    pub fn run_outcomes<'t>(
+        &self,
+        deployment: &Deployment,
+        trace: &'t WorkloadTrace,
+        seed: Seed,
+    ) -> Result<OutcomeRun<'t>, PlanError> {
+        let run = self.replay(deployment, None, trace, seed, None)?;
+        Ok(run.into_outcomes(deployment, trace))
     }
 
     /// Like [`Executor::run`] but streams every trace event — platform
@@ -1316,7 +1550,8 @@ impl Executor {
         seed: Seed,
         rec: &mut dyn Recorder,
     ) -> Result<RunResult, PlanError> {
-        self.replay(deployment, None, trace, seed, Some(rec))
+        let run = self.replay(deployment, None, trace, seed, Some(rec))?;
+        Ok(run.into_run(deployment, trace))
     }
 
     /// Replays `trace` against an already-built platform. This is the
@@ -1336,6 +1571,20 @@ impl Executor {
         self.run_built_recorded(deployment, platform, trace, seed, None)
     }
 
+    /// [`Executor::run_built`] settled into an [`OutcomeTable`]; see
+    /// [`Executor::run_outcomes`].
+    pub fn run_built_outcomes<'t>(
+        &self,
+        deployment: &Deployment,
+        platform: Platform,
+        trace: &'t WorkloadTrace,
+        seed: Seed,
+    ) -> OutcomeRun<'t> {
+        self.replay(deployment, Some(platform), trace, seed, None)
+            .expect("a pre-built platform needs no validation")
+            .into_outcomes(deployment, trace)
+    }
+
     /// [`Executor::run_built`] with an optional trace recorder attached.
     pub fn run_built_recorded(
         &self,
@@ -1347,26 +1596,28 @@ impl Executor {
     ) -> RunResult {
         self.replay(deployment, Some(platform), trace, seed, rec)
             .expect("a pre-built platform needs no validation")
+            .into_run(deployment, trace)
     }
 
-    /// Replays `trace` as cells and reassembles one result. On a pre-built
-    /// `platform`, or unsharded, the run is one cell of every client on
-    /// `seed`: it runs inline, streams straight into `rec`, and its records
-    /// move through uncopied. Sharded, each client is its own cell on the
-    /// seed's `("shard", client)` substream with its own platform; cells
-    /// run on up to [`ExecutorConfig::shards`] workers, their trace events
-    /// reach `rec` in cell order as they finish (see [`fan_out`]), and
-    /// each cell's records go to their trace positions as soon as it
-    /// finishes, so the run holds one record table. The decomposition
-    /// depends only on the client count, never on the worker budget.
-    fn replay(
+    /// Replays `trace` as cells and reassembles one result, settled into
+    /// sink `S`. On a pre-built `platform`, or unsharded, the run is one
+    /// cell of every client on `seed`: it runs inline, streams straight
+    /// into `rec`, and its sink moves through uncopied. Sharded, each
+    /// client is its own cell on the seed's `("shard", client)` substream
+    /// with its own platform; cells run on up to [`ExecutorConfig::shards`]
+    /// workers, their trace events reach `rec` in cell order as they
+    /// finish (see [`fan_out`]), and each cell's entries go to their trace
+    /// positions as soon as it finishes, so the run holds one table. The
+    /// decomposition depends only on the client count, never on the
+    /// worker budget.
+    fn replay<S: Sink>(
         &self,
         deployment: &Deployment,
         platform: Option<Platform>,
         trace: &WorkloadTrace,
         seed: Seed,
         rec: Option<&mut dyn Recorder>,
-    ) -> Result<RunResult, PlanError> {
+    ) -> Result<Replayed<S>, PlanError> {
         let n_clients = self.cfg.clients.max(1);
         let clients = 0..n_clients as u32;
         let cells: Vec<Cell> = if platform.is_some() || self.cfg.shards == 0 {
@@ -1385,24 +1636,19 @@ impl Executor {
             let cell_rec = rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
             self.run_cell(deployment, platform, trace, cell, cell_rec)
         } else {
-            let table = Mutex::new(vec![
-                unresolved(0, 0, SimTime::ZERO, 0);
-                trace.arrivals().len()
-            ]);
+            let table = Mutex::new(S::unresolved_run(trace.arrivals().len()));
             let mut outs = fan_out(
                 self.cfg.shards,
                 &cells,
                 rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
                 "executor/merge",
                 |cell, cell_rec| {
-                    let mut out = self.run_cell(deployment, None, trace, cell, cell_rec);
-                    let records = std::mem::take(&mut out.records);
+                    let mut out: Replayed<S> =
+                        self.run_cell(deployment, None, trace, cell, cell_rec);
+                    let part = std::mem::take(&mut out.table);
                     let mut table = table.lock().unwrap_or_else(PoisonError::into_inner);
                     // A cell's client owns every `n_clients`-th request.
-                    let own = table[cell.clients[0] as usize..].iter_mut();
-                    for (slot, r) in own.step_by(n_clients).zip(records) {
-                        *slot = r;
-                    }
+                    part.place_into(&mut table, cell.clients[0] as usize, n_clients);
                     out
                 },
             );
@@ -1415,11 +1661,8 @@ impl Executor {
                 cold_starts.append(&mut out.cold_starts);
             }
             cold_starts.sort_unstable_by_key(|&(i, _)| i);
-            RunResult {
-                deployment: *deployment,
-                workload: trace.shared_name(),
-                duration: trace.duration(),
-                records: table.into_inner().unwrap_or_else(PoisonError::into_inner),
+            Replayed {
+                table: table.into_inner().unwrap_or_else(PoisonError::into_inner),
                 cold_starts,
                 platform: PlatformReport::merge_shards(&reports),
                 engine_events: outs.iter().map(|o| o.engine_events).sum(),
@@ -1429,21 +1672,21 @@ impl Executor {
         };
         if let Some(r) = rec {
             let end = RunEnd::new(trace.duration(), self.cfg.timeout);
-            close_trace(r, end, run.engine_events, run.records.len() as u64);
+            close_trace(r, end, run.engine_events, run.table.count() as u64);
         }
         Ok(run)
     }
 
     /// Replays one cell on this thread's run arena, on `platform` or, when
     /// none is given, on one built from the cell seed.
-    fn run_cell(
+    fn run_cell<S: Sink>(
         &self,
         deployment: &Deployment,
         platform: Option<Platform>,
         trace: &WorkloadTrace,
         cell: &Cell,
         rec: Option<&mut dyn Recorder>,
-    ) -> RunResult {
+    ) -> Replayed<S> {
         let platform = platform.unwrap_or_else(|| {
             deployment
                 .build(cell.seed)
@@ -1457,13 +1700,13 @@ impl Executor {
 
     /// Replays one cell against its platform. Its clients' requests
     /// (round-robin over all clients, the paper's splitter) in ascending
-    /// global trace index form its local record table. Each client is a
-    /// [`Lane`] drawing from its own `("client", id)` stream of the cell
-    /// seed; the lanes send as their batches come up and the [`Feed`]
-    /// hands their deliveries to the kernel. All run-lifetime state
-    /// besides the records lives in `arena`.
+    /// global trace index form its local sink. Each client is a [`Lane`]
+    /// drawing from its own `("client", id)` stream of the cell seed; the
+    /// lanes send as their batches come up and the [`Feed`] hands their
+    /// deliveries to the kernel. All run-lifetime state besides the sink
+    /// lives in `arena`.
     #[allow(clippy::too_many_lines)]
-    fn run_cell_in<'a>(
+    fn run_cell_in<'a, S: Sink>(
         &self,
         deployment: &Deployment,
         mut platform: Platform,
@@ -1471,7 +1714,7 @@ impl Executor {
         cell: &Cell,
         rec: Option<&'a mut dyn Recorder>,
         arena: &'a mut RunArena,
-    ) -> RunResult {
+    ) -> Replayed<S> {
         // Root-attached on purpose: a cell runs inline under `--jobs 1`
         // but on a pool worker otherwise, and the profile tree must not
         // depend on which thread hosts it.
@@ -1530,8 +1773,6 @@ impl Executor {
                 BatchPolicy::None
             });
 
-        let records: Vec<RequestRecord> = Vec::with_capacity(n);
-
         // Invocations are numbered lane after lane, in send order within a
         // lane, so each lane counts its batches up front. First-attempt
         // client-path jitter is one sequence in that order, each lane
@@ -1574,7 +1815,7 @@ impl Executor {
         let mut engine = Engine::with_queue(
             ExecSystem {
                 platform,
-                records,
+                sink: S::with_room(n),
                 cold_starts: Vec::new(),
                 fill: (0, 0),
                 spans,
@@ -1586,6 +1827,7 @@ impl Executor {
                 jitters: jitters.as_mut_slice(),
                 windows: &mut windows[..slots],
                 late_attempts: BTreeMap::new(),
+                large_payloads: BTreeMap::new(),
                 feed,
                 pool,
                 transfer,
@@ -1638,7 +1880,7 @@ impl Executor {
         let _resolve = ProfGuard::enter("executor/resolve");
 
         // Batches that would only have been delivered past the horizon
-        // still stamp their records.
+        // still reach the sink.
         for l in 0..sys.lanes.len() {
             while sys.next_send[l] < SimTime::MAX {
                 sys.send(l);
@@ -1646,47 +1888,21 @@ impl Executor {
         }
         let engine_events = engine.events_processed();
         let mut sys = engine.system;
+        for window in sys.windows.iter_mut() {
+            window.release();
+        }
         sys.cold_starts.sort_unstable_by_key(|&(i, _)| i);
         let recorder = sys.io.rec.take();
 
         if let Some(r) = recorder {
             if r.enabled() {
                 let _p = ProfGuard::enter("executor/spans");
-                for (rec, span) in sys.records.iter().zip(&sys.spans) {
-                    // Without parts the platform never answered: the
-                    // client's timeout is the whole story, no server-side
-                    // phases.
-                    let (at, net_in, exec, net_out) = span.parts.unwrap_or((
-                        end.horizon,
-                        SimDuration::ZERO,
-                        SimDuration::ZERO,
-                        SimDuration::ZERO,
-                    ));
-                    r.record(&TraceEvent {
-                        at,
-                        kind: EventKind::RequestSpan {
-                            request: rec.index as u64,
-                            client: rec.client,
-                            invocation: span.inv,
-                            arrival: rec.arrival,
-                            batch: rec.sent_at.saturating_duration_since(rec.arrival),
-                            net_in,
-                            queued: rec.queued,
-                            exec,
-                            net_out,
-                            cold: rec.cold,
-                            outcome: rec.outcome.into(),
-                        },
-                    });
-                }
+                sys.sink.record_spans(&sys.spans, r, end.horizon);
             }
         }
 
-        RunResult {
-            deployment: *deployment,
-            workload: trace.shared_name(),
-            duration: trace.duration(),
-            records: sys.records,
+        Replayed {
+            table: sys.sink,
             cold_starts: sys.cold_starts,
             platform: sys.platform.report(),
             engine_events,
@@ -1743,8 +1959,8 @@ mod tests {
 
     #[test]
     fn a_record_is_72_bytes() {
-        // Every replay holds one record per request: a cold-start
-        // breakdown inline would add 40 B to each.
+        // A replay that keeps records holds one per request: a
+        // cold-start breakdown inline would add 40 B to each.
         assert_eq!(std::mem::size_of::<RequestRecord>(), 72);
     }
 
@@ -1876,6 +2092,54 @@ mod tests {
             .records
             .iter()
             .all(|r| r.outcome == Outcome::Failure(FailureReason::RetriesExhausted)));
+    }
+
+    /// An invocation of 4 GiB or more keeps its exact size outside its
+    /// four-byte window slot: every traced span's request-path network
+    /// time is that of its own payload, first attempts and retries alike.
+    #[test]
+    fn payloads_past_four_gib_keep_their_size() {
+        let network = NetworkProfile {
+            bandwidth_mb_per_sec: 1e6,
+            ..NetworkProfile::DEFAULT
+        };
+        let mut plan = FaultPlan::none();
+        plan.packet_loss = 0.3;
+        let exec = Executor::new(ExecutorConfig {
+            network,
+            retry: RetryPolicy {
+                base_backoff: SimDuration::from_millis(50),
+                ..RetryPolicy::standard()
+            },
+            ..ExecutorConfig::default()
+        })
+        .with_faults(plan);
+        let dep = Deployment {
+            samples_per_request: 100_000,
+            ..deployment(PlatformKind::AwsServerless)
+        };
+        let trace = small_trace(5.0, 30);
+        let mut rec = slsb_obs::MemoryRecorder::new();
+        let run = exec.run_recorded(&dep, &trace, Seed(12), &mut rec).unwrap();
+        assert!(run.retries > 0);
+        assert!(run
+            .records
+            .iter()
+            .all(|r| r.payload_bytes > u64::from(u32::MAX)));
+        let mut answered = 0;
+        for e in rec.events() {
+            if let EventKind::RequestSpan {
+                request, net_in, ..
+            } = e.kind
+            {
+                let r = &run.records[request as usize];
+                if r.outcome.is_success() {
+                    answered += 1;
+                    assert_eq!(net_in, network.transfer_time(r.payload_bytes), "{r:?}");
+                }
+            }
+        }
+        assert!(answered > run.records.len() / 2, "{answered} answered");
     }
 
     /// The transfer table holds, bit for bit, what `transfer_time` gives

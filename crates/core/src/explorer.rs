@@ -4,7 +4,7 @@
 //! and return the Pareto front plus the cheapest configuration meeting an
 //! SLO.
 
-use crate::analyzer::analyze;
+use crate::analyzer::analyze_outcomes;
 use crate::executor::Executor;
 use crate::plan::{Deployment, PlanError};
 use crate::runner::{parallel_map, Jobs};
@@ -151,8 +151,7 @@ pub fn explore_jobs(
     }
 
     let evaluated = parallel_map(jobs, &cells, |_, d| {
-        let run = executor.run(d, trace, seed)?;
-        let a = analyze(&run);
+        let a = analyze_outcomes(&executor.run_outcomes(d, trace, seed)?);
         Ok(Candidate {
             deployment: *d,
             mean_latency: a.mean_latency().unwrap_or(f64::INFINITY),

@@ -9,7 +9,8 @@
 //!   workload trace with request pools, network transfer, batching, and the
 //!   per-request timeout that produces success-ratio dynamics;
 //! - [`analyzer`] — the analyzer: latency / success-ratio / cost digests,
-//!   timelines, and cold-start breakdowns;
+//!   timelines, and cold-start breakdowns, folded from a run's records or
+//!   from its compact [`outcome`] table;
 //! - [`report`] — paper-style table rendering (Markdown / CSV);
 //! - [`batching`] — fixed (Section 5.5) and adaptive (BATCH-style) client
 //!   batching policies;
@@ -52,6 +53,7 @@ pub mod experiment;
 pub mod explorer;
 pub mod fleet;
 pub mod oracle;
+pub mod outcome;
 pub mod plan;
 pub mod replication;
 pub mod report;
@@ -60,8 +62,8 @@ pub mod scenario;
 pub mod slo;
 
 pub use analyzer::{
-    analyze, analyze_with_bucket, run_metrics, slo_metrics, slo_samples, Analysis, ColdStartStats,
-    LatencyStats,
+    analyze, analyze_outcomes, analyze_with_bucket, run_metrics, slo_metrics, slo_samples,
+    Analysis, ColdStartStats, LatencyStats,
 };
 pub use batching::{plan_invocations, BatchPolicy, Invocation};
 pub use executor::{ConfigError, Executor, ExecutorConfig, RequestRecord, RetryPolicy, RunResult};
@@ -73,6 +75,7 @@ pub use fleet::{
     FleetWarning, FLEET_CELLS,
 };
 pub use oracle::{oracle_bound, trace_oracle, OracleBound, TraceOracle};
+pub use outcome::{Fate, OutcomeRun, OutcomeTable};
 pub use plan::{Deployment, PlanError};
 pub use replication::{replicate, replicate_jobs, MetricSummary, Replication};
 pub use report::{ascii_chart, fmt_money, fmt_opt_secs, fmt_pct, fmt_secs, Table};

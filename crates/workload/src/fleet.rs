@@ -52,6 +52,15 @@ pub enum FleetError {
     },
     /// A synthesis or process knob is out of range.
     BadKnob(String),
+    /// A synthesis knob above its bound.
+    KnobTooLarge {
+        /// The offending field.
+        name: &'static str,
+        /// Its value.
+        value: f64,
+        /// The largest value allowed.
+        max: f64,
+    },
 }
 
 impl fmt::Display for FleetError {
@@ -72,6 +81,9 @@ impl fmt::Display for FleetError {
                 )
             }
             FleetError::BadKnob(s) => write!(f, "bad fleet knob: {s}"),
+            FleetError::KnobTooLarge { name, value, max } => {
+                write!(f, "bad fleet knob: {name} = {value:e} is above {max}")
+            }
         }
     }
 }
@@ -243,6 +255,16 @@ impl FleetSpec {
     }
 }
 
+/// The longest fleet a synthesis may run, in seconds: a year, far below
+/// where instant arithmetic on the run's horizon could overflow.
+pub const MAX_FLEET_DURATION_S: f64 = 365.0 * 86_400.0;
+
+/// The steepest Zipf popularity a synthesis may ask for. Measured
+/// serverless popularity curves have exponents near 1; at 64 the second
+/// app's share is already below 1e-19 of the first's, so a steeper curve
+/// sends the same traffic.
+pub const MAX_ZIPF_EXPONENT: f64 = 64.0;
+
 /// Knob-based fleet synthesis: `apps` tenants whose long-run request rates
 /// follow a Zipf(`zipf_exponent`) popularity curve summing to `total_rate`,
 /// each an on/off process with exponential busy periods and lognormal
@@ -276,14 +298,21 @@ impl FleetSynthesis {
     ///
     /// # Errors
     /// [`FleetError::BadKnob`] on out-of-range knobs,
-    /// [`FleetError::EmptyFleet`] when `apps` or `profiles` is empty.
+    /// [`FleetError::KnobTooLarge`] on a `duration_s` above
+    /// [`MAX_FLEET_DURATION_S`] or a `zipf_exponent` above
+    /// [`MAX_ZIPF_EXPONENT`], [`FleetError::EmptyFleet`] when `apps` or
+    /// `profiles` is empty.
     pub fn build(&self, name: &str, profiles: &[String]) -> Result<FleetSpec, FleetError> {
         if self.apps == 0 || profiles.is_empty() {
             return Err(FleetError::EmptyFleet);
         }
         let bad = |what: &str| Err(FleetError::BadKnob(what.into()));
+        let too_large = |name, value, max| Err(FleetError::KnobTooLarge { name, value, max });
         if !self.zipf_exponent.is_finite() || self.zipf_exponent < 0.0 {
             return bad("zipf_exponent must be finite and >= 0");
+        }
+        if self.zipf_exponent > MAX_ZIPF_EXPONENT {
+            return too_large("zipf_exponent", self.zipf_exponent, MAX_ZIPF_EXPONENT);
         }
         if !self.total_rate.is_finite() || self.total_rate <= 0.0 {
             return bad("total_rate must be positive");
@@ -300,6 +329,13 @@ impl FleetSynthesis {
         }
         if !self.duration_s.is_finite() || self.duration_s <= 0.0 {
             return bad("duration_s must be positive");
+        }
+        if self.duration_s > MAX_FLEET_DURATION_S {
+            return too_large("duration_s", self.duration_s, MAX_FLEET_DURATION_S);
+        }
+        let duration = SimDuration::from_secs_f64(self.duration_s);
+        if duration.is_zero() {
+            return bad("duration_s must be at least a microsecond");
         }
         let mean_busy = SimDuration::from_secs_f64(self.mean_busy_s);
         let median_idle = SimDuration::from_secs_f64(self.median_idle_s);
@@ -324,7 +360,7 @@ impl FleetSynthesis {
             .collect();
         let spec = FleetSpec {
             name: name.to_string(),
-            duration: SimDuration::from_secs_f64(self.duration_s),
+            duration,
             apps,
         };
         spec.validate()?;
@@ -652,7 +688,9 @@ impl Iterator for AppStream {
                 in_busy,
             } => loop {
                 if *in_busy {
-                    let t = *cursor + self.rng.exp_interval(*rate);
+                    // A tiny rate draws a gap past any instant: it ends
+                    // the busy period instead of wrapping.
+                    let t = cursor.saturating_add(self.rng.exp_interval(*rate));
                     if t >= *segment_end {
                         *in_busy = false;
                         *segment_start = *segment_end;
@@ -816,6 +854,32 @@ mod tests {
             small_synth().build("x", &[]),
             Err(FleetError::EmptyFleet)
         ));
+    }
+
+    #[test]
+    fn synthesis_bounds_duration_and_zipf_exponent() {
+        let with = |name: &str, value: f64| {
+            let mut s = small_synth();
+            match name {
+                "duration_s" => s.duration_s = value,
+                _ => s.zipf_exponent = value,
+            }
+            s.build("x", &profiles())
+        };
+        for (name, max) in [
+            ("duration_s", MAX_FLEET_DURATION_S),
+            ("zipf_exponent", MAX_ZIPF_EXPONENT),
+        ] {
+            assert!(with(name, max).is_ok(), "{name} at its bound");
+            for value in [max * 1.01, 1e300, 1e308] {
+                let err = with(name, value).unwrap_err();
+                assert!(
+                    matches!(err, FleetError::KnobTooLarge { name: n, .. } if n == name),
+                    "{name} = {value}: {err}"
+                );
+                assert!(err.to_string().contains(name), "{err}");
+            }
+        }
     }
 
     #[test]

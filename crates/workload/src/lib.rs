@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use fleet::{
     AppProcess, AppSpec, AppStream, FleetArrivalStream, FleetError, FleetSpec, FleetSynthesis,
-    TraceApp, TraceSummary, FLEET_TRACE_SCHEMA,
+    TraceApp, TraceSummary, FLEET_TRACE_SCHEMA, MAX_FLEET_DURATION_S, MAX_ZIPF_EXPONENT,
 };
 pub use mmpp::{MmppPreset, MmppSpec, Phase};
 pub use patterns::{DiurnalSpec, FlashCrowdSpec};
