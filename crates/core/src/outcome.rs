@@ -47,24 +47,17 @@ impl Fate {
 /// The cold bit of an outcome code.
 const COLD: u8 = 0x80;
 
-/// The code of `outcome`: 0 for a success, else one plus the failure
-/// reason's position in [`FAILURE_REASONS`].
-fn code(outcome: Outcome) -> u8 {
-    match outcome {
+/// `fate` as its code (0 for a success, else one plus the failure
+/// reason's position in [`FAILURE_REASONS`], with the cold bit) and its
+/// latency and predict time in µs.
+fn encode(fate: Fate) -> (u8, u64, u64) {
+    let code = match fate.outcome {
         Outcome::Success => 0,
         Outcome::Failure(reason) => 1 + reason as u8,
-    }
-}
-
-/// `fate` as its code and its latency and predict time in µs.
-fn encode(fate: Fate) -> (u8, u64, u64) {
+    };
     let cold = if fate.cold { COLD } else { 0 };
     let latency_us = fate.latency.map_or(0, SimDuration::as_micros);
-    (
-        code(fate.outcome) | cold,
-        latency_us,
-        fate.predict.as_micros(),
-    )
+    (code | cold, latency_us, fate.predict.as_micros())
 }
 
 /// The fate [`encode`] gave `code`, `latency_us` and `predict_us`.
