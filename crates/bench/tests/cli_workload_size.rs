@@ -20,11 +20,10 @@ fn an_oversized_scenario_workload_is_a_named_error() {
     std::fs::create_dir_all(&dir).unwrap();
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fault_smoke.json");
     let json = std::fs::read_to_string(committed).expect("committed scenario");
-    let huge = json.replacen("\"duration_s\": 120.0", "\"duration_s\": 1e13", 1);
-    assert_ne!(
-        json, huge,
-        "fault_smoke.json has no 120 s workload to stretch"
-    );
+    // A duration past a year is its own error (`cli_duration_bounds.rs`),
+    // so the rate grows instead: about 1.3e10 requests in 120 s.
+    let huge = json.replacen("\"rate_high\": 40.0", "\"rate_high\": 1e9", 1);
+    assert_ne!(json, huge, "fault_smoke.json has no 40 req/s rate to raise");
     let scenario = dir.join("huge.json");
     std::fs::write(&scenario, huge).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_slsb"))

@@ -150,7 +150,8 @@ pub fn analyze_with_bucket(run: &RunResult, bucket: SimDuration) -> Analysis {
         };
         (r.arrival, fate, cold_start)
     });
-    fold(&side, run.records.len(), settled, bucket)
+    let successes = run.successes().count();
+    fold(&side, run.records.len(), successes, settled, bucket)
 }
 
 /// Analyzes a run settled into an outcome table, with the default 10 s
@@ -164,7 +165,14 @@ pub fn analyze_outcomes(run: &OutcomeRun<'_>) -> Analysis {
         client_faults: run.client_faults,
         retries: run.retries,
     };
-    fold(&side, run.outcomes.len(), run.settled(), DEFAULT_BUCKET)
+    let successes = run.outcomes.successes();
+    fold(
+        &side,
+        run.outcomes.len(),
+        successes,
+        run.settled(),
+        DEFAULT_BUCKET,
+    )
 }
 
 /// What an analysis reads of a run besides its requests.
@@ -177,15 +185,17 @@ struct RunSide<'a> {
 }
 
 /// The analyzer's one fold: `total` requests in trace order, each with its
-/// arrival, fate and cold-start breakdown.
+/// arrival, fate and cold-start breakdown, `successes` of them successful:
+/// only those have a latency to keep.
 fn fold<'a>(
     run: &RunSide<'_>,
     total: usize,
+    successes: usize,
     settled: impl Iterator<Item = (SimTime, Fate, Option<&'a ColdStartBreakdown>)>,
     bucket: SimDuration,
 ) -> Analysis {
     let _p = ProfGuard::enter("analyzer");
-    let mut latencies = SampleSet::with_capacity(total);
+    let mut latencies = SampleSet::with_capacity(successes);
     let mut lat_series = TimeSeries::new(bucket);
     let mut ok_series = TimeSeries::new(bucket);
     let mut failed_queue_full = 0;

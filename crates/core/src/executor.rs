@@ -16,7 +16,7 @@
 //! shared cell layer the executor adds its client layer: batching,
 //! retries and client-path faults. Each client is a lane that sends its
 //! batches as they come up, and a run holds its settled requests plus what
-//! is in flight (see `Feed` and `Window`).
+//! is in flight (see `Feed` and `Ring`).
 //!
 //! A run settles each request into one of two tables, its sink: the full
 //! [`RequestRecord`]s of [`Executor::run`], or the compact
@@ -491,9 +491,16 @@ pub struct Executor {
 }
 
 enum ExecEvent {
-    /// An invocation's payload reaches the platform. In retry mode the id
-    /// encodes the attempt: `id = (attempt - 1) · n_invocations + inv`.
-    Deliver(usize),
+    /// An invocation's payload reaches the platform, carrying what it
+    /// submits: the bytes ([`u32::MAX`] stands for any size from there on,
+    /// kept exactly in [`ExecSystem::large_payloads`]) and the inferences
+    /// its members ask for. In retry mode the id encodes the attempt:
+    /// `id = (attempt - 1) · n_invocations + inv`.
+    Deliver {
+        id: usize,
+        bytes: u32,
+        inferences: u32,
+    },
     Platform(PlatformEvent),
     /// A platform response reaches the issuing client (retry mode only);
     /// carries a slot of the receipt table.
@@ -501,32 +508,6 @@ enum ExecEvent {
     /// An attempt's per-attempt timeout expired (retry mode only); carries
     /// the attempt-encoded invocation id.
     AttemptTimeout(usize),
-}
-
-/// The client-side fate of one invocation, fixed the moment the issuing
-/// client stops waiting (accepts a response, exhausts retries, or hits a
-/// deadline).
-#[derive(Debug, Clone, Copy)]
-struct Resolution {
-    outcome: Outcome,
-    /// When the client received the resolving response (successes).
-    received_at: SimTime,
-    predict: SimDuration,
-    queued: SimDuration,
-    cold_start: Option<ColdStartBreakdown>,
-}
-
-impl Resolution {
-    /// The fate `resp` fixes when its client receives it at `at`.
-    fn received(resp: ServingResponse, at: SimTime) -> Resolution {
-        Resolution {
-            outcome: resp.outcome,
-            received_at: at,
-            predict: resp.predict,
-            queued: resp.queued,
-            cold_start: resp.cold_start,
-        }
-    }
 }
 
 /// Per-request span scratch: `(receive, net_in, exec, net_out)`.
@@ -562,65 +543,157 @@ struct Lane {
     /// The client's oldest request not yet sent.
     next: usize,
     /// The end of the batch starting at `next`; its send instant is the
-    /// lane's entry in [`ExecSystem::next_send`].
+    /// lane's key in [`ExecSystem::sends`].
     batch_end: usize,
-    /// Global id of the lane's next invocation; its first is its entry in
-    /// [`ExecSystem::first_inv`].
-    next_inv: usize,
     payload_rng: SimRng,
 }
 
 /// A lane's invocations in flight: every one sent from the oldest its
-/// client may still hear back about on. A lane keeps five bytes per
-/// invocation in flight (nine under adaptive batching); the send instant
-/// is not kept, since the batching policy derives it from the members'
-/// arrivals.
+/// client may still hear back about on, in one ring addressed by the
+/// invocation's number within the lane. A ring keeps five bytes per
+/// invocation (nine under adaptive batching); the send instant is not
+/// kept, since the batching policy derives it from the members' arrivals.
 #[derive(Default)]
-struct Window {
-    /// Each invocation's current attempt, 1-based, or 0 once its client
-    /// stopped waiting; [`u8::MAX`] stands for any attempt from 255 on,
-    /// kept exactly in [`ExecSystem::late_attempts`].
-    attempts: VecDeque<u8>,
-    /// Each invocation's payload bytes; [`u32::MAX`] stands for any size
-    /// from there on, kept exactly in [`ExecSystem::large_payloads`].
-    payloads: VecDeque<u32>,
-    /// Where each invocation's members start in the lane, kept only under
-    /// adaptive batching: other policies fix batches by position.
+struct Ring {
+    /// The lane's invocations from `oldest` on, in order.
+    slots: VecDeque<Slot>,
+    /// Where each invocation's members start in the lane, slot for slot,
+    /// kept only under adaptive batching: other policies fix batches by
+    /// position.
     starts: VecDeque<u32>,
+    adaptive: bool,
+    /// The lane's oldest invocation kept.
+    oldest: usize,
 }
 
-impl Window {
-    /// The invocations a window keeps room for between runs: enough for
+/// One invocation in a [`Ring`].
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed)]
+struct Slot {
+    /// The current attempt, 1-based, or 0 once the client stopped waiting;
+    /// [`u8::MAX`] stands for any attempt from 255 on, kept exactly in
+    /// [`ExecSystem::late_attempts`].
+    attempt: u8,
+    /// The payload bytes; [`u32::MAX`] stands for any size from there on,
+    /// kept exactly in [`ExecSystem::large_payloads`].
+    payload: u32,
+}
+
+impl Ring {
+    /// The invocations a ring keeps room for between runs: enough for
     /// the steady state of any paper workload, so that a thread replaying
     /// many traces does not reallocate, while a run whose platform leaves
     /// thousands of requests unanswered (the CPU server at workload-200)
-    /// does not leave its window's size behind in the arena.
+    /// does not leave its ring's size behind in the arena.
     const RETAINED: usize = 1024;
 
-    /// Empties the window after a run, keeping at most
-    /// [`Window::RETAINED`] invocations of room.
+    /// Empties the ring after a run, keeping at most [`Ring::RETAINED`]
+    /// invocations of room and no starts: only adaptive runs need them.
     fn release(&mut self) {
-        self.attempts.clear();
-        self.payloads.clear();
-        self.starts.clear();
-        self.attempts.shrink_to(Self::RETAINED);
-        self.payloads.shrink_to(Self::RETAINED);
-        self.starts.shrink_to(Self::RETAINED);
+        self.oldest = 0;
+        self.slots.clear();
+        self.slots.shrink_to(Self::RETAINED);
+        self.starts = VecDeque::new();
+    }
+
+    /// The lane's next invocation.
+    fn next(&self) -> usize {
+        self.oldest + self.slots.len()
+    }
+
+    /// Opens the lane's next invocation at attempt 1.
+    fn push(&mut self, payload: u32, start: u32) {
+        self.slots.push_back(Slot {
+            attempt: 1,
+            payload,
+        });
+        if self.adaptive {
+            self.starts.push_back(start);
+        }
+    }
+
+    /// Invocation `k`'s attempt; 0 once it has left the ring.
+    fn attempt(&self, k: usize) -> u8 {
+        k.checked_sub(self.oldest)
+            .map_or(0, |i| self.slots[i].attempt)
+    }
+
+    fn set_attempt(&mut self, k: usize, attempt: u8) {
+        self.slots[k - self.oldest].attempt = attempt;
+    }
+
+    /// Invocation `k`'s payload bytes.
+    fn payload(&self, k: usize) -> u32 {
+        self.slots[k - self.oldest].payload
+    }
+
+    /// Where invocation `k`'s members start (adaptive batching only).
+    fn start(&self, k: usize) -> u32 {
+        self.starts[k - self.oldest]
+    }
+
+    /// Drops the oldest invocation.
+    fn pop(&mut self) {
+        self.slots.pop_front();
+        self.starts.pop_front();
+        self.oldest += 1;
     }
 }
 
-/// An invocation in flight, located in its lane's window.
+/// Each lane's next send instant, as `(instant, lane)` pairs in ascending
+/// order: the front is the lane that sends first, ties to the lowest lane.
+/// A send refiles its lane from the back, where the lanes of clients that
+/// take turns land after a comparison or two; a lane leaves once it has
+/// sent everything.
+#[derive(Default)]
+struct SendOrder(VecDeque<(SimTime, u32)>);
+
+impl SendOrder {
+    /// Files `lane`, next sending at `at`.
+    fn file(&mut self, at: SimTime, lane: u32) {
+        let key = (at, lane);
+        if self.0.back().is_some_and(|&last| last > key) {
+            let pos = self.0.partition_point(|&e| e < key);
+            self.0.insert(pos, key);
+        } else {
+            self.0.push_back(key);
+        }
+    }
+
+    /// The lane that sends first, and when.
+    fn first(&self) -> Option<(SimTime, u32)> {
+        self.0.front().copied()
+    }
+
+    /// The first lane has sent; it sends next at `next`, if at all.
+    fn refile_first(&mut self, next: Option<SimTime>) {
+        let (_, lane) = self.0.pop_front().expect("a lane has sent");
+        if let Some(at) = next {
+            self.file(at, lane);
+        }
+    }
+}
+
+/// An invocation in flight, located in its lane's ring.
 #[derive(Debug, Clone, Copy)]
 struct Flight {
     lane: usize,
-    /// Its position in the lane's window.
-    slot: usize,
+    /// Its number within the lane: its entry in the lane's ring.
+    k: usize,
     /// Its members' positions in the lane: `first..end`.
     first: usize,
     end: usize,
     attempt: u32,
-    /// The bytes it carries.
-    payload: u64,
+}
+
+/// An invocation a lane has just sent: what its first delivery carries
+/// (see [`ExecEvent::Deliver`]) and its request-path network time
+/// (pre-jitter).
+struct Sent {
+    inv: usize,
+    bytes: u32,
+    inferences: u32,
+    net_in: SimDuration,
 }
 
 /// How the lanes' invocations reach the kernel.
@@ -632,10 +705,11 @@ struct Flight {
 /// before anything that sorts after it pops. Lanes send in send order and
 /// a delivery never precedes its send, so nothing unsent fires before the
 /// earliest unsent send instant, the watermark. A refill sends at least
-/// [`ARRIVAL_BURST`] invocations, queues their events and picks as its
-/// trigger the latest of them that fires before the watermark: the kernel
-/// pops the trigger before anything at or past the watermark, and popping
-/// it calls the next refill.
+/// [`ARRIVAL_BURST`] invocations and queues their events. As the
+/// watermark rises it checks the burst's deliveries in send order and
+/// takes as its trigger the latest that fires before it: the kernel pops
+/// the trigger before anything at or past the watermark, and popping it
+/// calls the next refill.
 #[derive(Default)]
 struct Feed {
     /// The first reserved sequence number.
@@ -644,10 +718,9 @@ struct Feed {
     stride: u64,
     /// The burst being handed to the kernel.
     burst: Vec<(SimTime, u64, ExecEvent)>,
-    /// The event whose pop calls the next refill: the first delivery
-    /// (`false`) or first-attempt timeout (`true`) of an invocation.
-    /// `None` once every lane has sent everything.
-    trigger: Option<(bool, usize)>,
+    /// The invocation whose first delivery calls the next refill; `None`
+    /// once every lane has sent everything.
+    trigger: Option<usize>,
 }
 
 /// Run-lifetime buffers, recycled across runs on the same thread.
@@ -664,9 +737,9 @@ struct Feed {
 struct RunArena {
     lanes: Vec<Lane>,
     first_inv: Vec<usize>,
-    next_send: Vec<SimTime>,
+    sends: SendOrder,
     jitters: Vec<FaultInjector>,
-    windows: Vec<Window>,
+    rings: Vec<Ring>,
     feed: Feed,
     /// Retry mode's responses on their way to the client, by
     /// [`ExecEvent::ClientRecv`] slot, and the free slots.
@@ -685,11 +758,11 @@ impl RunArena {
     /// never change results.
     fn begin(&mut self) {
         self.lanes.clear();
-        self.next_send.clear();
+        self.sends.0.clear();
         self.first_inv.clear();
         self.jitters.clear();
-        for w in &mut self.windows {
-            w.release();
+        for ring in &mut self.rings {
+            ring.release();
         }
         self.feed.burst.clear();
         self.receipts.clear();
@@ -746,13 +819,13 @@ fn transfer_table(table: &mut Vec<SimDuration>, pool: &RequestPool, network: &Ne
 
 /// A request the client has not yet heard back about: it times out
 /// unless a response resolves it.
-fn unresolved(index: usize, client: u32, arrival: SimTime, payload_bytes: u64) -> RequestRecord {
+fn unresolved(index: usize, client: u32, arrival: SimTime) -> RequestRecord {
     RequestRecord {
         index,
         client,
         arrival,
         sent_at: arrival,
-        payload_bytes,
+        payload_bytes: 0,
         outcome: Outcome::Failure(FailureReason::ClientTimeout),
         cold: false,
         latency: None,
@@ -762,20 +835,15 @@ fn unresolved(index: usize, client: u32, arrival: SimTime, payload_bytes: u64) -
 }
 
 /// Where a cell settles its requests: one entry per request in the cell's
-/// local order (lane `l`'s request `j` is entry `j · lanes + l`), added
-/// unresolved just ahead of the lanes' sends. Records keep everything a
-/// request went through; an [`OutcomeTable`] keeps what the analyzer
-/// reads.
+/// local order (lane `l`'s request `j` is entry `j · lanes + l`), every
+/// one unresolved from the start. Records keep everything a request went
+/// through; an [`OutcomeTable`] keeps what the analyzer reads.
 trait Sink: Default + Send {
-    /// An empty table with room for `n` requests.
-    fn with_room(n: usize) -> Self;
-    /// A table of `n` unresolved requests, into which a sharded run
-    /// places each cell's share.
-    fn unresolved_run(n: usize) -> Self;
+    /// A table of `n` unresolved requests, entry `m` being request
+    /// `entry(m)`: its trace index, client and arrival.
+    fn unresolved(n: usize, entry: impl Fn(usize) -> (usize, u32, SimTime)) -> Self;
     /// Requests in the table.
     fn count(&self) -> usize;
-    /// Adds the next request, unresolved.
-    fn push_unresolved(&mut self, index: usize, client: u32, arrival: SimTime);
     /// Entry `m` went out at `at` carrying `bytes` of its invocation's
     /// payload.
     fn sent(&mut self, m: usize, at: SimTime, bytes: u64);
@@ -791,20 +859,17 @@ trait Sink: Default + Send {
 }
 
 impl Sink for Vec<RequestRecord> {
-    fn with_room(n: usize) -> Self {
-        Vec::with_capacity(n)
-    }
-
-    fn unresolved_run(n: usize) -> Self {
-        vec![unresolved(0, 0, SimTime::ZERO, 0); n]
+    fn unresolved(n: usize, entry: impl Fn(usize) -> (usize, u32, SimTime)) -> Self {
+        (0..n)
+            .map(|m| {
+                let (index, client, arrival) = entry(m);
+                unresolved(index, client, arrival)
+            })
+            .collect()
     }
 
     fn count(&self) -> usize {
         self.len()
-    }
-
-    fn push_unresolved(&mut self, index: usize, client: u32, arrival: SimTime) {
-        self.push(unresolved(index, client, arrival, 0));
     }
 
     fn sent(&mut self, m: usize, at: SimTime, bytes: u64) {
@@ -859,20 +924,12 @@ impl Sink for Vec<RequestRecord> {
 }
 
 impl Sink for OutcomeTable {
-    fn with_room(n: usize) -> Self {
-        OutcomeTable::with_capacity(n)
-    }
-
-    fn unresolved_run(n: usize) -> Self {
+    fn unresolved(n: usize, _: impl Fn(usize) -> (usize, u32, SimTime)) -> Self {
         OutcomeTable::unresolved(n)
     }
 
     fn count(&self) -> usize {
         self.len()
-    }
-
-    fn push_unresolved(&mut self, _: usize, _: u32, _: SimTime) {
-        self.push(Fate::UNRESOLVED);
     }
 
     fn sent(&mut self, _: usize, _: SimTime, _: u64) {}
@@ -943,8 +1000,6 @@ struct ExecSystem<'r, S> {
     /// The cell's cold-start table, in resolution order until the run
     /// ends; see [`RunResult::cold_starts`].
     cold_starts: Vec<(usize, ColdStartBreakdown)>,
-    /// The next entry to add: its round of the trace and its lane.
-    fill: (usize, usize),
     /// Per-request span scratch; sized only when a recorder wants spans.
     spans: Vec<Span>,
     /// The whole trace's arrivals, which the lanes read strided.
@@ -957,11 +1012,9 @@ struct ExecSystem<'r, S> {
     first_inv: &'r [usize],
     /// Per lane, its share of the first-attempt client jitter.
     jitters: &'r mut [FaultInjector],
-    /// Per lane, when its next batch is sent; [`SimTime::MAX`] once it
-    /// has sent everything. Kept apart from the lanes so that finding the
-    /// earliest reads one cache line.
-    next_send: &'r mut [SimTime],
-    windows: &'r mut [Window],
+    /// When each lane sends next, and which lane sends first.
+    sends: &'r mut SendOrder,
+    rings: &'r mut [Ring],
     /// Exact attempts of invocations past attempt 254.
     late_attempts: BTreeMap<usize, u32>,
     /// Exact payloads of invocations carrying [`u32::MAX`] bytes or more.
@@ -996,19 +1049,20 @@ struct ExecSystem<'r, S> {
 }
 
 impl<S: Sink> ExecSystem<'_, S> {
-    /// Sends lane `l`'s next invocation: draws its members' payloads,
-    /// tells the sink and opens its flight. Returns its id, send instant
-    /// and request-path network time.
-    fn send(&mut self, l: usize) -> (usize, SimTime, SimDuration) {
+    /// Sends the next invocation of lane `l`, the first of
+    /// [`ExecSystem::sends`] at `send_at`: draws its members' payloads,
+    /// tells the sink and opens its entry in the lane's ring. Inlined, so
+    /// that what it returns stays in registers.
+    #[inline(always)]
+    fn send(&mut self, l: usize, send_at: SimTime) -> Sent {
         let (arrivals, stride) = (self.arrivals, self.all_clients);
         let lanes = self.lanes.len();
-        self.fill((self.lanes[l].batch_end - 1) * lanes + l);
         let lane = &mut self.lanes[l];
-        let (end, send_at) = (lane.batch_end, self.next_send[l]);
-        debug_assert!(send_at < SimTime::MAX, "lane has an unsent batch");
-        let inv = lane.next_inv;
+        let (first, end) = (lane.next, lane.batch_end);
+        let ring = &mut self.rings[l];
+        let inv = self.first_inv[l] + ring.next();
         let (mut payload_bytes, mut payload_net) = (0, SimDuration::ZERO);
-        for j in lane.next..end {
+        for j in first..end {
             let m = j * lanes + l;
             let payload = self.pool.pick(&mut lane.payload_rng);
             self.sink.sent(m, send_at, payload.size_bytes);
@@ -1018,51 +1072,36 @@ impl<S: Sink> ExecSystem<'_, S> {
                 span.inv = inv as u64;
             }
         }
-        let net_in = if end - lane.next == 1 {
+        let net_in = if end - first == 1 {
             payload_net
         } else {
             self.network.transfer_time(payload_bytes)
         };
-        let first = u32::try_from(lane.next).expect("a lane's requests fit in u32");
-        let client = lane.client;
-        let at = |j: usize| arrivals[client + j * stride];
-        (lane.batch_end, self.next_send[l]) = if end < lane.len {
-            self.policy.next_batch(end, lane.len, at)
-        } else {
-            (end, SimTime::MAX)
-        };
         lane.next = end;
-        lane.next_inv += 1;
-        let window = &mut self.windows[l];
-        window.attempts.push_back(1);
-        match u32::try_from(payload_bytes) {
-            Ok(bytes) if bytes < u32::MAX => window.payloads.push_back(bytes),
+        let next_send = (end < lane.len).then(|| {
+            let client = lane.client;
+            let at = |j: usize| arrivals[client + j * stride];
+            let send_at;
+            (lane.batch_end, send_at) = self.policy.next_batch(end, lane.len, at);
+            send_at
+        });
+        self.sends.refile_first(next_send);
+        let bytes = match u32::try_from(payload_bytes) {
+            Ok(bytes) if bytes < u32::MAX => bytes,
             _ => {
-                window.payloads.push_back(u32::MAX);
                 self.large_payloads.insert(inv, payload_bytes);
+                u32::MAX
             }
-        }
-        if matches!(self.policy, BatchPolicy::Adaptive { .. }) {
-            window.starts.push_back(first);
-        }
-        (inv, send_at, net_in)
-    }
-
-    /// Extends the sink, in trace order, through entry `m`. The table
-    /// grows just ahead of the lanes' sends, so a send stamps entries that
-    /// are still in cache.
-    fn fill(&mut self, m: usize) {
-        while self.sink.count() <= m {
-            let (round, l) = self.fill;
-            let client = self.lanes[l].client;
-            let index = round * self.all_clients + client;
-            self.sink
-                .push_unresolved(index, client as u32, self.arrivals[index]);
-            self.fill = if l + 1 == self.lanes.len() {
-                (round + 1, 0)
-            } else {
-                (round, l + 1)
-            };
+        };
+        ring.push(
+            bytes,
+            u32::try_from(first).expect("a lane's requests fit in u32"),
+        );
+        Sent {
+            inv,
+            bytes,
+            inferences: (end - first) as u32 * self.inference_repeats,
+            net_in,
         }
     }
 
@@ -1070,48 +1109,51 @@ impl<S: Sink> ExecSystem<'_, S> {
     /// hands their first deliveries, and first-attempt timeouts, to the
     /// kernel; see [`Feed`].
     fn refill<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
-        let mut earliest = SimTime::MAX;
+        // The burst's first entry not yet found to fire before the
+        // watermark, and the latest delivery found to.
+        let mut checked = 0;
+        let mut latest: Option<(SimTime, u64, usize)> = None;
         let watermark = loop {
-            // The earliest unsent send bounds every unsent event; ties go
-            // to the first lane.
-            let (l, &watermark) = self
-                .next_send
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, at)| at)
-                .expect("a cell has a lane");
-            let full = self.feed.burst.len() >= ARRIVAL_BURST && earliest < watermark;
+            // The earliest unsent send bounds every unsent event.
+            let (watermark, l) = self.sends.first().unwrap_or((SimTime::MAX, 0));
+            while let Some((at, seq, ev)) = self.feed.burst.get(checked) {
+                match *ev {
+                    // A timeout is never the trigger: it fires a whole
+                    // attempt timeout after its send, mostly past the
+                    // watermark, and would hold up the deliveries behind.
+                    ExecEvent::AttemptTimeout(_) => {}
+                    ExecEvent::Deliver { id, .. } if *at < watermark => {
+                        if latest.is_none_or(|(t, s, _)| (*at, *seq) > (t, s)) {
+                            latest = Some((*at, *seq, id));
+                        }
+                    }
+                    _ => break,
+                }
+                checked += 1;
+            }
+            let full = self.feed.burst.len() >= ARRIVAL_BURST && latest.is_some();
             if watermark == SimTime::MAX || full {
                 break watermark;
             }
-            let (inv, send_at, net_in) = self.send(l);
-            let deliver_at = send_at + net_in + self.jitters[l].client_jitter();
-            let seq = self.feed.first_seq + inv as u64 * self.feed.stride;
-            self.feed
-                .burst
-                .push((deliver_at, seq, ExecEvent::Deliver(inv)));
-            earliest = earliest.min(deliver_at);
+            let (l, sent) = (l as usize, self.send(l as usize, watermark));
+            let deliver_at = watermark + sent.net_in + self.jitters[l].client_jitter();
+            let seq = self.feed.first_seq + sent.inv as u64 * self.feed.stride;
+            let delivery = ExecEvent::Deliver {
+                id: sent.inv,
+                bytes: sent.bytes,
+                inferences: sent.inferences,
+            };
+            self.feed.burst.push((deliver_at, seq, delivery));
             if self.retry.enabled() {
-                let timeout_at = send_at + self.retry.attempt_timeout;
-                let timeout = ExecEvent::AttemptTimeout(inv);
+                let timeout_at = watermark + self.retry.attempt_timeout;
+                let timeout = ExecEvent::AttemptTimeout(sent.inv);
                 self.feed.burst.push((timeout_at, seq + 1, timeout));
             }
         };
-        let feed = &mut *self.feed;
-        feed.trigger = if watermark == SimTime::MAX {
-            None
-        } else {
-            feed.burst
-                .iter()
-                .filter(|e| e.0 < watermark)
-                .max_by_key(|e| (e.0, e.1))
-                .map(|e| match e.2 {
-                    ExecEvent::AttemptTimeout(inv) => (true, inv),
-                    ExecEvent::Deliver(inv) => (false, inv),
-                    _ => unreachable!("the feed queues first attempts only"),
-                })
-        };
-        queue.schedule_reserved(feed.burst.drain(..));
+        self.feed.trigger = latest
+            .filter(|_| watermark < SimTime::MAX)
+            .map(|(_, _, inv)| inv);
+        queue.schedule_reserved(self.feed.burst.drain(..));
     }
 
     /// The lane that sent invocation `inv`.
@@ -1121,44 +1163,49 @@ impl<S: Sink> ExecSystem<'_, S> {
         self.first_inv.iter().filter(|&&first| first <= inv).count() - 1
     }
 
-    /// Invocation `inv`'s lane and its position in the lane's window.
-    fn flight_at(&self, inv: usize) -> Option<(usize, usize)> {
-        let l = self.lane_of(inv);
-        let oldest = self.lanes[l].next_inv - self.windows[l].attempts.len();
-        Some((l, inv.checked_sub(oldest)?))
-    }
-
-    /// Invocation `inv`, while its client waits on it.
+    /// Invocation `inv`, while its client waits on it. Inlined, so that
+    /// what it returns stays in registers.
+    #[inline(always)]
     fn flight(&self, inv: usize) -> Option<Flight> {
-        let (l, slot) = self.flight_at(inv)?;
-        let (lane, window) = (&self.lanes[l], &self.windows[l]);
-        let attempt = match *window.attempts.get(slot)? {
+        let l = self.lane_of(inv);
+        let (lane, ring) = (&self.lanes[l], &self.rings[l]);
+        let k = inv - self.first_inv[l];
+        let attempt = match ring.attempt(k) {
             0 => return None,
             u8::MAX => self.late_attempts[&inv],
             a => u32::from(a),
         };
         let (first, end) = self
             .policy
-            .positional_batch(inv - self.first_inv[l], lane.len)
+            .positional_batch(k, lane.len)
             .unwrap_or_else(|| {
-                let end = window
-                    .starts
-                    .get(slot + 1)
-                    .map_or(lane.next, |&j| j as usize);
-                (window.starts[slot] as usize, end)
+                let end = if k + 1 < ring.next() {
+                    ring.start(k + 1) as usize
+                } else {
+                    lane.next
+                };
+                (ring.start(k) as usize, end)
             });
-        let payload = match window.payloads[slot] {
-            u32::MAX => self.large_payloads[&inv],
-            bytes => u64::from(bytes),
-        };
         Some(Flight {
             lane: l,
-            slot,
+            k,
             first,
             end,
             attempt,
-            payload,
         })
+    }
+
+    /// Invocation `f`'s global id.
+    fn inv(&self, f: &Flight) -> usize {
+        self.first_inv[f.lane] + f.k
+    }
+
+    /// The bytes invocation `f` carries, and its delivery's `bytes`.
+    fn payload(&self, f: &Flight) -> (u64, u32) {
+        match self.rings[f.lane].payload(f.k) {
+            u32::MAX => (self.large_payloads[&self.inv(f)], u32::MAX),
+            bytes => (u64::from(bytes), bytes),
+        }
     }
 
     /// When invocation `f` was first sent: the instant the batching
@@ -1172,17 +1219,17 @@ impl<S: Sink> ExecSystem<'_, S> {
 
     /// Network time on invocation `f`'s request path (pre-jitter).
     fn net_in(&self, f: &Flight) -> SimDuration {
-        self.network.transfer_time(f.payload)
+        self.network.transfer_time(self.payload(f).0)
     }
 
-    /// Moves invocation `inv` (in flight as `f`) to attempt `attempt`;
-    /// 0 stops waiting on it and drops every closed invocation at the
-    /// front of its window.
-    fn set_attempt(&mut self, inv: usize, f: &Flight, attempt: u32) {
-        let window = &mut self.windows[f.lane];
-        window.attempts[f.slot] = match u8::try_from(attempt) {
+    /// Moves invocation `f` to attempt `attempt`; 0 stops waiting on it
+    /// and drops every closed invocation at the front of its ring.
+    fn set_attempt(&mut self, f: &Flight, attempt: u32) {
+        let (inv, first_inv) = (self.inv(f), self.first_inv[f.lane]);
+        let ring = &mut self.rings[f.lane];
+        let byte = match u8::try_from(attempt) {
             Ok(a) if a < u8::MAX => {
-                if window.attempts[f.slot] == u8::MAX {
+                if ring.attempt(f.k) == u8::MAX {
                     self.late_attempts.remove(&inv);
                 }
                 a
@@ -1192,13 +1239,12 @@ impl<S: Sink> ExecSystem<'_, S> {
                 u8::MAX
             }
         };
-        while window.attempts.front() == Some(&0) {
-            let oldest = self.lanes[f.lane].next_inv - window.attempts.len();
-            window.attempts.pop_front();
-            if window.payloads.pop_front() == Some(u32::MAX) {
-                self.large_payloads.remove(&oldest);
+        ring.set_attempt(f.k, byte);
+        while ring.slots.front().is_some_and(|s| s.attempt == 0) {
+            if ring.payload(ring.oldest) == u32::MAX {
+                self.large_payloads.remove(&(first_inv + ring.oldest));
             }
-            window.starts.pop_front();
+            ring.pop();
         }
     }
 
@@ -1208,16 +1254,17 @@ impl<S: Sink> ExecSystem<'_, S> {
         }
     }
 
-    /// Handles drained responses. A single attempt's fate is its response,
-    /// settled at once; its exec time, which only its spans read, is what
-    /// remains of the platform's span after its own queueing. Under
-    /// retries a response is held for its client's receipt, or dropped
-    /// once the engine has stopped (`queue` is `None`).
+    /// Handles drained responses, read where the platform wrote them. A
+    /// single attempt's fate is its response, settled at once; its exec
+    /// time, which only its spans read, is what remains of the platform's
+    /// span after its own queueing. Under retries a response is held for
+    /// its client's receipt, or dropped once the engine has stopped
+    /// (`queue` is `None`).
     fn settle_drained<K: StoreKind>(&mut self, mut queue: Option<&mut EventQueue<ExecEvent, K>>) {
-        // Swap the scratch out so settling can borrow `self` freely;
+        // Take the scratch out so settling can borrow `self` freely;
         // capacity is preserved across calls either way.
-        let mut pending = std::mem::take(self.io.resp_scratch);
-        for resp in pending.drain(..) {
+        let mut drained = std::mem::take(self.io.resp_scratch);
+        for resp in &drained {
             let received_at = resp.completed_at + self.response_net;
             let id = resp.id.0 as usize;
             if !self.retry.enabled() {
@@ -1231,27 +1278,35 @@ impl<S: Sink> ExecSystem<'_, S> {
                     resp.completed_at
                         .saturating_duration_since(delivered + resp.queued)
                 };
-                self.resolve(id, &f, Resolution::received(resp, received_at), exec);
+                self.resolve(&f, resp, received_at, exec);
             } else if let Some(queue) = queue.as_deref_mut() {
                 let slot = match self.free_receipts.pop() {
                     Some(slot) => {
-                        self.receipts[slot] = (id, resp);
+                        self.receipts[slot] = (id, *resp);
                         slot
                     }
                     None => {
-                        self.receipts.push((id, resp));
+                        self.receipts.push((id, *resp));
                         self.receipts.len() - 1
                     }
                 };
                 queue.schedule_at(received_at, ExecEvent::ClientRecv(slot));
             }
         }
-        *self.io.resp_scratch = pending;
+        drained.clear();
+        *self.io.resp_scratch = drained;
     }
 
-    /// Fixes invocation `inv`'s fate: settles it, and the exec time its
-    /// spans report, for its members, and closes its flight.
-    fn resolve(&mut self, inv: usize, f: &Flight, res: Resolution, exec: SimDuration) {
+    /// Fixes invocation `f`'s fate as `resp` has it, received by its
+    /// client at `received_at`: settles it, and the exec time its spans
+    /// report, for its members, and closes its flight.
+    fn resolve(
+        &mut self,
+        f: &Flight,
+        resp: &ServingResponse,
+        received_at: SimTime,
+        exec: SimDuration,
+    ) {
         // Spans are only kept when tracing.
         let net_in = if self.spans.is_empty() {
             SimDuration::ZERO
@@ -1262,13 +1317,11 @@ impl<S: Sink> ExecSystem<'_, S> {
         for j in f.first..f.end {
             let m = j * lanes + f.lane;
             let index = client + j * self.all_clients;
-            if let Some(breakdown) = res.cold_start {
+            if let Some(breakdown) = resp.cold_start {
                 self.cold_starts.push((index, breakdown));
             }
-            let e2e = res
-                .received_at
-                .saturating_duration_since(self.arrivals[index]);
-            let (outcome, latency) = match res.outcome {
+            let e2e = received_at.saturating_duration_since(self.arrivals[index]);
+            let (outcome, latency) = match resp.outcome {
                 Outcome::Success if e2e > self.timeout => {
                     (Outcome::Failure(FailureReason::ClientTimeout), None)
                 }
@@ -1277,16 +1330,16 @@ impl<S: Sink> ExecSystem<'_, S> {
             };
             let fate = Fate {
                 outcome,
-                cold: res.cold_start.is_some(),
+                cold: resp.cold_start.is_some(),
                 latency,
-                predict: res.predict,
+                predict: resp.predict,
             };
-            self.sink.settle(m, fate, res.queued);
+            self.sink.settle(m, fate, resp.queued);
             if let Some(span) = self.spans.get_mut(m) {
-                span.parts = Some((res.received_at, net_in, exec, self.response_net));
+                span.parts = Some((received_at, net_in, exec, self.response_net));
             }
         }
-        self.set_attempt(inv, f, 0);
+        self.set_attempt(f, 0);
     }
 
     fn decode(&self, id: usize) -> (usize, u32) {
@@ -1298,10 +1351,11 @@ impl<S: Sink> ExecSystem<'_, S> {
         (id % self.n_inv, (id / self.n_inv) as u32 + 1)
     }
 
-    /// Invocation `inv`, if its client still waits on exactly attempt
-    /// `attempt`; events about resolved invocations or abandoned attempts
-    /// are stale.
-    fn current(&self, inv: usize, attempt: u32) -> Option<Flight> {
+    /// The invocation attempt-encoded as `id`, if its client still waits
+    /// on exactly that attempt; events about resolved invocations or
+    /// abandoned attempts are stale.
+    fn current(&self, id: usize) -> Option<Flight> {
+        let (inv, attempt) = self.decode(id);
         self.flight(inv).filter(|f| f.attempt == attempt)
     }
 
@@ -1325,7 +1379,6 @@ impl<S: Sink> ExecSystem<'_, S> {
     fn attempt_failed<K: StoreKind>(
         &mut self,
         queue: &mut EventQueue<ExecEvent, K>,
-        inv: usize,
         f: Flight,
         reason: FailureReason,
     ) {
@@ -1343,10 +1396,15 @@ impl<S: Sink> ExecSystem<'_, S> {
             let send_at = now + SimDuration::from_secs_f64(base + jitter);
             if send_at <= self.send_at(&f) + self.timeout {
                 self.retries_used += 1;
-                self.set_attempt(inv, &f, attempt + 1);
-                let id = attempt as usize * self.n_inv + inv;
+                self.set_attempt(&f, attempt + 1);
+                let id = attempt as usize * self.n_inv + self.inv(&f);
+                let delivery = ExecEvent::Deliver {
+                    id,
+                    bytes: self.payload(&f).1,
+                    inferences: (f.end - f.first) as u32 * self.inference_repeats,
+                };
                 let deliver_at = send_at + self.net_in(&f) + self.client_faults.client_jitter();
-                queue.schedule_at(deliver_at, ExecEvent::Deliver(id));
+                queue.schedule_at(deliver_at, delivery);
                 queue.schedule_at(
                     send_at + self.retry.attempt_timeout,
                     ExecEvent::AttemptTimeout(id),
@@ -1362,14 +1420,15 @@ impl<S: Sink> ExecSystem<'_, S> {
         } else {
             reason
         };
-        let res = Resolution {
+        let failure = ServingResponse {
+            id: RequestId(self.inv(&f) as u64),
             outcome: Outcome::Failure(final_reason),
-            received_at: now,
+            completed_at: now,
+            cold_start: None,
             predict: SimDuration::ZERO,
             queued: SimDuration::ZERO,
-            cold_start: None,
         };
-        self.resolve(inv, &f, res, res.predict);
+        self.resolve(&f, &failure, now, SimDuration::ZERO);
     }
 }
 
@@ -1383,31 +1442,42 @@ impl<S: Sink> System for ExecSystem<'_, S> {
     ) {
         let sys = self;
         match ev {
-            ExecEvent::Deliver(id) => {
-                if sys.feed.trigger == Some((false, id)) {
+            ExecEvent::Deliver {
+                id,
+                bytes,
+                inferences,
+            } => {
+                if sys.feed.trigger == Some(id) {
                     sys.refill(queue);
                 }
-                let (inv, attempt) = sys.decode(id);
-                // Without retries every delivery is its invocation's only
-                // attempt, and nothing closes a flight before it lands.
-                let Some(f) = sys.current(inv, attempt) else {
+                // Only an attempt's timeout stops a client waiting before
+                // the attempt lands, and only retries set one: without
+                // them every delivery is current and locates nothing.
+                if sys.retry.enabled() && sys.current(id).is_none() {
                     return;
-                };
+                }
                 if sys.client_faults.drop_packet() {
                     // The platform never sees the request; the attempt
                     // timeout (retry mode) or the client timeout (legacy
                     // mode) is what the client eventually observes.
                     sys.emit_fault(queue.now(), FaultKind::PacketLoss);
                     if !sys.retry.enabled() {
-                        sys.set_attempt(inv, &f, 0);
+                        let f = sys
+                            .current(id)
+                            .expect("a delivered invocation is in flight");
+                        sys.set_attempt(&f, 0);
                     }
                     return;
                 }
+                let payload_bytes = match bytes {
+                    u32::MAX => sys.large_payloads[&sys.decode(id).0],
+                    bytes => u64::from(bytes),
+                };
                 let req = ServingRequest {
                     id: RequestId(id as u64),
                     arrival: queue.now(),
-                    payload_bytes: f.payload,
-                    inferences: (f.end - f.first) as u32 * sys.inference_repeats,
+                    payload_bytes,
+                    inferences,
                 };
                 sys.io
                     .drive(&mut sys.platform, queue, ExecEvent::Platform, |p, s| {
@@ -1423,33 +1493,27 @@ impl<S: Sink> System for ExecSystem<'_, S> {
             ExecEvent::ClientRecv(slot) => {
                 let (id, resp) = sys.receipts[slot];
                 sys.free_receipts.push(slot);
-                let (inv, attempt) = sys.decode(id);
-                let Some(f) = sys.current(inv, attempt) else {
+                let Some(f) = sys.current(id) else {
                     return;
                 };
                 match resp.outcome {
                     Outcome::Success => {
-                        let res = Resolution::received(resp, queue.now());
                         // The winning attempt's exec time is approximated
                         // by its predict time: the retransmission history
                         // makes the phase algebra of the single-shot path
                         // moot.
-                        sys.resolve(inv, &f, res, res.predict);
+                        sys.resolve(&f, &resp, queue.now(), resp.predict);
                     }
                     Outcome::Failure(reason) => {
-                        sys.attempt_failed(queue, inv, f, reason);
+                        sys.attempt_failed(queue, f, reason);
                     }
                 }
             }
             ExecEvent::AttemptTimeout(id) => {
-                if sys.feed.trigger == Some((true, id)) {
-                    sys.refill(queue);
-                }
-                let (inv, attempt) = sys.decode(id);
-                let Some(f) = sys.current(inv, attempt) else {
+                let Some(f) = sys.current(id) else {
                     return;
                 };
-                sys.attempt_failed(queue, inv, f, FailureReason::ClientTimeout);
+                sys.attempt_failed(queue, f, FailureReason::ClientTimeout);
             }
         }
         sys.drain(queue);
@@ -1636,7 +1700,9 @@ impl Executor {
             let cell_rec = rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
             self.run_cell(deployment, platform, trace, cell, cell_rec)
         } else {
-            let table = Mutex::new(S::unresolved_run(trace.arrivals().len()));
+            let table = Mutex::new(S::unresolved(trace.arrivals().len(), |_| {
+                (0, 0, SimTime::ZERO)
+            }));
             let mut outs = fan_out(
                 self.cfg.shards,
                 &cells,
@@ -1739,15 +1805,15 @@ impl Executor {
         let arrivals_guard = ProfGuard::enter("executor/arrivals");
         arena.begin();
         let slots = cell.clients.len();
-        if arena.windows.len() < slots {
-            arena.windows.resize_with(slots, Window::default);
+        if arena.rings.len() < slots {
+            arena.rings.resize_with(slots, Ring::default);
         }
         let RunArena {
             lanes,
             first_inv,
-            next_send,
+            sends,
             jitters,
-            windows,
+            rings,
             feed,
             receipts,
             free_receipts,
@@ -1772,6 +1838,10 @@ impl Executor {
             } else {
                 BatchPolicy::None
             });
+        let rings = &mut rings[..slots];
+        for ring in rings.iter_mut() {
+            ring.adaptive = matches!(policy, BatchPolicy::Adaptive { .. });
+        }
 
         // Invocations are numbered lane after lane, in send order within a
         // lane, so each lane counts its batches up front. First-attempt
@@ -1781,16 +1851,16 @@ impl Executor {
         let mut client_faults =
             FaultInjector::new(self.faults.clone(), seed.substream("client-faults"));
         let mut n_inv = 0;
-        for &c in &cell.clients {
+        for (c_lane, &c) in (0..).zip(&cell.clients) {
             let (client, len) = (c as usize, lane_len(c as usize));
             let at = |j: usize| arrivals[client + j * all_clients];
             let batches = policy.batches(len, at);
-            let (batch_end, send_at) = if len > 0 {
-                policy.next_batch(0, len, at)
-            } else {
-                (0, SimTime::MAX)
-            };
-            next_send.push(send_at);
+            let mut batch_end = 0;
+            if len > 0 {
+                let send_at;
+                (batch_end, send_at) = policy.next_batch(0, len, at);
+                sends.file(send_at, c_lane);
+            }
             first_inv.push(n_inv);
             jitters.push(client_faults.split_jitter(batches as u64));
             lanes.push(Lane {
@@ -1798,7 +1868,6 @@ impl Executor {
                 len,
                 next: 0,
                 batch_end,
-                next_inv: n_inv,
                 payload_rng: seed.substream_indexed("client", u64::from(c)).rng(),
             });
             n_inv += batches;
@@ -1812,20 +1881,25 @@ impl Executor {
         } else {
             Vec::new()
         };
+        // Entry m is lane m % slots's request m / slots.
+        let sink = S::unresolved(n, |m| {
+            let client = lanes[m % slots].client;
+            let index = m / slots * all_clients + client;
+            (index, client as u32, arrivals[index])
+        });
         let mut engine = Engine::with_queue(
             ExecSystem {
                 platform,
-                sink: S::with_room(n),
+                sink,
                 cold_starts: Vec::new(),
-                fill: (0, 0),
                 spans,
                 arrivals,
                 all_clients,
                 lanes: lanes.as_mut_slice(),
-                next_send: next_send.as_mut_slice(),
                 first_inv: first_inv.as_slice(),
                 jitters: jitters.as_mut_slice(),
-                windows: &mut windows[..slots],
+                sends,
+                rings,
                 late_attempts: BTreeMap::new(),
                 large_payloads: BTreeMap::new(),
                 feed,
@@ -1881,15 +1955,13 @@ impl Executor {
 
         // Batches that would only have been delivered past the horizon
         // still reach the sink.
-        for l in 0..sys.lanes.len() {
-            while sys.next_send[l] < SimTime::MAX {
-                sys.send(l);
-            }
+        while let Some((send_at, l)) = sys.sends.first() {
+            sys.send(l as usize, send_at);
         }
         let engine_events = engine.events_processed();
         let mut sys = engine.system;
-        for window in sys.windows.iter_mut() {
-            window.release();
+        for ring in sys.rings.iter_mut() {
+            ring.release();
         }
         sys.cold_starts.sort_unstable_by_key(|&(i, _)| i);
         let recorder = sys.io.rec.take();
@@ -1962,6 +2034,77 @@ mod tests {
         // A replay that keeps records holds one per request: a
         // cold-start breakdown inline would add 40 B to each.
         assert_eq!(std::mem::size_of::<RequestRecord>(), 72);
+    }
+
+    #[test]
+    fn an_event_is_24_bytes() {
+        // A delivery carries its payload size and inference count, packed
+        // into the room the platform's own events take anyway.
+        assert_eq!(std::mem::size_of::<ExecEvent>(), 24);
+    }
+
+    /// A ring whose window slides keeps every invocation's attempt,
+    /// payload and start where its number finds it.
+    #[test]
+    fn a_ring_keeps_its_window_as_it_slides() {
+        for adaptive in [false, true] {
+            let mut ring = Ring {
+                adaptive,
+                ..Ring::default()
+            };
+            let payload = |k: usize| (k * 7) as u32;
+            for k in 0..200 {
+                ring.push(payload(k), (3 * k) as u32);
+                // Close the oldest every third send.
+                if k % 3 == 2 {
+                    ring.set_attempt(ring.oldest, 0);
+                    ring.pop();
+                }
+            }
+            assert_eq!(ring.next(), 200);
+            for k in 0..200 {
+                if k < ring.oldest {
+                    assert_eq!(ring.attempt(k), 0, "{k}");
+                    continue;
+                }
+                assert_eq!(ring.attempt(k), 1, "{k}");
+                assert_eq!(ring.payload(k), payload(k), "{k}");
+                if adaptive {
+                    assert_eq!(ring.start(k), (3 * k) as u32, "{k}");
+                }
+            }
+            ring.release();
+            assert!(ring.starts.is_empty() && ring.next() == 0);
+        }
+    }
+
+    /// Lanes send in `(instant, lane)` order however they are filed.
+    #[test]
+    fn lanes_send_earliest_first_ties_to_the_lowest_lane() {
+        let t = SimTime::from_micros;
+        let mut order = SendOrder::default();
+        for (at, lane) in [(5, 3), (2, 1), (5, 0), (9, 2), (2, 4)] {
+            order.file(t(at), lane);
+        }
+        let mut sent = Vec::new();
+        let mut next = [Some(t(5)), None, Some(t(11)), None, Some(t(5))].into_iter();
+        while let Some((at, lane)) = order.first() {
+            sent.push((at.as_micros(), lane));
+            order.refile_first(next.next().flatten());
+        }
+        assert_eq!(
+            sent,
+            [
+                (2, 1),
+                (2, 4),
+                (5, 0),
+                (5, 1),
+                (5, 3),
+                (5, 3),
+                (9, 2),
+                (11, 0)
+            ]
+        );
     }
 
     #[test]

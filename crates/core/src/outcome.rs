@@ -88,22 +88,14 @@ pub struct OutcomeTable {
 }
 
 impl OutcomeTable {
-    /// An empty table with room for `n` requests.
-    pub(crate) fn with_capacity(n: usize) -> OutcomeTable {
-        OutcomeTable {
-            codes: Vec::with_capacity(n),
-            latency_us: Vec::with_capacity(n),
-            predict_us: Vec::with_capacity(n),
-        }
-    }
-
-    /// `n` unresolved requests.
+    /// `n` unresolved requests, filled column by column.
     pub(crate) fn unresolved(n: usize) -> OutcomeTable {
-        let mut table = OutcomeTable::with_capacity(n);
-        for _ in 0..n {
-            table.push(Fate::UNRESOLVED);
+        let (code, latency_us, predict_us) = encode(Fate::UNRESOLVED);
+        OutcomeTable {
+            codes: vec![code; n],
+            latency_us: vec![latency_us; n],
+            predict_us: vec![predict_us; n],
         }
-        table
     }
 
     /// Requests in the table.
@@ -116,8 +108,14 @@ impl OutcomeTable {
         self.codes.is_empty()
     }
 
+    /// Requests that succeeded, counted off the outcome codes alone.
+    pub fn successes(&self) -> usize {
+        self.codes.iter().filter(|&&code| code & !COLD == 0).count()
+    }
+
     /// Appends `fate`.
-    pub(crate) fn push(&mut self, fate: Fate) {
+    #[cfg(test)]
+    fn push(&mut self, fate: Fate) {
         let (code, latency_us, predict_us) = encode(fate);
         self.codes.push(code);
         self.latency_us.push(latency_us);

@@ -17,6 +17,9 @@ use slsb_workload::{
 };
 use std::fmt;
 
+/// A year, in seconds: the longest workload a scenario may describe.
+const MAX_WORKLOAD_S: f64 = 365.0 * 86_400.0;
+
 /// A serializable workload description.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
@@ -122,6 +125,18 @@ impl WorkloadSpec {
             |field: &str, v: f64| need(v.is_finite() && v >= 0.0, field, "finite and >= 0", v);
         let positive =
             |field: &str, v: f64| need(v.is_finite() && v > 0.0, field, "finite and > 0", v);
+        // Past a year a trace's instants come near where they wrap, and
+        // its analysis timeline would hold millions of buckets however few
+        // requests it has.
+        let duration = |v: f64| {
+            if (0.0..=MAX_WORKLOAD_S).contains(&v) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "duration_s must be in [0, {MAX_WORKLOAD_S}] s (a year), got {v:e}"
+                ))
+            }
+        };
         match *self {
             WorkloadSpec::Preset { scale, .. } => non_negative("scale", scale),
             WorkloadSpec::Mmpp {
@@ -135,7 +150,7 @@ impl WorkloadSpec {
                 non_negative("rate_low", rate_low)?;
                 non_negative("dwell_high_s", dwell_high_s)?;
                 non_negative("dwell_low_s", dwell_low_s)?;
-                non_negative("duration_s", duration_s)
+                duration(duration_s)
             }
             WorkloadSpec::Diurnal {
                 base_rate,
@@ -148,7 +163,7 @@ impl WorkloadSpec {
                 need(in_range, "amplitude", "within [0, base_rate]", amplitude)?;
                 positive("base_rate + amplitude", base_rate + amplitude)?;
                 non_negative("period_s", period_s)?;
-                non_negative("duration_s", duration_s)
+                duration(duration_s)
             }
             WorkloadSpec::FlashCrowd {
                 base_rate,
@@ -162,11 +177,11 @@ impl WorkloadSpec {
                 need(ok, "spike_rate", "finite and >= base_rate", spike_rate)?;
                 non_negative("spike_start_s", spike_start_s)?;
                 non_negative("spike_duration_s", spike_duration_s)?;
-                non_negative("duration_s", duration_s)
+                duration(duration_s)
             }
             WorkloadSpec::Poisson { rate, duration_s } => {
                 non_negative("rate", rate)?;
-                non_negative("duration_s", duration_s)
+                duration(duration_s)
             }
         }
     }

@@ -1,0 +1,171 @@
+//! The executor's own per-request cost, as a same-process ratio against
+//! the platform it drives, so the verdict does not depend on how fast the
+//! host is.
+//!
+//! Each round replays the calibrated W200 trace twice per family: once
+//! through [`Executor::run_outcomes`] (client lanes, the delivery feed,
+//! settling into an outcome table) and once on the same platform driven
+//! by a bare event loop that submits every request at its arrival plus a
+//! fixed network time and only counts the responses. The two take turns
+//! in [`ROUNDS`] rounds (which goes first alternates), so a host slowdown
+//! hits both, and the ratio of their median times is checked against
+//! [`MAX_RATIO`]. What the ratio measures above 1 is the executor's
+//! bookkeeping per request, in units of the platform's own cost.
+//!
+//! Timing means nothing in a debug build, so the test runs only under
+//! `cargo test --release -p slsb-core` (verify.sh runs it).
+
+use slsb_core::{Deployment, Executor, TraceCache};
+use slsb_model::{ModelKind, RuntimeKind};
+use slsb_platform::{
+    NetworkProfile, PlatformEvent, PlatformKind, PlatformScheduler, RequestId, ServingRequest,
+};
+use slsb_sim::{EventQueue, Seed, SimDuration, SimTime};
+use slsb_workload::{MmppPreset, WorkloadTrace};
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Rounds per family.
+const ROUNDS: usize = 15;
+
+/// The calibrated experiment seed, whose W200 trace holds 85,949 requests.
+const SEED: Seed = Seed(127);
+
+/// Ceiling on the median executor time over the median bare-loop time, per
+/// family. On a 2-vCPU VM the ratios read 1.79–1.91 for serverless and
+/// 2.00–2.37 for ManagedML over 6 runs of 9 rounds, alternated with the
+/// executor as it was before each invocation was located once per event
+/// (two flight lookups, every response copied twice, the lanes rescanned
+/// per send), which read 1.98–2.15 and 2.46–2.76. The ceilings sit 7% and
+/// 10% above the highest readings. A busy wait in each send that added
+/// about 55 ns per request (a quarter of the executor's time) failed 4
+/// runs of 4; one adding about 12 ns passed 3 of 3.
+const MAX_RATIO: [(PlatformKind, f64); 2] = [
+    (PlatformKind::AwsServerless, 2.05),
+    (PlatformKind::AwsManagedMl, 2.6),
+];
+
+fn deployment(platform: PlatformKind) -> Deployment {
+    Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115)
+}
+
+/// Seconds one outcome replay of `trace` takes.
+fn executor_s(dep: &Deployment, trace: &WorkloadTrace) -> f64 {
+    let exec = Executor::default();
+    let t0 = Instant::now();
+    let run = exec
+        .run_outcomes(dep, trace, SEED)
+        .expect("valid deployment");
+    let elapsed = t0.elapsed().as_secs_f64();
+    black_box(run.outcomes.len());
+    elapsed
+}
+
+enum Ev {
+    Arrive,
+    Platform(PlatformEvent),
+}
+
+/// Seconds the same platform takes to serve `trace` with no client layer:
+/// one pending arrival at a time, each request delivered a fixed network
+/// time after its arrival, responses drained after every event and
+/// counted. The run ends where a replay's does, at the workload end plus
+/// the client timeout and a 30-s grace.
+fn bare_s(dep: &Deployment, trace: &WorkloadTrace) -> f64 {
+    let mut platform = dep.build(SEED).expect("valid deployment");
+    let arrivals = trace.arrivals();
+    let timeout = Executor::default().config().timeout;
+    let workload_end = SimTime::ZERO + trace.duration();
+    let horizon = workload_end + timeout + SimDuration::from_secs(30);
+    let net_in = NetworkProfile::DEFAULT.transfer_time(PAYLOAD_BYTES);
+    platform.reserve(arrivals.len());
+    let t0 = Instant::now();
+    let mut queue = EventQueue::<Ev>::with_store_capacity(1024);
+    let (mut buffer, mut responses) = (Vec::new(), Vec::new());
+    platform.start(
+        &mut PlatformScheduler::new(SimTime::ZERO, &mut buffer),
+        workload_end,
+    );
+    queue.schedule_many_after(buffer.drain(..).map(|(d, e)| (d, Ev::Platform(e))));
+    if let Some(&first) = arrivals.first() {
+        queue.schedule_at(first + net_in, Ev::Arrive);
+    }
+    let (mut next, mut answered) = (0, 0);
+    while let Some((now, ev)) = queue.pop_at_or_before(horizon) {
+        let mut sched = PlatformScheduler::new(now, &mut buffer);
+        match ev {
+            Ev::Arrive => {
+                let req = ServingRequest {
+                    id: RequestId(next as u64),
+                    arrival: now,
+                    payload_bytes: PAYLOAD_BYTES,
+                    inferences: 1,
+                };
+                platform.submit(&mut sched, req);
+                next += 1;
+                if let Some(&at) = arrivals.get(next) {
+                    queue.schedule_at(at + net_in, Ev::Arrive);
+                }
+            }
+            Ev::Platform(e) => platform.handle(&mut sched, e),
+        }
+        queue.schedule_many_after(buffer.drain(..).map(|(d, e)| (d, Ev::Platform(e))));
+        if platform.has_responses() {
+            platform.drain_responses_into(&mut responses);
+            answered += responses.len();
+            responses.clear();
+        }
+    }
+    platform.finalize(workload_end + SimDuration::from_secs(30));
+    let elapsed = t0.elapsed().as_secs_f64();
+    black_box(answered);
+    elapsed
+}
+
+/// A mid-sized image payload of the default pool.
+const PAYLOAD_BYTES: u64 = 120_000;
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing: run with --release")]
+fn the_executor_costs_a_bounded_multiple_of_its_platform() {
+    let trace = TraceCache::preset(SEED.substream("workload"), MmppPreset::W200, 1.0);
+    let mut over = Vec::new();
+    for (platform, ceiling) in MAX_RATIO {
+        let dep = deployment(platform);
+        // One untimed pass each to warm the allocator and the caches.
+        executor_s(&dep, &trace);
+        bare_s(&dep, &trace);
+        let (mut exec, mut bare) = (Vec::new(), Vec::new());
+        for round in 0..ROUNDS {
+            if round % 2 == 0 {
+                exec.push(executor_s(&dep, &trace));
+                bare.push(bare_s(&dep, &trace));
+            } else {
+                bare.push(bare_s(&dep, &trace));
+                exec.push(executor_s(&dep, &trace));
+            }
+        }
+        let (exec_s, bare_s) = (median(&mut exec), median(&mut bare));
+        let ratio = exec_s / bare_s;
+        let per_request = |s: f64| s * 1e9 / trace.len() as f64;
+        eprintln!(
+            "{platform:?}: executor {:.0} ns/request, bare loop {:.0} ns/request, \
+             ratio {ratio:.3} (ceiling {ceiling})",
+            per_request(exec_s),
+            per_request(bare_s)
+        );
+        if ratio > ceiling {
+            over.push(format!("{platform:?} {ratio:.2} > {ceiling}"));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "the executor costs more than its ceiling times the bare platform: {}",
+        over.join(", ")
+    );
+}

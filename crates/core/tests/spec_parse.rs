@@ -75,7 +75,7 @@ fn workload(json: &str) -> WorkloadSpec {
 #[test]
 fn out_of_range_scenario_values_are_errors_not_panics() {
     // (the field the error must name, its patch to `fault_smoke.json`)
-    let table: [(&str, Patch); 10] = [
+    let table: [(&str, Patch); 12] = [
         ("scale", |s| {
             s.workload = workload(r#"{"kind": "preset", "which": "W40", "scale": -1}"#);
         }),
@@ -84,6 +84,17 @@ fn out_of_range_scenario_values_are_errors_not_panics() {
         }),
         ("duration_s", |s| {
             s.workload = workload(r#"{"kind": "poisson", "rate": 5, "duration_s": -60}"#);
+        }),
+        // Past a year. Only values whose request count the size check
+        // would refuse as well, so that a broken bound never generates.
+        ("duration_s", |s| {
+            s.workload = workload(r#"{"kind": "poisson", "rate": 5, "duration_s": 1e300}"#);
+        }),
+        ("duration_s", |s| {
+            s.workload = workload(
+                r#"{"kind": "diurnal", "base_rate": 5, "amplitude": 2, "period_s": 300,
+                    "duration_s": 1e308}"#,
+            );
         }),
         ("rate_high", |s| {
             s.workload = workload(

@@ -275,8 +275,9 @@ impl Platform {
     }
 
     /// Moves responses completed since the last drain onto the back of
-    /// `out`, a caller-owned buffer, and leaves the platform's internal
-    /// buffer with its capacity intact, so the per-event drain in the
+    /// `out`, a caller-owned buffer. Into an empty `out` the platform's
+    /// buffer and `out` trade places, so the responses are not copied and
+    /// both buffers keep their capacity: the per-event drain in the
     /// engines' hot loops allocates nothing in steady state.
     pub fn drain_responses_into(&mut self, out: &mut Vec<ServingResponse>) {
         match self {

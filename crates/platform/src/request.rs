@@ -136,6 +136,18 @@ pub struct ServingResponse {
     pub queued: SimDuration,
 }
 
+/// Moves `responses` onto the back of `out`. Into an empty `out` — every
+/// drain of an engine's hot loop — the two buffers trade places, so the
+/// responses are read where the platform wrote them instead of being
+/// copied, and each buffer keeps its capacity for the next burst.
+pub(crate) fn hand_over(responses: &mut Vec<ServingResponse>, out: &mut Vec<ServingResponse>) {
+    if out.is_empty() {
+        std::mem::swap(responses, out);
+    } else {
+        out.append(responses);
+    }
+}
+
 impl ServingResponse {
     /// End-to-end latency as measured from the request's platform arrival.
     pub fn latency_from(&self, arrival: SimTime) -> SimDuration {

@@ -344,10 +344,10 @@ impl VmServer {
         }
     }
 
-    /// Moves completed responses onto `out`, keeping this platform's buffer
-    /// capacity for the next burst.
+    /// Moves completed responses onto `out`: into an empty `out` the two
+    /// buffers trade places instead of the responses being copied.
     pub fn drain_responses_into(&mut self, out: &mut Vec<ServingResponse>) {
-        out.append(&mut self.responses);
+        crate::request::hand_over(&mut self.responses, out);
     }
 
     /// True when completed responses are waiting to be drained.

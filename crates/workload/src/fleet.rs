@@ -550,6 +550,22 @@ impl TraceSummary {
         if self.buckets == 0 {
             return Err(FleetError::BadKnob("buckets must be positive".into()));
         }
+        // The buckets span the run, which must end within a year: past
+        // that the span's microseconds can wrap the run's instants.
+        let max = MAX_FLEET_DURATION_S / f64::from(self.buckets);
+        if self.bucket_s > max {
+            return Err(FleetError::KnobTooLarge {
+                name: "bucket_s",
+                value: self.bucket_s,
+                max,
+            });
+        }
+        if self.bucket().is_zero() {
+            return Err(FleetError::BadKnob(format!(
+                "bucket_s = {:e} rounds to 0 us",
+                self.bucket_s
+            )));
+        }
         if self.apps.is_empty() {
             return Err(FleetError::EmptyFleet);
         }
@@ -1043,6 +1059,46 @@ mod tests {
         let fleet = parsed.to_fleet_spec().unwrap();
         assert_eq!(fleet.duration, SimDuration::from_secs(180));
         assert_eq!(fleet.expected_requests(), 7.0);
+    }
+
+    /// A trace's buckets span at most a year, and a bucket is at least a
+    /// microsecond; either error names `bucket_s`.
+    #[test]
+    fn trace_summary_bounds_its_bucket_width() {
+        let with = |bucket_s: f64, buckets: u32| TraceSummary {
+            schema: FLEET_TRACE_SCHEMA.into(),
+            name: "x".into(),
+            bucket_s,
+            buckets,
+            apps: vec![TraceApp {
+                name: "a".into(),
+                profile: "p".into(),
+                invocations: vec![1; buckets as usize],
+                duration_ms_p50: None,
+                memory_mb_p50: None,
+                artifact_mb: None,
+            }],
+        };
+        let year = MAX_FLEET_DURATION_S;
+        assert!(with(year / 10.0, 10).to_fleet_spec().is_ok());
+        assert!(with(1e-6, 10).to_fleet_spec().is_ok());
+        for (bucket_s, buckets) in [(year / 10.0 * 1.01, 10), (1e9, 10), (1e300, 10), (1e308, 1)] {
+            let err = with(bucket_s, buckets).validate().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FleetError::KnobTooLarge {
+                        name: "bucket_s",
+                        ..
+                    }
+                ),
+                "{bucket_s} x {buckets}: {err}"
+            );
+        }
+        for bucket_s in [1e-300, 4e-7] {
+            let err = with(bucket_s, 10).validate().unwrap_err();
+            assert!(err.to_string().contains("bucket_s"), "{bucket_s}: {err}");
+        }
     }
 
     #[test]

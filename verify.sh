@@ -12,6 +12,10 @@ cargo test --workspace -q
 # heap (crates/sim/tests/kernel_ratio.rs): a timing test, so it runs only
 # in a release build.
 cargo test --release -p slsb-sim -q
+# The executor's per-request cost as a same-process ratio against the
+# platform it drives (crates/core/tests/executor_ratio.rs); release only,
+# like the wheel's.
+cargo test --release -p slsb-core -q --test executor_ratio
 cargo clippy --workspace --all-targets -- -D warnings
 # The API docs build without a warning: no broken or private intra-doc
 # link.
