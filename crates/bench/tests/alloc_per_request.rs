@@ -24,14 +24,16 @@ static ALLOC: CountingAllocator = CountingAllocator;
 static COUNTING: Mutex<()> = Mutex::new(());
 
 /// Ceiling on allocations per request of a warm W120 serverless replay
-/// (53,900 requests). It measures 0.0246, 1,324 allocations per run,
-/// and the ceiling leaves 0.1 of headroom. One more allocation per
+/// (53,900 requests). It measures 0.0205, 1,107 allocations per run
+/// (0.0246 while deliveries were staged in a burst buffer before the
+/// kernel), and the ceiling leaves 0.1 of headroom. One more allocation per
 /// request would read 1.0 more.
 const MAX_REPLAY_ALLOCS_PER_REQUEST: f64 = 0.125;
 
 /// Ceiling on allocations per request of a warm 256-app fleet run (about
-/// 150k requests). It measures 0.303, about 45k allocations per run, and
-/// the ceiling leaves 0.1 of headroom.
+/// 150k requests). It measures 0.283, about 42k allocations per run
+/// (0.303 while arrivals went through the timer wheel), and the ceiling
+/// leaves about 0.1 of headroom.
 const MAX_FLEET_ALLOCS_PER_REQUEST: f64 = 0.4;
 
 /// Timed repetitions after one untimed warm-up.

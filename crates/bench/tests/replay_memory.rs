@@ -26,19 +26,19 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Ceiling on the live-heap growth of one replay of the calibrated W200
 /// trace, per request: its 72-byte records, the cold-start table, and what
-/// is in flight. The four families measure 77.9–90.4 B/request; the
-/// heaviest, the CPU server, is still waiting on 60k requests it dropped
-/// unanswered when the run ends, five bytes each (84.3 when a window kept
-/// a byte each and read payloads back from the records). The ceiling
-/// leaves about 1.6 B of headroom. With each record carrying its
-/// cold-start breakdown inline (112-byte records) they measured 118–124,
-/// and pre-scheduling every delivery up front 233–241.
-const MAX_BYTES_PER_REQUEST: f64 = 92.0;
+/// is in flight. The four families measure 77.2–83.4 B/request; the
+/// heaviest, the CPU server, measured 90.4 while the 60k requests it drops
+/// stale stayed in flight until the run ended, five bytes each, instead
+/// of closing as they drop. The ceiling leaves about 1.6 B of headroom.
+/// With each record carrying its cold-start breakdown inline (112-byte
+/// records) they measured 118–124, and pre-scheduling every delivery up
+/// front 233–241.
+const MAX_BYTES_PER_REQUEST: f64 = 85.0;
 
 /// Ceiling on a `with_shards(1)` replay of the same trace with client
 /// retries, faults and client jitter, per request: one record table, the
 /// finished cell's own table on its way into it (an eighth as large), and
-/// what is in flight. It measures 95.6 B/request, and the ceiling leaves
+/// what is in flight. It measures 95.2 B/request, and the ceiling leaves
 /// about 8 B of headroom. With 112-byte records it measured 138, and
 /// copying every cell's records into a second table after the last cell,
 /// on top of the pre-scheduled deliveries, 270.

@@ -21,8 +21,9 @@ use std::io;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Ceiling on the live-heap growth of a traced one-worker fleet run, per
-/// request. The run below (1000 apps, 97k requests) measures 41.4 B/request
-/// traced and untraced alike: the fleet's O(apps) state. The ceiling adds
+/// request. The run below (1000 apps, 97k requests) measures 39.0 B/request
+/// traced and untraced alike (41.4 while arrivals went through the timer
+/// wheel): the fleet's O(apps) state. The ceiling adds
 /// about half again as headroom. Buffering each cell's events until the
 /// run closed measured 653 B/request.
 const MAX_FLEET_BYTES_PER_REQUEST: f64 = 64.0;
@@ -30,7 +31,7 @@ const MAX_FLEET_BYTES_PER_REQUEST: f64 = 64.0;
 /// Ceiling on the live-heap growth of a traced `with_shards(1)` replay of
 /// the calibrated W200 trace, per request: one record table, the finished
 /// cell's table and span scratch, and what is in flight. The replay
-/// measures 96.2 B/request, and the ceiling leaves about 8 B of headroom.
+/// measures 95.9 B/request, and the ceiling leaves about 8 B of headroom.
 /// With 112-byte records it measured 141, with pre-scheduled deliveries
 /// and a second record table 239, and buffering each cell's events until
 /// the run closed 727.

@@ -12,15 +12,15 @@
 
 use crate::runner::{parallel_map, Jobs};
 use slsb_obs::{EventKind, MemoryRecorder, Recorder, TraceEvent};
-use slsb_platform::{Platform, PlatformEvent, PlatformScheduler, ServingResponse};
+use slsb_platform::{Platform, PlatformEvent, PlatformScheduler, RequestId, ServingResponse};
 use slsb_sim::{EventQueue, ProfGuard, Seed, SimDuration, SimTime, StoreKind};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-/// How many arrivals (fleet) or deliveries (executor) one refill hands
-/// the kernel. The burst lands through one call (one profiler scope, one
-/// wheel cursor walk) instead of one per event, and what an engine holds
-/// of its arrivals stays O(clients + burst).
+/// How many arrivals (fleet) or deliveries (executor) one refill feeds
+/// the kernel at least. Refilling once per burst instead of once per
+/// event keeps the refill's bookkeeping off most events, and what an
+/// engine holds of its arrivals stays O(clients + burst).
 pub(crate) const ARRIVAL_BURST: usize = 64;
 
 /// One unit of a run: a seed plus the clients it replays.
@@ -76,6 +76,8 @@ pub(crate) struct PlatformIo<'r> {
     pub buffer: &'r mut Vec<(SimDuration, PlatformEvent)>,
     /// Responses drained from a platform.
     pub resp_scratch: &'r mut Vec<ServingResponse>,
+    /// Ids of requests a platform dropped unanswered, drained from it.
+    pub dropped: &'r mut Vec<RequestId>,
     /// Trace sink threaded into every platform scheduler, if recording.
     pub rec: Option<&'r mut dyn Recorder>,
 }
@@ -117,6 +119,17 @@ impl PlatformIo<'_> {
         let _p = ProfGuard::enter(platform.prof_label());
         platform.drain_responses_into(self.resp_scratch);
         !self.resp_scratch.is_empty()
+    }
+
+    /// Moves the ids of requests `platform` dropped without a response
+    /// into [`PlatformIo::dropped`]; returns whether there were any.
+    #[inline]
+    pub fn drain_dropped(&mut self, platform: &mut Platform) -> bool {
+        if !platform.has_dropped() {
+            return false;
+        }
+        platform.drain_dropped_into(self.dropped);
+        true
     }
 
     /// Tears `platform` down at `teardown` and moves its last responses

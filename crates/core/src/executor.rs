@@ -705,19 +705,17 @@ struct Sent {
 /// before anything that sorts after it pops. Lanes send in send order and
 /// a delivery never precedes its send, so nothing unsent fires before the
 /// earliest unsent send instant, the watermark. A refill sends at least
-/// [`ARRIVAL_BURST`] invocations and queues their events. As the
-/// watermark rises it checks the burst's deliveries in send order and
-/// takes as its trigger the latest that fires before it: the kernel pops
-/// the trigger before anything at or past the watermark, and popping it
-/// calls the next refill.
-#[derive(Default)]
+/// [`ARRIVAL_BURST`] invocations, feeds their deliveries into the queue's
+/// sorted feed and schedules their timeouts, which fire a whole attempt
+/// timeout later, in the store. It takes as its trigger the latest fed
+/// delivery that fires before the watermark: the kernel pops the trigger
+/// before anything at or past the watermark, and popping it calls the
+/// next refill.
 struct Feed {
     /// The first reserved sequence number.
     first_seq: u64,
     /// Reserved numbers per invocation: 1, or 2 under retries.
     stride: u64,
-    /// The burst being handed to the kernel.
-    burst: Vec<(SimTime, u64, ExecEvent)>,
     /// The invocation whose first delivery calls the next refill; `None`
     /// once every lane has sent everything.
     trigger: Option<usize>,
@@ -726,9 +724,8 @@ struct Feed {
 /// Run-lifetime buffers, recycled across runs on the same thread.
 ///
 /// Everything a run holds besides its sink — the lanes, their
-/// in-flight invocations, the delivery feed, retry receipts, platform
-/// scratch — lives here and is sized by what is in flight, never by the
-/// request count. Buffers are `clear()`ed (keeping capacity) instead of
+/// in-flight invocations, retry receipts, platform scratch — lives here
+/// and is sized by what is in flight, never by the request count. Buffers are `clear()`ed (keeping capacity) instead of
 /// dropped, so on a thread replaying many traces (replication, benches)
 /// the steady-state request path performs no per-request heap
 /// allocation. One arena per thread via [`ARENA`]; worker threads in a
@@ -740,12 +737,12 @@ struct RunArena {
     sends: SendOrder,
     jitters: Vec<FaultInjector>,
     rings: Vec<Ring>,
-    feed: Feed,
     /// Retry mode's responses on their way to the client, by
     /// [`ExecEvent::ClientRecv`] slot, and the free slots.
     receipts: Vec<(usize, ServingResponse)>,
     free_receipts: Vec<usize>,
     resp_scratch: Vec<ServingResponse>,
+    dropped: Vec<RequestId>,
     buffer: Vec<(SimDuration, PlatformEvent)>,
     pool: Option<PoolMemo>,
     /// The run's [`transfer_table`].
@@ -764,10 +761,10 @@ impl RunArena {
         for ring in &mut self.rings {
             ring.release();
         }
-        self.feed.burst.clear();
         self.receipts.clear();
         self.free_receipts.clear();
         self.resp_scratch.clear();
+        self.dropped.clear();
         self.buffer.clear();
     }
 }
@@ -1019,7 +1016,7 @@ struct ExecSystem<'r, S> {
     late_attempts: BTreeMap<usize, u32>,
     /// Exact payloads of invocations carrying [`u32::MAX`] bytes or more.
     large_payloads: BTreeMap<usize, u64>,
-    feed: &'r mut Feed,
+    feed: Feed,
     pool: &'r RequestPool,
     /// Request-path network time per pool payload; see [`transfer_table`].
     transfer: &'r [SimDuration],
@@ -1109,51 +1106,33 @@ impl<S: Sink> ExecSystem<'_, S> {
     /// hands their first deliveries, and first-attempt timeouts, to the
     /// kernel; see [`Feed`].
     fn refill<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
-        // The burst's first entry not yet found to fire before the
-        // watermark, and the latest delivery found to.
-        let mut checked = 0;
-        let mut latest: Option<(SimTime, u64, usize)> = None;
-        let watermark = loop {
+        let mut sent = 0;
+        self.feed.trigger = loop {
             // The earliest unsent send bounds every unsent event.
-            let (watermark, l) = self.sends.first().unwrap_or((SimTime::MAX, 0));
-            while let Some((at, seq, ev)) = self.feed.burst.get(checked) {
-                match *ev {
-                    // A timeout is never the trigger: it fires a whole
-                    // attempt timeout after its send, mostly past the
-                    // watermark, and would hold up the deliveries behind.
-                    ExecEvent::AttemptTimeout(_) => {}
-                    ExecEvent::Deliver { id, .. } if *at < watermark => {
-                        if latest.is_none_or(|(t, s, _)| (*at, *seq) > (t, s)) {
-                            latest = Some((*at, *seq, id));
-                        }
-                    }
-                    _ => break,
-                }
-                checked += 1;
-            }
-            let full = self.feed.burst.len() >= ARRIVAL_BURST && latest.is_some();
-            if watermark == SimTime::MAX || full {
-                break watermark;
-            }
-            let (l, sent) = (l as usize, self.send(l as usize, watermark));
-            let deliver_at = watermark + sent.net_in + self.jitters[l].client_jitter();
-            let seq = self.feed.first_seq + sent.inv as u64 * self.feed.stride;
-            let delivery = ExecEvent::Deliver {
-                id: sent.inv,
-                bytes: sent.bytes,
-                inferences: sent.inferences,
+            let Some((watermark, l)) = self.sends.first() else {
+                break None;
             };
-            self.feed.burst.push((deliver_at, seq, delivery));
+            if sent >= ARRIVAL_BURST {
+                if let Some(&ExecEvent::Deliver { id, .. }) = queue.last_fed_before(watermark) {
+                    break Some(id);
+                }
+            }
+            let (l, s) = (l as usize, self.send(l as usize, watermark));
+            let deliver_at = watermark + s.net_in + self.jitters[l].client_jitter();
+            let seq = self.feed.first_seq + s.inv as u64 * self.feed.stride;
+            let delivery = ExecEvent::Deliver {
+                id: s.inv,
+                bytes: s.bytes,
+                inferences: s.inferences,
+            };
+            queue.feed(deliver_at, seq, delivery);
             if self.retry.enabled() {
                 let timeout_at = watermark + self.retry.attempt_timeout;
-                let timeout = ExecEvent::AttemptTimeout(sent.inv);
-                self.feed.burst.push((timeout_at, seq + 1, timeout));
+                let timeout = ExecEvent::AttemptTimeout(s.inv);
+                queue.schedule_reserved([(timeout_at, seq + 1, timeout)]);
             }
+            sent += 1;
         };
-        self.feed.trigger = latest
-            .filter(|_| watermark < SimTime::MAX)
-            .map(|(_, _, inv)| inv);
-        queue.schedule_reserved(self.feed.burst.drain(..));
     }
 
     /// The lane that sent invocation `inv`.
@@ -1249,9 +1228,30 @@ impl<S: Sink> ExecSystem<'_, S> {
     }
 
     fn drain<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
+        if self.io.drain_dropped(&mut self.platform) {
+            self.close_dropped();
+        }
         if self.io.drain(&mut self.platform) {
             self.settle_drained(Some(queue));
         }
+    }
+
+    /// Closes the flights of requests the platform dropped unanswered.
+    /// Without retries no response can reach their clients any more, and
+    /// their entries stay client timeouts; under retries their attempt
+    /// timeouts find them as before.
+    fn close_dropped(&mut self) {
+        let mut dropped = std::mem::take(self.io.dropped);
+        if !self.retry.enabled() {
+            for id in &dropped {
+                let f = self
+                    .flight(id.0 as usize)
+                    .expect("a dropped invocation is in flight");
+                self.set_attempt(&f, 0);
+            }
+        }
+        dropped.clear();
+        *self.io.dropped = dropped;
     }
 
     /// Handles drained responses, read where the platform wrote them. A
@@ -1814,10 +1814,10 @@ impl Executor {
             sends,
             jitters,
             rings,
-            feed,
             receipts,
             free_receipts,
             resp_scratch,
+            dropped,
             buffer,
             pool: pool_memo,
             transfer,
@@ -1902,7 +1902,11 @@ impl Executor {
                 rings,
                 late_attempts: BTreeMap::new(),
                 large_payloads: BTreeMap::new(),
-                feed,
+                feed: Feed {
+                    first_seq: 0,
+                    stride: if retrying { 2 } else { 1 },
+                    trigger: None,
+                },
                 pool,
                 transfer,
                 policy,
@@ -1913,6 +1917,7 @@ impl Executor {
                 io: PlatformIo {
                     buffer,
                     resp_scratch,
+                    dropped,
                     rec,
                 },
                 client_faults,
@@ -1938,9 +1943,7 @@ impl Executor {
                 p.start(s, end.workload_end);
             },
         );
-        let stride = if retrying { 2 } else { 1 };
-        sys.feed.stride = stride;
-        sys.feed.first_seq = engine.queue.reserve_seqs(stride * n_inv as u64);
+        sys.feed.first_seq = engine.queue.reserve_seqs(sys.feed.stride * n_inv as u64);
         sys.refill(&mut engine.queue);
 
         engine.run_until(end.horizon);

@@ -766,7 +766,7 @@ impl FleetRunner {
         let engine_guard = ProfGuard::enter("fleet/engine");
         let mut buffer: Vec<(SimDuration, PlatformEvent)> = Vec::new();
         let mut resp_scratch: Vec<ServingResponse> = Vec::new();
-        let mut arrival_scratch: Vec<(SimTime, FleetEvent)> = Vec::with_capacity(ARRIVAL_BURST);
+        let mut dropped: Vec<RequestId> = Vec::new();
         let queue = EventQueue::with_capacity((globals.len() * 4 + ARRIVAL_BURST).max(64));
         let mut engine = Engine::with_queue(
             FleetSystem {
@@ -777,9 +777,9 @@ impl FleetRunner {
                 io: PlatformIo {
                     buffer: &mut buffer,
                     resp_scratch: &mut resp_scratch,
+                    dropped: &mut dropped,
                     rec: rec.map(|r| r as &mut dyn Recorder),
                 },
-                arrival_scratch: &mut arrival_scratch,
                 timeout: plan.timeout,
                 response_net: self.network.response_time(),
             },
@@ -885,9 +885,6 @@ struct FleetSystem<'r> {
     outstanding_arrivals: u32,
     /// Platform scheduling buffer, drain scratch and trace sink.
     io: PlatformIo<'r>,
-    /// Arrival-burst scratch, reused across refills (arena-style: grows
-    /// once to ARRIVAL_BURST and is drained in place every refill).
-    arrival_scratch: &'r mut Vec<(SimTime, FleetEvent)>,
     /// Per-request client timeout.
     timeout: SimDuration,
     /// Response-path network time.
@@ -895,27 +892,29 @@ struct FleetSystem<'r> {
 }
 
 impl FleetSystem<'_> {
-    /// Pulls up to [`ARRIVAL_BURST`] merged arrivals into the scratch
-    /// buffer and hands them to the kernel in one `schedule_many` call.
-    /// The merge yields nondecreasing times, so everything pulled here is
-    /// at or after the queue's current instant.
+    /// Pulls up to [`ARRIVAL_BURST`] merged arrivals and feeds them to the
+    /// kernel under consecutive sequence numbers, as one `schedule_many`
+    /// call would number them. The merge yields nondecreasing times, so
+    /// everything pulled here is at or after the queue's current instant
+    /// and lands at the back of the queue's feed, in order.
     fn refill_arrivals<K: StoreKind>(&mut self, queue: &mut EventQueue<FleetEvent, K>) {
-        debug_assert!(self.arrival_scratch.is_empty());
-        while self.arrival_scratch.len() < ARRIVAL_BURST {
-            match self.stream.next() {
-                Some((t, global)) => {
-                    let slot = self.slot_of[global as usize];
-                    self.arrival_scratch.push((t, FleetEvent::Arrive(slot)));
-                }
-                None => break,
-            }
-        }
-        self.outstanding_arrivals = self.arrival_scratch.len() as u32;
-        if !self.arrival_scratch.is_empty() {
-            queue.schedule_many(self.arrival_scratch.drain(..));
+        self.outstanding_arrivals = 0;
+        while (self.outstanding_arrivals as usize) < ARRIVAL_BURST {
+            let Some((t, global)) = self.stream.next() else {
+                break;
+            };
+            let slot = self.slot_of[global as usize];
+            let seq = queue.reserve_seqs(1);
+            queue.feed(t, seq, FleetEvent::Arrive(slot));
+            self.outstanding_arrivals += 1;
         }
     }
     fn drain(&mut self, slot: usize) {
+        if self.io.drain_dropped(&mut self.apps[slot].platform) {
+            // A dropped request stays unresolved: it counts as a client
+            // timeout when the cell closes.
+            self.io.dropped.clear();
+        }
         if !self.io.drain(&mut self.apps[slot].platform) {
             return;
         }

@@ -3,7 +3,7 @@
 use crate::billing::CostBreakdown;
 use crate::hybrid::{HybridConfig, HybridPlatform};
 use crate::managedml::{ManagedMlConfig, ManagedMlEvent, ManagedMlPlatform};
-use crate::request::{ServingRequest, ServingResponse};
+use crate::request::{RequestId, ServingRequest, ServingResponse};
 use crate::serverless::{ServerlessConfig, ServerlessEvent, ServerlessPlatform};
 use crate::vmserver::{VmEvent, VmServer, VmServerConfig};
 use slsb_obs::{EventKind, Recorder, TraceEvent};
@@ -300,6 +300,28 @@ impl Platform {
         }
     }
 
+    /// Moves the ids of requests dropped without a response since the
+    /// last drain (a VM server's stale backlog) onto the back of `out`,
+    /// the way [`Platform::drain_responses_into`] moves responses. No
+    /// response will ever come for them.
+    pub fn drain_dropped_into(&mut self, out: &mut Vec<RequestId>) {
+        match self {
+            Platform::Serverless(_) | Platform::ManagedMl(_) => {}
+            Platform::Vm(p) => p.drain_dropped_into(out),
+            Platform::Hybrid(p) => p.drain_dropped_into(out),
+        }
+    }
+
+    /// True when dropped request ids are waiting to be drained; a
+    /// branch-only probe like [`Platform::has_responses`].
+    pub fn has_dropped(&self) -> bool {
+        match self {
+            Platform::Serverless(_) | Platform::ManagedMl(_) => false,
+            Platform::Vm(p) => p.has_dropped(),
+            Platform::Hybrid(p) => p.has_dropped(),
+        }
+    }
+
     /// Closes billing at the end of the run.
     pub fn finalize(&mut self, now: SimTime) {
         match self {
@@ -339,6 +361,7 @@ pub mod test_harness {
         started: bool,
         horizon: SimTime,
         responses: Vec<ServingResponse>,
+        dropped: Vec<RequestId>,
         buffer: Vec<(SimDuration, PlatformEvent)>,
     }
 
@@ -354,6 +377,7 @@ pub mod test_harness {
                 queue.schedule_after(d, HarnessEvent::Platform(e));
             }
             self.platform.drain_responses_into(&mut self.responses);
+            self.platform.drain_dropped_into(&mut self.dropped);
             r
         }
     }
@@ -395,6 +419,7 @@ pub mod test_harness {
                 started: false,
                 horizon: SimTime::from_secs_f64(3600.0),
                 responses: Vec::new(),
+                dropped: Vec::new(),
                 buffer: Vec::new(),
             });
             // Start the platform at the epoch so billing spans and scaler
@@ -440,6 +465,11 @@ pub mod test_harness {
         pub fn run(&mut self) -> Vec<ServingResponse> {
             self.engine.run_to_completion();
             self.engine.system.responses.clone()
+        }
+
+        /// Ids of the requests dropped without a response so far.
+        pub fn dropped(&self) -> &[RequestId] {
+            &self.engine.system.dropped
         }
 
         /// Runs until `horizon_secs` and advances the clock there; returns

@@ -10,7 +10,7 @@
 use crate::api::{PlatformEvent, PlatformReport, PlatformScheduler};
 use crate::billing::CostBreakdown;
 use crate::faults::FaultPlan;
-use crate::request::{ServingRequest, ServingResponse};
+use crate::request::{RequestId, ServingRequest, ServingResponse};
 use crate::serverless::{ServerlessConfig, ServerlessPlatform};
 use crate::vmserver::{VmServer, VmServerConfig};
 use slsb_sim::{Seed, SimDuration, SimTime};
@@ -165,6 +165,17 @@ impl HybridPlatform {
     /// True when either child has responses waiting to be drained.
     pub fn has_responses(&self) -> bool {
         self.vm.has_responses() || self.serverless.has_responses()
+    }
+
+    /// Moves the ids of requests the VM skipped stale onto `out`; the
+    /// serverless child drops nothing.
+    pub fn drain_dropped_into(&mut self, out: &mut Vec<RequestId>) {
+        self.vm.drain_dropped_into(out);
+    }
+
+    /// True when the VM has skipped requests waiting to be drained.
+    pub fn has_dropped(&self) -> bool {
+        self.vm.has_dropped()
     }
 
     /// Closes billing on both children.

@@ -193,6 +193,9 @@ struct MmlInstance {
 pub struct ManagedMlPlatform {
     cfg: ManagedMlConfig,
     rng: SimRng,
+    /// Median predict time of one inference, fixed by the deployment,
+    /// hoisted out of the per-request path.
+    predict_base: SimDuration,
     /// Keep-alive policy state (inter-arrival histogram when adaptive).
     keep_alive: KeepAliveTracker,
     ready: IdMap<MmlInstance>,
@@ -218,6 +221,7 @@ impl ManagedMlPlatform {
         let meter = InstanceMeter::new(cfg.params.pricing);
         ManagedMlPlatform {
             rng: seed.substream("managedml").rng(),
+            predict_base: predict_time(&cfg.model, &cfg.runtime, cfg.params.vcpus),
             keep_alive: KeepAliveTracker::new(cfg.policy.keep_alive),
             cfg,
             ready: IdMap::new(),
@@ -404,8 +408,7 @@ impl ManagedMlPlatform {
             };
             let (req, enqueued) = self.queue.pop_front().expect("queue non-empty");
             let predict = self.rng.lognormal(
-                predict_time(&self.cfg.model, &self.cfg.runtime, self.cfg.params.vcpus)
-                    * u64::from(req.inferences.max(1)),
+                self.predict_base * u64::from(req.inferences.max(1)),
                 self.cfg.params.jitter_sigma,
             );
             let service = self.cfg.params.request_overhead + predict;

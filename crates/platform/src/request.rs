@@ -140,7 +140,7 @@ pub struct ServingResponse {
 /// drain of an engine's hot loop — the two buffers trade places, so the
 /// responses are read where the platform wrote them instead of being
 /// copied, and each buffer keeps its capacity for the next burst.
-pub(crate) fn hand_over(responses: &mut Vec<ServingResponse>, out: &mut Vec<ServingResponse>) {
+pub(crate) fn hand_over<T>(responses: &mut Vec<T>, out: &mut Vec<T>) {
     if out.is_empty() {
         std::mem::swap(responses, out);
     } else {

@@ -232,6 +232,44 @@ impl ServerlessConfig {
     }
 }
 
+/// The medians of a deployment's cold-start stages, before jitter.
+#[derive(Debug, Clone, Copy)]
+struct ColdStartMedians {
+    /// Sandbox boot, image size included.
+    boot: SimDuration,
+    /// What a first-on-host image pull adds to the boot.
+    first_pull: SimDuration,
+    /// Dependency import on the instance's CPU share.
+    import: SimDuration,
+    /// Artifact download from storage.
+    download: SimDuration,
+    /// Model load on the instance's CPU share.
+    load: SimDuration,
+}
+
+impl ColdStartMedians {
+    fn new(cfg: &ServerlessConfig) -> Self {
+        let p = &cfg.params;
+        let image_gb = cfg.image_mb() / 1024.0;
+        // Initialization work (imports, model load) runs on the instance's
+        // CPU share, so larger memory sizes shorten it (Figure 15's lever).
+        let init_slowdown = 1.0 / slsb_model::init_speedup(cfg.vcpus());
+        ColdStartMedians {
+            boot: p.boot_base + p.boot_per_image_gb.mul_f64(image_gb),
+            first_pull: p.first_pull_time.mul_f64(0.5 + image_gb),
+            import: cfg
+                .runtime
+                .import_time
+                .mul_f64(p.import_factor * init_slowdown),
+            download: p.storage.download_time(cfg.download_mb()),
+            load: cfg
+                .runtime
+                .load_time(cfg.model.artifact_mb)
+                .mul_f64(p.load_factor * init_slowdown),
+        }
+    }
+}
+
 /// Internal events of the serverless simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerlessEvent {
@@ -306,6 +344,9 @@ pub struct ServerlessPlatform {
     warm_predict_base: SimDuration,
     /// First (lazy-init) predict time including the predict factor.
     first_predict_base: SimDuration,
+    /// Cold-start stage medians, fixed by the deployment, hoisted out of
+    /// [`ServerlessPlatform::spawn`].
+    cold: ColdStartMedians,
     /// Invocations waiting for an execution environment (the router holds
     /// them while instances boot, exactly as Lambda/Cloud Functions hold
     /// pending invocations).
@@ -335,6 +376,7 @@ impl ServerlessPlatform {
             predict_time(&cfg.model, &cfg.runtime, vcpus).mul_f64(cfg.params.predict_factor);
         let first_predict_base =
             first_predict_time(&cfg.model, &cfg.runtime, vcpus).mul_f64(cfg.params.predict_factor);
+        let cold = ColdStartMedians::new(&cfg);
         ServerlessPlatform {
             rng: seed.substream("serverless").rng(),
             faults: FaultInjector::disabled(),
@@ -345,6 +387,7 @@ impl ServerlessPlatform {
             idle_provisioned: Vec::new(),
             warm_predict_base,
             first_predict_base,
+            cold,
             pending: VecDeque::new(),
             starting_demanded: 0,
             next_id: 0,
@@ -650,26 +693,15 @@ impl ServerlessPlatform {
             self.starting_demanded += 1;
         }
 
-        let p = self.cfg.params.clone();
-        let image_gb = self.cfg.image_mb() / 1024.0;
-        let mut boot_median = p.boot_base + p.boot_per_image_gb.mul_f64(image_gb);
-        let first_pull = self.rng.chance(p.first_pull_chance);
-        if first_pull {
-            boot_median += p.first_pull_time.mul_f64(0.5 + image_gb);
+        let cold = self.cold;
+        let mut boot_median = cold.boot;
+        if self.rng.chance(self.cfg.params.first_pull_chance) {
+            boot_median += cold.first_pull;
         }
         let boot = self.jitter(boot_median);
-        // Initialization work (imports, model load) runs on the instance's
-        // CPU share, so larger memory sizes shorten it (Figure 15's lever).
-        let init_slowdown = 1.0 / slsb_model::init_speedup(self.cfg.vcpus());
-        let import = self.jitter(
-            self.cfg
-                .runtime
-                .import_time
-                .mul_f64(p.import_factor * init_slowdown),
-        );
+        let import = self.jitter(cold.import);
         let download = {
-            let mb = self.cfg.download_mb();
-            let base = self.jitter(p.storage.download_time(mb));
+            let base = self.jitter(cold.download);
             let (extra, stalled) = self.faults.storage_penalty(base);
             if stalled {
                 sched.emit(|| EventKind::Fault {
@@ -679,12 +711,7 @@ impl ServerlessPlatform {
             }
             base + extra
         };
-        let load = self.jitter(
-            self.cfg
-                .runtime
-                .load_time(self.cfg.model.artifact_mb)
-                .mul_f64(p.load_factor * init_slowdown),
-        );
+        let load = self.jitter(cold.load);
 
         let breakdown = ColdStartBreakdown {
             boot,

@@ -13,7 +13,7 @@ use crate::billing::{CostBreakdown, InstanceMeter, InstancePricing};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::policy::{PlacementPolicy, PolicySet};
 use crate::provider::CloudProvider;
-use crate::request::{FailureReason, Outcome, ServingRequest, ServingResponse};
+use crate::request::{FailureReason, Outcome, RequestId, ServingRequest, ServingResponse};
 use slsb_model::{predict_time, ModelProfile, RuntimeProfile};
 use slsb_obs::{Component, EventKind, FaultKind, SpawnCause};
 use slsb_sim::{GaugeSeries, Seed, SimDuration, SimRng, SimTime};
@@ -115,11 +115,15 @@ impl VmServerConfig {
 
     /// Median service time for one request.
     pub fn service_median(&self) -> SimDuration {
-        let compute = match self.kind {
+        self.request_overhead + self.compute_median()
+    }
+
+    /// Median compute time of one inference on the box.
+    fn compute_median(&self) -> SimDuration {
+        match self.kind {
             VmKind::Cpu => predict_time(&self.model, &self.runtime, self.vcpus),
             VmKind::Gpu => self.model.gpu_predict,
-        };
-        self.request_overhead + compute
+        }
     }
 }
 
@@ -134,6 +138,9 @@ pub enum VmEvent {
 pub struct VmServer {
     cfg: VmServerConfig,
     rng: SimRng,
+    /// Median compute time of one inference, fixed by the deployment,
+    /// hoisted out of the per-request path.
+    compute_median: SimDuration,
     busy: Vec<bool>,
     /// Requests served per worker (least-loaded placement key).
     served: Vec<u64>,
@@ -141,6 +148,9 @@ pub struct VmServer {
     meter: InstanceMeter,
     gauge: GaugeSeries,
     responses: Vec<ServingResponse>,
+    /// Requests skipped stale since the last drain: no response will ever
+    /// come for them.
+    dropped: Vec<RequestId>,
     rejected: u64,
     dropped_stale: u64,
     busy_seconds: f64,
@@ -157,6 +167,7 @@ impl VmServer {
         let workers = cfg.workers as usize;
         VmServer {
             rng: seed.substream("vmserver").rng(),
+            compute_median: cfg.compute_median(),
             cfg,
             busy: vec![false; workers],
             served: vec![0; workers],
@@ -164,6 +175,7 @@ impl VmServer {
             meter,
             gauge: GaugeSeries::new(),
             responses: Vec::new(),
+            dropped: Vec::new(),
             rejected: 0,
             dropped_stale: 0,
             busy_seconds: 0.0,
@@ -292,16 +304,14 @@ impl VmServer {
             let (req, enqueued) = self.queue.pop_front().expect("queue non-empty");
             if sched.now().saturating_duration_since(enqueued) > self.cfg.stale_after {
                 self.dropped_stale += 1;
+                self.dropped.push(req.id);
                 sched.emit(|| EventKind::RequestDropped {
                     component: COMPONENT,
                     request: req.id.0,
                 });
                 continue;
             }
-            let compute_median = match self.cfg.kind {
-                VmKind::Cpu => predict_time(&self.cfg.model, &self.cfg.runtime, self.cfg.vcpus),
-                VmKind::Gpu => self.cfg.model.gpu_predict,
-            } * u64::from(req.inferences.max(1));
+            let compute_median = self.compute_median * u64::from(req.inferences.max(1));
             let predict = self.rng.lognormal(compute_median, self.cfg.jitter_sigma);
             let service = self.cfg.request_overhead + predict;
             self.busy_seconds += service.as_secs_f64();
@@ -353,6 +363,17 @@ impl VmServer {
     /// True when completed responses are waiting to be drained.
     pub fn has_responses(&self) -> bool {
         !self.responses.is_empty()
+    }
+
+    /// Moves the ids of requests skipped stale since the last drain onto
+    /// `out`, the same way as [`VmServer::drain_responses_into`].
+    pub fn drain_dropped_into(&mut self, out: &mut Vec<RequestId>) {
+        crate::request::hand_over(&mut self.dropped, out);
+    }
+
+    /// True when requests skipped stale are waiting to be drained.
+    pub fn has_dropped(&self) -> bool {
+        !self.dropped.is_empty()
     }
 
     /// Closes billing at the end of the run.
@@ -471,6 +492,25 @@ mod tests {
             .count();
         // 10 queued + up to `workers` in flight succeed.
         assert!(rejected >= 35, "rejected {rejected}");
+    }
+
+    #[test]
+    fn stale_drops_are_reported_once_and_never_answered() {
+        let mut cfg = cpu_mobilenet();
+        cfg.stale_after = SimDuration::from_secs(2);
+        let mut h = PlatformHarness::vm(cfg, Seed(6));
+        for i in 0..200 {
+            h.submit_at(0.0, request(i, 0.0));
+        }
+        let rs = h.run();
+        let dropped = h.dropped().to_vec();
+        assert!(!dropped.is_empty(), "an overloaded backlog must go stale");
+        assert_eq!(rs.len() + dropped.len(), 200);
+        assert!(
+            dropped.windows(2).all(|w| w[0].0 < w[1].0),
+            "in queue order"
+        );
+        assert!(rs.iter().all(|r| !dropped.contains(&r.id)));
     }
 
     #[test]

@@ -17,12 +17,20 @@
 //! names it gets it. Both deliver the exact same `(time, sequence)` order, so the store
 //! never changes a simulation's results, only its speed, and no queue
 //! operation branches on which one it is.
+//!
+//! Beside its store the queue keeps a small **feed**, sorted by
+//! `(time, sequence)`, for events a caller releases in roughly the order
+//! they fire under sequence numbers it reserved up front
+//! ([`EventQueue::feed`]): the executor's first-attempt deliveries and the
+//! fleet's merged arrivals. A pop takes whichever of the feed's head and
+//! the store's earliest event sorts first, so an event pops at the same
+//! place whichever of the two holds it.
 
 use crate::prof::ProfGuard;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A pending event: fire `ev` at instant `at`. Its fields are private to
 /// this crate; stores outside it can only order and hand back events.
@@ -65,12 +73,11 @@ pub trait PendingStore<E> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Adds one event.
-    fn insert(&mut self, s: Scheduled<E>);
-    /// Removes the earliest event.
-    fn pop(&mut self) -> Option<Scheduled<E>>;
-    /// Removes the earliest event only if it fires at or before `horizon`.
-    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>>;
+    /// Adds the event `ev` firing at `at` under sequence number `seq`.
+    fn insert(&mut self, at: SimTime, seq: u64, ev: E);
+    /// Removes the earliest event only if it sorts at or before
+    /// `(at, seq)`.
+    fn pop_through(&mut self, at: SimTime, seq: u64) -> Option<Scheduled<E>>;
     /// Timestamp of the earliest event, without removing it.
     fn peek(&self) -> Option<SimTime>;
 }
@@ -109,17 +116,12 @@ impl<E> PendingStore<E> for BinaryHeap<Scheduled<E>> {
         BinaryHeap::len(self)
     }
 
-    fn insert(&mut self, s: Scheduled<E>) {
-        self.push(s);
+    fn insert(&mut self, at: SimTime, seq: u64, ev: E) {
+        self.push(Scheduled { at, seq, ev });
     }
 
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        BinaryHeap::pop(self)
-    }
-
-    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
-        // The heap keeps the historical peek-then-pop shape.
-        if BinaryHeap::peek(self).is_none_or(|s| s.at > horizon) {
+    fn pop_through(&mut self, at: SimTime, seq: u64) -> Option<Scheduled<E>> {
+        if BinaryHeap::peek(self).is_none_or(|s| (s.at, s.seq) > (at, seq)) {
             return None;
         }
         BinaryHeap::pop(self)
@@ -131,13 +133,16 @@ impl<E> PendingStore<E> for BinaryHeap<Scheduled<E>> {
 }
 
 /// Priority queue of future events plus the current virtual time, on the
-/// pending store `K` (the timer wheel unless a caller names another).
+/// pending store `K` (the timer wheel unless a caller names another) and
+/// the feed beside it (see the module docs).
 ///
 /// Systems receive `&mut EventQueue` while handling an event so they can
 /// schedule follow-ups; scheduling into the past is a causality violation
 /// and panics.
 pub struct EventQueue<E, K: StoreKind = Wheel> {
     store: K::Store<E>,
+    /// Fed events, ascending by `(time, sequence)`.
+    feed: VecDeque<Scheduled<E>>,
     seq: u64,
     now: SimTime,
 }
@@ -167,6 +172,7 @@ impl<E, K: StoreKind> EventQueue<E, K> {
     pub fn with_store_capacity(cap: usize) -> Self {
         EventQueue {
             store: K::Store::with_capacity(cap),
+            feed: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -177,20 +183,21 @@ impl<E, K: StoreKind> EventQueue<E, K> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events, fed ones included.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.store.len() + self.feed.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.store.is_empty() && self.feed.is_empty()
     }
 
     /// Schedules `ev` to fire at absolute instant `at`.
     ///
     /// # Panics
     /// Panics if `at` is before the current time.
+    #[inline]
     pub fn schedule_at(&mut self, at: SimTime, ev: E) {
         assert!(
             at >= self.now,
@@ -198,13 +205,8 @@ impl<E, K: StoreKind> EventQueue<E, K> {
             now = self.now
         );
         let _p = ProfGuard::enter("kernel/schedule");
-        let s = Scheduled {
-            at,
-            seq: self.seq,
-            ev,
-        };
+        self.store.insert(at, self.seq, ev);
         self.seq += 1;
-        self.store.insert(s);
     }
 
     /// Schedules a batch of events in iteration order.
@@ -213,9 +215,8 @@ impl<E, K: StoreKind> EventQueue<E, K> {
     /// item — sequence numbers are assigned in iteration order, so
     /// same-instant events pop FIFO in batch order — but the profiler
     /// scope and causality check setup are paid once per batch instead of
-    /// once per event. This is the entry point platforms and the fleet
-    /// use for bursts: arrivals, batch dispatch, retry storms,
-    /// outage-window re-queues.
+    /// once per event. This is the entry point platforms use for bursts:
+    /// batch dispatch, retry storms, outage-window re-queues.
     ///
     /// # Panics
     /// Panics if any event's instant is before the current time.
@@ -230,31 +231,77 @@ impl<E, K: StoreKind> EventQueue<E, K> {
                 at >= now,
                 "causality violation: scheduling at {at} but now is {now}"
             );
-            let s = Scheduled {
-                at,
-                seq: self.seq,
-                ev,
-            };
+            self.store.insert(at, self.seq, ev);
             self.seq += 1;
-            self.store.insert(s);
         }
     }
 
     /// Reserves the next `n` sequence numbers and returns the first. Events
-    /// scheduled later under them with [`EventQueue::schedule_reserved`]
-    /// order among all others as if they had been scheduled now, so a
-    /// caller can feed a long, known schedule to the kernel in bursts
-    /// instead of holding all of it in the store.
+    /// handed over later under them, with [`EventQueue::feed`] or
+    /// [`EventQueue::schedule_reserved`], order among all others as if
+    /// they had been scheduled now, so a caller can release a long, known
+    /// schedule a little at a time instead of holding all of it in the
+    /// queue.
     pub fn reserve_seqs(&mut self, n: u64) -> u64 {
         let first = self.seq;
         self.seq += n;
         first
     }
 
+    /// Feeds `ev`, firing at `at` under the reserved sequence number
+    /// `seq`, into the queue's sorted feed instead of its store. It pops
+    /// exactly where it would have popped had it been scheduled when its
+    /// number was reserved, provided it is fed before any event that
+    /// sorts after it pops.
+    ///
+    /// The feed is for events released in about the order they fire: an
+    /// event that sorts after every fed one is appended, any other is
+    /// inserted in order, shifting the later ones.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current time or `seq` was never
+    /// reserved.
+    #[inline(always)]
+    pub fn feed(&mut self, at: SimTime, seq: u64, ev: E) {
+        assert!(
+            at >= self.now,
+            "causality violation: feeding at {at} but now is {now}",
+            now = self.now
+        );
+        assert!(seq < self.seq, "sequence number {seq} was never reserved");
+        // Appended first whatever its place, so the event is written
+        // once, straight into its slot.
+        let in_order = self
+            .feed
+            .back()
+            .is_none_or(|last| (last.at, last.seq) < (at, seq));
+        self.feed.push_back(Scheduled { at, seq, ev });
+        if !in_order {
+            self.sort_feed_back();
+        }
+    }
+
+    /// Moves the feed's back, which sorts before the entry ahead of it, to
+    /// its place: after every fed event that sorts before it.
+    #[inline(never)]
+    fn sort_feed_back(&mut self) {
+        let s = self.feed.pop_back().expect("just fed");
+        let pos = self.feed.partition_point(|f| (f.at, f.seq) < (s.at, s.seq));
+        self.feed.insert(pos, s);
+    }
+
+    /// The last fed event that fires before `t`: once it pops, every
+    /// event still in the feed fires at or after `t`.
+    pub fn last_fed_before(&self, t: SimTime) -> Option<&E> {
+        let before = self.feed.partition_point(|f| f.at < t);
+        before.checked_sub(1).map(|i| &self.feed[i].ev)
+    }
+
     /// Schedules a batch of `(instant, reserved sequence number, event)`
-    /// triples. Each event pops exactly where it would have popped had it
-    /// been scheduled when its number was reserved, provided it is
-    /// scheduled before any event that would follow it pops.
+    /// triples into the store, for reserved events that fire too far out
+    /// of order for the feed. Each event pops exactly where it would have
+    /// popped had it been scheduled when its number was reserved, provided
+    /// it is scheduled before any event that would follow it pops.
     ///
     /// # Panics
     /// Panics if any event's instant is before the current time or its
@@ -271,7 +318,7 @@ impl<E, K: StoreKind> EventQueue<E, K> {
                 "causality violation: scheduling at {at} but now is {now}"
             );
             assert!(seq < self.seq, "sequence number {seq} was never reserved");
-            self.store.insert(Scheduled { at, seq, ev });
+            self.store.insert(at, seq, ev);
         }
     }
 
@@ -299,11 +346,7 @@ impl<E, K: StoreKind> EventQueue<E, K> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let _p = ProfGuard::enter("kernel/pop");
-        let s = self.store.pop()?;
-        debug_assert!(s.at >= self.now, "event queue went back in time");
-        self.now = s.at;
-        Some((s.at, s.ev))
+        self.pop_at_or_before(SimTime::MAX)
     }
 
     /// Pops the earliest event if it fires at or before `horizon`,
@@ -311,9 +354,21 @@ impl<E, K: StoreKind> EventQueue<E, K> {
     /// untouched) when the queue is empty or the next event is later.
     /// One store operation per delivered event — this is the hot path of
     /// [`Engine::run_until`].
+    #[inline]
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         let _p = ProfGuard::enter("kernel/pop");
-        let s = self.store.pop_at_or_before(horizon)?;
+        // The feed's head bounds what the store may hand out; sequence
+        // numbers are unique, so "at or before" the head means "before".
+        let s = match self.feed.front() {
+            Some(f) if f.at <= horizon => {
+                let (at, seq) = (f.at, f.seq);
+                match self.store.pop_through(at, seq) {
+                    Some(s) => s,
+                    None => self.feed.pop_front()?,
+                }
+            }
+            _ => self.store.pop_through(horizon, u64::MAX)?,
+        };
         debug_assert!(s.at >= self.now, "event queue went back in time");
         self.now = s.at;
         Some((s.at, s.ev))
@@ -321,7 +376,11 @@ impl<E, K: StoreKind> EventQueue<E, K> {
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.store.peek()
+        let fed = self.feed.front().map(|f| f.at);
+        match (self.store.peek(), fed) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Advances the clock to `t` without delivering events — used to close
@@ -706,13 +765,14 @@ mod tests {
         check::<ReferenceHeap>();
     }
 
-    /// Events fed late under reserved sequence numbers pop exactly as they
-    /// would had they been scheduled up front: same-instant ties against
-    /// earlier and later events, events behind the wheel's cursor (its
-    /// ready spill) and far-future ones included.
+    /// Events handed over late under reserved sequence numbers, through
+    /// the feed or into the store, pop exactly as they would had they been
+    /// scheduled up front: same-instant ties against earlier and later
+    /// events, events behind the wheel's cursor (its ready spill) and
+    /// far-future ones included.
     #[test]
     fn reserved_sequences_pop_as_if_scheduled_up_front() {
-        fn check<K: StoreKind>() {
+        fn check<K: StoreKind>(via_feed: bool) {
             let t = SimTime::from_micros;
             // A long schedule, fed in small bursts below, with ties at 50
             // and at 9_000 and a far-future outlier.
@@ -740,7 +800,16 @@ mod tests {
             let mut order = reserved;
             order.sort_by_key(|&(at, seq, _)| (at, seq));
             let mut bursts = order.chunks(1);
-            fed.schedule_reserved(bursts.next().unwrap().iter().copied());
+            let hand_over = |q: &mut EventQueue<u32, K>, burst: &[(SimTime, u64, u32)]| {
+                if via_feed {
+                    for &(at, seq, ev) in burst {
+                        q.feed(at, seq, ev);
+                    }
+                } else {
+                    q.schedule_reserved(burst.iter().copied());
+                }
+            };
+            hand_over(&mut fed, bursts.next().unwrap());
             let mut outstanding = 1;
             // Both queues also schedule the same follow-ups while they run:
             // a tie at the popped instant (behind the wheel's cursor) and
@@ -762,7 +831,7 @@ mod tests {
                     outstanding -= 1;
                     if outstanding == 0 {
                         if let Some(next) = bursts.next() {
-                            fed.schedule_reserved(next.iter().copied());
+                            hand_over(&mut fed, next);
                             outstanding = next.len();
                         }
                     }
@@ -775,8 +844,10 @@ mod tests {
             assert_eq!(ties(t(50)), [0, 10, 12, 100], "{}", type_name::<K>());
             assert_eq!(ties(t(9_000)), [11, 14, 101], "{}", type_name::<K>());
         }
-        check::<Wheel>();
-        check::<ReferenceHeap>();
+        for via_feed in [false, true] {
+            check::<Wheel>(via_feed);
+            check::<ReferenceHeap>(via_feed);
+        }
     }
 
     #[test]
@@ -785,6 +856,33 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         let first = q.reserve_seqs(1);
         q.schedule_reserved([(SimTime::ZERO, first + 1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn feeding_an_unreserved_sequence_number_panics() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let first = q.reserve_seqs(1);
+        q.feed(SimTime::ZERO, first + 1, 0);
+    }
+
+    /// `last_fed_before` names the fed event that pops last before an
+    /// instant, whatever order the feed took them in.
+    #[test]
+    fn last_fed_before_finds_the_latest_earlier_event() {
+        let t = SimTime::from_micros;
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let first = q.reserve_seqs(4);
+        q.feed(t(30), first + 2, 2);
+        q.feed(t(10), first + 1, 1);
+        q.feed(t(30), first, 0);
+        q.feed(t(50), first + 3, 3);
+        assert_eq!(q.last_fed_before(t(10)), None);
+        assert_eq!(q.last_fed_before(t(11)), Some(&1));
+        assert_eq!(q.last_fed_before(t(31)), Some(&2));
+        assert_eq!(q.last_fed_before(SimTime::MAX), Some(&3));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [1, 0, 2, 3]);
     }
 
     /// `schedule_many_after` offsets every delay from the same `now`.

@@ -74,6 +74,10 @@ pub struct TimerWheel<E> {
     sparse: BTreeMap<u64, Vec<Scheduled<E>>>,
     /// Recycled block vectors (capacity retained across reuse).
     spare: Vec<Vec<Scheduled<E>>>,
+    /// A bucket no event in the ring or the far tiers precedes: raised
+    /// when the cursor finds the next occupied bucket, lowered by inserts.
+    /// A pop bounded before it with `ready` empty returns at once.
+    next: u64,
     len: usize,
 }
 
@@ -90,6 +94,7 @@ impl<E> PendingStore<E> for TimerWheel<E> {
             far: VecDeque::new(),
             sparse: BTreeMap::new(),
             spare: Vec::new(),
+            next: 0,
             len: 0,
         }
     }
@@ -98,72 +103,40 @@ impl<E> PendingStore<E> for TimerWheel<E> {
         self.len
     }
 
-    fn insert(&mut self, s: Scheduled<E>) {
-        let b = Self::bucket(s.at);
+    /// Events for the cursor's block take the inlined ring push, so the
+    /// caller's event is written straight into its bucket; the rest take
+    /// [`TimerWheel::insert_off_ring`].
+    #[inline(always)]
+    fn insert(&mut self, at: SimTime, seq: u64, ev: E) {
+        let b = Self::bucket(at);
+        if b < self.cur || b >> BLOCK_BITS != self.cur >> BLOCK_BITS {
+            self.insert_off_ring(at, seq, ev);
+            return;
+        }
         self.len += 1;
-        if b < self.cur {
-            // The cursor already passed this bucket (the event lands at or
-            // just after `now`): order-insert into the ready spill so time
-            // order and FIFO ties survive.
-            let key = (s.at, s.seq);
-            let pos = self.ready.partition_point(|e| (e.at, e.seq) > key);
-            self.ready.insert(pos, s);
-        } else if b >> BLOCK_BITS == self.cur >> BLOCK_BITS {
-            let slot = (b & SLOT_MASK) as usize;
-            self.ring[slot].push(s);
-            self.occ[slot >> 6] |= 1 << (slot & 63);
-        } else {
-            let blk = b >> BLOCK_BITS;
-            let ahead = blk - (self.cur >> BLOCK_BITS) - 1;
-            if ahead < FAR_SPAN {
-                let i = ahead as usize;
-                if i >= self.far.len() {
-                    self.far.resize_with(i + 1, Vec::new);
-                }
-                let v = &mut self.far[i];
-                if v.capacity() == 0 {
-                    if let Some(spare) = self.spare.pop() {
-                        *v = spare;
-                    }
-                }
-                v.push(s);
-            } else {
-                self.sparse
-                    .entry(blk)
-                    .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                    .push(s);
-            }
-        }
+        self.next = self.next.min(b);
+        let slot = (b & SLOT_MASK) as usize;
+        self.ring[slot].push(Scheduled { at, seq, ev });
+        self.occ[slot >> 6] |= 1 << (slot & 63);
     }
 
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        loop {
-            if let Some(s) = self.ready.pop() {
-                self.len -= 1;
-                return Some(s);
-            }
-            if self.len == 0 {
+    /// Pops the earliest event only if it sorts at or before `(at, seq)`.
+    /// The cursor never moves past the bucket of `at`, so events scheduled
+    /// next to `now` keep landing in ring buckets rather than in the ready
+    /// spill.
+    #[inline(always)]
+    fn pop_through(&mut self, at: SimTime, seq: u64) -> Option<Scheduled<E>> {
+        let Some(s) = self.ready.last() else {
+            if Self::bucket(at) < self.next {
                 return None;
             }
-            self.advance();
+            return self.pop_through_advancing(at, seq);
+        };
+        if (s.at, s.seq) > (at, seq) {
+            return None;
         }
-    }
-
-    /// Pops the earliest event only if it fires at or before `horizon`.
-    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
-        loop {
-            if let Some(s) = self.ready.last() {
-                if s.at > horizon {
-                    return None;
-                }
-                self.len -= 1;
-                return self.ready.pop();
-            }
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
-        }
+        self.len -= 1;
+        self.ready.pop()
     }
 
     /// Timestamp of the earliest pending event without disturbing anything.
@@ -194,41 +167,104 @@ impl<E> TimerWheel<E> {
         at.as_micros() >> BUCKET_SHIFT
     }
 
-    /// Moves the next non-empty bucket (or far block) toward `ready`.
-    /// Precondition: `ready` is empty and `len > 0`.
-    fn advance(&mut self) {
+    /// [`PendingStore::insert`] for an event behind the cursor (into the
+    /// ready spill, in order, so time order and FIFO ties survive) or
+    /// past the cursor's block (into the far tiers).
+    #[inline(never)]
+    fn insert_off_ring(&mut self, at: SimTime, seq: u64, ev: E) {
+        let b = Self::bucket(at);
+        self.len += 1;
+        if b < self.cur {
+            let pos = self.ready.partition_point(|e| (e.at, e.seq) > (at, seq));
+            self.ready.insert(pos, Scheduled { at, seq, ev });
+            return;
+        }
+        self.next = self.next.min(b);
+        let blk = b >> BLOCK_BITS;
+        let ahead = blk - (self.cur >> BLOCK_BITS) - 1;
+        let v = if ahead < FAR_SPAN {
+            let i = ahead as usize;
+            if i >= self.far.len() {
+                self.far.resize_with(i + 1, Vec::new);
+            }
+            let v = &mut self.far[i];
+            if v.capacity() == 0 {
+                if let Some(spare) = self.spare.pop() {
+                    *v = spare;
+                }
+            }
+            v
+        } else {
+            self.sparse
+                .entry(blk)
+                .or_insert_with(|| self.spare.pop().unwrap_or_default())
+        };
+        v.push(Scheduled { at, seq, ev });
+    }
+
+    /// [`PendingStore::pop_through`] once `ready` has run dry: advances
+    /// toward the bucket of `at` until `ready` holds an event.
+    #[inline(never)]
+    fn pop_through_advancing(&mut self, at: SimTime, seq: u64) -> Option<Scheduled<E>> {
+        let limit = Self::bucket(at);
+        while self.ready.is_empty() {
+            if self.len == 0 || !self.advance(limit) {
+                return None;
+            }
+        }
+        self.pop_through(at, seq)
+    }
+
+    /// Moves the next non-empty bucket toward `ready`, or the cursor to
+    /// the next far block, unless either lies past bucket `limit`; returns
+    /// whether anything moved. Precondition: `ready` is empty and
+    /// `len > 0`.
+    fn advance(&mut self, limit: u64) -> bool {
         let start = (self.cur & SLOT_MASK) as usize;
         if let Some(slot) = self.next_occupied(start) {
+            let bucket = (self.cur & !SLOT_MASK) | slot as u64;
+            if bucket > limit {
+                self.next = bucket;
+                return false;
+            }
             self.occ[slot >> 6] &= !(1 << (slot & 63));
             // Swap instead of take: the bucket inherits `ready`'s old
             // capacity, so allocations circulate instead of repeating.
             mem::swap(&mut self.ring[slot], &mut self.ready);
             self.ready
                 .sort_unstable_by_key(|s| cmp::Reverse((s.at, s.seq)));
-            let next = ((self.cur & !SLOT_MASK) | slot as u64) + 1;
+            let next = bucket + 1;
             if next & SLOT_MASK == 0 {
                 // Crossed into the next block: its far events (if any) are
                 // now near-future and must be reachable through the ring.
                 self.enter_block(next >> BLOCK_BITS);
             } else {
                 self.cur = next;
+                self.next = next;
             }
-        } else {
-            // Block exhausted with nothing in the ring: jump the cursor to
-            // the earliest far block.
-            let cur_blk = self.cur >> BLOCK_BITS;
-            let near = self
-                .far
-                .iter()
-                .position(|v| !v.is_empty())
-                .map(|i| cur_blk + 1 + i as u64);
-            let blk = near
-                .into_iter()
-                .chain(self.sparse.keys().next().copied())
-                .min()
-                .expect("len > 0 but nothing pending");
-            self.enter_block(blk);
+            return true;
         }
+        // Block exhausted with nothing in the ring: jump the cursor to the
+        // earliest far block, or only as far as the (empty) block of
+        // `limit` when that comes first, so that the next call with the
+        // same limit returns at once.
+        let (cur_blk, limit_blk) = (self.cur >> BLOCK_BITS, limit >> BLOCK_BITS);
+        if limit_blk == cur_blk {
+            self.next = (cur_blk + 1) << BLOCK_BITS;
+            return false;
+        }
+        let near = self
+            .far
+            .iter()
+            .position(|v| !v.is_empty())
+            .map(|i| cur_blk + 1 + i as u64);
+        let blk = near
+            .into_iter()
+            .chain(self.sparse.keys().next().copied())
+            .min()
+            .expect("len > 0 but nothing pending");
+        self.enter_block(blk.min(limit_blk));
+        true
     }
 
     /// Moves the cursor to the start of block `blk` and scatters that
@@ -237,6 +273,7 @@ impl<E> TimerWheel<E> {
     fn enter_block(&mut self, blk: u64) {
         let ahead = blk - (self.cur >> BLOCK_BITS) - 1;
         self.cur = blk << BLOCK_BITS;
+        self.next = self.cur;
         if ahead < self.far.len() as u64 {
             self.far.drain(..ahead as usize);
             let v = self.far.pop_front().expect("index checked");
@@ -286,26 +323,23 @@ impl<E> TimerWheel<E> {
 mod tests {
     use super::*;
 
-    fn event(at: SimTime, seq: u64) -> Scheduled<()> {
-        Scheduled { at, seq, ev: () }
-    }
-
     #[test]
     fn a_far_off_event_takes_constant_memory() {
         let mut w = TimerWheel::with_capacity(0);
         // 10^9 s is ~2.4e8 blocks ahead: one sparse entry, no deque slots.
         let far_off = SimTime::from_micros(1_000_000_000 * 1_000_000);
-        w.insert(event(far_off, 0));
+        w.insert(far_off, 0, ());
         assert_eq!(w.far.capacity(), 0);
         assert_eq!(w.sparse.len(), 1);
         // The last block inside the span is indexed; the next one is not.
         let block_us = 1u64 << (BUCKET_SHIFT + BLOCK_BITS);
         let last_indexed = SimTime::from_micros(FAR_SPAN * block_us);
-        w.insert(event(last_indexed, 1));
+        w.insert(last_indexed, 1, ());
         assert_eq!(w.far.len(), FAR_SPAN as usize);
-        w.insert(event(SimTime::from_micros((FAR_SPAN + 1) * block_us), 2));
+        w.insert(SimTime::from_micros((FAR_SPAN + 1) * block_us), 2, ());
         assert_eq!((w.far.len(), w.sparse.len()), (FAR_SPAN as usize, 2));
-        let order: Vec<u64> = std::iter::from_fn(|| w.pop().map(|s| s.seq)).collect();
+        let order: Vec<u64> =
+            std::iter::from_fn(|| w.pop_through(SimTime::MAX, u64::MAX).map(|s| s.seq)).collect();
         assert_eq!(order, [1, 2, 0]);
         assert_eq!(w.len(), 0);
     }

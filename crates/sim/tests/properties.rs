@@ -163,6 +163,86 @@ fn shape_step(kind: u64, raw: u64) -> Step {
     }
 }
 
+/// One step of a feed differential script.
+#[derive(Debug, Clone, Copy)]
+enum FeedStep {
+    /// Schedule one event this many µs after the current time, into the
+    /// store of both queues.
+    After(u64),
+    /// Pop this many events.
+    Pop(usize),
+    /// Reserve this many sequence numbers.
+    Reserve(usize),
+    /// Hand over up to `n` of the reserved, not yet handed over numbers,
+    /// newest first when `newest_first`: the k-th fires
+    /// `delay * ((k * stride) % n) / n` µs after the current time, so a
+    /// burst is out of time order, and all ties when `delay` is 0.
+    Feed {
+        delay: u64,
+        n: usize,
+        stride: usize,
+        newest_first: bool,
+    },
+}
+
+/// Runs `steps` on a wheel queue that takes every reserved event through
+/// its feed and on a reference heap queue that holds every event in its
+/// store, then drains both; panics at the first pop on which they differ.
+fn assert_feed_matches_store(steps: &[FeedStep]) {
+    let mut fed = EventQueue::new();
+    let mut reference = EventQueue::<_, ReferenceHeap>::default();
+    let mut id = 0u64;
+    let mut reserved = std::collections::VecDeque::new();
+    for (i, &step) in steps.iter().enumerate() {
+        match step {
+            FeedStep::After(delay) => {
+                let at = fed.now() + SimDuration::from_micros(delay);
+                fed.schedule_at(at, id);
+                reference.schedule_at(at, id);
+                id += 1;
+            }
+            FeedStep::Pop(n) => {
+                for _ in 0..n {
+                    assert_eq!(fed.pop(), reference.pop(), "step {i} of {steps:?}");
+                }
+            }
+            FeedStep::Reserve(n) => {
+                let first = fed.reserve_seqs(n as u64);
+                assert_eq!(reference.reserve_seqs(n as u64), first, "step {i}");
+                reserved.extend(first..first + n as u64);
+            }
+            FeedStep::Feed {
+                delay,
+                n,
+                stride,
+                newest_first,
+            } => {
+                let take = n.min(reserved.len());
+                let mut seqs: Vec<u64> = reserved.drain(..take).collect();
+                if newest_first {
+                    seqs.reverse();
+                }
+                for (k, seq) in seqs.into_iter().enumerate() {
+                    let offset = delay * ((k * stride) % take) as u64 / take as u64;
+                    let at = fed.now() + SimDuration::from_micros(offset);
+                    fed.feed(at, seq, id);
+                    reference.schedule_reserved([(at, seq, id)]);
+                    id += 1;
+                }
+            }
+        }
+        assert_eq!(fed.len(), reference.len(), "step {i}");
+        assert_eq!(fed.peek_time(), reference.peek_time(), "step {i}");
+    }
+    loop {
+        let (a, b) = (fed.pop(), reference.pop());
+        assert_eq!(a, b, "drain of {steps:?}");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
 /// Shapes a raw value into a delay for the far-tier tests: near the
 /// cursor, a run of empty deque blocks away, straddling the deque/sparse
 /// boundary, or anywhere up to 2^50 µs.
@@ -464,6 +544,45 @@ proptest! {
             .map(|(i, &kind)| shape_step(kind, raws[i % raws.len()]))
             .collect();
         assert_kernels_agree(&steps);
+    }
+
+    /// Reserved events handed over through the feed, in bursts out of
+    /// time order, with equal instants whose ties fall to sequence
+    /// numbers handed over newest first, interleaved with stored events
+    /// and pops, pop exactly as they do from the reference heap's store.
+    #[test]
+    fn fed_events_pop_as_if_stored(
+        kinds in prop::collection::vec(0u64..4, 1..200),
+        raws in prop::collection::vec(0u64..16_777_216, 1..200),
+    ) {
+        let steps: Vec<FeedStep> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| {
+                let raw = raws[i % raws.len()];
+                // Instants collide often: a burst of ties, or a few
+                // microseconds or a bucket apart, sometimes a block.
+                let delay = match raw % 4 {
+                    0 => 0,
+                    1 => raw % 8,
+                    2 => raw % 8_192,
+                    _ => raw % (1 << 23),
+                };
+                let n = (raw % 17) as usize;
+                match kind {
+                    0 => FeedStep::After(delay),
+                    1 => FeedStep::Pop(n % 6),
+                    2 => FeedStep::Reserve(n),
+                    _ => FeedStep::Feed {
+                        delay,
+                        n,
+                        stride: 1 + (raw >> 5) as usize % 7,
+                        newest_first: raw & 16 != 0,
+                    },
+                }
+            })
+            .collect();
+        assert_feed_matches_store(&steps);
     }
 
     /// Instants at and beyond 2^40 µs (≈ 12.7 days) schedule and pop
