@@ -12,7 +12,7 @@
 
 use crate::runner::{parallel_map, Jobs};
 use slsb_obs::{EventKind, MemoryRecorder, Recorder, TraceEvent};
-use slsb_platform::{Platform, PlatformEvent, PlatformScheduler, RequestId, ServingResponse};
+use slsb_platform::{Platform, PlatformEvent, PlatformScheduler, ServingResponse};
 use slsb_sim::{EventQueue, ProfGuard, Seed, SimDuration, SimTime, StoreKind};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -76,8 +76,6 @@ pub(crate) struct PlatformIo<'r> {
     pub buffer: &'r mut Vec<(SimDuration, PlatformEvent)>,
     /// Responses drained from a platform.
     pub resp_scratch: &'r mut Vec<ServingResponse>,
-    /// Ids of requests a platform dropped unanswered, drained from it.
-    pub dropped: &'r mut Vec<RequestId>,
     /// Trace sink threaded into every platform scheduler, if recording.
     pub rec: Option<&'r mut dyn Recorder>,
 }
@@ -119,17 +117,6 @@ impl PlatformIo<'_> {
         let _p = ProfGuard::enter(platform.prof_label());
         platform.drain_responses_into(self.resp_scratch);
         !self.resp_scratch.is_empty()
-    }
-
-    /// Moves the ids of requests `platform` dropped without a response
-    /// into [`PlatformIo::dropped`]; returns whether there were any.
-    #[inline]
-    pub fn drain_dropped(&mut self, platform: &mut Platform) -> bool {
-        if !platform.has_dropped() {
-            return false;
-        }
-        platform.drain_dropped_into(self.dropped);
-        true
     }
 
     /// Tears `platform` down at `teardown` and moves its last responses

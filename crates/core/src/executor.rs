@@ -705,10 +705,11 @@ struct Sent {
 /// before anything that sorts after it pops. Lanes send in send order and
 /// a delivery never precedes its send, so nothing unsent fires before the
 /// earliest unsent send instant, the watermark. A refill sends at least
-/// [`ARRIVAL_BURST`] invocations, feeds their deliveries into the queue's
-/// sorted feed and schedules their timeouts, which fire a whole attempt
-/// timeout later, in the store. It takes as its trigger the latest fed
-/// delivery that fires before the watermark: the kernel pops the trigger
+/// [`ARRIVAL_BURST`] invocations, feeds their deliveries to the queue
+/// (one that fires before an earlier send's goes into the store) and
+/// schedules their timeouts, which fire a whole attempt timeout later, in
+/// the store. It takes as its trigger the latest delivery in the queue's
+/// feed that fires before the watermark: the kernel pops the trigger
 /// before anything at or past the watermark, and popping it calls the
 /// next refill.
 struct Feed {
@@ -1028,6 +1029,8 @@ struct ExecSystem<'r, S> {
     free_receipts: &'r mut Vec<usize>,
     /// Platform scheduling buffer, drain scratch and trace sink.
     io: PlatformIo<'r>,
+    /// Ids of requests the platform dropped unanswered, drained from it.
+    dropped: &'r mut Vec<RequestId>,
     /// Client-path fault injector (packet loss, retry jitter).
     client_faults: FaultInjector,
     /// Retry machinery; everything below is inert when it is disabled.
@@ -1228,7 +1231,7 @@ impl<S: Sink> ExecSystem<'_, S> {
     }
 
     fn drain<K: StoreKind>(&mut self, queue: &mut EventQueue<ExecEvent, K>) {
-        if self.io.drain_dropped(&mut self.platform) {
+        if self.platform.has_dropped() {
             self.close_dropped();
         }
         if self.io.drain(&mut self.platform) {
@@ -1236,22 +1239,20 @@ impl<S: Sink> ExecSystem<'_, S> {
         }
     }
 
-    /// Closes the flights of requests the platform dropped unanswered.
-    /// Without retries no response can reach their clients any more, and
-    /// their entries stay client timeouts; under retries their attempt
-    /// timeouts find them as before.
+    /// Closes the flights of requests the platform dropped unanswered,
+    /// tracked only without retries: no response can reach their clients
+    /// any more, and their entries stay client timeouts. Under retries
+    /// their attempt timeouts find them as before.
     fn close_dropped(&mut self) {
-        let mut dropped = std::mem::take(self.io.dropped);
-        if !self.retry.enabled() {
-            for id in &dropped {
-                let f = self
-                    .flight(id.0 as usize)
-                    .expect("a dropped invocation is in flight");
-                self.set_attempt(&f, 0);
-            }
+        let mut dropped = std::mem::take(self.dropped);
+        self.platform.drain_dropped_into(&mut dropped);
+        for id in dropped.drain(..) {
+            let f = self
+                .flight(id.0 as usize)
+                .expect("a dropped invocation is in flight");
+            self.set_attempt(&f, 0);
         }
-        dropped.clear();
-        *self.io.dropped = dropped;
+        *self.dropped = dropped;
     }
 
     /// Handles drained responses, read where the platform wrote them. A
@@ -1801,6 +1802,9 @@ impl Executor {
         // unconditional without costing byte-identity.
         platform.set_faults(&self.faults, seed);
         platform.reserve(n);
+        if !retrying {
+            platform.track_dropped();
+        }
 
         let arrivals_guard = ProfGuard::enter("executor/arrivals");
         arena.begin();
@@ -1917,9 +1921,9 @@ impl Executor {
                 io: PlatformIo {
                     buffer,
                     resp_scratch,
-                    dropped,
                     rec,
                 },
+                dropped,
                 client_faults,
                 retry: self.cfg.retry,
                 n_inv,

@@ -766,7 +766,6 @@ impl FleetRunner {
         let engine_guard = ProfGuard::enter("fleet/engine");
         let mut buffer: Vec<(SimDuration, PlatformEvent)> = Vec::new();
         let mut resp_scratch: Vec<ServingResponse> = Vec::new();
-        let mut dropped: Vec<RequestId> = Vec::new();
         let queue = EventQueue::with_capacity((globals.len() * 4 + ARRIVAL_BURST).max(64));
         let mut engine = Engine::with_queue(
             FleetSystem {
@@ -777,7 +776,6 @@ impl FleetRunner {
                 io: PlatformIo {
                     buffer: &mut buffer,
                     resp_scratch: &mut resp_scratch,
-                    dropped: &mut dropped,
                     rec: rec.map(|r| r as &mut dyn Recorder),
                 },
                 timeout: plan.timeout,
@@ -910,11 +908,6 @@ impl FleetSystem<'_> {
         }
     }
     fn drain(&mut self, slot: usize) {
-        if self.io.drain_dropped(&mut self.apps[slot].platform) {
-            // A dropped request stays unresolved: it counts as a client
-            // timeout when the cell closes.
-            self.io.dropped.clear();
-        }
         if !self.io.drain(&mut self.apps[slot].platform) {
             return;
         }

@@ -300,10 +300,22 @@ impl Platform {
         }
     }
 
+    /// Makes the platform keep the id of each request it drops without a
+    /// response from now on (a VM server's stale backlog), for
+    /// [`Platform::drain_dropped_into`]. Only a driver that drains them
+    /// should ask: an untracked platform keeps none.
+    pub fn track_dropped(&mut self) {
+        match self {
+            Platform::Serverless(_) | Platform::ManagedMl(_) => {}
+            Platform::Vm(p) => p.track_dropped(),
+            Platform::Hybrid(p) => p.track_dropped(),
+        }
+    }
+
     /// Moves the ids of requests dropped without a response since the
-    /// last drain (a VM server's stale backlog) onto the back of `out`,
-    /// the way [`Platform::drain_responses_into`] moves responses. No
-    /// response will ever come for them.
+    /// last drain onto the back of `out`, the way
+    /// [`Platform::drain_responses_into`] moves responses; see
+    /// [`Platform::track_dropped`]. No response will ever come for them.
     pub fn drain_dropped_into(&mut self, out: &mut Vec<RequestId>) {
         match self {
             Platform::Serverless(_) | Platform::ManagedMl(_) => {}
@@ -413,7 +425,8 @@ pub mod test_harness {
     }
 
     impl PlatformHarness {
-        fn new(platform: Platform) -> Self {
+        fn new(mut platform: Platform) -> Self {
+            platform.track_dropped();
             let mut engine = Engine::new(HarnessSystem {
                 platform,
                 started: false,

@@ -167,6 +167,11 @@ impl HybridPlatform {
         self.vm.has_responses() || self.serverless.has_responses()
     }
 
+    /// Makes the VM keep the ids of requests it skips stale.
+    pub fn track_dropped(&mut self) {
+        self.vm.track_dropped();
+    }
+
     /// Moves the ids of requests the VM skipped stale onto `out`; the
     /// serverless child drops nothing.
     pub fn drain_dropped_into(&mut self, out: &mut Vec<RequestId>) {

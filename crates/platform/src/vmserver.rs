@@ -148,9 +148,10 @@ pub struct VmServer {
     meter: InstanceMeter,
     gauge: GaugeSeries,
     responses: Vec<ServingResponse>,
-    /// Requests skipped stale since the last drain: no response will ever
-    /// come for them.
+    /// Requests skipped stale since the last drain, while a driver
+    /// tracks them: no response will ever come for them.
     dropped: Vec<RequestId>,
+    track_dropped: bool,
     rejected: u64,
     dropped_stale: u64,
     busy_seconds: f64,
@@ -176,6 +177,7 @@ impl VmServer {
             gauge: GaugeSeries::new(),
             responses: Vec::new(),
             dropped: Vec::new(),
+            track_dropped: false,
             rejected: 0,
             dropped_stale: 0,
             busy_seconds: 0.0,
@@ -304,7 +306,9 @@ impl VmServer {
             let (req, enqueued) = self.queue.pop_front().expect("queue non-empty");
             if sched.now().saturating_duration_since(enqueued) > self.cfg.stale_after {
                 self.dropped_stale += 1;
-                self.dropped.push(req.id);
+                if self.track_dropped {
+                    self.dropped.push(req.id);
+                }
                 sched.emit(|| EventKind::RequestDropped {
                     component: COMPONENT,
                     request: req.id.0,
@@ -363,6 +367,12 @@ impl VmServer {
     /// True when completed responses are waiting to be drained.
     pub fn has_responses(&self) -> bool {
         !self.responses.is_empty()
+    }
+
+    /// Keeps the id of each request skipped stale from now on, for
+    /// [`VmServer::drain_dropped_into`]; untracked, none is kept.
+    pub fn track_dropped(&mut self) {
+        self.track_dropped = true;
     }
 
     /// Moves the ids of requests skipped stale since the last drain onto

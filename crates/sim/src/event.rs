@@ -18,13 +18,14 @@
 //! never changes a simulation's results, only its speed, and no queue
 //! operation branches on which one it is.
 //!
-//! Beside its store the queue keeps a small **feed**, sorted by
+//! Beside its store the queue keeps a small **feed**, a FIFO sorted by
 //! `(time, sequence)`, for events a caller releases in roughly the order
 //! they fire under sequence numbers it reserved up front
 //! ([`EventQueue::feed`]): the executor's first-attempt deliveries and the
-//! fleet's merged arrivals. A pop takes whichever of the feed's head and
-//! the store's earliest event sorts first, so an event pops at the same
-//! place whichever of the two holds it.
+//! fleet's merged arrivals. An event that would not sort after the feed's
+//! back goes into the store instead. A pop takes whichever of the feed's
+//! head and the store's earliest event sorts first, so an event pops at
+//! the same place whichever of the two holds it.
 
 use crate::prof::ProfGuard;
 use crate::time::{SimDuration, SimTime};
@@ -141,7 +142,7 @@ impl<E> PendingStore<E> for BinaryHeap<Scheduled<E>> {
 /// and panics.
 pub struct EventQueue<E, K: StoreKind = Wheel> {
     store: K::Store<E>,
-    /// Fed events, ascending by `(time, sequence)`.
+    /// Fed events, ascending by `(time, sequence)`; appended only.
     feed: VecDeque<Scheduled<E>>,
     seq: u64,
     now: SimTime,
@@ -249,14 +250,15 @@ impl<E, K: StoreKind> EventQueue<E, K> {
     }
 
     /// Feeds `ev`, firing at `at` under the reserved sequence number
-    /// `seq`, into the queue's sorted feed instead of its store. It pops
-    /// exactly where it would have popped had it been scheduled when its
-    /// number was reserved, provided it is fed before any event that
-    /// sorts after it pops.
+    /// `seq`. It pops exactly where it would have popped had it been
+    /// scheduled when its number was reserved, provided it is fed before
+    /// any event that sorts after it pops.
     ///
-    /// The feed is for events released in about the order they fire: an
-    /// event that sorts after every fed one is appended, any other is
-    /// inserted in order, shifting the later ones.
+    /// The feed is a FIFO for events released in about the order they
+    /// fire: an event that sorts after every one in the feed is appended,
+    /// and any other goes into the store, as
+    /// [`EventQueue::schedule_reserved`] would put it, so the feed stays
+    /// sorted without ever moving an entry.
     ///
     /// # Panics
     /// Panics if `at` is before the current time or `seq` was never
@@ -269,29 +271,20 @@ impl<E, K: StoreKind> EventQueue<E, K> {
             now = self.now
         );
         assert!(seq < self.seq, "sequence number {seq} was never reserved");
-        // Appended first whatever its place, so the event is written
-        // once, straight into its slot.
         let in_order = self
             .feed
             .back()
             .is_none_or(|last| (last.at, last.seq) < (at, seq));
-        self.feed.push_back(Scheduled { at, seq, ev });
-        if !in_order {
-            self.sort_feed_back();
+        if in_order {
+            self.feed.push_back(Scheduled { at, seq, ev });
+        } else {
+            self.store.insert(at, seq, ev);
         }
     }
 
-    /// Moves the feed's back, which sorts before the entry ahead of it, to
-    /// its place: after every fed event that sorts before it.
-    #[inline(never)]
-    fn sort_feed_back(&mut self) {
-        let s = self.feed.pop_back().expect("just fed");
-        let pos = self.feed.partition_point(|f| (f.at, f.seq) < (s.at, s.seq));
-        self.feed.insert(pos, s);
-    }
-
-    /// The last fed event that fires before `t`: once it pops, every
-    /// event still in the feed fires at or after `t`.
+    /// The last event in the feed that fires before `t`: once it pops,
+    /// every event still in the feed fires at or after `t`. Events fed
+    /// out of order went to the store and are never named here.
     pub fn last_fed_before(&self, t: SimTime) -> Option<&E> {
         let before = self.feed.partition_point(|f| f.at < t);
         before.checked_sub(1).map(|i| &self.feed[i].ev)
@@ -866,10 +859,11 @@ mod tests {
         q.feed(SimTime::ZERO, first + 1, 0);
     }
 
-    /// `last_fed_before` names the fed event that pops last before an
-    /// instant, whatever order the feed took them in.
+    /// An event fed out of order goes to the store and still pops in
+    /// place; `last_fed_before` names the latest event in the feed, which
+    /// stays sorted, that fires before an instant.
     #[test]
-    fn last_fed_before_finds_the_latest_earlier_event() {
+    fn out_of_order_feeds_pop_in_place_from_the_store() {
         let t = SimTime::from_micros;
         let mut q: EventQueue<u32> = EventQueue::new();
         let first = q.reserve_seqs(4);
@@ -877,8 +871,9 @@ mod tests {
         q.feed(t(10), first + 1, 1);
         q.feed(t(30), first, 0);
         q.feed(t(50), first + 3, 3);
-        assert_eq!(q.last_fed_before(t(10)), None);
-        assert_eq!(q.last_fed_before(t(11)), Some(&1));
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(t(10)));
+        assert_eq!(q.last_fed_before(t(11)), None);
         assert_eq!(q.last_fed_before(t(31)), Some(&2));
         assert_eq!(q.last_fed_before(SimTime::MAX), Some(&3));
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
