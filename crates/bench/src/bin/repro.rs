@@ -11,9 +11,9 @@
 //! output directory (default `results/`).
 
 use slsb_bench::cli::extract_log_level;
-use slsb_bench::experiments::{run_experiment, ReproConfig};
+use slsb_bench::experiments::{run_experiment_jobs, ReproConfig};
 use slsb_bench::outln;
-use slsb_core::{parallel_map, ExperimentId, Jobs, Scenario};
+use slsb_core::{ExperimentId, Jobs, Scenario};
 use slsb_obs::{info_log, set_log_level};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,8 +31,8 @@ fn usage() -> String {
     format!(
         "usage: repro <experiment|all|list> [--scale F] [--seed N] [--out DIR] [--jobs N] [--log-level L]\n\
                 repro run-scenario <file.json> [...]\n\
-         --jobs N runs N experiments in parallel (default: all cores; output\n\
-         is identical to --jobs 1 for any N)\n\
+         --jobs N runs each experiment's replays on N workers (default: all\n\
+         cores; output is identical to --jobs 1 for any N)\n\
          --log-level <quiet|info|debug> controls progress chatter on stderr\n\
          experiments: {}",
         ids.join(", ")
@@ -162,16 +162,13 @@ fn main() -> ExitCode {
         args.cfg.seed,
         args.cfg.scale
     );
-    // Experiment modules are independent simulations; fan them across
-    // cores, then print and persist in target order so the output stream
-    // matches --jobs 1 exactly.
-    let outputs = parallel_map(args.jobs, &args.targets, |_, &id| {
+    // Experiments run one after another, in target order; each fans its
+    // own independent replays across the --jobs workers and renders from
+    // them in plan order, so the output stream matches --jobs 1 exactly.
+    for &id in &args.targets {
         let started = std::time::Instant::now();
-        let out = run_experiment(id, &args.cfg);
-        (out, started.elapsed())
-    });
-
-    for (id, (out, elapsed)) in args.targets.iter().zip(&outputs) {
+        let out = run_experiment_jobs(id, &args.cfg, args.jobs);
+        let elapsed = started.elapsed();
         outln!("{}", out.to_markdown());
         info_log!("[{}] done in {:.1}s", id.slug(), elapsed.as_secs_f64());
 

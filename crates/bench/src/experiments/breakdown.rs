@@ -1,7 +1,7 @@
 //! Figures 10 and 14: cold-start / warm-up sub-stage breakdowns.
 
-use super::{Output, ReproConfig};
-use slsb_core::{fmt_opt_secs, Analysis, Deployment, Table};
+use super::{Output, Planned, ReproConfig};
+use slsb_core::{fmt_opt_secs, Analysis, Deployment, Jobs, Table};
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::PlatformKind;
 use slsb_workload::MmppPreset;
@@ -30,51 +30,63 @@ const HEADERS: [&str; 8] = [
     "wu predict",
 ];
 
+/// A breakdown table titled `title`: one row per labelled deployment,
+/// each run at workload-120 on up to `jobs` workers.
+fn breakdown_table(
+    cfg: &ReproConfig,
+    jobs: Jobs,
+    title: &str,
+    rows: &[(String, Deployment)],
+) -> Table {
+    let plan: Vec<Planned> = rows.iter().map(|(_, d)| (*d, MmppPreset::W120)).collect();
+    let mut t = Table::new(title, &HEADERS);
+    for ((label, _), a) in rows.iter().zip(cfg.run_plan(&plan, jobs)) {
+        t.push_row(breakdown_row(label, &a));
+    }
+    t
+}
+
 /// Regenerates Figure 10: cold-start vs warm-up breakdown of the two
 /// serverless platforms for MobileNet and ALBERT at workload-120 (TF1.15).
-pub fn fig10(cfg: &ReproConfig) -> Output {
-    let mut t = Table::new(
-        "Figure 10 — serverless cold-start/warm-up breakdown (TF1.15, workload-120)",
-        &HEADERS,
-    );
-    let mut notes = Vec::new();
+pub fn fig10(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    let mut rows = Vec::new();
     for model in [ModelKind::MobileNet, ModelKind::Albert] {
         for platform in [PlatformKind::AwsServerless, PlatformKind::GcpServerless] {
-            let a = cfg.run(
-                &Deployment::new(platform, model, RuntimeKind::Tf115),
-                MmppPreset::W120,
-            );
-            t.push_row(breakdown_row(&format!("{} {model}", platform.label()), &a));
+            let dep = Deployment::new(platform, model, RuntimeKind::Tf115);
+            rows.push((format!("{} {model}", platform.label()), dep));
         }
     }
-    notes.push(
+    let t = breakdown_table(
+        cfg,
+        jobs,
+        "Figure 10 — serverless cold-start/warm-up breakdown (TF1.15, workload-120)",
+        &rows,
+    );
+    let notes = vec![
         "Paper anchors: cs E2E = 9.08s (AWS MN) / 9.49s (AWS AL) / 11.71s (GCP MN) / 14.19s \
          (GCP AL); import dominates at 4–5s on both clouds; cold predict ≫ warm predict \
          (TF lazy initialization)."
             .to_string(),
-    );
+    ];
     (vec![t], notes)
 }
 
 /// Regenerates Figure 14: TF1.15 vs ORT1.4 breakdown for MobileNet at
 /// workload-120 on both clouds.
-pub fn fig14(cfg: &ReproConfig) -> Output {
-    let mut t = Table::new(
-        "Figure 14 — runtime breakdown (MobileNet, workload-120)",
-        &HEADERS,
-    );
+pub fn fig14(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    let mut rows = Vec::new();
     for platform in [PlatformKind::AwsServerless, PlatformKind::GcpServerless] {
         for runtime in RuntimeKind::ALL {
-            let a = cfg.run(
-                &Deployment::new(platform, ModelKind::MobileNet, runtime),
-                MmppPreset::W120,
-            );
-            t.push_row(breakdown_row(
-                &format!("{} {runtime}", platform.label()),
-                &a,
-            ));
+            let dep = Deployment::new(platform, ModelKind::MobileNet, runtime);
+            rows.push((format!("{} {runtime}", platform.label()), dep));
         }
     }
+    let t = breakdown_table(
+        cfg,
+        jobs,
+        "Figure 14 — runtime breakdown (MobileNet, workload-120)",
+        &rows,
+    );
     let notes = vec![
         "Paper anchors: cs E2E drops 9.08s → 2.775s on AWS and 11.71s → 2.917s on GCP when \
          switching TF1.15 → ORT1.4; the win comes from import and load time."
@@ -89,7 +101,7 @@ mod tests {
 
     #[test]
     fn fig10_has_four_rows() {
-        let (tables, _) = fig10(&ReproConfig::scaled(0.02));
+        let (tables, _) = fig10(&ReproConfig::scaled(0.02), Jobs::available());
         assert_eq!(tables[0].len(), 4);
     }
 

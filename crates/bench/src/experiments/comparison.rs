@@ -1,8 +1,8 @@
 //! Figure 5 and Table 1: the headline comparison of all eight systems
 //! across three models and three workloads (TF1.15 everywhere).
 
-use super::{Output, ReproConfig};
-use slsb_core::{fmt_money, fmt_pct, Analysis, Deployment, Table};
+use super::{Output, Planned, ReproConfig};
+use slsb_core::{fmt_money, fmt_pct, parallel_map, Analysis, Deployment, Jobs, Table};
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::PlatformKind;
 use slsb_workload::MmppPreset;
@@ -19,29 +19,32 @@ pub struct MatrixEntry {
     pub analysis: Analysis,
 }
 
-/// Runs the full 8 × 3 × 3 comparison matrix (`fig5` prints all of it).
+/// Runs the full 8 × 3 × 3 comparison matrix (`fig5` prints all of it)
+/// on up to `jobs` workers, in platform, model, preset order.
 ///
 /// `table1` runs only the 48 cells it prints: the four rented-box rows bill
 /// wall-clock time and read MobileNet alone. Every run depends only on its
 /// deployment, preset and the seed, so a cell `table1` shares with `fig5`
 /// reads the same in both.
-pub fn matrix(cfg: &ReproConfig) -> Vec<MatrixEntry> {
-    let mut out = Vec::with_capacity(8 * 3 * 3);
+pub fn matrix(cfg: &ReproConfig, jobs: Jobs) -> Vec<MatrixEntry> {
+    let mut plan: Vec<Planned> = Vec::with_capacity(8 * 3 * 3);
     for platform in PlatformKind::ALL {
         for model in ModelKind::ALL {
             for preset in MmppPreset::ALL {
-                let dep = Deployment::new(platform, model, RuntimeKind::Tf115);
-                let analysis = cfg.run(&dep, preset);
-                out.push(MatrixEntry {
-                    platform,
-                    model,
-                    preset,
-                    analysis,
-                });
+                plan.push((Deployment::new(platform, model, RuntimeKind::Tf115), preset));
             }
         }
     }
-    out
+    let analyses = cfg.run_plan(&plan, jobs);
+    plan.into_iter()
+        .zip(analyses)
+        .map(|((dep, preset), analysis)| MatrixEntry {
+            platform: dep.platform,
+            model: dep.model,
+            preset,
+            analysis,
+        })
+        .collect()
 }
 
 fn lat_cell(a: &Analysis) -> String {
@@ -52,8 +55,8 @@ fn lat_cell(a: &Analysis) -> String {
 
 /// Regenerates Figure 5: average latency and success ratio per system ×
 /// model × workload (one table per model, mirroring the paper's panels).
-pub fn fig5(cfg: &ReproConfig) -> Output {
-    let m = matrix(cfg);
+pub fn fig5(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    let m = matrix(cfg, jobs);
     let mut tables = Vec::new();
     for model in ModelKind::ALL {
         let mut t = Table::new(
@@ -128,7 +131,7 @@ pub fn fig5(cfg: &ReproConfig) -> Output {
 }
 
 /// Regenerates Table 1: costs for all evaluated systems.
-pub fn table1(cfg: &ReproConfig) -> Output {
+pub fn table1(cfg: &ReproConfig, jobs: Jobs) -> Output {
     let mut t = Table::new(
         "Table 1: costs for evaluated model serving systems (TF1.15)",
         &[
@@ -139,38 +142,36 @@ pub fn table1(cfg: &ReproConfig) -> Output {
             "workload-200",
         ],
     );
-    // A cell's cost is the platform's bill: no analysis needed.
-    let costs = |platform: PlatformKind, model: ModelKind| {
-        let dep = Deployment::new(platform, model, RuntimeKind::Tf115);
-        MmppPreset::ALL.map(|preset| {
-            let trace = cfg.trace(preset);
-            fmt_money(cfg.replay(&dep, &trace).platform.cost.total())
-        })
-    };
+    // One row per serverless or ManagedML system and model; rented boxes
+    // bill wall-clock time, so the paper reports a single model-independent
+    // row per system, run on MobileNet.
+    let mut rows: Vec<(PlatformKind, Option<ModelKind>)> = Vec::new();
     for platform in PlatformKind::ALL {
         if platform.is_serverless() || platform.is_managed_ml() {
-            for model in ModelKind::ALL {
-                let [w40, w120, w200] = costs(platform, model);
-                t.push_row(vec![
-                    platform.label().to_string(),
-                    model.to_string(),
-                    w40,
-                    w120,
-                    w200,
-                ]);
-            }
+            rows.extend(ModelKind::ALL.map(|model| (platform, Some(model))));
         } else {
-            // Rented boxes bill wall-clock time; the paper reports a single
-            // model-independent row per system.
-            let [w40, w120, w200] = costs(platform, ModelKind::MobileNet);
-            t.push_row(vec![
-                platform.label().to_string(),
-                "(any)".into(),
-                w40,
-                w120,
-                w200,
-            ]);
+            rows.push((platform, None));
         }
+    }
+    let plan: Vec<Planned> = rows
+        .iter()
+        .flat_map(|&(platform, model)| {
+            let model = model.unwrap_or(ModelKind::MobileNet);
+            let dep = Deployment::new(platform, model, RuntimeKind::Tf115);
+            MmppPreset::ALL.map(|preset| (dep, preset))
+        })
+        .collect();
+    // A cell's cost is the platform's bill: no analysis needed.
+    let bills = parallel_map(jobs, &plan, |_, (dep, preset)| {
+        cfg.replay(dep, &cfg.trace(*preset)).platform.cost.total()
+    });
+    for (&(platform, model), bills) in rows.iter().zip(bills.chunks(MmppPreset::ALL.len())) {
+        let mut row = vec![
+            platform.label().to_string(),
+            model.map_or_else(|| "(any)".to_string(), |m| m.to_string()),
+        ];
+        row.extend(bills.iter().map(|&bill| fmt_money(bill)));
+        t.push_row(row);
     }
     let notes = vec![
         "Paper anchors (AWS-Serverless row): $0.050/$0.117/$0.186 for MobileNet, \
@@ -186,20 +187,20 @@ mod tests {
 
     #[test]
     fn matrix_is_complete_at_tiny_scale() {
-        let m = matrix(&ReproConfig::scaled(0.01));
+        let m = matrix(&ReproConfig::scaled(0.01), Jobs::available());
         assert_eq!(m.len(), 72);
     }
 
     #[test]
     fn fig5_emits_three_tables_of_eight_rows() {
-        let (tables, _) = fig5(&ReproConfig::scaled(0.01));
+        let (tables, _) = fig5(&ReproConfig::scaled(0.01), Jobs::available());
         assert_eq!(tables.len(), 3);
         assert!(tables.iter().all(|t| t.len() == 8));
     }
 
     #[test]
     fn table1_has_rows_for_every_system() {
-        let (tables, _) = table1(&ReproConfig::scaled(0.01));
+        let (tables, _) = table1(&ReproConfig::scaled(0.01), Jobs::available());
         // 4 serverless/managed systems × 3 models + 4 rented boxes.
         assert_eq!(tables[0].len(), 4 * 3 + 4);
     }
@@ -207,8 +208,8 @@ mod tests {
     #[test]
     fn table1_cells_equal_the_matrix_costs() {
         let cfg = ReproConfig::scaled(0.02);
-        let m = matrix(&cfg);
-        let (tables, _) = table1(&cfg);
+        let m = matrix(&cfg, Jobs::available());
+        let (tables, _) = table1(&cfg, Jobs::available());
         let csv = tables[0].to_csv();
         let mut cells = 0;
         for line in csv.lines().skip(1) {

@@ -5,8 +5,8 @@
 
 use super::{Output, ReproConfig};
 use slsb_core::{
-    analyze_outcomes, explore, fmt_money, fmt_opt_secs, BatchPolicy, Deployment, Executor,
-    ExecutorConfig, ExplorerGrid, OutcomeRun, Table,
+    analyze_outcomes, explore_jobs, fmt_money, fmt_opt_secs, parallel_map, BatchPolicy, Deployment,
+    Executor, ExecutorConfig, ExplorerGrid, Jobs, Table,
 };
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::{CloudProvider, Platform, PlatformKind, ServerlessConfig};
@@ -15,7 +15,7 @@ use slsb_sim::SimDuration;
 use slsb_workload::MmppPreset;
 
 /// Extension: fixed vs adaptive batching on AWS-Serverless at workload-120.
-pub fn adaptive(cfg: &ReproConfig) -> Output {
+pub fn adaptive(cfg: &ReproConfig, jobs: Jobs) -> Output {
     let mut t = Table::new(
         "Extension — adaptive vs fixed batching (AWS-Serverless, workload-120)",
         &[
@@ -45,27 +45,33 @@ pub fn adaptive(cfg: &ReproConfig) -> Output {
             }),
         ),
     ];
+    let mut plan = Vec::new();
     for model in [ModelKind::MobileNet, ModelKind::Vgg] {
-        for (label, policy) in &policies {
-            let exec = Executor::new(ExecutorConfig {
-                batch_override: *policy,
-                ..ExecutorConfig::default()
-            });
-            let trace = cfg.trace(MmppPreset::W120);
-            let dep = Deployment::new(PlatformKind::AwsServerless, model, RuntimeKind::Tf115);
-            let run = exec
-                .run_outcomes(&dep, &trace, cfg.seed())
-                .expect("valid deployment");
-            let a = analyze_outcomes(&run);
-            t.push_row(vec![
-                model.to_string(),
-                label.to_string(),
-                fmt_opt_secs(a.mean_latency()),
-                fmt_opt_secs(a.latency.map(|l| l.p95)),
-                fmt_money(a.cost.total()),
-                a.invocations.to_string(),
-            ]);
+        for (label, policy) in policies {
+            plan.push((model, label, policy));
         }
+    }
+    let trace = cfg.trace(MmppPreset::W120);
+    let analyses = parallel_map(jobs, &plan, |_, &(model, _, policy)| {
+        let exec = Executor::new(ExecutorConfig {
+            batch_override: policy,
+            ..ExecutorConfig::default()
+        });
+        let dep = Deployment::new(PlatformKind::AwsServerless, model, RuntimeKind::Tf115);
+        let run = exec
+            .run_outcomes(&dep, &trace, cfg.seed())
+            .expect("valid deployment");
+        analyze_outcomes(&run)
+    });
+    for ((model, label, _), a) in plan.iter().zip(analyses) {
+        t.push_row(vec![
+            model.to_string(),
+            label.to_string(),
+            fmt_opt_secs(a.mean_latency()),
+            fmt_opt_secs(a.latency.map(|l| l.p95)),
+            fmt_money(a.cost.total()),
+            a.invocations.to_string(),
+        ]);
     }
     let notes = vec![
         "Adaptive batching bounds the oldest request's extra wait, so it recovers most of \
@@ -77,19 +83,20 @@ pub fn adaptive(cfg: &ReproConfig) -> Output {
 }
 
 /// Extension: the design-space navigator (Section 6, third opportunity).
-pub fn explorer(cfg: &ReproConfig) -> Output {
+pub fn explorer(cfg: &ReproConfig, jobs: Jobs) -> Output {
     let trace = cfg.trace(MmppPreset::W120);
     let base = Deployment::new(
         PlatformKind::AwsServerless,
         ModelKind::MobileNet,
         RuntimeKind::Tf115,
     );
-    let exploration = explore(
+    let exploration = explore_jobs(
         &Executor::default(),
         base,
         &ExplorerGrid::default(),
         &trace,
         cfg.seed(),
+        jobs,
     )
     .expect("explorer grid is valid");
 
@@ -148,7 +155,38 @@ pub fn explorer(cfg: &ReproConfig) -> Output {
 
 /// Extension: over-provisioning ablation — sweep the spawn factor of the
 /// GCP-style scaling policy and measure cold-start waste and cost.
-pub fn scaling(cfg: &ReproConfig) -> Output {
+pub fn scaling(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    const FACTORS: [f64; 4] = [1.0, 1.3, 1.6, 2.0];
+    const DEPTHS: [u32; 4] = [1, 2, 4, 8];
+    let serverless = |provider, platform| {
+        let dep = Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
+        let scfg = ServerlessConfig::new(
+            provider,
+            ModelKind::MobileNet.profile(),
+            RuntimeKind::Tf115.profile(),
+        );
+        (dep, scfg)
+    };
+    // The spawn-factor rows on GCP's parameters, then the router-coalescing
+    // rows on AWS's.
+    let mut plan = Vec::with_capacity(FACTORS.len() + DEPTHS.len());
+    for factor in FACTORS {
+        let (dep, mut scfg) = serverless(CloudProvider::Gcp, PlatformKind::GcpServerless);
+        scfg.params.spawn_factor = factor;
+        plan.push((dep, scfg));
+    }
+    for depth in DEPTHS {
+        let (dep, mut scfg) = serverless(CloudProvider::Aws, PlatformKind::AwsServerless);
+        scfg.params.pending_per_starting = depth;
+        plan.push((dep, scfg));
+    }
+    let trace = cfg.trace(MmppPreset::W40);
+    let analyses = parallel_map(jobs, &plan, |_, (dep, scfg)| {
+        let platform = Platform::serverless(scfg.clone(), cfg.seed());
+        analyze_outcomes(&Executor::default().run_built_outcomes(dep, platform, &trace, cfg.seed()))
+    });
+    let (spawn, coalesce) = analyses.split_at(FACTORS.len());
+
     let mut t = Table::new(
         "Extension — over-provisioning ablation (GCP-Serverless params, MobileNet, workload-40)",
         &[
@@ -160,22 +198,7 @@ pub fn scaling(cfg: &ReproConfig) -> Output {
             "Cost",
         ],
     );
-    let trace = cfg.trace(MmppPreset::W40);
-    let dep = Deployment::new(
-        PlatformKind::GcpServerless,
-        ModelKind::MobileNet,
-        RuntimeKind::Tf115,
-    );
-    for factor in [1.0, 1.3, 1.6, 2.0] {
-        let mut scfg = ServerlessConfig::new(
-            CloudProvider::Gcp,
-            ModelKind::MobileNet.profile(),
-            RuntimeKind::Tf115.profile(),
-        );
-        scfg.params.spawn_factor = factor;
-        let platform = Platform::serverless(scfg, cfg.seed());
-        let run = Executor::default().run_built_outcomes(&dep, platform, &trace, cfg.seed());
-        let a = analyze_outcomes(&run);
+    for (factor, a) in FACTORS.iter().zip(spawn) {
         t.push_row(vec![
             format!("{factor:.1}"),
             a.cold_started.to_string(),
@@ -200,21 +223,7 @@ pub fn scaling(cfg: &ReproConfig) -> Output {
             "Cost",
         ],
     );
-    let dep_aws = Deployment::new(
-        PlatformKind::AwsServerless,
-        ModelKind::MobileNet,
-        RuntimeKind::Tf115,
-    );
-    for depth in [1u32, 2, 4, 8] {
-        let mut scfg = ServerlessConfig::new(
-            CloudProvider::Aws,
-            ModelKind::MobileNet.profile(),
-            RuntimeKind::Tf115.profile(),
-        );
-        scfg.params.pending_per_starting = depth;
-        let platform = Platform::serverless(scfg, cfg.seed());
-        let run = Executor::default().run_built_outcomes(&dep_aws, platform, &trace, cfg.seed());
-        let a = analyze_outcomes(&run);
+    for (depth, a) in DEPTHS.iter().zip(coalesce) {
         t2.push_row(vec![
             depth.to_string(),
             a.cold_started.to_string(),
@@ -242,7 +251,7 @@ pub fn scaling(cfg: &ReproConfig) -> Output {
 /// base load and bursts spill to a serverless function. Compares pure GPU,
 /// pure serverless, and the hybrid on the paper's hardest setting
 /// (MobileNet at workload-200, where Figure 9's dynamics bite).
-pub fn hybrid(cfg: &ReproConfig) -> Output {
+pub fn hybrid(cfg: &ReproConfig, jobs: Jobs) -> Output {
     use slsb_platform::{HybridConfig, SpilloverPolicy, VmServerConfig};
 
     let trace = cfg.trace(MmppPreset::W200);
@@ -251,52 +260,17 @@ pub fn hybrid(cfg: &ReproConfig) -> Output {
         ModelKind::MobileNet,
         RuntimeKind::Tf115,
     );
-    let exec = Executor::default();
-
-    let mut t = Table::new(
-        "Extension — hybrid serving (MobileNet, workload-200, AWS)",
-        &[
-            "System",
-            "Mean latency",
-            "p99",
-            "SR",
-            "SLO(0.3s) attainment",
-            "Cost",
-        ],
-    );
-    let mut notes = Vec::new();
-
-    let mut push = |name: &str, run: &OutcomeRun<'_>| {
-        let a = analyze_outcomes(run);
-        t.push_row(vec![
-            name.to_string(),
-            fmt_opt_secs(a.mean_latency()),
-            fmt_opt_secs(a.latency.map(|l| l.p99)),
-            format!("{:.1}%", a.success_ratio * 100.0),
-            format!(
-                "{:.1}%",
-                run.slo_attainment(SimDuration::from_millis(300)) * 100.0
-            ),
-            fmt_money(a.cost.total()),
-        ]);
-    };
-
-    // Each run is tabulated and dropped as it finishes, so no more than
-    // one run's outcome table is alive at a time.
     let gpu = Deployment::new(
         PlatformKind::AwsGpu,
         ModelKind::MobileNet,
         RuntimeKind::Tf115,
     );
-    push(
-        "Pure GPU server",
-        &exec.run_outcomes(&gpu, &trace, cfg.seed()).expect("valid"),
-    );
-    push(
-        "Pure serverless",
-        &exec.run_outcomes(&dep, &trace, cfg.seed()).expect("valid"),
-    );
-
+    // Each row: its name, its deployment and, for a hybrid, the platform
+    // that serves it.
+    let mut plan: Vec<(String, Deployment, Option<HybridConfig>)> = vec![
+        ("Pure GPU server".into(), gpu, None),
+        ("Pure serverless".into(), dep, None),
+    ];
     for depth in [4usize, 16, 64] {
         let hybrid_cfg = HybridConfig {
             vm: VmServerConfig::gpu(
@@ -311,17 +285,55 @@ pub fn hybrid(cfg: &ReproConfig) -> Output {
             ),
             policy: SpilloverPolicy::QueueDepth(depth),
         };
-        let platform = Platform::hybrid(hybrid_cfg, cfg.seed());
-        let run = exec.run_built_outcomes(&dep, platform, &trace, cfg.seed());
-        push(&format!("Hybrid (spill at depth {depth})"), &run);
+        plan.push((
+            format!("Hybrid (spill at depth {depth})"),
+            dep,
+            Some(hybrid_cfg),
+        ));
+    }
+    // A worker keeps only its row's analysis and SLO attainment, so no
+    // more than one outcome table per worker is alive at a time.
+    let slo = SimDuration::from_millis(300);
+    let rows = parallel_map(jobs, &plan, |_, (_, d, hybrid)| {
+        let exec = Executor::default();
+        let run = match hybrid {
+            None => exec.run_outcomes(d, &trace, cfg.seed()).expect("valid"),
+            Some(h) => {
+                let platform = Platform::hybrid(h.clone(), cfg.seed());
+                exec.run_built_outcomes(d, platform, &trace, cfg.seed())
+            }
+        };
+        (analyze_outcomes(&run), run.slo_attainment(slo))
+    });
+
+    let mut t = Table::new(
+        "Extension — hybrid serving (MobileNet, workload-200, AWS)",
+        &[
+            "System",
+            "Mean latency",
+            "p99",
+            "SR",
+            "SLO(0.3s) attainment",
+            "Cost",
+        ],
+    );
+    for ((name, _, _), (a, attainment)) in plan.iter().zip(&rows) {
+        t.push_row(vec![
+            name.clone(),
+            fmt_opt_secs(a.mean_latency()),
+            fmt_opt_secs(a.latency.map(|l| l.p99)),
+            format!("{:.1}%", a.success_ratio * 100.0),
+            format!("{:.1}%", attainment * 100.0),
+            fmt_money(a.cost.total()),
+        ]);
     }
 
-    notes.push(
+    let notes = vec![
         "The MArk-style hybrid keeps the GPU's low unit latency for the base load while \
          the serverless pool absorbs surge overflow — avoiding the pure GPU's queueing \
          collapse at workload-200 at a fraction of pure serverless' invocation bill."
             .to_string(),
-    );
+    ];
     (vec![t], notes)
 }
 
@@ -331,27 +343,27 @@ mod tests {
 
     #[test]
     fn adaptive_outputs_eight_rows() {
-        let (tables, _) = adaptive(&ReproConfig::scaled(0.02));
+        let (tables, _) = adaptive(&ReproConfig::scaled(0.02), Jobs::available());
         assert_eq!(tables[0].len(), 8);
     }
 
     #[test]
     fn scaling_factor_one_spawns_fewest() {
         let cfg = ReproConfig::scaled(0.05);
-        let (tables, _) = scaling(&cfg);
+        let (tables, _) = scaling(&cfg, Jobs::available());
         assert_eq!(tables[0].len(), 4);
     }
 
     #[test]
     fn explorer_reports_front() {
-        let (tables, notes) = explorer(&ReproConfig::scaled(0.01));
+        let (tables, notes) = explorer(&ReproConfig::scaled(0.01), Jobs::available());
         assert_eq!(tables[0].len(), 4 * 2 * 3);
         assert!(!notes.is_empty());
     }
 
     #[test]
     fn hybrid_emits_five_rows() {
-        let (tables, notes) = hybrid(&ReproConfig::scaled(0.02));
+        let (tables, notes) = hybrid(&ReproConfig::scaled(0.02), Jobs::available());
         assert_eq!(tables[0].len(), 5);
         assert!(!notes.is_empty());
     }

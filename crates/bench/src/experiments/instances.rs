@@ -1,7 +1,7 @@
 //! Figures 7 and 11: instance counts over time.
 
-use super::{Output, ReproConfig};
-use slsb_core::{Analysis, Deployment, Table};
+use super::{Output, Planned, ReproConfig};
+use slsb_core::{Analysis, Deployment, Jobs, Table};
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::PlatformKind;
 use slsb_workload::MmppPreset;
@@ -33,23 +33,17 @@ fn instance_table(title: &str, columns: &[(&str, &Analysis)]) -> Table {
 
 /// Regenerates Figure 7: the number of in-service instances on the
 /// ManagedML services, MobileNet at workload-40.
-pub fn fig7(cfg: &ReproConfig) -> Output {
-    let aws = cfg.run(
-        &Deployment::new(
-            PlatformKind::AwsManagedMl,
-            ModelKind::MobileNet,
-            RuntimeKind::Tf115,
-        ),
-        MmppPreset::W40,
-    );
-    let gcp = cfg.run(
-        &Deployment::new(
-            PlatformKind::GcpManagedMl,
-            ModelKind::MobileNet,
-            RuntimeKind::Tf115,
-        ),
-        MmppPreset::W40,
-    );
+pub fn fig7(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    let plan: Vec<Planned> = [PlatformKind::AwsManagedMl, PlatformKind::GcpManagedMl]
+        .map(|platform| {
+            let dep = Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
+            (dep, MmppPreset::W40)
+        })
+        .to_vec();
+    let [aws, gcp]: [Analysis; 2] = cfg
+        .run_plan(&plan, jobs)
+        .try_into()
+        .expect("one analysis per planned run");
     let t = instance_table(
         "Figure 7 — ManagedML in-service instances (MobileNet, workload-40)",
         &[("AWS-ManagedML", &aws), ("GCP-ManagedML", &gcp)],
@@ -69,18 +63,21 @@ pub fn fig7(cfg: &ReproConfig) -> Output {
 
 /// Regenerates Figure 11: the number of live instances on the serverless
 /// platforms for all three models at workload-40.
-pub fn fig11(cfg: &ReproConfig) -> Output {
+pub fn fig11(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    let plan: Vec<Planned> = ModelKind::ALL
+        .into_iter()
+        .flat_map(|model| {
+            [PlatformKind::AwsServerless, PlatformKind::GcpServerless].map(|platform| {
+                let dep = Deployment::new(platform, model, RuntimeKind::Tf115);
+                (dep, MmppPreset::W40)
+            })
+        })
+        .collect();
+    let analyses = cfg.run_plan(&plan, jobs);
     let mut tables = Vec::new();
     let mut notes = Vec::new();
-    for model in ModelKind::ALL {
-        let aws = cfg.run(
-            &Deployment::new(PlatformKind::AwsServerless, model, RuntimeKind::Tf115),
-            MmppPreset::W40,
-        );
-        let gcp = cfg.run(
-            &Deployment::new(PlatformKind::GcpServerless, model, RuntimeKind::Tf115),
-            MmppPreset::W40,
-        );
+    for (model, pair) in ModelKind::ALL.into_iter().zip(analyses.chunks(2)) {
+        let (aws, gcp) = (&pair[0], &pair[1]);
         notes.push(format!(
             "{model}: cold-started instances AWS {} / GCP {} (GCP over-provisions; paper's \
              VGG example: ~100 created vs ~50 needed)",
@@ -88,7 +85,7 @@ pub fn fig11(cfg: &ReproConfig) -> Output {
         ));
         tables.push(instance_table(
             &format!("Figure 11 — serverless live instances ({model}, workload-40)"),
-            &[("AWS-Serverless", &aws), ("GCP-Serverless", &gcp)],
+            &[("AWS-Serverless", aws), ("GCP-Serverless", gcp)],
         ));
     }
     notes.push(
@@ -105,7 +102,7 @@ mod tests {
 
     #[test]
     fn fig7_emits_one_table() {
-        let (tables, notes) = fig7(&ReproConfig::scaled(0.02));
+        let (tables, notes) = fig7(&ReproConfig::scaled(0.02), Jobs::available());
         assert_eq!(tables.len(), 1);
         assert!(notes.len() >= 2);
     }

@@ -1,47 +1,77 @@
 //! Figure 12: in-depth micro-benchmarks with workload-120 — container
 //! size, downloaded size, input size, and prediction count.
 
-use super::{Output, ReproConfig};
-use slsb_core::{fmt_opt_secs, Deployment, Table};
+use super::{Output, Planned, ReproConfig};
+use slsb_core::{fmt_opt_secs, Deployment, Jobs, Table};
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::PlatformKind;
 use slsb_workload::MmppPreset;
 
 const PLATFORMS: [PlatformKind; 2] = [PlatformKind::AwsServerless, PlatformKind::GcpServerless];
 
-/// Regenerates Figure 12a–d.
-pub fn fig12(cfg: &ReproConfig) -> Output {
-    let mut tables = Vec::new();
-    // The unmodified MobileNet/TF1.15 deployment is the first row of 12a,
-    // 12c and 12d alike: run it once per platform.
-    let default = |platform| Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
-    let base = PLATFORMS.map(|platform| cfg.run(&default(platform), MmppPreset::W120));
-    let run = |d: &Deployment, i: usize| {
-        if *d == default(d.platform) {
-            base[i].clone()
-        } else {
-            cfg.run(d, MmppPreset::W120)
-        }
-    };
+/// Extra image MB of Figure 12a.
+const EXTRA_IMAGE_MB: [f64; 4] = [0.0, 512.0, 1024.0, 1536.0];
+/// Extra downloaded MB of Figure 12b.
+const EXTRA_DOWNLOAD_MB: [f64; 4] = [0.0, 100.0, 200.0, 300.0];
+/// Samples per request of Figure 12c.
+const SAMPLES: [u32; 4] = [1, 4, 8, 16];
+/// Inferences per request of Figure 12d.
+const REPEATS: [u32; 4] = [1, 2, 4, 8];
 
-    // (a) Container size: inject dummy MB into the image.
+/// The runs of one panel at workload-120: for each knob value, each
+/// platform's `base` deployment with `vary` applied.
+fn panel<T: Copy>(
+    values: &[T],
+    base: impl Fn(PlatformKind) -> Deployment,
+    vary: impl Fn(&mut Deployment, T),
+) -> Vec<Planned> {
+    let mut plan = Vec::with_capacity(values.len() * PLATFORMS.len());
+    for &v in values {
+        for platform in PLATFORMS {
+            let mut d = base(platform);
+            vary(&mut d, v);
+            plan.push((d, MmppPreset::W120));
+        }
+    }
+    plan
+}
+
+/// Regenerates Figure 12a–d.
+pub fn fig12(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    let mobilenet = |platform| Deployment::new(platform, ModelKind::MobileNet, RuntimeKind::Tf115);
+    let albert = |platform| Deployment::new(platform, ModelKind::Albert, RuntimeKind::Tf115);
+    // The unmodified MobileNet/TF1.15 deployment is the first row of 12a,
+    // 12c and 12d alike: the plan runs it once per platform.
+    let plan = [
+        // (a) Container size: inject dummy MB into the image.
+        panel(&EXTRA_IMAGE_MB, mobilenet, |d, mb| {
+            d.extra_container_mb = mb
+        }),
+        // (b) Downloaded size: extra dummy data beside the ALBERT model.
+        panel(&EXTRA_DOWNLOAD_MB, albert, |d, mb| d.extra_download_mb = mb),
+        // (c) Input size: pack more samples per request, predict only one.
+        panel(&SAMPLES, mobilenet, |d, n| d.samples_per_request = n),
+        // (d) Prediction count: execute the inference several times per
+        // request.
+        panel(&REPEATS, mobilenet, |d, n| d.inference_repeats = n),
+    ]
+    .concat();
+    let analyses = cfg.run_plan(&plan, jobs);
+    // One row of `PLATFORMS.len()` runs per knob value, panel after panel.
+    let mut rows = analyses.chunks(PLATFORMS.len());
+
+    let mut tables = Vec::new();
     let mut a = Table::new(
         "Figure 12a — vary container size (MobileNet, TF1.15): cold-start E2E",
         &["Extra image MB", "AWS cs E2E", "GCP cs E2E"],
     );
-    for extra in [0.0, 512.0, 1024.0, 1536.0] {
+    for (extra, runs) in EXTRA_IMAGE_MB.iter().zip(rows.by_ref()) {
         let mut row = vec![format!("{extra:.0}")];
-        for (i, platform) in PLATFORMS.into_iter().enumerate() {
-            let mut d = default(platform);
-            d.extra_container_mb = extra;
-            let an = run(&d, i);
-            row.push(fmt_opt_secs(an.cold.e2e_cold));
-        }
+        row.extend(runs.iter().map(|an| fmt_opt_secs(an.cold.e2e_cold)));
         a.push_row(row);
     }
     tables.push(a);
 
-    // (b) Downloaded size: extra dummy data beside the ALBERT model.
     let mut b = Table::new(
         "Figure 12b — vary downloaded size (ALBERT, TF1.15): download time / cold-start E2E",
         &[
@@ -52,12 +82,9 @@ pub fn fig12(cfg: &ReproConfig) -> Output {
             "GCP cs E2E",
         ],
     );
-    for extra in [0.0, 100.0, 200.0, 300.0] {
+    for (extra, runs) in EXTRA_DOWNLOAD_MB.iter().zip(rows.by_ref()) {
         let mut row = vec![format!("{extra:.0}")];
-        for platform in PLATFORMS {
-            let mut d = Deployment::new(platform, ModelKind::Albert, RuntimeKind::Tf115);
-            d.extra_download_mb = extra;
-            let an = cfg.run(&d, MmppPreset::W120);
+        for an in runs {
             row.push(fmt_opt_secs(an.cold.download));
             row.push(fmt_opt_secs(an.cold.e2e_cold));
         }
@@ -65,36 +92,24 @@ pub fn fig12(cfg: &ReproConfig) -> Output {
     }
     tables.push(b);
 
-    // (c) Input size: pack more samples per request, predict only one.
     let mut c = Table::new(
         "Figure 12c — vary input size (MobileNet, TF1.15): warm-up E2E",
         &["Samples/request", "AWS wu E2E", "GCP wu E2E"],
     );
-    for samples in [1u32, 4, 8, 16] {
+    for (samples, runs) in SAMPLES.iter().zip(rows.by_ref()) {
         let mut row = vec![samples.to_string()];
-        for (i, platform) in PLATFORMS.into_iter().enumerate() {
-            let mut d = default(platform);
-            d.samples_per_request = samples;
-            let an = run(&d, i);
-            row.push(fmt_opt_secs(an.cold.e2e_warm));
-        }
+        row.extend(runs.iter().map(|an| fmt_opt_secs(an.cold.e2e_warm)));
         c.push_row(row);
     }
     tables.push(c);
 
-    // (d) Prediction count: execute the inference several times per request.
     let mut dtab = Table::new(
         "Figure 12d — vary number of inferences (MobileNet, TF1.15): overall latency",
         &["Inferences/request", "AWS mean latency", "GCP mean latency"],
     );
-    for repeats in [1u32, 2, 4, 8] {
+    for (repeats, runs) in REPEATS.iter().zip(rows.by_ref()) {
         let mut row = vec![repeats.to_string()];
-        for (i, platform) in PLATFORMS.into_iter().enumerate() {
-            let mut d = default(platform);
-            d.inference_repeats = repeats;
-            let an = run(&d, i);
-            row.push(fmt_opt_secs(an.mean_latency()));
-        }
+        row.extend(runs.iter().map(|an| fmt_opt_secs(an.mean_latency())));
         dtab.push_row(row);
     }
     tables.push(dtab);
@@ -115,7 +130,7 @@ mod tests {
 
     #[test]
     fn fig12_emits_four_tables() {
-        let (tables, notes) = fig12(&ReproConfig::scaled(0.01));
+        let (tables, notes) = fig12(&ReproConfig::scaled(0.01), Jobs::available());
         assert_eq!(tables.len(), 4);
         assert!(tables.iter().all(|t| t.len() == 4));
         assert!(!notes.is_empty());

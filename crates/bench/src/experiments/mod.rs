@@ -1,6 +1,13 @@
 //! Experiment regeneration: each submodule rebuilds one group of the
 //! paper's artifacts and returns paper-style tables.
 //!
+//! Every experiment takes the same three steps. It *plans* its replays
+//! (a list of independent runs, each a pure function of its deployment,
+//! its trace and the seed), *runs* them over [`parallel_map`] on up to
+//! `jobs` workers, collecting the results in plan order, and *renders*
+//! its tables from those results. The output is therefore byte-identical
+//! for every worker budget, and `Jobs::new(1)` spawns no thread.
+//!
 //! | Module | Artifacts |
 //! |---|---|
 //! | [`workloads`] | Figure 4 |
@@ -24,7 +31,8 @@ pub mod timelines;
 pub mod workloads;
 
 use slsb_core::{
-    analyze_outcomes, Analysis, Deployment, Executor, ExperimentId, OutcomeRun, Table, TraceCache,
+    analyze_outcomes, parallel_map, Analysis, Deployment, Executor, ExperimentId, Jobs, OutcomeRun,
+    Table, TraceCache,
 };
 use slsb_sim::Seed;
 use slsb_workload::{MmppPreset, TooManyRequests, WorkloadTrace};
@@ -105,6 +113,25 @@ impl ReproConfig {
         analyze_outcomes(&self.replay(deployment, &trace))
     }
 
+    /// The run step of most experiments: replays every distinct entry of
+    /// `plan` once, on up to `jobs` workers, and returns one analysis per
+    /// entry in plan order. Entries that are equal share one replay: a run
+    /// depends only on its deployment, preset and the seed.
+    pub fn run_plan(&self, plan: &[Planned], jobs: Jobs) -> Vec<Analysis> {
+        let mut distinct: Vec<Planned> = Vec::with_capacity(plan.len());
+        let slots: Vec<usize> = plan
+            .iter()
+            .map(|entry| {
+                distinct.iter().position(|d| d == entry).unwrap_or_else(|| {
+                    distinct.push(*entry);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let analyses = parallel_map(jobs, &distinct, |_, (dep, preset)| self.run(dep, *preset));
+        slots.into_iter().map(|i| analyses[i].clone()).collect()
+    }
+
     /// Replays `deployment` on `trace` at this config's seed. The run
     /// settles into an outcome table: experiments read analyses, bills
     /// and SLO attainment, never records.
@@ -114,6 +141,9 @@ impl ReproConfig {
             .expect("experiment deployments are valid by construction")
     }
 }
+
+/// One planned replay: a deployment on a preset workload.
+pub type Planned = (Deployment, MmppPreset);
 
 /// What one experiment produced: paper-style tables plus free-form notes.
 #[derive(Debug, Clone)]
@@ -144,35 +174,38 @@ impl ExperimentOutput {
     }
 }
 
-/// Regenerates one experiment.
+/// Regenerates one experiment, its replays on every available core:
+/// [`run_experiment_jobs`] with [`Jobs::available`].
 pub fn run_experiment(id: ExperimentId, cfg: &ReproConfig) -> ExperimentOutput {
-    let tables_notes = match id {
+    run_experiment_jobs(id, cfg, Jobs::available())
+}
+
+/// Regenerates one experiment with its independent replays on up to
+/// `jobs` workers. The output is byte-identical for every `jobs`.
+pub fn run_experiment_jobs(id: ExperimentId, cfg: &ReproConfig, jobs: Jobs) -> ExperimentOutput {
+    let (tables, notes) = match id {
         ExperimentId::Fig4 => workloads::fig4(cfg),
-        ExperimentId::Fig5 => comparison::fig5(cfg),
-        ExperimentId::Table1 => comparison::table1(cfg),
-        ExperimentId::Fig6 => timelines::fig6(cfg),
-        ExperimentId::Fig7 => instances::fig7(cfg),
-        ExperimentId::Fig8 => timelines::fig8(cfg),
-        ExperimentId::Fig9 => timelines::fig9(cfg),
-        ExperimentId::Fig10 => breakdown::fig10(cfg),
-        ExperimentId::Fig11 => instances::fig11(cfg),
-        ExperimentId::Fig12 => microbench::fig12(cfg),
-        ExperimentId::Fig13 => runtimes::fig13(cfg),
-        ExperimentId::Table2 => runtimes::table2(cfg),
-        ExperimentId::Fig14 => breakdown::fig14(cfg),
-        ExperimentId::Fig15 => sweeps::fig15(cfg),
-        ExperimentId::Fig16 => sweeps::fig16(cfg),
-        ExperimentId::Fig17 => sweeps::fig17(cfg),
-        ExperimentId::ExtAdaptive => extensions::adaptive(cfg),
-        ExperimentId::ExtExplorer => extensions::explorer(cfg),
-        ExperimentId::ExtScaling => extensions::scaling(cfg),
-        ExperimentId::ExtHybrid => extensions::hybrid(cfg),
+        ExperimentId::Fig5 => comparison::fig5(cfg, jobs),
+        ExperimentId::Table1 => comparison::table1(cfg, jobs),
+        ExperimentId::Fig6 => timelines::fig6(cfg, jobs),
+        ExperimentId::Fig7 => instances::fig7(cfg, jobs),
+        ExperimentId::Fig8 => timelines::fig8(cfg, jobs),
+        ExperimentId::Fig9 => timelines::fig9(cfg, jobs),
+        ExperimentId::Fig10 => breakdown::fig10(cfg, jobs),
+        ExperimentId::Fig11 => instances::fig11(cfg, jobs),
+        ExperimentId::Fig12 => microbench::fig12(cfg, jobs),
+        ExperimentId::Fig13 => runtimes::fig13(cfg, jobs),
+        ExperimentId::Table2 => runtimes::table2(cfg, jobs),
+        ExperimentId::Fig14 => breakdown::fig14(cfg, jobs),
+        ExperimentId::Fig15 => sweeps::fig15(cfg, jobs),
+        ExperimentId::Fig16 => sweeps::fig16(cfg, jobs),
+        ExperimentId::Fig17 => sweeps::fig17(cfg, jobs),
+        ExperimentId::ExtAdaptive => extensions::adaptive(cfg, jobs),
+        ExperimentId::ExtExplorer => extensions::explorer(cfg, jobs),
+        ExperimentId::ExtScaling => extensions::scaling(cfg, jobs),
+        ExperimentId::ExtHybrid => extensions::hybrid(cfg, jobs),
     };
-    ExperimentOutput {
-        id,
-        tables: tables_notes.0,
-        notes: tables_notes.1,
-    }
+    ExperimentOutput { id, tables, notes }
 }
 
 /// `(tables, notes)` pair every submodule function returns.
@@ -181,6 +214,8 @@ pub type Output = (Vec<Table>, Vec<String>);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slsb_model::{ModelKind, RuntimeKind};
+    use slsb_platform::PlatformKind;
 
     #[test]
     fn scaled_trace_shrinks_proportionally() {
@@ -193,12 +228,20 @@ mod tests {
     }
 
     #[test]
-    fn every_experiment_runs_at_tiny_scale() {
+    fn a_plan_runs_equal_entries_once_and_answers_in_plan_order() {
         let cfg = ReproConfig::scaled(0.01);
-        for id in ExperimentId::ALL {
-            let out = run_experiment(id, &cfg);
-            assert!(!out.tables.is_empty(), "{id} produced no tables");
-            assert!(!out.to_markdown().is_empty());
-        }
+        let dep = |model| Deployment::new(PlatformKind::AwsServerless, model, RuntimeKind::Tf115);
+        let plan = [
+            (dep(ModelKind::Vgg), MmppPreset::W40),
+            (dep(ModelKind::MobileNet), MmppPreset::W40),
+            (dep(ModelKind::Vgg), MmppPreset::W40),
+        ];
+        let got = cfg.run_plan(&plan, Jobs::new(2));
+        let labels: Vec<&str> = got.iter().map(|a| a.label.as_str()).collect();
+        let vgg = "AWS-Serverless/VGG/TF1.15";
+        assert_eq!(labels, [vgg, "AWS-Serverless/MobileNet/TF1.15", vgg]);
+        let json = |a: &Analysis| serde_json::to_string(a).expect("analysis serializes");
+        assert_eq!(json(&got[0]), json(&got[2]));
+        assert_eq!(json(&got[0]), json(&cfg.run(&plan[0].0, MmppPreset::W40)));
     }
 }

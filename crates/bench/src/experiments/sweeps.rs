@@ -2,16 +2,19 @@
 //! AWS-Serverless (memory size, provisioned concurrency, batch size), all
 //! at workload-120 for MobileNet and VGG under both runtimes.
 
-use super::{Output, ReproConfig};
-use slsb_core::{fmt_money, fmt_opt_secs, Deployment, Table};
+use super::{Output, Planned, ReproConfig};
+use slsb_core::{fmt_money, fmt_opt_secs, Deployment, Jobs, Table};
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::PlatformKind;
 use slsb_workload::MmppPreset;
 
 const MODELS: [ModelKind; 2] = [ModelKind::MobileNet, ModelKind::Vgg];
 
+/// One row per knob value, model and runtime on AWS-Serverless at
+/// workload-120, the runs on up to `jobs` workers.
 fn sweep_table<T: Copy + std::fmt::Display>(
     cfg: &ReproConfig,
+    jobs: Jobs,
     title: &str,
     knob_name: &str,
     values: &[T],
@@ -28,30 +31,34 @@ fn sweep_table<T: Copy + std::fmt::Display>(
             "Cold-started",
         ],
     );
+    let mut rows = Vec::new();
     for &v in values {
         for model in MODELS {
             for runtime in RuntimeKind::ALL {
                 let base = Deployment::new(PlatformKind::AwsServerless, model, runtime);
-                let d = apply(base, v);
-                let a = cfg.run(&d, MmppPreset::W120);
-                t.push_row(vec![
-                    v.to_string(),
-                    model.to_string(),
-                    runtime.to_string(),
-                    fmt_opt_secs(a.mean_latency()),
-                    fmt_money(a.cost.total()),
-                    a.cold_started.to_string(),
-                ]);
+                rows.push((v, apply(base, v)));
             }
         }
+    }
+    let plan: Vec<Planned> = rows.iter().map(|&(_, d)| (d, MmppPreset::W120)).collect();
+    for ((v, d), a) in rows.iter().zip(cfg.run_plan(&plan, jobs)) {
+        t.push_row(vec![
+            v.to_string(),
+            d.model.to_string(),
+            d.runtime.to_string(),
+            fmt_opt_secs(a.mean_latency()),
+            fmt_money(a.cost.total()),
+            a.cold_started.to_string(),
+        ]);
     }
     t
 }
 
 /// Regenerates Figure 15: vary memory size (2–8 GB).
-pub fn fig15(cfg: &ReproConfig) -> Output {
+pub fn fig15(cfg: &ReproConfig, jobs: Jobs) -> Output {
     let t = sweep_table(
         cfg,
+        jobs,
         "Figure 15 — vary memory size on AWS-Serverless (workload-120)",
         "Memory MB",
         &[2048.0, 4096.0, 6144.0, 8192.0],
@@ -67,9 +74,10 @@ pub fn fig15(cfg: &ReproConfig) -> Output {
 }
 
 /// Regenerates Figure 16: vary provisioned concurrency (0/8/16/32).
-pub fn fig16(cfg: &ReproConfig) -> Output {
+pub fn fig16(cfg: &ReproConfig, jobs: Jobs) -> Output {
     let t = sweep_table(
         cfg,
+        jobs,
         "Figure 16 — vary provisioned concurrency on AWS-Serverless (workload-120)",
         "Provisioned",
         &[0u32, 8, 16, 32],
@@ -86,9 +94,10 @@ pub fn fig16(cfg: &ReproConfig) -> Output {
 }
 
 /// Regenerates Figure 17: vary client batch size (1/2/4/8).
-pub fn fig17(cfg: &ReproConfig) -> Output {
+pub fn fig17(cfg: &ReproConfig, jobs: Jobs) -> Output {
     let t = sweep_table(
         cfg,
+        jobs,
         "Figure 17 — vary batch size on AWS-Serverless (workload-120)",
         "Batch",
         &[1u32, 2, 4, 8],
@@ -137,9 +146,9 @@ mod tests {
     #[test]
     fn sweeps_emit_full_grids() {
         let cfg = ReproConfig::scaled(0.01);
-        let (t15, _) = fig15(&cfg);
-        let (t16, _) = fig16(&cfg);
-        let (t17, _) = fig17(&cfg);
+        let (t15, _) = fig15(&cfg, Jobs::available());
+        let (t16, _) = fig16(&cfg, Jobs::available());
+        let (t17, _) = fig17(&cfg, Jobs::available());
         // 4 knob values × 2 models × 2 runtimes.
         assert_eq!(t15[0].len(), 16);
         assert_eq!(t16[0].len(), 16);

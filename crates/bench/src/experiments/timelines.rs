@@ -1,8 +1,8 @@
 //! Figures 6, 8, 9: latency / success-ratio timelines contrasting
 //! serverless with one alternative system.
 
-use super::{Output, ReproConfig};
-use slsb_core::{Analysis, Deployment, Table};
+use super::{Output, Planned, ReproConfig};
+use slsb_core::{Analysis, Deployment, Jobs, Table};
 use slsb_model::{ModelKind, RuntimeKind};
 use slsb_platform::PlatformKind;
 use slsb_workload::MmppPreset;
@@ -56,111 +56,128 @@ fn summarize(label: &str, a: &Analysis) -> String {
     )
 }
 
-fn versus(
-    cfg: &ReproConfig,
-    title: &str,
+/// One panel of a timeline figure: a serverless platform against an
+/// alternative, serving `model` on `preset`.
+struct Panel {
+    title: &'static str,
     model: ModelKind,
     preset: MmppPreset,
     serverless: PlatformKind,
     other: PlatformKind,
-) -> (Table, Vec<String>) {
-    let sls = cfg.run(
-        &Deployment::new(serverless, model, RuntimeKind::Tf115),
-        preset,
-    );
-    let alt = cfg.run(&Deployment::new(other, model, RuntimeKind::Tf115), preset);
-    let table = timeline_table(title, (serverless.label(), &sls), (other.label(), &alt));
-    let notes = vec![
-        summarize(serverless.label(), &sls),
-        summarize(other.label(), &alt),
-    ];
-    (table, notes)
+}
+
+/// Runs both systems of every panel on up to `jobs` workers and renders a
+/// timeline table per panel, then one summary note per system and `shape`.
+fn versus(cfg: &ReproConfig, jobs: Jobs, panels: [Panel; 2], shape: &str) -> Output {
+    let plan: Vec<Planned> = panels
+        .iter()
+        .flat_map(|p| {
+            [p.serverless, p.other].map(|platform| {
+                (
+                    Deployment::new(platform, p.model, RuntimeKind::Tf115),
+                    p.preset,
+                )
+            })
+        })
+        .collect();
+    let analyses = cfg.run_plan(&plan, jobs);
+    let mut tables = Vec::new();
+    let mut notes = Vec::new();
+    for (p, pair) in panels.iter().zip(analyses.chunks(2)) {
+        let (sls, alt) = (&pair[0], &pair[1]);
+        tables.push(timeline_table(
+            p.title,
+            (p.serverless.label(), sls),
+            (p.other.label(), alt),
+        ));
+        notes.push(summarize(p.serverless.label(), sls));
+        notes.push(summarize(p.other.label(), alt));
+    }
+    notes.push(shape.to_string());
+    (tables, notes)
 }
 
 /// Regenerates Figure 6: serverless vs ManagedML — MobileNet·w-40 on AWS
 /// (6a) and ALBERT·w-40 on GCP (6b).
-pub fn fig6(cfg: &ReproConfig) -> Output {
-    let (t1, mut n1) = versus(
+pub fn fig6(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    versus(
         cfg,
-        "Figure 6a — MobileNet, workload-40, AWS: serverless vs ManagedML",
-        ModelKind::MobileNet,
-        MmppPreset::W40,
-        PlatformKind::AwsServerless,
-        PlatformKind::AwsManagedMl,
-    );
-    let (t2, n2) = versus(
-        cfg,
-        "Figure 6b — ALBERT, workload-40, GCP: serverless vs ManagedML",
-        ModelKind::Albert,
-        MmppPreset::W40,
-        PlatformKind::GcpServerless,
-        PlatformKind::GcpManagedMl,
-    );
-    n1.extend(n2);
-    n1.push(
+        jobs,
+        [
+            Panel {
+                title: "Figure 6a — MobileNet, workload-40, AWS: serverless vs ManagedML",
+                model: ModelKind::MobileNet,
+                preset: MmppPreset::W40,
+                serverless: PlatformKind::AwsServerless,
+                other: PlatformKind::AwsManagedMl,
+            },
+            Panel {
+                title: "Figure 6b — ALBERT, workload-40, GCP: serverless vs ManagedML",
+                model: ModelKind::Albert,
+                preset: MmppPreset::W40,
+                serverless: PlatformKind::GcpServerless,
+                other: PlatformKind::GcpManagedMl,
+            },
+        ],
         "Expected shape: serverless starts slow (cold starts) then stays flat; ManagedML \
          degrades and drops requests once the rate exceeds one instance's capacity, \
-         recovering only after minutes-long scale-out."
-            .to_string(),
-    );
-    (vec![t1, t2], n1)
+         recovering only after minutes-long scale-out.",
+    )
 }
 
 /// Regenerates Figure 8: serverless vs CPU server — ALBERT·w-120 on AWS
 /// (8a) and MobileNet·w-120 on GCP (8b).
-pub fn fig8(cfg: &ReproConfig) -> Output {
-    let (t1, mut n1) = versus(
+pub fn fig8(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    versus(
         cfg,
-        "Figure 8a — ALBERT, workload-120, AWS: serverless vs CPU server",
-        ModelKind::Albert,
-        MmppPreset::W120,
-        PlatformKind::AwsServerless,
-        PlatformKind::AwsCpu,
-    );
-    let (t2, n2) = versus(
-        cfg,
-        "Figure 8b — MobileNet, workload-120, GCP: serverless vs CPU server",
-        ModelKind::MobileNet,
-        MmppPreset::W120,
-        PlatformKind::GcpServerless,
-        PlatformKind::GcpCpu,
-    );
-    n1.extend(n2);
-    n1.push(
+        jobs,
+        [
+            Panel {
+                title: "Figure 8a — ALBERT, workload-120, AWS: serverless vs CPU server",
+                model: ModelKind::Albert,
+                preset: MmppPreset::W120,
+                serverless: PlatformKind::AwsServerless,
+                other: PlatformKind::AwsCpu,
+            },
+            Panel {
+                title: "Figure 8b — MobileNet, workload-120, GCP: serverless vs CPU server",
+                model: ModelKind::MobileNet,
+                preset: MmppPreset::W120,
+                serverless: PlatformKind::GcpServerless,
+                other: PlatformKind::GcpCpu,
+            },
+        ],
         "Expected shape: CPU-server latency climbs to tens of seconds at the first request \
-         peak and stays high; serverless remains consistently low after warm-up."
-            .to_string(),
-    );
-    (vec![t1, t2], n1)
+         peak and stays high; serverless remains consistently low after warm-up.",
+    )
 }
 
 /// Regenerates Figure 9: serverless vs GPU server — VGG·w-40 (9a) and
 /// VGG·w-200 (9b) on AWS.
-pub fn fig9(cfg: &ReproConfig) -> Output {
-    let (t1, mut n1) = versus(
+pub fn fig9(cfg: &ReproConfig, jobs: Jobs) -> Output {
+    versus(
         cfg,
-        "Figure 9a — VGG, workload-40, AWS: serverless vs GPU server",
-        ModelKind::Vgg,
-        MmppPreset::W40,
-        PlatformKind::AwsServerless,
-        PlatformKind::AwsGpu,
-    );
-    let (t2, n2) = versus(
-        cfg,
-        "Figure 9b — VGG, workload-200, AWS: serverless vs GPU server",
-        ModelKind::Vgg,
-        MmppPreset::W200,
-        PlatformKind::AwsServerless,
-        PlatformKind::AwsGpu,
-    );
-    n1.extend(n2);
-    n1.push(
+        jobs,
+        [
+            Panel {
+                title: "Figure 9a — VGG, workload-40, AWS: serverless vs GPU server",
+                model: ModelKind::Vgg,
+                preset: MmppPreset::W40,
+                serverless: PlatformKind::AwsServerless,
+                other: PlatformKind::AwsGpu,
+            },
+            Panel {
+                title: "Figure 9b — VGG, workload-200, AWS: serverless vs GPU server",
+                model: ModelKind::Vgg,
+                preset: MmppPreset::W200,
+                serverless: PlatformKind::AwsServerless,
+                other: PlatformKind::AwsGpu,
+            },
+        ],
         "Expected shape: at workload-40 the GPU wins throughout; at workload-200 the GPU \
          queue grows during peaks (three-phase dynamics) while warmed-up serverless stays \
-         low."
-            .to_string(),
-    );
-    (vec![t1, t2], n1)
+         low.",
+    )
 }
 
 #[cfg(test)]
@@ -169,7 +186,7 @@ mod tests {
 
     #[test]
     fn fig6_produces_two_timelines() {
-        let (tables, notes) = fig6(&ReproConfig::scaled(0.02));
+        let (tables, notes) = fig6(&ReproConfig::scaled(0.02), Jobs::available());
         assert_eq!(tables.len(), 2);
         assert!(!tables[0].is_empty());
         assert!(notes.len() >= 4);

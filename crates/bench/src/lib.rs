@@ -9,7 +9,7 @@ pub mod diff;
 pub mod experiments;
 
 pub use diff::{diff, ArtifactKind, DiffReport};
-pub use experiments::{run_experiment, ExperimentOutput, ReproConfig};
+pub use experiments::{run_experiment, run_experiment_jobs, ExperimentOutput, ReproConfig};
 
 use std::alloc::{GlobalAlloc, Layout, System};
 

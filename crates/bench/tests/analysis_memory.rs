@@ -1,9 +1,10 @@
 //! The memory an analysis itself takes, read off the live-bytes
 //! high-water mark of the counting allocator around the analysis alone.
-//! An analysis keeps one latency sample (8 B) per *successful* request, so
-//! it reserves room for the successes only: on the CPU server at W200 a
-//! minority of the requests succeed, and a reservation sized by the
-//! request count would hold several times the samples it ever gets.
+//! An analysis keeps one latency sample per *successful* request, a 4-B
+//! microsecond count, and reserves room for the successes only: on the CPU
+//! server at W200 a minority of the requests succeed, and a reservation
+//! sized by the request count would hold several times the samples it
+//! ever gets.
 //!
 //! This file is its own test binary with a single test, so no other test
 //! allocates while the mark is read.
@@ -18,12 +19,17 @@ use slsb_workload::MmppPreset;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Bytes an analysis holds per latency sample: a `u32` of microseconds.
+/// Samples kept as `f64` seconds take 8.
+const SAMPLE_BYTES: usize = 4;
+
 /// What an analysis holds besides its latency samples, whatever the run's
 /// size: the 10-s timelines of a 15-minute run, the cold-start means and
 /// the analysis itself. On the run below the analysis peaks 17.8 KiB above
-/// its 8 B per success; reserving for every request, it peaked 486 KiB
-/// above.
-const FIXED_BYTES: usize = 32 * 1024;
+/// its 4 B per success, deterministically, leaving 6.2 KiB of headroom,
+/// less than the 101.6 KiB that `f64` samples would add. Reserving for
+/// every request, it peaked 486 KiB above.
+const FIXED_BYTES: usize = 24 * 1024;
 
 /// The live-heap high-water growth while `analyze` runs.
 fn analysis_peak(analyze: impl FnOnce() -> u64) -> usize {
@@ -58,7 +64,7 @@ fn an_analysis_reserves_latencies_for_its_successes_only() {
         "{successes} of {}",
         trace.len()
     );
-    let ceiling = 8 * successes + FIXED_BYTES;
+    let ceiling = SAMPLE_BYTES * successes + FIXED_BYTES;
     for (sink, peak) in [
         ("records", analysis_peak(|| analyze(&records).succeeded)),
         (
@@ -72,8 +78,8 @@ fn an_analysis_reserves_latencies_for_its_successes_only() {
         );
         assert!(
             peak <= ceiling,
-            "analyzing {sink} peaked at {peak} B, above 8 B per success plus \
-             {FIXED_BYTES} B ({ceiling} B)"
+            "analyzing {sink} peaked at {peak} B, above {SAMPLE_BYTES} B per success \
+             plus {FIXED_BYTES} B ({ceiling} B)"
         );
     }
 }

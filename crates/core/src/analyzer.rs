@@ -3,13 +3,13 @@
 //! plus the time series and cold-start breakdowns its figures plot.
 
 use crate::executor::RunResult;
-use crate::outcome::{Fate, OutcomeRun};
+use crate::outcome::{Fate, Micros, OutcomeRun};
 use crate::plan::Deployment;
 use crate::slo::{SloReport, SloSample};
 use serde::{Deserialize, Serialize};
 use slsb_obs::{LogLinearHistogram, MetricsRegistry};
 use slsb_platform::{ColdStartBreakdown, CostBreakdown, FailureReason, Outcome, PlatformReport};
-use slsb_sim::{ProfGuard, SampleSet, SimDuration, SimTime, TimeSeries};
+use slsb_sim::{ProfGuard, SimDuration, SimTime, TimeSeries};
 
 /// Aggregate latency statistics over successful requests (seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -186,7 +186,7 @@ struct RunSide<'a> {
 
 /// The analyzer's one fold: `total` requests in trace order, each with its
 /// arrival, fate and cold-start breakdown, `successes` of them successful:
-/// only those have a latency to keep.
+/// only those have a latency to keep, as 4-B microsecond counts.
 fn fold<'a>(
     run: &RunSide<'_>,
     total: usize,
@@ -195,7 +195,7 @@ fn fold<'a>(
     bucket: SimDuration,
 ) -> Analysis {
     let _p = ProfGuard::enter("analyzer");
-    let mut latencies = SampleSet::with_capacity(successes);
+    let mut latencies = Micros::with_capacity(successes);
     let mut lat_series = TimeSeries::new(bucket);
     let mut ok_series = TimeSeries::new(bucket);
     let mut failed_queue_full = 0;
@@ -212,9 +212,9 @@ fn fold<'a>(
             Outcome::Success => {
                 let lat = r
                     .latency
-                    .expect("success without latency: unresolved record")
-                    .as_secs_f64();
-                latencies.push(lat);
+                    .expect("success without latency: unresolved record");
+                latencies.push(lat.as_micros());
+                let lat = lat.as_secs_f64();
                 lat_series.add(arrival, lat);
                 ok_series.add(arrival, 1.0);
                 match cold_start {
@@ -437,16 +437,30 @@ pub fn slo_metrics(m: &mut MetricsRegistry, report: &SloReport) {
     }
 }
 
-/// Latency aggregates over the successes, `None` when nothing succeeded.
-/// The mean and deviation are read before the percentile queries reorder
-/// the samples, so they sum in arrival order.
-fn latency_stats(latencies: &mut SampleSet) -> Option<LatencyStats> {
-    let (mean, std_dev) = latencies.mean_std_dev()?;
-    let [p50, p95, p99, max] = latencies.percentiles([50.0, 95.0, 99.0, 100.0])?;
+/// Latency aggregates over the successes' µs counts, `None` when nothing
+/// succeeded. The mean and deviation sum each latency's seconds in arrival
+/// order, as a sample set of those seconds reads them, and are read before
+/// the percentile queries reorder the samples. The percentiles select on
+/// the integers: seconds are monotone in µs (and exact below 2⁵³ µs), so
+/// each rank's sample is the one a selection on seconds finds.
+fn latency_stats(latencies: &mut Micros) -> Option<LatencyStats> {
+    let n = latencies.len();
+    if n == 0 {
+        return None;
+    }
+    let secs = || {
+        latencies
+            .iter()
+            .map(|us| SimDuration::from_micros(us).as_secs_f64())
+    };
+    let mean = secs().sum::<f64>() / n as f64;
+    let var = secs().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
+    let secs = |us| SimDuration::from_micros(us).as_secs_f64();
+    let [p50, p95, p99, max] = latencies.percentiles([50.0, 95.0, 99.0, 100.0])?.map(secs);
     Some(LatencyStats {
-        count: latencies.len() as u64,
+        count: n as u64,
         mean,
-        std_dev,
+        std_dev: var.sqrt(),
         p50,
         p95,
         p99,
@@ -456,7 +470,7 @@ fn latency_stats(latencies: &mut SampleSet) -> Option<LatencyStats> {
 
 /// A running mean that adds in arrival order, as `Iterator::sum` does, so
 /// over durations (never `-0.0`) it reads bit for bit what
-/// [`SampleSet::mean`] reads over the same pushes, without retaining them.
+/// `SampleSet::mean` reads over the same pushes, without retaining them.
 #[derive(Default)]
 struct Mean {
     sum: f64,

@@ -1801,7 +1801,11 @@ impl Executor {
         // An empty plan installs an injector that never draws, so this is
         // unconditional without costing byte-identity.
         platform.set_faults(&self.faults, seed);
-        platform.reserve(n);
+        // A hint for the run's first few dozen in flight: the platform's
+        // queues and slabs then grow to what the run really holds. Sized
+        // for all `n` (capped at 4096), a W200 serverless replay reserved
+        // about 450 KB of pending requests and instance slots it never used.
+        platform.reserve(n.min(64));
         if !retrying {
             platform.track_dropped();
         }

@@ -5,12 +5,12 @@
 //! records (72 B per request) keep everything a request went through, for
 //! callers that read records: the oracle, `run_metrics`, traces and SLO
 //! samples. A caller that only wants an [`Analysis`], a platform bill or an
-//! SLO attainment settles into an [`OutcomeTable`] instead, at 17 B per
-//! request: an outcome byte with a cold bit, the latency and the predict
-//! time. Cold-start breakdowns stay in the run's side table either way, and
-//! the in-flight state both kinds of run need lives with the executor's
-//! lanes, so the two runs share one event loop and differ only in the
-//! table they fill.
+//! SLO attainment settles into an [`OutcomeTable`] instead, at 9 B per
+//! request: an outcome byte with a cold bit, and the latency and the
+//! predict time as 4-B microsecond counts. Cold-start breakdowns stay in
+//! the run's side table either way, and the in-flight state both kinds of
+//! run need lives with the executor's lanes, so the two runs share one
+//! event loop and differ only in the table they fill.
 //!
 //! [`RunResult`]: crate::executor::RunResult
 //! [`Analysis`]: crate::analyzer::Analysis
@@ -18,8 +18,10 @@
 use crate::analyzer::FAILURE_REASONS;
 use crate::plan::Deployment;
 use slsb_platform::{ColdStartBreakdown, FailureReason, Outcome, PlatformReport};
+use slsb_sim::stats::{nearest_rank, select_percentiles};
 use slsb_sim::{SimDuration, SimTime};
 use slsb_workload::WorkloadTrace;
+use std::collections::BTreeMap;
 
 /// What the analyzer reads of one settled request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,20 +49,17 @@ impl Fate {
 /// The cold bit of an outcome code.
 const COLD: u8 = 0x80;
 
-/// `fate` as its code (0 for a success, else one plus the failure
-/// reason's position in [`FAILURE_REASONS`], with the cold bit) and its
-/// latency and predict time in µs.
-fn encode(fate: Fate) -> (u8, u64, u64) {
+/// `fate`'s outcome code: 0 for a success, else one plus the failure
+/// reason's position in [`FAILURE_REASONS`], with the cold bit.
+fn code(fate: Fate) -> u8 {
     let code = match fate.outcome {
         Outcome::Success => 0,
         Outcome::Failure(reason) => 1 + reason as u8,
     };
-    let cold = if fate.cold { COLD } else { 0 };
-    let latency_us = fate.latency.map_or(0, SimDuration::as_micros);
-    (code | cold, latency_us, fate.predict.as_micros())
+    code | if fate.cold { COLD } else { 0 }
 }
 
-/// The fate [`encode`] gave `code`, `latency_us` and `predict_us`.
+/// The fate [`code`] gave `code`, with `latency_us` and `predict_us`.
 fn decode(code: u8, latency_us: u64, predict_us: u64) -> Fate {
     let outcome = match code & !COLD {
         0 => Outcome::Success,
@@ -76,25 +75,124 @@ fn decode(code: u8, latency_us: u64, predict_us: u64) -> Fate {
     }
 }
 
-/// The fates of a run's requests in trace order, 17 B each: an outcome
+/// The narrow entry that stands for a value kept in a column's side map.
+const WIDE: u32 = u32::MAX;
+
+/// A column of microsecond values, 4 B each: a value below `u32::MAX` µs
+/// (about 71.6 min) is its own entry; a larger one is entered as
+/// `u32::MAX` and keeps its exact value in a side map by index. Replays
+/// almost never settle such a value, so the map is almost always empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Micros {
+    narrow: Vec<u32>,
+    wide: BTreeMap<usize, u64>,
+}
+
+impl Micros {
+    /// An empty column with room for `n` values.
+    pub(crate) fn with_capacity(n: usize) -> Micros {
+        Micros {
+            narrow: Vec::with_capacity(n),
+            wide: BTreeMap::new(),
+        }
+    }
+
+    /// `n` zeros.
+    fn zeros(n: usize) -> Micros {
+        Micros {
+            narrow: vec![0; n],
+            wide: BTreeMap::new(),
+        }
+    }
+
+    /// Values in the column.
+    pub(crate) fn len(&self) -> usize {
+        self.narrow.len()
+    }
+
+    /// `us` as its narrow entry at `i`, moving it to the side map or
+    /// clearing a stale one there as the value needs.
+    fn enter(&mut self, i: usize, us: u64) -> u32 {
+        match u32::try_from(us) {
+            Ok(v) if v != WIDE => {
+                if !self.wide.is_empty() {
+                    self.wide.remove(&i);
+                }
+                v
+            }
+            _ => {
+                self.wide.insert(i, us);
+                WIDE
+            }
+        }
+    }
+
+    /// Appends `us`.
+    pub(crate) fn push(&mut self, us: u64) {
+        let v = self.enter(self.narrow.len(), us);
+        self.narrow.push(v);
+    }
+
+    /// Overwrites value `i`.
+    fn set(&mut self, i: usize, us: u64) {
+        self.narrow[i] = self.enter(i, us);
+    }
+
+    /// Value `i`.
+    pub(crate) fn get(&self, i: usize) -> u64 {
+        match self.narrow[i] {
+            WIDE => self.wide[&i],
+            v => u64::from(v),
+        }
+    }
+
+    /// Every value, in column order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The nearest-rank percentiles `qs` of the values (see
+    /// [`select_percentiles`]), found by selection on the narrow entries
+    /// alone, which reorders the column: afterwards only [`Micros::len`]
+    /// reads it right. The wide values sort above every narrow entry, so a
+    /// rank that lands on `u32::MAX` is read off the side map in order.
+    pub(crate) fn percentiles<const N: usize>(&mut self, qs: [f64; N]) -> Option<[u64; N]> {
+        let n = self.narrow.len();
+        let narrow = select_percentiles(&mut self.narrow, qs)?;
+        let mut wide: Vec<u64> = self.wide.values().copied().collect();
+        wide.sort_unstable();
+        let mut out = [0; N];
+        for ((x, v), q) in out.iter_mut().zip(narrow).zip(qs) {
+            *x = match v {
+                WIDE => wide[nearest_rank(q, n) - (n - wide.len())],
+                v => u64::from(v),
+            };
+        }
+        Some(out)
+    }
+}
+
+/// The fates of a run's requests in trace order, 9 B each: an outcome
 /// byte whose top bit marks a cold start, the latency and the predict time
-/// in microseconds. Only a success has a latency: failures store zero and
-/// read back `None`.
+/// in microseconds, each a 4-B entry (a value of 2³² µs or more
+/// keeps its exact `u64` in the column's side map). Only a success has a
+/// latency: failures store zero and read back `None`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeTable {
     codes: Vec<u8>,
-    latency_us: Vec<u64>,
-    predict_us: Vec<u64>,
+    latency_us: Micros,
+    predict_us: Micros,
 }
 
 impl OutcomeTable {
     /// `n` unresolved requests, filled column by column.
     pub(crate) fn unresolved(n: usize) -> OutcomeTable {
-        let (code, latency_us, predict_us) = encode(Fate::UNRESOLVED);
+        let unresolved = Fate::UNRESOLVED;
+        debug_assert!(unresolved.latency.is_none() && unresolved.predict.is_zero());
         OutcomeTable {
-            codes: vec![code; n],
-            latency_us: vec![latency_us; n],
-            predict_us: vec![predict_us; n],
+            codes: vec![code(unresolved); n],
+            latency_us: Micros::zeros(n),
+            predict_us: Micros::zeros(n),
         }
     }
 
@@ -116,22 +214,32 @@ impl OutcomeTable {
     /// Appends `fate`.
     #[cfg(test)]
     fn push(&mut self, fate: Fate) {
-        let (code, latency_us, predict_us) = encode(fate);
-        self.codes.push(code);
-        self.latency_us.push(latency_us);
-        self.predict_us.push(predict_us);
+        self.codes.push(code(fate));
+        self.latency_us
+            .push(fate.latency.map_or(0, SimDuration::as_micros));
+        self.predict_us.push(fate.predict.as_micros());
     }
 
     /// Overwrites request `i`'s fate.
     pub(crate) fn set(&mut self, i: usize, fate: Fate) {
-        (self.codes[i], self.latency_us[i], self.predict_us[i]) = encode(fate);
+        self.codes[i] = code(fate);
+        self.latency_us
+            .set(i, fate.latency.map_or(0, SimDuration::as_micros));
+        self.predict_us.set(i, fate.predict.as_micros());
+    }
+
+    /// Request `i`'s fate.
+    fn get(&self, i: usize) -> Fate {
+        decode(
+            self.codes[i],
+            self.latency_us.get(i),
+            self.predict_us.get(i),
+        )
     }
 
     /// Every fate, in table order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Fate> + '_ {
-        let columns = self.latency_us.iter().zip(&self.predict_us);
-        (self.codes.iter().zip(columns))
-            .map(|(&code, (&latency_us, &predict_us))| decode(code, latency_us, predict_us))
+        (0..self.len()).map(|i| self.get(i))
     }
 
     /// Writes `part`'s fates to positions `first`, `first + stride`, … of
@@ -139,8 +247,8 @@ impl OutcomeTable {
     pub(crate) fn place(&mut self, part: &OutcomeTable, first: usize, stride: usize) {
         for (k, i) in (first..).step_by(stride).take(part.len()).enumerate() {
             self.codes[i] = part.codes[k];
-            self.latency_us[i] = part.latency_us[k];
-            self.predict_us[i] = part.predict_us[k];
+            self.latency_us.set(i, part.latency_us.get(k));
+            self.predict_us.set(i, part.predict_us.get(k));
         }
     }
 }
@@ -260,5 +368,73 @@ mod tests {
         let got: Vec<_> = table.iter().collect();
         let u = Fate::UNRESOLVED;
         assert_eq!(got, [u, ok(1), u, u, ok(2), u, u, ok(3)]);
+    }
+
+    /// Microsecond counts at and around the 4-B entry's limit.
+    const WIDE_US: [u64; 3] = [u32::MAX as u64 - 1, u32::MAX as u64, u64::MAX];
+
+    /// A success for each pair of latency and predict time in `WIDE_US`,
+    /// cold on every other one.
+    fn wide_fates() -> Vec<Fate> {
+        let mut fates = Vec::new();
+        for latency in WIDE_US {
+            for predict in WIDE_US {
+                fates.push(Fate {
+                    outcome: Outcome::Success,
+                    cold: fates.len() % 2 == 1,
+                    latency: Some(SimDuration::from_micros(latency)),
+                    predict: SimDuration::from_micros(predict),
+                });
+            }
+        }
+        fates
+    }
+
+    #[test]
+    fn wide_values_read_back_exactly_after_set_and_place() {
+        let fates = wide_fates();
+        let n = fates.len();
+        let mut table = OutcomeTable::unresolved(n);
+        for (i, &fate) in fates.iter().enumerate() {
+            table.set(i, fate);
+        }
+        assert_eq!(table.iter().collect::<Vec<_>>(), fates);
+
+        // A sharded run places a cell's share at a stride.
+        let mut placed = OutcomeTable::unresolved(2 * n + 1);
+        placed.place(&table, 1, 2);
+        let got: Vec<_> = placed.iter().collect();
+        for (i, fate) in got.iter().enumerate() {
+            let want = if i % 2 == 1 {
+                fates[i / 2]
+            } else {
+                Fate::UNRESOLVED
+            };
+            assert_eq!(*fate, want, "entry {i}");
+        }
+
+        // Overwriting a wide value with a narrow one leaves no stale side
+        // entry behind: the table equals one that never held it.
+        for i in 0..n {
+            table.set(i, Fate::UNRESOLVED);
+        }
+        assert_eq!(table, OutcomeTable::unresolved(n));
+    }
+
+    #[test]
+    fn percentiles_select_wide_values_in_order() {
+        let mut values: Vec<u64> = vec![5, u64::MAX, 3, u32::MAX as u64, 9, u32::MAX as u64 + 7];
+        values.extend((0..40).map(|k| (k * 7919) % 101));
+        let mut column = Micros::with_capacity(values.len());
+        for &us in &values {
+            column.push(us);
+        }
+        assert_eq!(column.iter().collect::<Vec<_>>(), values);
+        let qs = [0.0, 50.0, 90.0, 95.0, 97.0, 98.0, 100.0];
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        let want = qs.map(|q| sorted[nearest_rank(q, sorted.len())]);
+        assert_eq!(column.percentiles(qs), Some(want));
+        assert_eq!(Micros::default().percentiles(qs), None);
     }
 }

@@ -180,36 +180,7 @@ impl SampleSet {
     /// # Panics
     /// Panics if a `q` is outside `[0, 100]` or below the one before it.
     pub fn percentiles<const N: usize>(&mut self, qs: [f64; N]) -> Option<[f64; N]> {
-        let n = self.samples.len();
-        if n == 0 {
-            return None;
-        }
-        let mut out = [0.0; N];
-        // The last rank selected and its sample.
-        let mut last: Option<(usize, f64)> = None;
-        for (x, q) in out.iter_mut().zip(qs) {
-            assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
-            let idx = if q == 0.0 {
-                0
-            } else {
-                ((q / 100.0 * n as f64).ceil() as usize).max(1) - 1
-            }
-            .min(n - 1);
-            *x = match last {
-                Some((at, x)) if at == idx => x,
-                _ => {
-                    let from = last.map_or(0, |(at, _)| at + 1);
-                    assert!(idx >= from, "percentiles must ascend: {q}");
-                    let (_, x, _) = self.samples[from..]
-                        .select_nth_unstable_by(idx - from, |a, b| {
-                            a.partial_cmp(b).expect("NaN sample")
-                        });
-                    *x
-                }
-            };
-            last = Some((idx, *x));
-        }
-        Some(out)
+        select_percentiles(&mut self.samples, qs)
     }
 
     /// Median (p50), or `None` when empty.
@@ -240,6 +211,57 @@ impl SampleSet {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+}
+
+/// The index of the `q`-th percentile (0–100) in a sorted set of `n > 0`
+/// samples, by the nearest-rank definition: the smallest sample such that
+/// at least `q`% of the set is ≤ it.
+///
+/// # Panics
+/// Panics if `q` is outside `[0, 100]`.
+pub fn nearest_rank(q: f64, n: usize) -> usize {
+    assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
+    if q == 0.0 {
+        0
+    } else {
+        ((q / 100.0 * n as f64).ceil() as usize).max(1) - 1
+    }
+    .min(n - 1)
+}
+
+/// The nearest-rank percentiles `qs` of `samples` (see [`nearest_rank`]),
+/// each the rank's entry in a sorted copy, from one cascade of selections:
+/// a selection leaves every sample above its rank behind it, so each later
+/// rank is selected inside that part alone. Leaves `samples` partially
+/// reordered; `None` when empty.
+///
+/// # Panics
+/// Panics if a `q` is outside `[0, 100]` or below the one before it, or if
+/// two samples do not compare (a NaN).
+pub fn select_percentiles<T: Copy + PartialOrd, const N: usize>(
+    samples: &mut [T],
+    qs: [f64; N],
+) -> Option<[T; N]> {
+    let n = samples.len();
+    let mut out = [*samples.first()?; N];
+    // The last rank selected and its sample.
+    let mut last: Option<(usize, T)> = None;
+    for (x, q) in out.iter_mut().zip(qs) {
+        let idx = nearest_rank(q, n);
+        *x = match last {
+            Some((at, x)) if at == idx => x,
+            _ => {
+                let from = last.map_or(0, |(at, _)| at + 1);
+                assert!(idx >= from, "percentiles must ascend: {q}");
+                let (_, x, _) = samples[from..].select_nth_unstable_by(idx - from, |a, b| {
+                    a.partial_cmp(b).expect("NaN sample")
+                });
+                *x
+            }
+        };
+        last = Some((idx, *x));
+    }
+    Some(out)
 }
 
 /// A fixed-bin linear histogram over `[lo, hi)` with under/overflow bins.

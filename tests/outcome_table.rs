@@ -3,15 +3,16 @@
 //! the cold-start side tables and tallies are equal, every fate matches
 //! its record, and the SLO attainment matches the records' reading. Covers every platform
 //! family under every batching policy, with and without retries and
-//! faults, at several client counts, sharded and not, plus an empty trace.
+//! faults, at several client counts, sharded and not, plus an empty trace
+//! and a run whose latencies do not fit the table's 4-B entries.
 
 use slsbench::core::{
-    analyze, analyze_outcomes, BatchPolicy, Deployment, Executor, ExecutorConfig, RetryPolicy,
-    Scenario,
+    analyze, analyze_outcomes, BatchPolicy, Deployment, Executor, ExecutorConfig, OutcomeRun,
+    RetryPolicy, RunResult, Scenario,
 };
 use slsbench::model::{ModelKind, RuntimeKind};
-use slsbench::platform::{FaultPlan, PlatformKind};
-use slsbench::sim::{Seed, SimDuration};
+use slsbench::platform::{CloudProvider, FaultPlan, Platform, PlatformKind, VmServerConfig};
+use slsbench::sim::{Seed, SimDuration, SimTime};
 use slsbench::workload::{MmppSpec, WorkloadTrace};
 
 const SEED: Seed = Seed(21);
@@ -44,9 +45,15 @@ fn assert_equivalent(exec: &Executor, dep: &Deployment, trace: &WorkloadTrace, c
     let outcomes = exec
         .run_outcomes(dep, trace, SEED)
         .expect("valid deployment");
-    let analysis = analyze_outcomes(&outcomes);
+    assert_same(&run, &outcomes, case)
+}
+
+/// Checks that a replay settled into records and the same replay settled
+/// into an outcome table agree; returns whether any request failed.
+fn assert_same(run: &RunResult, outcomes: &OutcomeRun<'_>, case: &str) -> bool {
+    let analysis = analyze_outcomes(outcomes);
     let json = |a| serde_json::to_string(a).expect("analysis serializes");
-    assert_eq!(json(&analysis), json(&analyze(&run)), "{case}");
+    assert_eq!(json(&analysis), json(&analyze(run)), "{case}");
     assert_eq!(outcomes.outcomes.len(), run.records.len(), "{case}");
     assert_eq!(outcomes.cold_starts, run.cold_starts, "{case}");
     assert_eq!(outcomes.engine_events, run.engine_events, "{case}");
@@ -148,4 +155,97 @@ fn an_empty_trace_settles_into_an_empty_table() {
     let run = exec.run_outcomes(&dep, &trace, SEED).unwrap();
     assert!(run.outcomes.is_empty());
     assert_eq!(run.slo_attainment(SimDuration::ZERO), 1.0);
+}
+
+/// The seconds of `run`'s success latencies, in trace order.
+fn success_seconds(run: &RunResult) -> Vec<f64> {
+    run.successes()
+        .map(|r| r.latency.expect("a success has a latency").as_secs_f64())
+        .collect()
+}
+
+#[test]
+fn latencies_past_two_to_the_32_microseconds_analyze_exactly() {
+    // One request a second for 200 s into a CPU server whose every request
+    // takes about 40 s and whose queue never goes stale: request k waits
+    // about 39·k s, so those from k ≈ 110 on wait past 2³² µs (71.6 min),
+    // and the two-hour client timeout keeps them successes up to k ≈ 183.
+    let arrivals = (0..200).map(|k| SimTime::from_millis(k * 1000)).collect();
+    let trace = WorkloadTrace::new("saturated", SimDuration::from_secs(200), arrivals);
+    let dep = Deployment::new(
+        PlatformKind::AwsCpu,
+        ModelKind::MobileNet,
+        RuntimeKind::Tf115,
+    );
+    let mut vm = VmServerConfig::cpu(
+        CloudProvider::Aws,
+        ModelKind::MobileNet.profile(),
+        RuntimeKind::Tf115.profile(),
+    );
+    vm.request_overhead = SimDuration::from_secs(40);
+    vm.stale_after = SimDuration::from_secs(3 * 3600);
+    let exec = Executor::new(ExecutorConfig {
+        timeout: SimDuration::from_secs(2 * 3600),
+        ..ExecutorConfig::default()
+    });
+    let run = exec.run_built(&dep, Platform::vm(vm.clone(), SEED), &trace, SEED);
+    let outcomes = exec.run_built_outcomes(&dep, Platform::vm(vm, SEED), &trace, SEED);
+    assert!(
+        assert_same(&run, &outcomes, "saturated"),
+        "some requests time out"
+    );
+
+    let limit = u32::MAX as f64 / 1e6;
+    let secs = success_seconds(&run);
+    let wide = secs.iter().filter(|&&s| s > limit).count();
+    assert!(
+        wide >= 10 && wide + 10 <= secs.len(),
+        "{wide} of {} successes past 2^32 us",
+        secs.len()
+    );
+
+    // The statistics of the seconds themselves: sums in trace order, and
+    // nearest-rank percentiles of a sorted copy.
+    let n = secs.len() as f64;
+    let mean = secs.iter().sum::<f64>() / n;
+    let std_dev = (secs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt();
+    let mut sorted = secs.clone();
+    sorted.sort_by(f64::total_cmp);
+    let rank = |q: f64| sorted[((q / 100.0 * n).ceil() as usize).max(1) - 1];
+    let want = [
+        mean,
+        std_dev,
+        rank(50.0),
+        rank(95.0),
+        rank(99.0),
+        rank(100.0),
+    ];
+    assert!(
+        want[2] < limit && want[3] > limit,
+        "p50 narrow, p95 wide: {want:?}"
+    );
+    for (label, analysis) in [
+        ("records", analyze(&run)),
+        ("outcomes", analyze_outcomes(&outcomes)),
+    ] {
+        let l = analysis.latency.expect("successes");
+        let got = [l.mean, l.std_dev, l.p50, l.p95, l.p99, l.max];
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "{label}: {got:?}"
+        );
+    }
+
+    // SLO attainment on both sides of the limit and at the timeout.
+    for slo_s in [60, 4_000, 4_300, 5_000, 7_200] {
+        let slo = SimDuration::from_secs(slo_s);
+        let within = secs.iter().filter(|&&s| s <= slo.as_secs_f64()).count();
+        let want = within as f64 / trace.len() as f64;
+        assert_eq!(
+            outcomes.slo_attainment(slo).to_bits(),
+            want.to_bits(),
+            "{slo_s} s"
+        );
+    }
 }

@@ -93,15 +93,16 @@ fi
 echo "verify.sh: trace round-trip ok ($lines trace events, $engine engine events)"
 
 # Paper report gate: the full-scale regeneration at the default seed must
-# reproduce the committed report byte for byte, on one worker (the path
-# slsb-benchmark's paper_repro takes) and on two (a few seconds each).
-for jobs in 1 2; do
+# reproduce the committed report byte for byte whatever the worker budget
+# each experiment's replays run on: one worker (no thread at all), two,
+# and three, more than a 2-vCPU host has cores (a few seconds each).
+for jobs in 1 2 3; do
     if ! cmp -s <(./target/release/repro all --no-out --jobs "$jobs") results/full_report.md; then
         echo "verify.sh: repro all --jobs $jobs differs from results/full_report.md" >&2
         exit 1
     fi
 done
-echo "verify.sh: paper report ok (repro all == results/full_report.md at --jobs 1 and 2)"
+echo "verify.sh: paper report ok (repro all == results/full_report.md at --jobs 1, 2 and 3)"
 
 # Fault-matrix smoke: run the fault scenario with retries on two seeds and
 # cross-check the recorded fault events against the analyzer's totals
